@@ -6,12 +6,16 @@ replacement:
 
 * :func:`exact_topk` — the brute-force oracle, shared verbatim by the exact
   backend and by exhaustive-probe ANN queries so the two are bit-identical;
-* :class:`RPForestIndex` — a numpy random-projection-tree forest with
-  ``build(X)`` / ``query(Q, k, mask=...)``.  The boolean ``mask`` restricts
-  candidates, which is exactly what the counterfactual search needs: the
-  label-consistent, opposite-attribute bucket becomes a mask over all N
-  points, so one index per refresh serves every (label, attribute, side)
-  bucket;
+* :class:`RPForestIndex` — a numpy random-projection-tree forest (Dasgupta
+  & Freund, "Random projection trees and low dimensional manifolds", STOC
+  2008) with ``build(X)`` / ``query(Q, k, mask=...)``, where the boolean
+  ``mask`` restricts candidates, and
+  ``query_counterfactuals(ids, k, labels, attributes)``, which answers the
+  counterfactual search's every label-consistent, opposite-attribute
+  bucket in one pass;
+* :func:`bucket_topk` — the same search one (label, attribute, side)
+  bucket at a time through a backend's ``topk``: the exact backend's and
+  exhaustive probing's route;
 * :class:`ExactBackend` / :class:`AnnBackend` — the strategy objects
   :class:`~repro.core.counterfactual.CounterfactualSearch` dispatches to.
 
@@ -23,8 +27,19 @@ O(N log N) per tree).  A query descends to one leaf per tree; ``probes > 1``
 additionally flips the lowest-margin split decisions along the root path
 (multi-probe, as in Annoy/LSH multi-probe) and descends the alternative
 subtrees, trading work for recall.  Candidates from all (tree, probe)
-leaves are deduplicated and ranked by true L2 distance, with ties broken by
-ascending point id for determinism.
+leaves are gathered into one row per query, deduplicated, and ranked by
+true L2 distance, with ties broken by ascending point id for determinism.
+The top ``k`` come from ``argpartition`` plus a tie repair: rows where
+entries tied at the ``k``-th distance straddle the cut are re-ranked by a
+full stable sort, so the result is exactly the first ``k`` of a stable
+argsort.
+
+The counterfactual search builds each query's candidate row once — the
+descent, gather, dedupe and distances do not depend on the attribute — and
+blanks candidates with another label.  Per attribute it then blanks the
+query's own side and picks the top ``k``.  Row for row this equals one
+masked :meth:`~RPForestIndex.query` per bucket, without descending and
+ranking every node once per attribute.
 
 ``probes="exhaustive"`` bypasses the trees and ranks *every* masked
 candidate through :func:`exact_topk` — the property-test harness uses this
@@ -61,6 +76,7 @@ __all__ = [
     "EXHAUSTIVE",
     "RPForestIndex",
     "UpdateReport",
+    "bucket_topk",
     "exact_topk",
     "execute_tree_task",
     "ExactBackend",
@@ -193,8 +209,9 @@ class RPForestIndex:
         Forest construction seed; two builds with the same seed over the
         same data are identical.
     chunk_size:
-        Queries processed per vectorized block (bounds peak memory at
-        ``chunk_size × num_trees × probes × leaf_size × d`` floats).
+        Queries processed per vectorized block (candidate rows of
+        ``num_trees × probes × leaf_size`` ids each; their coordinates are
+        gathered in sub-blocks of about 4 MiB).
     drift_threshold:
         Default drift detector of :meth:`update`: a point is re-routed when
         its embedding moved more than this L2 distance since the last
@@ -928,8 +945,9 @@ class RPForestIndex:
             Neighbours requested per query.
         mask:
             Optional ``(N,)`` boolean; only points with ``mask[id]`` True may
-            be returned.  This is how the counterfactual search expresses
-            its label-consistent, opposite-attribute candidate buckets.
+            be returned.  One counterfactual bucket as a mask is
+            :func:`bucket_topk`'s route; :meth:`query_counterfactuals`
+            serves every bucket in one pass.
         probes:
             Override the index default; ``"exhaustive"`` ranks every masked
             candidate by brute force (bit-identical to the exact backend).
@@ -985,9 +1003,102 @@ class RPForestIndex:
         out[:, : found.shape[1]] = found
         return out
 
+    def query_counterfactuals(
+        self,
+        ids: np.ndarray,
+        k: int,
+        labels: np.ndarray,
+        attributes: np.ndarray,
+        probes: int | None = None,
+    ) -> np.ndarray:
+        """Top-``k`` counterfactual neighbours of indexed points, for every
+        attribute in one pass.
+
+        Row ``[i, j]`` answers ``query(points[ids[j]], k, mask=bucket)``
+        where ``bucket`` holds the points that share ``labels[ids[j]]`` and
+        sit on the other side of ``attributes[:, i] == 1`` — bit for bit,
+        ties and ``-1`` padding included.  Each query's candidate row
+        (descent, leaf gather, dedupe, distances) is built once and blanked
+        to its label; only the side blanking and the top-``k`` pick repeat
+        per attribute.
+
+        Parameters
+        ----------
+        ids:
+            Indexed point ids acting as queries.
+        k:
+            Neighbours requested per (attribute, query).
+        labels:
+            ``(N,)`` label per indexed point.
+        attributes:
+            ``(N, I)`` attribute matrix; a point's side of attribute ``i``
+            is ``attributes[:, i] == 1``.
+        probes:
+            Override the index default (``"exhaustive"`` is rejected: the
+            brute-force oracle ranks one bucket at a time through
+            :meth:`query`).
+
+        Returns
+        -------
+        ``(I, len(ids), k)`` int64 ids, each row ordered by ascending
+        distance (ties → ascending id), right-padded with ``-1``.
+        """
+        if self._points is None:
+            raise RuntimeError("call build() before query_counterfactuals()")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if probes is None:
+            probes = self.probes
+        if probes == EXHAUSTIVE:
+            raise ValueError(
+                "exhaustive probing ranks one bucket at a time; use "
+                "query(..., mask=bucket, probes='exhaustive')"
+            )
+        probes = int(probes)
+        if probes < 1:
+            raise ValueError(f"probes must be >= 1 or 'exhaustive', got {probes}")
+        n = self.num_points
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise ValueError("ids out of range")
+        labels = np.asarray(labels).reshape(-1)
+        # (I, N) so each attribute's sides gather from one contiguous row.
+        sides = np.ascontiguousarray((np.asarray(attributes) == 1).T)
+        if labels.shape[0] != n or sides.shape[1] != n:
+            raise ValueError(
+                f"labels and attributes must have {n} rows, got "
+                f"{labels.shape[0]} and {sides.shape[1]}"
+            )
+        out = np.full((sides.shape[0], ids.size, k), -1, dtype=np.int64)
+        for start in range(0, ids.size, self.chunk_size):
+            chunk = ids[start : start + self.chunk_size]
+            rows = slice(start, start + chunk.size)
+            Q = self._points[chunk]
+            cands = self._candidates(Q, probes)
+            dist = self._distances(Q, cands)
+            safe = np.maximum(cands, 0)
+            dist[labels[safe] != labels[chunk][:, None]] = np.inf
+            for attr, side in enumerate(sides):
+                own_side = side[safe] == side[chunk][:, None]
+                out[attr, rows] = _pick(cands, np.where(own_side, np.inf, dist), k)
+        return out
+
     def _query_chunk(
         self, Q: np.ndarray, k: int, mask: np.ndarray | None, probes: int
     ) -> np.ndarray:
+        cands = self._candidates(Q, probes)
+        dist = self._distances(Q, cands)
+        if mask is not None:
+            dist[~mask[np.maximum(cands, 0)]] = np.inf
+        return _pick(cands, dist, k)
+
+    def _candidates(self, Q: np.ndarray, probes: int) -> np.ndarray:
+        """Every point in each query's (tree, probe) leaves, one row per query.
+
+        Rows are sorted by ascending id with repeats blanked to ``-1``, so a
+        point enters the ranking once and the column order of the surviving
+        ids is ascending — the tie-break :func:`_pick` relies on.
+        """
         m = Q.shape[0]
         width = sum(tree.max_leaf for tree in self._trees) * probes
         cands = np.full((m, width), -1, dtype=np.int64)
@@ -1014,28 +1125,70 @@ class RPForestIndex:
         # blank repeats so a point can enter the ranking only once.
         cands.sort(axis=1)
         cands[:, 1:][cands[:, 1:] == cands[:, :-1]] = -1
+        return cands
 
+    def _distances(self, Q: np.ndarray, cands: np.ndarray) -> np.ndarray:
+        """Squared L2 distance from each query to its candidates (``inf`` on
+        padding).
+
+        The candidate coordinates are gathered a few rows at a time, so the
+        ``(rows, width, d)`` gather stays near :data:`_GATHER_BYTES` rather
+        than growing with the chunk; each row's arithmetic is the same in
+        any block.
+        """
         safe = np.maximum(cands, 0)
-        dots = np.einsum("qd,qwd->qw", Q, self._points[safe])
+        rows = max(1, _GATHER_BYTES // (8 * safe.shape[1] * Q.shape[1]))
+        dots = np.empty(safe.shape)
+        for start in range(0, Q.shape[0], rows):
+            block = slice(start, start + rows)
+            np.einsum("qd,qwd->qw", Q[block], self._points[safe[block]], out=dots[block])
         dist = (Q**2).sum(axis=1)[:, None] - 2.0 * dots + self._norms[safe]
-        invalid = cands < 0
-        if mask is not None:
-            invalid |= ~mask[safe]
-        dist[invalid] = np.inf
-        # Stable sort on distance after the ascending-id sort above breaks
-        # distance ties by ascending id — deterministic output.
-        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        picked = np.take_along_axis(cands, order, axis=1)
-        picked[~np.isfinite(np.take_along_axis(dist, order, axis=1))] = -1
-        if picked.shape[1] < k:
-            picked = np.concatenate(
-                [picked, np.full((m, k - picked.shape[1]), -1, dtype=np.int64)],
-                axis=1,
-            )
-        return picked
+        dist[cands < 0] = np.inf
+        return dist
 
 
 _INACTIVE = np.iinfo(np.int64).min  # "no start node" marker for greedy descent
+_GATHER_BYTES = 4 << 20  # per-block candidate-coordinate gather of _distances
+
+
+def _select_topk(dist: np.ndarray, k: int) -> np.ndarray:
+    """Columns of each row's ``k`` smallest entries, in (distance, column)
+    order: the first ``k`` columns of a stable argsort, except that
+    infinite entries (padding and blanked candidates, which every caller
+    drops) may follow the finite ones in any order.
+
+    ``argpartition`` finds the ``k`` smallest in linear time but keeps an
+    arbitrary subset of the entries tied at the ``k``-th distance; rows
+    where such a tie crosses the cut are re-ranked by the full stable sort.
+    """
+    if k >= dist.shape[1]:
+        return np.argsort(dist, axis=1, kind="stable")
+    top = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    top.sort(axis=1)
+    order = np.argsort(np.take_along_axis(dist, top, axis=1), axis=1, kind="stable")
+    top = np.take_along_axis(top, order, axis=1)
+    kth = np.take_along_axis(dist, top[:, -1:], axis=1)
+    crossed = np.isfinite(kth[:, 0]) & ((dist <= kth).sum(axis=1) > k)
+    if crossed.any():
+        top[crossed] = np.argsort(dist[crossed], axis=1, kind="stable")[:, :k]
+    return top
+
+
+def _pick(cands: np.ndarray, dist: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` nearest finite-distance candidates per row, ``-1``-padded.
+
+    Candidate rows list ids in ascending order (see
+    :meth:`RPForestIndex._candidates`), so breaking distance ties by column
+    breaks them by ascending id — deterministic output.
+    """
+    top = _select_topk(dist, k)
+    picked = np.take_along_axis(cands, top, axis=1)
+    picked[~np.isfinite(np.take_along_axis(dist, top, axis=1))] = -1
+    missing = k - picked.shape[1]
+    if missing > 0:
+        padding = np.full((picked.shape[0], missing), -1, dtype=np.int64)
+        picked = np.concatenate([picked, padding], axis=1)
+    return picked
 
 
 # --------------------------------------------------------------------- #
@@ -1077,6 +1230,43 @@ def execute_tree_task(task, X: np.ndarray):
     raise ValueError(f"unknown forest task kind {kind!r}")
 
 
+def bucket_topk(
+    topk,
+    query_ids: np.ndarray,
+    labels: np.ndarray,
+    attributes: np.ndarray,
+    k: int,
+) -> np.ndarray:
+    """Counterfactual top-``k`` through one ``topk`` call per bucket.
+
+    A bucket is one (label, attribute, side): its members query the
+    same-label members on the other side of ``attributes[:, i] == 1``,
+    through ``topk(queries, candidates, k)``.  Buckets with an empty side
+    are skipped, and members outside ``query_ids`` are not queried.  This
+    is the search of the exact backend, of exhaustive probing, and of any
+    backend object that only offers ``prepare``/``topk``.
+
+    Returns ``(I, len(query_ids), k)`` int64 hits, ``-1``-padded.
+    """
+    num_points, num_attrs = attributes.shape
+    found = np.full((num_attrs, query_ids.size, k), -1, dtype=np.int64)
+    position = np.full(num_points, -1, dtype=np.int64)
+    position[query_ids] = np.arange(query_ids.size)
+    for label in np.unique(labels):
+        members = np.flatnonzero(labels == label)
+        for attr in range(num_attrs):
+            side1 = attributes[members, attr] == 1
+            group_a, group_b = members[~side1], members[side1]
+            if group_a.size == 0 or group_b.size == 0:
+                continue
+            for queries, candidates in ((group_a, group_b), (group_b, group_a)):
+                queries = queries[position[queries] >= 0]
+                if queries.size:
+                    hits = np.asarray(topk(queries, candidates, k))
+                    found[attr, position[queries], : hits.shape[1]] = hits
+    return found
+
+
 class ExactBackend:
     """Brute-force oracle backend (the original O(N²) scan)."""
 
@@ -1103,8 +1293,11 @@ class ExactBackend:
 class AnnBackend:
     """Approximate backend over a :class:`RPForestIndex`.
 
+    :meth:`topk_counterfactuals` answers a whole counterfactual search with
+    one :meth:`RPForestIndex.query_counterfactuals` pass.
     ``exhaustive=True`` keeps the index but routes every query through
-    brute-force ranking — the bridge used to prove the ANN plumbing exact.
+    brute-force ranking, one bucket at a time — the bridge used to prove
+    the ANN plumbing exact.
 
     ``update`` selects the refresh policy of :meth:`prepare`:
     ``"rebuild"`` (default) reconstructs the forest from scratch every
@@ -1146,7 +1339,8 @@ class AnnBackend:
             overflow_factor=overflow_factor,
             compact_frac=compact_frac,
         )
-        self.exhaustive = exhaustive
+        # Per-query override of the forest's default probes.
+        self.query_probes = EXHAUSTIVE if exhaustive else None
         self.update_mode = update
         self.last_report: UpdateReport | None = None
         # Runtime-only attachment (never part of backend options, which
@@ -1179,10 +1373,30 @@ class AnnBackend:
         mask = np.zeros(self._index.num_points, dtype=bool)
         mask[candidate_ids] = True
         return self._index.query(
-            self._index.points[query_ids],
-            k,
-            mask=mask,
-            probes=EXHAUSTIVE if self.exhaustive else None,
+            self._index.points[query_ids], k, mask=mask, probes=self.query_probes
+        )
+
+    def topk_counterfactuals(
+        self,
+        query_ids: np.ndarray,
+        labels: np.ndarray,
+        attributes: np.ndarray,
+        k: int,
+    ) -> np.ndarray:
+        """Counterfactual top-``k`` of every query node for every attribute.
+
+        One forest pass (:meth:`RPForestIndex.query_counterfactuals`);
+        exhaustive probing goes bucket by bucket through :meth:`topk`
+        (:func:`bucket_topk`).  Returns ``(I, len(query_ids), k)`` int64
+        hits, ``-1``-padded.
+        """
+        probes = self.query_probes
+        if probes is None:
+            probes = self._index.probes
+        if probes == EXHAUSTIVE:
+            return bucket_topk(self.topk, query_ids, labels, attributes, k)
+        return self._index.query_counterfactuals(
+            query_ids, k, labels, attributes, probes=probes
         )
 
 

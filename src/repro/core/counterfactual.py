@@ -13,13 +13,18 @@ non-realistic counterfactual problem the paper raises against NIFTY/GEAR:
 every counterfactual returned here is an observed, plausible configuration.
 
 The nearest-neighbour ranking is delegated to a pluggable backend
-(:mod:`repro.core.ann`): ``backend="exact"`` is the original O(N²) scan and
-stays the oracle; ``backend="ann"`` queries a random-projection forest with
-per-bucket candidate masks, dropping the search to roughly O(N log N) so the
-fine-tune phase scales past ~10k nodes.  An approximate backend may miss a
-node's counterfactuals entirely; such nodes are reported as invalid (they
-self-point and contribute nothing to the fair loss), which the recall
-property tests bound.
+(:mod:`repro.core.ann`), which fills an ``(I, Q, K)`` array of hits; one
+vectorised step then cycles short rows and self-points empty ones.
+``backend="exact"`` is the original O(N²) scan and stays the oracle: it
+ranks one (label, attribute, side) bucket at a time.  ``backend="ann"``
+answers the whole search in one pass over a random-projection forest —
+each node's candidate row (descent, leaf gather, dedupe, distances) is
+built once, blanked to the node's label, and then per attribute blanked to
+the node's own side and cut to the top K — dropping the search to roughly
+O(N log N) so the fine-tune phase scales past ~10k nodes.  An approximate
+backend may miss a node's counterfactuals entirely; such nodes are reported
+as invalid (they self-point and contribute nothing to the fair loss), which
+the recall property tests bound.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.ann import make_backend
+from repro.core.ann import bucket_topk, make_backend
 
 __all__ = ["CounterfactualIndex", "CounterfactualSearch"]
 
@@ -74,15 +79,14 @@ class CounterfactualSearch:
     ----------
     top_k:
         Number of counterfactuals per (node, attribute) pair — the paper's K.
-    candidate_pool:
-        Optional cap on the candidate set per (label, attribute-side) bucket;
-        buckets larger than this are subsampled for speed.  None = exact.
-    rng:
-        Only used when ``candidate_pool`` triggers subsampling.
     backend:
         ``"exact"`` (default, the brute-force oracle), ``"ann"`` (random-
         projection forest, approximate) or any object exposing
-        ``prepare(points)`` / ``topk(query_ids, candidate_ids, k)``.
+        ``prepare(points)`` / ``topk(query_ids, candidate_ids, k)``.  A
+        backend that also offers ``topk_counterfactuals(query_ids, labels,
+        attributes, k)`` answers the whole search in that one call;
+        otherwise :func:`repro.core.ann.bucket_topk` calls ``topk`` once per
+        (label, attribute, side) bucket.
     backend_options:
         Keyword options forwarded to the backend constructor (e.g.
         ``{"num_trees": 12, "probes": 4, "seed": 0}`` for ``"ann"``).
@@ -97,18 +101,12 @@ class CounterfactualSearch:
     def __init__(
         self,
         top_k: int,
-        candidate_pool: int | None = None,
-        rng: np.random.Generator | None = None,
         backend="exact",
         backend_options: dict | None = None,
     ) -> None:
         if top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {top_k}")
-        if candidate_pool is not None and candidate_pool < top_k:
-            raise ValueError("candidate_pool must be >= top_k")
         self.top_k = top_k
-        self.candidate_pool = candidate_pool
-        self.rng = rng or np.random.default_rng(0)
         self.backend = make_backend(backend, **(backend_options or {}))
 
     def search(
@@ -145,71 +143,54 @@ class CounterfactualSearch:
             raise ValueError("pseudo_labels shape mismatch")
         if binary_attributes.shape[0] != n:
             raise ValueError("binary_attributes row mismatch")
-        num_attrs = binary_attributes.shape[1]
-        query_mask = None
-        if nodes is not None:
-            nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-            if nodes.size and (nodes[0] < 0 or nodes[-1] >= n):
+        if nodes is None:
+            query_ids = np.arange(n, dtype=np.int64)
+        else:
+            query_ids = np.unique(np.asarray(nodes, dtype=np.int64))
+            if query_ids.size and (query_ids[0] < 0 or query_ids[-1] >= n):
                 raise ValueError("nodes ids out of range")
-            query_mask = np.zeros(n, dtype=bool)
-            query_mask[nodes] = True
-
-        indices = np.tile(np.arange(n, dtype=np.int64)[:, None], (num_attrs, 1, 1))
-        indices = indices.reshape(num_attrs, n, 1).repeat(self.top_k, axis=2)
-        valid = np.zeros((num_attrs, n), dtype=bool)
 
         self.backend.prepare(representations)
-        for label in np.unique(pseudo_labels):
-            class_members = np.where(pseudo_labels == label)[0]
-            if class_members.size < 2:
-                continue
-            class_attrs = binary_attributes[class_members]
-            for attr in range(num_attrs):
-                side1 = class_attrs[:, attr] == 1
-                group_a = class_members[~side1]
-                group_b = class_members[side1]
-                if group_a.size == 0 or group_b.size == 0:
-                    continue
-                queries_a, queries_b = group_a, group_b
-                if query_mask is not None:
-                    queries_a = group_a[query_mask[group_a]]
-                    queries_b = group_b[query_mask[group_b]]
-                if queries_a.size:
-                    self._fill_topk(queries_a, group_b, indices, valid, attr)
-                if queries_b.size:
-                    self._fill_topk(queries_b, group_a, indices, valid, attr)
+        single_pass = getattr(self.backend, "topk_counterfactuals", None)
+        if single_pass is None:
+            found = bucket_topk(
+                self.backend.topk, query_ids, pseudo_labels, binary_attributes,
+                self.top_k,
+            )
+        else:
+            found = single_pass(
+                query_ids, pseudo_labels, binary_attributes, self.top_k
+            )
+        hit = _fill_rows(found, query_ids)
+        if nodes is None:
+            return CounterfactualIndex(indices=found, valid=hit)
+        num_attrs = binary_attributes.shape[1]
+        indices = np.broadcast_to(
+            np.arange(n, dtype=np.int64)[None, :, None], (num_attrs, n, self.top_k)
+        ).copy()
+        indices[:, query_ids] = found
+        valid = np.zeros((num_attrs, n), dtype=bool)
+        valid[:, query_ids] = hit
         return CounterfactualIndex(indices=indices, valid=valid)
 
-    # ------------------------------------------------------------------ #
-    def _fill_topk(
-        self,
-        queries: np.ndarray,
-        candidates: np.ndarray,
-        indices: np.ndarray,
-        valid: np.ndarray,
-        attr: int,
-    ) -> None:
-        """Write top-K nearest ``candidates`` for each node in ``queries``.
 
-        The backend returns up to ``top_k`` candidate ids per query (the
-        approximate backend right-pads misses with ``-1``).  Rows with at
-        least one hit cycle their hits to fill all K slots (fewer real
-        candidates than K means repeating the available ones, as in the
-        paper's K > bucket-size corner); rows with no hit stay self-pointing
-        and invalid.
-        """
-        if (
-            self.candidate_pool is not None
-            and candidates.size > self.candidate_pool
-        ):
-            candidates = self.rng.choice(
-                candidates, size=self.candidate_pool, replace=False
-            )
-        found = np.asarray(self.backend.topk(queries, candidates, self.top_k))
-        counts = (found >= 0).sum(axis=1)
-        rows = np.flatnonzero(counts)
-        if rows.size == 0:
-            return
-        cols = np.arange(self.top_k)[None, :] % counts[rows][:, None]
-        indices[attr, queries[rows], :] = found[rows[:, None], cols]
-        valid[attr, queries[rows]] = True
+def _fill_rows(found: np.ndarray, query_ids: np.ndarray) -> np.ndarray:
+    """Turn ``(I, Q, K)`` backend hits into index rows, in place.
+
+    Hits are left-aligned and ``-1``-padded.  A row with fewer hits than K
+    cycles them to fill every slot (the paper's K > bucket-size corner); a
+    row with none points at its own query node.  Returns the ``(I, Q)``
+    mask of rows with at least one hit.
+    """
+    top_k = found.shape[2]
+    hit = np.empty(found.shape[:2], dtype=bool)
+    # One attribute at a time keeps the temporaries at (Q, K).
+    for rows, row_hit in zip(found, hit):
+        counts = np.count_nonzero(rows >= 0, axis=1)
+        np.greater(counts, 0, out=row_hit)
+        short = row_hit & (counts < top_k)
+        if short.any():
+            cols = np.arange(top_k) % counts[short][:, None]
+            rows[short] = np.take_along_axis(rows[short], cols, axis=1)
+        rows[~row_hit] = query_ids[~row_hit, None]
+    return hit

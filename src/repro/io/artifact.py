@@ -45,14 +45,14 @@ import numpy as np
 from repro.baselines import FairGKD, KSMOTE, FairRF, RemoveR, Vanilla
 from repro.baselines.base import BaselineMethod
 from repro.core import FairwosConfig, FairwosTrainer
-from repro.core.ann import EXHAUSTIVE, RPForestIndex, exact_topk
+from repro.core.ann import EXHAUSTIVE, AnnBackend, RPForestIndex
 from repro.core.counterfactual import CounterfactualIndex, CounterfactualSearch
 from repro.core.encoder import EncoderModule
 from repro.gnnzoo import make_backbone
 from repro.graph import Graph
 from repro.io.graph_io import load_graph, save_graph
 from repro.io.model_io import pack_state, unpack_state
-from repro.tensor import Tensor, no_grad
+from repro.tensor import Tensor, backend_scope, dtype_scope, no_grad
 from repro.training import embed_batched, predict_logits, predict_logits_batched
 
 __all__ = ["ArtifactError", "ModelArtifact", "save_artifact", "load_artifact"]
@@ -392,8 +392,8 @@ def _load_npz(path: Path, name: str) -> dict[str, np.ndarray]:
         raise ArtifactError(f"corrupt artifact member {member}: {exc}") from exc
 
 
-class _FrozenForestBackend:
-    """Counterfactual-search backend over a persisted RP forest.
+class _FrozenForestBackend(AnnBackend):
+    """:class:`AnnBackend` over a persisted RP forest.
 
     ``prepare`` is a no-op — the index is frozen at its saved state, which
     is exactly what serving wants: retrieval reflects the representations
@@ -406,35 +406,12 @@ class _FrozenForestBackend:
     name = "frozen-ann"
 
     def __init__(self, index: RPForestIndex, probes=None) -> None:
+        super().__init__()
         self._index = index
-        self._probes = probes
+        self.query_probes = probes
 
     def prepare(self, points: np.ndarray) -> None:  # noqa: ARG002
         return None
-
-    def topk(self, query_ids, candidate_ids, k):
-        mask = np.zeros(self._index.num_points, dtype=bool)
-        mask[candidate_ids] = True
-        return self._index.query(
-            self._index.points[query_ids], k, mask=mask, probes=self._probes
-        )
-
-
-class _FrozenExactBackend:
-    """Frozen brute-force backend over persisted representations."""
-
-    name = "frozen-exact"
-
-    def __init__(self, points: np.ndarray) -> None:
-        self._points = np.asarray(points, dtype=np.float64)
-
-    def prepare(self, points: np.ndarray) -> None:  # noqa: ARG002
-        return None
-
-    def topk(self, query_ids, candidate_ids, k):
-        return exact_topk(
-            self._points, self._points[query_ids], candidate_ids, k
-        )
 
 
 class ModelArtifact:
@@ -674,16 +651,17 @@ class ModelArtifact:
                     f"score new data"
                 )
         config = trainer.config
-        if config.minibatch:
-            logits = predict_logits_batched(
-                trainer.classifier,
-                pseudo.data,
-                graph.adjacency,
-                nodes=nodes,
-                batch_size=batch_size or config.batch_size,
-            )
-            return logits
-        logits = predict_logits(trainer.classifier, pseudo, graph.adjacency)
+        # The trained precision, as FairwosTrainer.predict scores it.
+        with backend_scope(config.backend), dtype_scope(config.dtype):
+            if config.minibatch:
+                return predict_logits_batched(
+                    trainer.classifier,
+                    pseudo.data,
+                    graph.adjacency,
+                    nodes=nodes,
+                    batch_size=batch_size or config.batch_size,
+                )
+            logits = predict_logits(trainer.classifier, pseudo, graph.adjacency)
         return logits if nodes is None else logits[np.asarray(nodes)]
 
     def _score_baseline(self, graph, nodes, features, batch_size):
@@ -731,18 +709,15 @@ class ModelArtifact:
                 f"{self.method_name} artifacts carry no counterfactual "
                 f"index; only Fairwos does"
             )
-        if probes == EXHAUSTIVE or self._index is None:
-            if probes not in (None, EXHAUSTIVE):
-                raise ArtifactError(
-                    "probes overrides only apply to ANN-indexed artifacts"
-                )
-            backend = (
-                _FrozenForestBackend(self._index, probes=EXHAUSTIVE)
-                if self._index is not None
-                else _FrozenExactBackend(self._index_points)
-            )
-        else:
+        if self._index is not None:
             backend = _FrozenForestBackend(self._index, probes=probes)
+        elif probes in (None, EXHAUSTIVE):
+            # search() prepares the exact backend with the persisted points.
+            backend = "exact"
+        else:
+            raise ArtifactError(
+                "probes overrides only apply to ANN-indexed artifacts"
+            )
         trainer = self.trainer
         search = CounterfactualSearch(
             top_k or trainer.config.top_k, backend=backend

@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core import FairwosConfig, FairwosTrainer
 from repro.core.counterfactual import CounterfactualSearch
 from repro.experiments.methods import run_method
 from repro.io import ArtifactError, load_artifact, save_artifact
@@ -93,6 +94,37 @@ class TestFairwosRoundTrip:
             fairwos_run.classifier, Tensor(pseudo), small_graph.adjacency
         )
         np.testing.assert_array_equal(scored, expected)
+
+
+class TestFloat32RoundTrip:
+    def test_minibatch_float32_score_bit_identical(self, small_graph, tmp_path):
+        # Reload scoring runs in the trained precision: a float32 artifact
+        # returns the live model's float32 logits, not float64 ones.
+        graph = small_graph.with_features(
+            small_graph.features.astype(np.float32),
+            related=small_graph.related_feature_indices,
+        )
+        trainer = FairwosTrainer(
+            FairwosConfig(
+                minibatch=True,
+                batch_size=64,
+                dtype="float32",
+                cf_backend="ann",
+                encoder_epochs=3,
+                classifier_epochs=3,
+                finetune_epochs=2,
+                patience=None,
+            )
+        )
+        trainer.fit(graph, seed=0)
+        live = trainer.predict(graph)
+        save_artifact(trainer, graph, tmp_path / "f32")
+        art = load_artifact(tmp_path / "f32")
+        served = art.score()
+        assert served.dtype == live.dtype == np.float32
+        np.testing.assert_array_equal(served, live)
+        nodes = np.array([4, 8, 15, 16, 23, 42])
+        np.testing.assert_array_equal(art.score(nodes=nodes), live[nodes])
 
 
 class TestPersistedIndex:

@@ -1,0 +1,294 @@
+"""Parity harness for the single-pass ANN counterfactual search.
+
+The ANN backend answers a whole search in one forest pass: each query node
+gets one candidate row (descent, leaf gather, dedupe, distances), blanked
+to its label; each attribute then blanks the node's own side and picks the
+top K with ``argpartition`` plus a tie repair.  The references below are
+the per-bucket search this must reproduce, written out independently: one
+masked forest query per (label, attribute, side) bucket, each ranked by a
+full stable argsort.  ``indices`` and ``valid`` must be equal — ties at the
+K-th distance included — on duplicated points, for 1–3 probes, for
+``nodes=`` subsets, after updates that split leaves, and through a saved
+and reloaded artifact.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import CounterfactualSearch
+from repro.core.ann import RPForestIndex, _select_topk
+from repro.experiments.methods import run_method
+from repro.io import load_artifact, save_artifact
+
+
+# --------------------------------------------------------------------- #
+# References
+# --------------------------------------------------------------------- #
+def _reference_query(index, Q, k, mask=None, probes=None):
+    """``RPForestIndex.query`` ranked by a full stable argsort per row."""
+    probes = index.probes if probes is None else probes
+    Q = np.asarray(Q, dtype=np.float64)
+    width = sum(tree.max_leaf for tree in index._trees) * probes
+    out = np.full((Q.shape[0], k), -1, dtype=np.int64)
+    for start in range(0, Q.shape[0], index.chunk_size):
+        chunk = Q[start : start + index.chunk_size]
+        cands = np.full((chunk.shape[0], width), -1, dtype=np.int64)
+        col = 0
+        for tree in index._trees:
+            leaves = index._tree_leaves(tree, chunk, probes)
+            for probe in range(probes):
+                for row, leaf in enumerate(leaves[:, probe]):
+                    if leaf >= 0:
+                        lo, hi = tree.leaf_indptr[leaf], tree.leaf_indptr[leaf + 1]
+                        cands[row, col : col + hi - lo] = tree.leaf_items[lo:hi]
+                col += tree.max_leaf
+        cands.sort(axis=1)
+        cands[:, 1:][cands[:, 1:] == cands[:, :-1]] = -1
+        safe = np.maximum(cands, 0)
+        dots = np.einsum("qd,qwd->qw", chunk, index._points[safe])
+        dist = (chunk**2).sum(axis=1)[:, None] - 2.0 * dots + index._norms[safe]
+        invalid = cands < 0
+        if mask is not None:
+            invalid |= ~mask[safe]
+        dist[invalid] = np.inf
+        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        picked = np.take_along_axis(cands, order, axis=1)
+        picked[~np.isfinite(np.take_along_axis(dist, order, axis=1))] = -1
+        out[start : start + chunk.shape[0], : picked.shape[1]] = picked
+    return out
+
+
+def _reference_search(index, labels, attrs, k, nodes=None, probes=None):
+    """One masked reference query per (label, attribute, side) bucket."""
+    n, num_attrs = attrs.shape
+    indices = np.tile(np.arange(n)[:, None], (num_attrs, 1, k))
+    valid = np.zeros((num_attrs, n), dtype=bool)
+    queried = np.ones(n, dtype=bool)
+    if nodes is not None:
+        queried[:] = False
+        queried[nodes] = True
+    for label in np.unique(labels):
+        members = np.flatnonzero(labels == label)
+        for attr in range(num_attrs):
+            side1 = attrs[members, attr] == 1
+            group_a, group_b = members[~side1], members[side1]
+            if group_a.size == 0 or group_b.size == 0:
+                continue
+            for queries, candidates in ((group_a, group_b), (group_b, group_a)):
+                queries = queries[queried[queries]]
+                if queries.size == 0:
+                    continue
+                mask = np.zeros(n, dtype=bool)
+                mask[candidates] = True
+                found = _reference_query(
+                    index, index.points[queries], k, mask=mask, probes=probes
+                )
+                counts = (found >= 0).sum(axis=1)
+                rows = np.flatnonzero(counts)
+                cols = np.arange(k)[None, :] % counts[rows][:, None]
+                indices[attr, queries[rows]] = found[rows[:, None], cols]
+                valid[attr, queries[rows]] = True
+    return indices, valid
+
+
+def _tied_data(seed, n, dim=3, num_attrs=3):
+    """Points on a coarse grid, many of them exact copies: plenty of equal
+    distances, so the K-th distance is often tied."""
+    rng = np.random.default_rng(seed)
+    base = np.round(rng.normal(size=(max(2, n // 3), dim)))
+    reps = base[rng.integers(0, base.shape[0], size=n)]
+    return reps, rng.integers(0, 2, size=n), rng.integers(0, 2, size=(n, num_attrs))
+
+
+def _assert_same(index, reference):
+    np.testing.assert_array_equal(index.indices, reference[0])
+    np.testing.assert_array_equal(index.valid, reference[1])
+
+
+# --------------------------------------------------------------------- #
+# The selection
+# --------------------------------------------------------------------- #
+class TestSelection:
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 12),
+        levels=st.integers(1, 6),
+    )
+    def test_select_topk_is_stable_argsort_prefix(self, seed, k, levels):
+        """Few distinct values plus ``inf`` padding: most rows tie at the
+        K-th distance.  Finite entries come exactly as a stable argsort
+        lists them; infinite ones only have to come after."""
+        rng = np.random.default_rng(seed)
+        dist = rng.integers(0, levels, size=(40, int(rng.integers(1, 30))))
+        dist = dist.astype(np.float64)
+        dist[rng.random(dist.shape) < 0.3] = np.inf
+        expected = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        got = _select_topk(dist, k)
+        finite = np.isfinite(np.take_along_axis(dist, expected, axis=1))
+        np.testing.assert_array_equal(
+            np.isfinite(np.take_along_axis(dist, got, axis=1)), finite
+        )
+        np.testing.assert_array_equal(got[finite], expected[finite])
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 8),
+        probes=st.integers(1, 3),
+    )
+    def test_query_matches_full_argsort(self, seed, k, probes):
+        rng = np.random.default_rng(seed)
+        reps, _, _ = _tied_data(seed, int(rng.integers(20, 150)))
+        index = RPForestIndex(num_trees=4, leaf_size=8, seed=seed).build(reps)
+        mask = rng.random(reps.shape[0]) < 0.6
+        for query_mask in (None, mask):
+            np.testing.assert_array_equal(
+                index.query(reps, k, mask=query_mask, probes=probes),
+                _reference_query(index, reps, k, mask=query_mask, probes=probes),
+            )
+
+
+# --------------------------------------------------------------------- #
+# The search
+# --------------------------------------------------------------------- #
+class TestSearchParity:
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 6),
+        probes=st.integers(1, 3),
+        subset=st.booleans(),
+    )
+    def test_matches_bucket_search(self, seed, k, probes, subset):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(10, 160))
+        reps, labels, attrs = _tied_data(seed, n)
+        nodes = rng.integers(0, n, size=int(rng.integers(0, n))) if subset else None
+        search = CounterfactualSearch(
+            top_k=k,
+            backend="ann",
+            backend_options={
+                "num_trees": 4, "leaf_size": 8, "probes": probes, "seed": seed,
+                "chunk_size": 16,
+            },
+        )
+        result = search.search(reps, labels, attrs, nodes=nodes)
+        _assert_same(
+            result, _reference_search(search.backend.index, labels, attrs, k, nodes)
+        )
+
+    def test_query_counterfactuals_validates(self):
+        reps, labels, attrs = _tied_data(0, 40)
+        index = RPForestIndex(num_trees=2, leaf_size=8, seed=0)
+        with pytest.raises(RuntimeError, match="build"):
+            index.query_counterfactuals(np.arange(3), 2, labels, attrs)
+        index.build(reps)
+        with pytest.raises(ValueError, match="exhaustive"):
+            index.query_counterfactuals(
+                np.arange(3), 2, labels, attrs, probes="exhaustive"
+            )
+        with pytest.raises(ValueError, match="out of range"):
+            index.query_counterfactuals(np.array([40]), 2, labels, attrs)
+        with pytest.raises(ValueError, match="rows"):
+            index.query_counterfactuals(np.arange(3), 2, labels[:-1], attrs)
+        with pytest.raises(ValueError, match="k must be"):
+            index.query_counterfactuals(np.arange(3), 0, labels, attrs)
+
+    def test_data_ties_at_the_kth_distance(self):
+        """Most rows of the generated data tie at the K-th distance beyond
+        the cut — the case argpartition alone gets wrong."""
+        reps, _, _ = _tied_data(3, 150)
+        dist = ((reps[:, None, :] - reps[None, :, :]) ** 2).sum(axis=2)
+        kth = np.sort(dist, axis=1)[:, 2:3]
+        assert ((dist <= kth).sum(axis=1) > 3).mean() > 0.5
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 10_000), probes=st.integers(1, 3))
+    def test_matches_after_splitting_updates(self, seed, probes):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(120, 300))
+        reps, labels, attrs = _tied_data(seed, n)
+        search = CounterfactualSearch(
+            top_k=4,
+            backend="ann",
+            backend_options={
+                "num_trees": 3, "leaf_size": 8, "probes": probes, "seed": seed,
+                "update": "incremental", "overflow_factor": 2.0,
+                "rebuild_frac": 1.0,
+            },
+        )
+        search.search(reps, labels, attrs)
+        for _ in range(2):
+            # Crowd a block of points onto one spot: its leaves overflow.
+            start = int(rng.integers(0, n - 40))
+            reps = reps.copy()
+            reps[start : start + 40] = reps[start] + 0.01 * rng.normal(size=(40, 3))
+            result = search.search(reps, labels, attrs)
+            assert not search.backend.last_report.rebuilt
+            _assert_same(
+                result, _reference_search(search.backend.index, labels, attrs, 4)
+            )
+
+    def test_updates_do_split_leaves(self):
+        rng = np.random.default_rng(5)
+        reps = rng.normal(size=(400, 4))
+        labels = rng.integers(0, 2, size=400)
+        attrs = rng.integers(0, 2, size=(400, 2))
+        search = CounterfactualSearch(
+            top_k=5,
+            backend="ann",
+            backend_options={
+                "num_trees": 3, "leaf_size": 8, "seed": 0,
+                "update": "incremental", "overflow_factor": 2.0,
+                "rebuild_frac": 1.0,
+            },
+        )
+        search.search(reps, labels, attrs)
+        reps[100:250] = reps[0] + 0.01 * rng.normal(size=(150, 4))
+        result = search.search(reps, labels, attrs)
+        assert search.backend.last_report.splits > 0
+        _assert_same(result, _reference_search(search.backend.index, labels, attrs, 5))
+
+
+# --------------------------------------------------------------------- #
+# Through a saved artifact
+# --------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def artifact(small_graph, tmp_path_factory):
+    result = run_method(
+        "fairwos",
+        small_graph,
+        epochs=4,
+        finetune_epochs=2,
+        cf_backend="ann",
+        keep_model=True,
+    )
+    trainer = result.extra["model"]
+    path = save_artifact(trainer, small_graph, tmp_path_factory.mktemp("cf") / "a")
+    return trainer, load_artifact(path)
+
+
+class TestArtifactParity:
+    @pytest.mark.parametrize("probes", [None, 1, 2, 3])
+    @pytest.mark.parametrize("nodes", [None, np.array([0, 5, 5, 17, 99, 249])])
+    def test_reloaded_search_matches_live_buckets(self, artifact, probes, nodes):
+        trainer, art = artifact
+        top_k = trainer.config.top_k
+        served = art.counterfactuals(nodes=nodes, probes=probes)
+        live_index = trainer._search.backend.index
+        _assert_same(
+            served,
+            _reference_search(
+                live_index,
+                trainer._pseudo_labels,
+                trainer._binary_attrs,
+                top_k,
+                nodes,
+                probes,
+            ),
+        )

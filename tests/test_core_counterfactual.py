@@ -106,10 +106,6 @@ class TestValidationAndOptions:
         with pytest.raises(ValueError):
             CounterfactualSearch(top_k=0)
 
-    def test_rejects_small_candidate_pool(self):
-        with pytest.raises(ValueError):
-            CounterfactualSearch(top_k=5, candidate_pool=3)
-
     def test_shape_mismatches(self):
         search = CounterfactualSearch(top_k=1)
         reps = np.zeros((5, 2))
@@ -117,18 +113,6 @@ class TestValidationAndOptions:
             search.search(reps, np.zeros(4, dtype=int), np.zeros((5, 1), dtype=int))
         with pytest.raises(ValueError):
             search.search(reps, np.zeros(5, dtype=int), np.zeros((4, 1), dtype=int))
-
-    def test_candidate_pool_subsampling_still_valid(self):
-        rng = np.random.default_rng(7)
-        reps = rng.normal(size=(60, 3))
-        labels = np.zeros(60, dtype=int)
-        attrs = rng.integers(0, 2, size=(60, 1))
-        index = CounterfactualSearch(
-            top_k=2, candidate_pool=5, rng=np.random.default_rng(0)
-        ).search(reps, labels, attrs)
-        for node in range(60):
-            for cf in index.indices[0, node]:
-                assert attrs[cf, 0] != attrs[node, 0]
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 200), k=st.integers(1, 4))
