@@ -52,11 +52,6 @@ class BaselineMethod:
     # it explicitly; minibatch-capable subclasses override it from their
     # constructors alongside the fanouts/batch_size knobs they declare.
     cache_epochs = 1
-    # Multiprocess sampling knobs (see repro.training.parallel); the engine
-    # owns the pool lifecycle per fit, so KSMOTE-style modified adjacencies
-    # publish their own shared-memory CSR automatically.
-    num_workers = 0
-    prefetch_epochs = 1
 
     def __init__(
         self,
@@ -197,8 +192,6 @@ class BaselineMethod:
                 rng=rng,
                 extra_loss=extra_loss,
                 cache_epochs=self.cache_epochs,
-                num_workers=self.num_workers,
-                prefetch_epochs=self.prefetch_epochs,
             )
             logits = predict_logits_batched(
                 model, features, adjacency, batch_size=batch_size

@@ -107,8 +107,6 @@ class FairGKD(BaselineMethod):
         fanouts: tuple[int, ...] | None = None,
         batch_size: int = 512,
         cache_epochs: int = 1,
-        num_workers: int = 0,
-        prefetch_epochs: int = 1,
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
@@ -125,8 +123,6 @@ class FairGKD(BaselineMethod):
         self.fanouts = fanouts
         self.batch_size = batch_size
         self.cache_epochs = cache_epochs
-        self.num_workers = num_workers
-        self.prefetch_epochs = prefetch_epochs
 
     # ------------------------------------------------------------------ #
     def _train_logits(self, graph: Graph, rng: np.random.Generator):
@@ -216,8 +212,6 @@ class FairGKD(BaselineMethod):
                 epochs=epochs, fanouts=fanouts[: teacher.num_layers],
                 batch_size=batch_size, lr=self.lr, patience=self.patience,
                 rng=train_rng, cache_epochs=self.cache_epochs,
-                num_workers=self.num_workers,
-                prefetch_epochs=self.prefetch_epochs,
             )
         else:
             fit_binary_classifier(
@@ -278,8 +272,6 @@ class FairGKD(BaselineMethod):
             optimizer=Adam(
                 student.parameters() + projection.parameters(), lr=self.lr
             ),
-            num_workers=self.num_workers,
-            prefetch_epochs=self.prefetch_epochs,
         )
         train_mask = np.asarray(graph.train_mask, dtype=bool)
         val_indices = np.where(graph.val_mask)[0]

@@ -76,8 +76,6 @@ class FairRF(BaselineMethod):
         fanouts: tuple[int, ...] | None = None,
         batch_size: int = 512,
         cache_epochs: int = 1,
-        num_workers: int = 0,
-        prefetch_epochs: int = 1,
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
@@ -88,8 +86,6 @@ class FairRF(BaselineMethod):
         self.fanouts = fanouts
         self.batch_size = batch_size
         self.cache_epochs = cache_epochs
-        self.num_workers = num_workers
-        self.prefetch_epochs = prefetch_epochs
 
     def _train_logits(self, graph: Graph, rng: np.random.Generator):
         related = graph.related_feature_indices
@@ -181,8 +177,6 @@ class FairRF(BaselineMethod):
             batch_size=batch_size,
             cache_epochs=self.cache_epochs,
             lr=self.lr,
-            num_workers=self.num_workers,
-            prefetch_epochs=self.prefetch_epochs,
         )
         train_mask = np.asarray(graph.train_mask, dtype=bool)
         val_indices = np.where(graph.val_mask)[0]

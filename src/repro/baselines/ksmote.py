@@ -80,8 +80,6 @@ class KSMOTE(BaselineMethod):
         fanouts: tuple[int, ...] | None = None,
         batch_size: int = 512,
         cache_epochs: int = 1,
-        num_workers: int = 0,
-        prefetch_epochs: int = 1,
         kmeans_batch_size: int | None = None,
         **kwargs,
     ) -> None:
@@ -101,8 +99,6 @@ class KSMOTE(BaselineMethod):
         self.fanouts = fanouts
         self.batch_size = batch_size
         self.cache_epochs = cache_epochs
-        self.num_workers = num_workers
-        self.prefetch_epochs = prefetch_epochs
         self.kmeans_batch_size = kmeans_batch_size
 
     # ------------------------------------------------------------------ #

@@ -29,8 +29,6 @@ class Vanilla(BaselineMethod):
         fanouts: tuple[int, ...] | None = None,
         batch_size: int = 512,
         cache_epochs: int = 1,
-        num_workers: int = 0,
-        prefetch_epochs: int = 1,
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
@@ -38,8 +36,6 @@ class Vanilla(BaselineMethod):
         self.fanouts = fanouts
         self.batch_size = batch_size
         self.cache_epochs = cache_epochs
-        self.num_workers = num_workers
-        self.prefetch_epochs = prefetch_epochs
 
     def _train_logits(self, graph: Graph, rng: np.random.Generator):
         model = make_backbone(

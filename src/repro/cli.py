@@ -347,11 +347,6 @@ def _cmd_run(args) -> str:
         )
         if execution.cache_epochs != 1:
             mode += f" cache-epochs={execution.cache_epochs}"
-        if execution.num_workers:
-            mode += (
-                f" workers={execution.num_workers}"
-                f" prefetch={execution.prefetch_epochs}"
-            )
     if args.method == "fairwos" and execution.cf_backend != "exact":
         mode += f", cf-backend={execution.cf_backend}"
         if execution.cf_update != "rebuild":
@@ -388,11 +383,14 @@ def _cmd_score(args) -> str:
         f"{artifact.manifest['dataset']['num_nodes']} nodes)"
     ]
     if artifact.execution is not None:
+        # Only current fields: an artifact may record knobs that have since
+        # been removed, and those have no default to compare against.
         defaults = ExecutionConfig()
         shown = {
             key: value
             for key, value in artifact.execution.items()
-            if getattr(defaults, key, None)
+            if key in ExecutionConfig.field_names()
+            and getattr(defaults, key)
             != (tuple(value) if isinstance(value, list) else value)
         }
         if shown:

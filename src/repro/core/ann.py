@@ -78,7 +78,6 @@ __all__ = [
     "UpdateReport",
     "bucket_topk",
     "exact_topk",
-    "execute_tree_task",
     "ExactBackend",
     "AnnBackend",
     "make_backend",
@@ -302,13 +301,11 @@ class RPForestIndex:
             raise RuntimeError("call build() before reading points")
         return self._points
 
-    def build(self, X: np.ndarray, pool=None) -> "RPForestIndex":
+    def build(self, X: np.ndarray) -> "RPForestIndex":
         """(Re)build the forest over ``X``; returns ``self``.
 
-        Trees are independent and each seeds its own generator from
-        ``(seed, tree_id)``, so a build sharded across a
-        :class:`~repro.training.parallel.WorkerPool` (one task per tree) is
-        bit-identical to the serial build.
+        Each tree draws from its own generator, seeded by
+        ``(seed, tree_id)``.
         """
         X = np.array(X, dtype=np.float64, copy=True)
         if X.ndim != 2 or X.shape[0] == 0:
@@ -316,23 +313,10 @@ class RPForestIndex:
         self._points = X
         self._norms = (X**2).sum(axis=1)
         self._update_count = 0
-        if pool is not None and self.num_trees > 1:
-            spec = {"leaf_size": self.leaf_size, "seed": self.seed}
-            x_spec = pool.publish(X)
-            try:
-                self._trees = pool.run_jobs(
-                    [
-                        ("tree_build", spec, x_spec, tree_id)
-                        for tree_id in range(self.num_trees)
-                    ]
-                )
-            finally:
-                pool.release(x_spec)
-        else:
-            self._trees = [
-                self._build_tree(X, np.random.default_rng([self.seed, t]))
-                for t in range(self.num_trees)
-            ]
+        self._trees = [
+            self._build_tree(X, np.random.default_rng([self.seed, t]))
+            for t in range(self.num_trees)
+        ]
         return self
 
     # ------------------------------------------------------------------ #
@@ -551,7 +535,6 @@ class RPForestIndex:
         moved: np.ndarray | None = None,
         drift_threshold: float | None = None,
         rebuild_frac: float | None = None,
-        pool=None,
     ) -> UpdateReport:
         """In-place maintenance over a drifted point matrix; returns a report.
 
@@ -581,10 +564,6 @@ class RPForestIndex:
             given, never re-filtered by the detector.
         drift_threshold, rebuild_frac:
             Per-call overrides of the constructor defaults.
-        pool:
-            Optional :class:`~repro.training.parallel.WorkerPool`; per-tree
-            re-routing is sharded across it, bit-identically (subtree-split
-            generators already seed from per-tree state).
 
         Updates are deterministic: the same index state and the same
         arguments always produce the same forest (subtree splits draw from
@@ -634,7 +613,7 @@ class RPForestIndex:
         if not 0.0 < limit <= 1.0:
             raise ValueError(f"rebuild_frac must be in (0, 1], got {limit}")
         if fraction > limit:
-            self.build(X, pool=pool)
+            self.build(X)
             return UpdateReport(
                 num_points=self.num_points,
                 num_moved=int(moved.size),
@@ -647,29 +626,9 @@ class RPForestIndex:
         self._norms = (self._points**2).sum(axis=1)
         splits = 0
         if moved.size:
-            if pool is not None and self.num_trees > 1:
-                spec = {
-                    "leaf_size": self.leaf_size,
-                    "seed": self.seed,
-                    "overflow_factor": self.overflow_factor,
-                    "update_count": self._update_count,
-                }
-                x_spec = pool.publish(self._points)
-                try:
-                    rerouted = pool.run_jobs(
-                        [
-                            ("tree_reroute", spec, x_spec, tree_id, tree, moved)
-                            for tree_id, tree in enumerate(self._trees)
-                        ]
-                    )
-                finally:
-                    pool.release(x_spec)
-                self._trees = [tree for tree, _ in rerouted]
-                splits = sum(tree_splits for _, tree_splits in rerouted)
-            else:
-                queries = self._points[moved]
-                for tree_id, tree in enumerate(self._trees):
-                    splits += self._reroute(tree, tree_id, moved, queries)
+            queries = self._points[moved]
+            for tree_id, tree in enumerate(self._trees):
+                splits += self._reroute(tree, tree_id, moved, queries)
         orphaned = 0
         compacted = 0
         for tree in self._trees:
@@ -1194,42 +1153,6 @@ def _pick(cands: np.ndarray, dist: np.ndarray, k: int) -> np.ndarray:
 # --------------------------------------------------------------------- #
 # Counterfactual-search backends
 # --------------------------------------------------------------------- #
-def execute_tree_task(task, X: np.ndarray):
-    """Run one forest pool task against an attached point matrix.
-
-    Called by :mod:`repro.training.parallel` workers (and by the
-    in-process crash fallback, where ``X`` is the main-process view and
-    ``tree`` the live object — the in-place mutation then matches the
-    worker path's mutate-a-pickled-copy result exactly).
-
-    ``"tree_build"`` returns one :class:`_Tree` built with the per-tree
-    generator ``default_rng([seed, tree_id])`` — exactly the serial
-    :meth:`RPForestIndex.build` draw.  ``"tree_reroute"`` re-descends the
-    moved points through one tree and returns ``(tree, splits)``; subtree
-    splits seed from ``(seed, update_count, tree_id, leaf_id)`` exactly as
-    the serial :meth:`RPForestIndex.update` does.
-    """
-    kind = task[0]
-    if kind == "tree_build":
-        _, spec, _x_spec, tree_id = task
-        index = RPForestIndex(leaf_size=spec["leaf_size"], seed=spec["seed"])
-        return index._build_tree(
-            X, np.random.default_rng([spec["seed"], tree_id])
-        )
-    if kind == "tree_reroute":
-        _, spec, _x_spec, tree_id, tree, moved = task
-        index = RPForestIndex(
-            leaf_size=spec["leaf_size"],
-            seed=spec["seed"],
-            overflow_factor=spec["overflow_factor"],
-        )
-        index._points = np.asarray(X, dtype=np.float64)
-        index._update_count = spec["update_count"]
-        splits = index._reroute(tree, tree_id, moved, index._points[moved])
-        return tree, splits
-    raise ValueError(f"unknown forest task kind {kind!r}")
-
-
 def bucket_topk(
     topk,
     query_ids: np.ndarray,
@@ -1343,10 +1266,6 @@ class AnnBackend:
         self.query_probes = EXHAUSTIVE if exhaustive else None
         self.update_mode = update
         self.last_report: UpdateReport | None = None
-        # Runtime-only attachment (never part of backend options, which
-        # must stay JSON-serializable for artifact manifests): a
-        # WorkerPool set by the trainer shards build/update by tree.
-        self.pool = None
 
     @property
     def index(self) -> RPForestIndex:
@@ -1361,9 +1280,9 @@ class AnnBackend:
             and self._index.num_points
             and self._index.points.shape == points.shape
         ):
-            self.last_report = self._index.update(points, pool=self.pool)
+            self.last_report = self._index.update(points)
         else:
-            self._index.build(points, pool=self.pool)
+            self._index.build(points)
             self.last_report = None
 
     def topk(

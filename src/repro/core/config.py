@@ -92,12 +92,9 @@ class FairwosConfig:
     name is registered — the library itself is imported lazily at fit
     time, so configs naming an uninstalled backend remain constructible.
 
-    ``num_workers`` moves fresh-epoch neighbour sampling (and ANN-forest
-    build/update with ``cf_backend='ann'``) to that many worker
-    processes over shared-memory CSR, with ``prefetch_epochs`` epochs of
-    double-buffered lookahead — bit-identical to serial training (see
-    :mod:`repro.training.parallel`).  ``0`` (the default) keeps the
-    historical in-process path.
+    ``num_workers`` only accepts ``0``: sampling and the ANN forest run
+    in the training process.  The field is kept so configs that spell out
+    ``num_workers=0`` stay valid; any other value raises ``ValueError``.
     """
 
     backbone: str = "gcn"
@@ -138,7 +135,6 @@ class FairwosConfig:
     dtype: str = "float64"
     backend: str = "numpy"
     num_workers: int = 0
-    prefetch_epochs: int = 1
 
     def validate(self) -> None:
         """Raise ``ValueError`` for inconsistent settings."""
@@ -218,13 +214,10 @@ class FairwosConfig:
                 "carry its own update policy — e.g. AnnBackend("
                 "update='incremental'))"
             )
-        if self.num_workers < 0:
+        if self.num_workers != 0:
             raise ValueError(
-                f"num_workers must be >= 0, got {self.num_workers}"
-            )
-        if self.prefetch_epochs < 0:
-            raise ValueError(
-                f"prefetch_epochs must be >= 0, got {self.prefetch_epochs}"
+                f"num_workers must be 0 (training runs in one process), "
+                f"got {self.num_workers}"
             )
         if self.fanouts is not None:
             if len(self.fanouts) == 0:
@@ -353,49 +346,24 @@ _EXECUTION_CLI_FLAGS: tuple = (
             "exact baseline; torch requires PyTorch to be importable)",
         },
     ),
-    (
-        "num_workers",
-        {
-            "flag": "--num-workers",
-            "type": int,
-            "metavar": "W",
-            "help": "sample fresh minibatch epochs in W worker processes "
-            "over shared-memory CSR (0 = in-process; results are "
-            "bit-identical either way)",
-        },
-    ),
-    (
-        "prefetch_epochs",
-        {
-            "flag": "--prefetch-epochs",
-            "type": int,
-            "metavar": "P",
-            "help": "with --num-workers: double-buffer up to P sampled "
-            "epochs ahead of the training loop (0 = sample synchronously)",
-        },
-    ),
 )
 
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """How a method executes — sampling, precision, parallelism — as one value.
+    """How a method executes — sampling, search, precision — as one value.
 
     Every field here is a *how*, not a *what*: none of them changes the
     optimisation problem, only the substrate it runs on (sampled vs
     full-batch epochs, exact vs ANN counterfactual search, float64 vs
-    float32, in-process vs multiprocess sampling).  The same value can be
-    handed to every method via
+    float32).  The same value can be handed to every method via
     :func:`repro.experiments.methods.run_method`'s ``execution=`` keyword,
     which forwards the Fairwos-only fields (``finetune_minibatch``,
     ``cf_*``) to :class:`FairwosConfig` and the shared fields to the
     baselines.
 
     Field semantics match the FairwosConfig fields of the same name; see
-    that class for the long-form documentation.  ``num_workers`` and
-    ``prefetch_epochs`` control the multiprocess sampler of
-    :mod:`repro.training.parallel` and are *only* reachable through this
-    config (they have no legacy flat-kwarg spelling).
+    that class for the long-form documentation.
 
     Frozen: a value can be shared across ``run_method`` calls, threads and
     result manifests without defensive copying.
@@ -411,8 +379,6 @@ class ExecutionConfig:
     cf_update: str = "rebuild"
     dtype: str = "float64"
     backend: str = "numpy"
-    num_workers: int = 0
-    prefetch_epochs: int = 1
 
     def validate(self) -> None:
         """Raise ``ValueError`` for inconsistent settings.
@@ -452,14 +418,6 @@ class ExecutionConfig:
         ):
             raise ValueError(
                 "cf_update='incremental' requires cf_backend='ann'"
-            )
-        if self.num_workers < 0:
-            raise ValueError(
-                f"num_workers must be >= 0, got {self.num_workers}"
-            )
-        if self.prefetch_epochs < 0:
-            raise ValueError(
-                f"prefetch_epochs must be >= 0, got {self.prefetch_epochs}"
             )
         if self.fanouts is not None:
             if len(self.fanouts) == 0:

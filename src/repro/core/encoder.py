@@ -105,9 +105,6 @@ class EncoderModule:
         batch_size: int = 512,
         cache_epochs: int = 1,
         rng: np.random.Generator | None = None,
-        num_workers: int = 0,
-        prefetch_epochs: int = 1,
-        worker_pool=None,
     ):
         """Optimise Eq. (5): classification loss over the labelled nodes.
 
@@ -115,9 +112,7 @@ class EncoderModule:
         :func:`repro.training.fit_minibatch` with a single-hop ``fanout`` —
         the encoder is always a one-layer network.  The MLP encoder ignores
         the graph, so it always trains full-batch (its memory is already
-        linear in N).  ``num_workers``/``prefetch_epochs``/``worker_pool``
-        pass straight through to the sampled path (see
-        :mod:`repro.training.parallel`).
+        linear in N).
         """
         if minibatch and self.backbone_name != "mlp":
             history = fit_minibatch(
@@ -134,9 +129,6 @@ class EncoderModule:
                 patience=patience,
                 rng=rng,
                 cache_epochs=cache_epochs,
-                num_workers=num_workers,
-                prefetch_epochs=prefetch_epochs,
-                worker_pool=worker_pool,
             )
         else:
             history = fit_binary_classifier(

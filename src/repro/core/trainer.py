@@ -100,10 +100,6 @@ class FairwosTrainer:
         self._pseudo_labels: np.ndarray | None = None
         self._pseudo_stats: dict | None = None
         self._search: CounterfactualSearch | None = None
-        # One shared worker pool per fit() when config.num_workers > 0:
-        # every sampled phase and the ANN forest draw from the same
-        # processes (the CSR is published to shared memory exactly once).
-        self._worker_pool = None
 
     # ------------------------------------------------------------------ #
     def fit(self, graph: Graph, seed: int = 0) -> FairwosResult:
@@ -120,29 +116,6 @@ class FairwosTrainer:
 
     def _fit(self, graph: Graph, seed: int) -> FairwosResult:
         config = self.config
-        pool = None
-        if config.num_workers > 0 and (
-            config.minibatch
-            or config.resolved_finetune_minibatch()
-            or (
-                isinstance(config.cf_backend, str)
-                and config.cf_backend.lower() == "ann"
-            )
-        ):
-            from repro.training.parallel import WorkerPool
-
-            pool = WorkerPool(config.num_workers, adjacency=graph.adjacency)
-        self._worker_pool = pool
-        try:
-            return self._fit_phases(graph, seed)
-        finally:
-            self._worker_pool = None
-            if pool is not None:
-                pool.shutdown()
-
-    def _fit_phases(self, graph: Graph, seed: int) -> FairwosResult:
-        config = self.config
-        pool = self._worker_pool
         rng = np.random.default_rng(seed)
         features = Tensor(graph.features)
         adjacency = graph.adjacency
@@ -178,9 +151,6 @@ class FairwosTrainer:
                 batch_size=config.batch_size,
                 cache_epochs=config.cache_epochs,
                 rng=rng,
-                num_workers=config.num_workers,
-                prefetch_epochs=config.prefetch_epochs,
-                worker_pool=pool,
             )
             pseudo_raw = self.encoder.extract(features, adjacency)
         else:
@@ -233,9 +203,6 @@ class FairwosTrainer:
                 patience=config.patience,
                 rng=rng,
                 cache_epochs=config.cache_epochs,
-                num_workers=config.num_workers,
-                prefetch_epochs=config.prefetch_epochs,
-                worker_pool=pool,
             )
         else:
             fit_binary_classifier(
@@ -312,14 +279,9 @@ class FairwosTrainer:
                 options.setdefault("update", config.cf_update)
                 options.setdefault("drift_threshold", config.cf_drift_threshold)
                 options.setdefault("rebuild_frac", config.cf_rebuild_frac)
-        search = CounterfactualSearch(
+        return CounterfactualSearch(
             config.top_k, backend=config.cf_backend, backend_options=options
         )
-        if self._worker_pool is not None and hasattr(search.backend, "pool"):
-            # Shard forest build/update by tree across the fit's pool
-            # (bit-identical to serial: trees are independently seeded).
-            search.backend.pool = self._worker_pool
-        return search
 
     def _finetune(
         self,
@@ -461,9 +423,6 @@ class FairwosTrainer:
                 lr=config.resolved_finetune_lr(),
                 weight_decay=config.weight_decay,
             ),
-            num_workers=config.num_workers,
-            prefetch_epochs=config.prefetch_epochs,
-            worker_pool=self._worker_pool,
         )
         search = self._make_search(rng)
         self._search = search

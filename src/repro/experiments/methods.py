@@ -13,7 +13,6 @@ strong end of the grid.
 from __future__ import annotations
 
 import time
-import warnings
 
 from repro.baselines import FairGKD, KSMOTE, FairRF, RemoveR, Vanilla
 from repro.baselines.base import MethodResult
@@ -22,26 +21,6 @@ from repro.graph import Graph
 from repro.tensor import backend_scope, dtype_scope
 
 __all__ = ["available_methods", "run_method", "FAIRWOS_OVERRIDES", "METHOD_ORDER"]
-
-# Sentinel distinguishing "caller never passed this flat kwarg" from any
-# real value (None is a meaningful setting for several of them).
-_UNSET = object()
-
-# The legacy flat spellings of the execution knobs, in ExecutionConfig
-# order.  num_workers/prefetch_epochs are deliberately absent: the new
-# knobs are only reachable through ``execution=ExecutionConfig(...)``.
-_FLAT_EXECUTION_KWARGS = (
-    "minibatch",
-    "fanouts",
-    "batch_size",
-    "cache_epochs",
-    "cf_backend",
-    "cf_refresh_epochs",
-    "finetune_minibatch",
-    "cf_update",
-    "dtype",
-    "backend",
-)
 
 METHOD_ORDER = [
     "vanilla",
@@ -94,16 +73,6 @@ def run_method(
     patience: int | None = 30,
     fairwos_config: FairwosConfig | None = None,
     execution: ExecutionConfig | None = None,
-    minibatch=_UNSET,
-    fanouts=_UNSET,
-    batch_size=_UNSET,
-    cache_epochs=_UNSET,
-    cf_backend=_UNSET,
-    cf_refresh_epochs=_UNSET,
-    finetune_minibatch=_UNSET,
-    cf_update=_UNSET,
-    dtype=_UNSET,
-    backend=_UNSET,
     keep_model: bool = False,
     keep_logits: bool = False,
 ) -> MethodResult:
@@ -139,25 +108,15 @@ def run_method(
         full-batch training (``minibatch``/``fanouts``/``batch_size``/
         ``cache_epochs``), the Fairwos fine-tune scaling knobs
         (``finetune_minibatch``/``cf_backend``/``cf_refresh_epochs``/
-        ``cf_update`` — ignored by baselines), precision and array backend
-        (``dtype``/``backend``), and multiprocess sampling
-        (``num_workers``/``prefetch_epochs``; see
-        :mod:`repro.training.parallel`).  Every method honours the shared
+        ``cf_update`` — ignored by baselines), and precision and array
+        backend (``dtype``/``backend``).  Every method honours the shared
         fields: "vanilla"/"remover" train through the shared
         :func:`~repro.training.fit_minibatch` engine, "ksmote" adds a
         minibatch-k-means cluster step, "fairrf"/"fairgkd" evaluate their
         fairness terms on sampled batches, and "fairwos" runs all three
         phases sampled.  With ``fanouts`` set, the backbone depth follows
         its length.  ``None`` means the defaults (full-batch, exact,
-        float64, numpy, in-process).
-    minibatch, fanouts, batch_size, cache_epochs, cf_backend, \
-    cf_refresh_epochs, finetune_minibatch, cf_update, dtype, backend:
-        **Deprecated** flat spellings of the matching
-        :class:`~repro.core.config.ExecutionConfig` fields, kept as a
-        compatibility shim.  Passing any of them emits a
-        ``DeprecationWarning``; passing them *and* ``execution`` is an
-        error.  ``num_workers``/``prefetch_epochs`` have no flat
-        spelling — they are only reachable through ``execution``.
+        float64, numpy).
     keep_model:
         Attach the fitted runner (the :class:`~repro.core.FairwosTrainer`
         or baseline instance) to ``result.extra["model"]`` so callers can
@@ -169,38 +128,6 @@ def run_method(
         (the intersectional audit slices them per joint subgroup).  Off by
         default for the same memory reason as ``keep_model``.
     """
-    flat = {
-        name: value
-        for name, value in (
-            ("minibatch", minibatch),
-            ("fanouts", fanouts),
-            ("batch_size", batch_size),
-            ("cache_epochs", cache_epochs),
-            ("cf_backend", cf_backend),
-            ("cf_refresh_epochs", cf_refresh_epochs),
-            ("finetune_minibatch", finetune_minibatch),
-            ("cf_update", cf_update),
-            ("dtype", dtype),
-            ("backend", backend),
-        )
-        if value is not _UNSET
-    }
-    if flat:
-        if execution is not None:
-            raise ValueError(
-                "execution settings were passed both as flat keyword "
-                f"arguments ({', '.join(sorted(flat))}) and as "
-                "execution=ExecutionConfig(...); pass them only through "
-                "the ExecutionConfig"
-            )
-        warnings.warn(
-            "passing execution settings to run_method as flat keyword "
-            f"arguments ({', '.join(sorted(flat))}) is deprecated; pass "
-            "execution=ExecutionConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        execution = ExecutionConfig(**flat)
     if execution is None:
         execution = ExecutionConfig()
     execution.validate()
@@ -222,8 +149,6 @@ def run_method(
             fanouts=execution.fanouts,
             batch_size=execution.batch_size,
             cache_epochs=execution.cache_epochs,
-            num_workers=execution.num_workers,
-            prefetch_epochs=execution.prefetch_epochs,
             num_layers=len(execution.fanouts) if execution.fanouts else 1,
         )
         runner = baseline_classes[key](**kwargs)
@@ -252,8 +177,7 @@ def run_method(
                 "the explicit fairwos_config; when supplying a full config, "
                 "set its execution fields (minibatch/fanouts/batch_size/"
                 "cache_epochs/cf_backend/cf_refresh_epochs/"
-                "finetune_minibatch/cf_update/dtype/backend/num_workers/"
-                "prefetch_epochs) directly"
+                "finetune_minibatch/cf_update/dtype/backend) directly"
             )
     if fairwos_config is None:
         overrides = FAIRWOS_OVERRIDES.get(graph.name, FAIRWOS_OVERRIDES["default"])
@@ -274,8 +198,6 @@ def run_method(
             cf_update=execution.cf_update,
             dtype=execution.dtype,
             backend=execution.backend,
-            num_workers=execution.num_workers,
-            prefetch_epochs=execution.prefetch_epochs,
             **overrides,
         )
     start = time.perf_counter()

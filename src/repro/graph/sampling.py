@@ -19,22 +19,6 @@ them input-layer-first so a model can fold them left to right.
 
 All sampling is vectorized over CSR ``indptr``/``indices`` — there are no
 Python-per-node loops, so sampling a batch is O(edges touched) numpy work.
-
-Draw/select split
------------------
-Edge selection is factored into two halves so the multiprocess sampler
-(:mod:`repro.training.parallel`) can keep the generator stream bit-identical
-to serial training while farming out the heavy work:
-
-* :meth:`NeighborSampler.draw_edge_keys` consumes the generator *exactly*
-  as serial sampling does (same calls, same sizes, same order) and returns
-  a cheap random payload;
-* :meth:`NeighborSampler.sample_block_with_keys` turns that payload into a
-  :class:`Block` deterministically — it can run in any process, in any
-  order, and still reproduce the serial block byte for byte.
-
-``_sample_block`` composes the two, so the serial path is the split path by
-construction.
 """
 
 from __future__ import annotations
@@ -209,36 +193,6 @@ class NeighborSampler:
             raise ValueError(f"num_layers must be >= 1, got {num_layers}")
         return cls(adjacency, fanouts=(None,) * num_layers)
 
-    @classmethod
-    def from_csr_arrays(
-        cls,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        degrees: np.ndarray,
-        num_nodes: int,
-        fanouts: Sequence[int | None],
-        replace: bool = False,
-    ) -> "NeighborSampler":
-        """Rebuild a sampler around pre-validated CSR arrays.
-
-        Used by worker processes attaching to shared-memory segments: the
-        arrays are exactly a parent sampler's ``_indptr``/``_indices``/
-        ``_degrees`` (same dtypes), so no conversion, validation or copying
-        happens — the worker samples straight out of shared memory.
-        """
-        self = cls.__new__(cls)
-        self._indptr = indptr
-        self._indices = indices
-        self._degrees = degrees
-        self.num_nodes = int(num_nodes)
-        self.fanouts = tuple(fanouts)
-        self.replace = replace
-        return self
-
-    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The internal ``(indptr, indices, degrees)`` triple (not copied)."""
-        return self._indptr, self._indices, self._degrees
-
     @property
     def num_layers(self) -> int:
         """Number of blocks produced per call (== ``len(fanouts)``)."""
@@ -254,7 +208,13 @@ class NeighborSampler:
         input-layer first: ``blocks[-1].dst_nodes == seeds`` and
         ``blocks[i].dst_nodes == blocks[i + 1].src_nodes``.
         """
-        seeds = self._validated_seeds(seeds)
+        seeds = np.asarray(seeds, dtype=np.int64).reshape(-1)
+        if seeds.size == 0:
+            raise ValueError("seeds must be non-empty")
+        if seeds.min() < 0 or seeds.max() >= self.num_nodes:
+            raise ValueError("seed ids out of range")
+        if np.unique(seeds).size != seeds.size:
+            raise ValueError("seeds must be unique")
         if rng is None:
             rng = np.random.default_rng()
         blocks: list[Block] = []
@@ -265,78 +225,18 @@ class NeighborSampler:
             dst = block.src_nodes
         return blocks[::-1]
 
-    def sample_blocks_with_keys(
-        self, seeds: np.ndarray, keys_list: Sequence[np.ndarray | None]
-    ) -> list[Block]:
-        """Rebuild :meth:`sample_blocks`'s output from pre-drawn keys.
-
-        ``keys_list`` holds one :meth:`draw_edge_keys` payload per layer in
-        *sampling* order (outermost seeds first, i.e. ``reversed(fanouts)``).
-        Deterministic — safe to run in a worker process.
-        """
-        seeds = self._validated_seeds(seeds)
-        fanouts = tuple(reversed(self.fanouts))
-        if len(keys_list) != len(fanouts):
-            raise ValueError(
-                f"got {len(keys_list)} key payloads for {len(fanouts)} layers"
-            )
-        blocks: list[Block] = []
-        dst = seeds
-        for fanout, keys in zip(fanouts, keys_list):
-            block = self.sample_block_with_keys(dst, fanout, keys)
-            blocks.append(block)
-            dst = block.src_nodes
-        return blocks[::-1]
-
-    def _validated_seeds(self, seeds: np.ndarray) -> np.ndarray:
-        seeds = np.asarray(seeds, dtype=np.int64).reshape(-1)
-        if seeds.size == 0:
-            raise ValueError("seeds must be non-empty")
-        if seeds.min() < 0 or seeds.max() >= self.num_nodes:
-            raise ValueError("seed ids out of range")
-        if np.unique(seeds).size != seeds.size:
-            raise ValueError("seeds must be unique")
-        return seeds
-
     # ------------------------------------------------------------------ #
-    def draw_edge_keys(
-        self, dst: np.ndarray, fanout: int | None, rng: np.random.Generator
-    ) -> np.ndarray | None:
-        """Consume the generator for one layer's edge selection.
-
-        This is the *only* random step of edge selection — it makes exactly
-        the draws (same calls, same sizes, same order) the fused
-        ``_select_edges`` path makes, and returns them as a payload that
-        :meth:`sample_block_with_keys` turns into a block deterministically.
-        Cheap relative to selection: O(candidate edges) random floats, no
-        sorting/setdiff/CSR assembly.
-        """
-        counts = self._degrees[dst]
-        if self.replace and fanout is not None:
-            nonzero = np.flatnonzero(counts > 0)
-            counts_rep = np.repeat(counts[nonzero], fanout)
-            return rng.integers(0, counts_rep)
-        total = int(counts.sum())
-        if fanout is None or total == 0:
-            return None
-        return rng.random(total)
-
     def _select_edges(
         self, dst: np.ndarray, fanout: int | None, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized per-row edge selection (draw + deterministic select)."""
-        return self._select_edges_from_keys(
-            dst, fanout, self.draw_edge_keys(dst, fanout, rng)
-        )
-
-    def _select_edges_from_keys(
-        self, dst: np.ndarray, fanout: int | None, keys: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Deterministic half of edge selection.
+        """Vectorized per-row edge selection.
 
         Returns ``(rows, neighbors)`` where ``rows`` are local indices into
-        ``dst`` and ``neighbors`` are global neighbour ids.  ``keys`` is the
-        matching :meth:`draw_edge_keys` payload.
+        ``dst`` and ``neighbors`` are global neighbour ids.  Each call makes
+        at most one generator draw: ``fanout`` uniform picks per
+        non-isolated row with replacement, otherwise one random key per
+        candidate edge (skipped when the layer keeps full neighbourhoods or
+        touches no edge).
         """
         starts = self._indptr[dst]
         counts = self._degrees[dst]
@@ -346,7 +246,7 @@ class NeighborSampler:
             nonzero = np.flatnonzero(counts > 0)
             rows = np.repeat(nonzero, fanout)
             starts_rep = np.repeat(starts[nonzero], fanout)
-            picks = keys
+            picks = rng.integers(0, np.repeat(counts[nonzero], fanout))
             return rows, self._indices[starts_rep + picks]
 
         # Expand all incident edges of the batch: rows[k] is the local dst of
@@ -360,17 +260,20 @@ class NeighborSampler:
             return rows, neighbors
 
         # Uniform sampling without replacement, all rows at once: every
-        # candidate edge carries a random key (drawn in draw_edge_keys) and
-        # each row keeps its ``fanout`` smallest keys.  Selection runs as a
-        # bucketed two-pass counting sort
-        # instead of a full O(E log E) lexsort over the batch's incident
-        # edges: histogram each row's keys into ~average-degree key-prefix
-        # buckets, keep whole buckets below the row's threshold bucket, and
-        # sort only the threshold bucket's edges (expected O(rows) of them)
-        # to fill the remaining quota.  The kept edge *set* is identical to
-        # the full sort's — buckets partition the key range monotonically,
-        # and the stable within-bucket sort breaks duplicate keys by edge
-        # position exactly like the stable full lexsort did.
+        # candidate edge carries a random key and each row keeps its
+        # ``fanout`` smallest keys.  Selection runs as a bucketed two-pass
+        # counting sort instead of a full O(E log E) lexsort over the
+        # batch's incident edges: histogram each row's keys into
+        # ~average-degree key-prefix buckets, keep whole buckets below the
+        # row's threshold bucket, and sort only the threshold bucket's edges
+        # (expected O(rows) of them) to fill the remaining quota.  The kept
+        # edge *set* is identical to the full sort's — buckets partition the
+        # key range monotonically, and the stable within-bucket sort breaks
+        # duplicate keys by edge position exactly like the stable full
+        # lexsort did.  The keys are drawn before the early return so the
+        # generator advances by one draw per layer whether or not any row
+        # needs trimming.
+        keys = rng.random(total)
         need = counts > fanout
         if not need.any():
             return rows, neighbors
@@ -404,20 +307,7 @@ class NeighborSampler:
     def _sample_block(
         self, dst: np.ndarray, fanout: int | None, rng: np.random.Generator
     ) -> Block:
-        return self.sample_block_with_keys(
-            dst, fanout, self.draw_edge_keys(dst, fanout, rng)
-        )
-
-    def sample_block_with_keys(
-        self, dst: np.ndarray, fanout: int | None, keys: np.ndarray | None
-    ) -> Block:
-        """Build one block from a pre-drawn :meth:`draw_edge_keys` payload.
-
-        Deterministic given ``(dst, fanout, keys)`` — the multiprocess
-        sampler draws keys in the main process (preserving the serial
-        generator stream) and ships this call to workers.
-        """
-        rows, neighbors = self._select_edges_from_keys(dst, fanout, keys)
+        rows, neighbors = self._select_edges(dst, fanout, rng)
         # Source set: destinations first (local id i == dst i), then the
         # newly reached neighbours in sorted order (deterministic).
         extra = np.setdiff1d(neighbors, dst)

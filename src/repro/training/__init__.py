@@ -18,16 +18,13 @@ from repro.training.minibatch import (
     iter_minibatches,
     predict_logits_batched,
 )
-from repro.training.parallel import EpochPrefetcher, WorkerPool
 
 __all__ = [
     "DEFAULT_FANOUT",
-    "EpochPrefetcher",
     "FitHistory",
     "IndexMaintainer",
     "MinibatchEngine",
     "RefreshSchedule",
-    "WorkerPool",
     "TrainStep",
     "embed_batched",
     "fit_binary_classifier",

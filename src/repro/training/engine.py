@@ -299,21 +299,6 @@ class MinibatchEngine:
     eval_batch_size:
         Batch size for the exact validation/prediction passes (default:
         ``batch_size``).
-    num_workers:
-        Sampler worker processes (see :mod:`repro.training.parallel`).
-        ``0`` (the default) is the serial engine, byte-identical to the
-        pre-parallel code path; ``> 0`` samples fresh epochs through a
-        shared-memory :class:`~repro.training.parallel.WorkerPool` with
-        results bit-identical to serial training.
-    prefetch_epochs:
-        Fresh epochs the parallel sampler may stage ahead of training
-        (``0`` = synchronous fan-out, no speculation).  Ignored when
-        ``num_workers == 0``.
-    worker_pool:
-        Optional externally owned pool shared across phases (the Fairwos
-        trainer reuses one pool for every engine and the counterfactual
-        forest).  Must have been built over this engine's adjacency; the
-        engine creates and owns a private pool per :meth:`run` otherwise.
 
     Examples
     --------
@@ -348,18 +333,9 @@ class MinibatchEngine:
         lr: float = 1e-3,
         weight_decay: float = 0.0,
         eval_batch_size: int | None = None,
-        num_workers: int = 0,
-        prefetch_epochs: int = 1,
-        worker_pool=None,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if num_workers < 0:
-            raise ValueError(f"num_workers must be >= 0, got {num_workers}")
-        if prefetch_epochs < 0:
-            raise ValueError(
-                f"prefetch_epochs must be >= 0, got {prefetch_epochs}"
-            )
         if eval_batch_size is not None and eval_batch_size < 1:
             # Explicit is-None resolution: a non-positive eval batch must be
             # rejected, never silently collapsed into "follow batch_size"
@@ -389,11 +365,7 @@ class MinibatchEngine:
         self.optimizer = optimizer if optimizer is not None else Adam(
             model.parameters(), lr=lr, weight_decay=weight_decay
         )
-        self.num_workers = int(num_workers)
-        self.prefetch_epochs = int(prefetch_epochs)
-        self._shared_pool = worker_pool
         self._active_cache: EpochBlockCache | None = None
-        self._active_prefetcher = None
 
     # ------------------------------------------------------------------ #
     def predict(
@@ -417,14 +389,10 @@ class MinibatchEngine:
         Consumers whose seed extensions bake external state into the cached
         structure call this when that state changes (Fairwos invalidates on
         every counterfactual-index refresh so cached seed sets never point
-        at stale counterfactual targets).  An active parallel prefetcher
-        discards its speculatively staged epochs at the same time — they
-        were sampled against the state that just went stale.
+        at stale counterfactual targets).
         """
         if self._active_cache is not None:
             self._active_cache.invalidate()
-        if self._active_prefetcher is not None:
-            self._active_prefetcher.invalidate()
 
     # ------------------------------------------------------------------ #
     def run(
@@ -514,33 +482,6 @@ class MinibatchEngine:
         history = FitHistory()
         cache = EpochBlockCache(self.cache_epochs)
         self._active_cache = cache
-        owned_pool = None
-        prefetcher = None
-        if self.num_workers > 0:
-            from repro.training.parallel import EpochPrefetcher, WorkerPool
-
-            pool = self._shared_pool
-            if pool is None:
-                pool = owned_pool = WorkerPool(
-                    self.num_workers, adjacency=self.adjacency
-                )
-            elif not pool.matches_sampler(self.sampler):
-                raise ValueError(
-                    "worker_pool was built over a different adjacency than "
-                    "this engine's sampler; share one graph object or let "
-                    "the engine own its pool"
-                )
-            prefetcher = EpochPrefetcher(
-                self.sampler,
-                nodes,
-                self.batch_size,
-                rng,
-                pool,
-                seed_fn=seed_fn,
-                sort_batches=sort_batches,
-                prefetch_epochs=self.prefetch_epochs,
-            )
-            self._active_prefetcher = prefetcher
         # The exact validation pass folds full (un-sampled) neighbourhoods,
         # which depend only on the fixed graph and the fixed val split —
         # build its block chains once per fit and reuse them every epoch.
@@ -564,10 +505,6 @@ class MinibatchEngine:
                 started = time.perf_counter()
                 if replay:
                     steps = cache.steps()
-                elif prefetcher is not None:
-                    steps = prefetcher.next_epoch()
-                    for step in steps:
-                        cache.record(*step)
                 else:
                     steps = self._fresh_steps(
                         nodes, rng, seed_fn, sort_batches, cache
@@ -623,13 +560,6 @@ class MinibatchEngine:
                         break
         finally:
             self._active_cache = None
-            self._active_prefetcher = None
-            if prefetcher is not None:
-                # Sync the engine generator to the post-last-delivered-epoch
-                # state — exactly where serial training would have left it.
-                prefetcher.close(rng)
-            if owned_pool is not None:
-                owned_pool.shutdown()
         if checkpoint == "best":
             model.load_state_dict(best_state)
         return history

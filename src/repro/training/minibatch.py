@@ -71,9 +71,6 @@ def fit_minibatch(
     rng: np.random.Generator | int | None = None,
     extra_loss=None,
     cache_epochs: int = 1,
-    num_workers: int = 0,
-    prefetch_epochs: int = 1,
-    worker_pool=None,
 ) -> FitHistory:
     """Train ``model`` with sampled minibatches; restore its best-val weights.
 
@@ -116,12 +113,6 @@ def fit_minibatch(
         between (see :class:`~repro.graph.sampling.EpochBlockCache` for the
         RNG-stream contract).  The default ``1`` samples freshly every
         epoch.
-    num_workers, prefetch_epochs, worker_pool:
-        Multiprocess sampling (see :mod:`repro.training.parallel`): with
-        ``num_workers > 0`` fresh epochs are sampled by worker processes
-        over shared-memory CSR, ``prefetch_epochs`` ahead of the training
-        loop, bit-identically to serial training.  ``worker_pool`` shares
-        an externally owned pool; otherwise the engine forks its own.
     """
     labels = np.asarray(labels)
     train_mask = np.asarray(train_mask, dtype=bool)
@@ -140,9 +131,6 @@ def fit_minibatch(
         lr=lr,
         weight_decay=weight_decay,
         eval_batch_size=eval_batch_size,
-        num_workers=num_workers,
-        prefetch_epochs=prefetch_epochs,
-        worker_pool=worker_pool,
     )
     val_indices = np.where(val_mask)[0]
 

@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import FairwosConfig, FairwosTrainer
+from repro.core import ExecutionConfig, FairwosConfig, FairwosTrainer
 from repro.core.counterfactual import CounterfactualSearch
 from repro.experiments.methods import run_method
 from repro.io import ArtifactError, load_artifact, save_artifact
@@ -30,7 +30,7 @@ def fairwos_run(small_graph):
         small_graph,
         epochs=4,
         finetune_epochs=2,
-        cf_backend="ann",
+        execution=ExecutionConfig(cf_backend="ann"),
         keep_model=True,
     )
     return result.extra["model"]
@@ -189,9 +189,7 @@ class TestBaselineRoundTrip:
             "remover",
             small_graph,
             epochs=4,
-            minibatch=True,
-            fanouts=(5,),
-            batch_size=64,
+            execution=ExecutionConfig(minibatch=True, fanouts=(5,), batch_size=64),
             keep_model=True,
         )
         runner = result.extra["model"]
@@ -235,6 +233,19 @@ class TestManifestValidation:
         manifest["format_version"] = ARTIFACT_VERSION + 1
         (copy / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ArtifactError, match="unsupported artifact version"):
+            load_artifact(copy)
+
+    def test_config_with_removed_field_is_incompatible(self, fairwos_artifact, tmp_path):
+        """Older Fairwos artifacts recorded ``prefetch_epochs`` in their
+        config; the field is gone, so they fail with a clear error."""
+        import shutil
+
+        copy = tmp_path / "older"
+        shutil.copytree(fairwos_artifact, copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        manifest["config"]["prefetch_epochs"] = 1
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactError, match="incompatible library version"):
             load_artifact(copy)
 
     def test_corrupt_manifest_json(self, fairwos_artifact, tmp_path):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CounterfactualSearch
+from repro.core import CounterfactualSearch, ExecutionConfig
 from repro.core.ann import RPForestIndex, _select_topk
 from repro.experiments.methods import run_method
 from repro.io import load_artifact, save_artifact
@@ -265,7 +265,7 @@ def artifact(small_graph, tmp_path_factory):
         small_graph,
         epochs=4,
         finetune_epochs=2,
-        cf_backend="ann",
+        execution=ExecutionConfig(cf_backend="ann"),
         keep_model=True,
     )
     trainer = result.extra["model"]

@@ -21,8 +21,8 @@ class TestValidation:
             ({"cf_refresh_epochs": 0}, "cf_refresh_epochs"),
             ({"cf_update": "lazy"}, "cf_update"),
             ({"cf_update": "incremental"}, "cf_backend"),
-            ({"num_workers": -1}, "num_workers"),
-            ({"prefetch_epochs": -1}, "prefetch_epochs"),
+            ({"backend": "jax"}, "backend"),
+            ({"dtype": "half-precision"}, "not a dtype"),
             ({"fanouts": ()}, "fanouts"),
             ({"fanouts": (0,)}, "fanouts"),
             ({"dtype": "float16"}, "float"),
@@ -37,50 +37,31 @@ class TestValidation:
             ExecutionConfig().minibatch = True
 
     def test_fairwos_config_validates_new_knobs(self):
+        FairwosConfig(num_workers=0).validate()
+        with pytest.raises(TypeError, match="prefetch_epochs"):
+            FairwosConfig(prefetch_epochs=1)
+
+    @pytest.mark.parametrize("workers", [-1, 1, 2])
+    def test_fairwos_num_workers_must_be_zero(self, workers):
         with pytest.raises(ValueError, match="num_workers"):
-            FairwosConfig(num_workers=-1).validate()
-        with pytest.raises(ValueError, match="prefetch_epochs"):
-            FairwosConfig(prefetch_epochs=-2).validate()
+            FairwosConfig(num_workers=workers).validate()
+
+    @pytest.mark.parametrize("field", ["num_workers", "prefetch_epochs"])
+    def test_execution_config_has_no_worker_fields(self, field):
+        with pytest.raises(TypeError, match=field):
+            ExecutionConfig(**{field: 0})
 
 
-class TestCompatShim:
-    def test_flat_kwargs_emit_deprecation_warning(self, small_graph):
-        with pytest.warns(DeprecationWarning, match="ExecutionConfig"):
-            run_method(
-                "vanilla", small_graph, epochs=3, minibatch=True,
-                batch_size=64,
-            )
-
-    def test_flat_and_execution_together_error(self, small_graph):
-        with pytest.raises(ValueError, match="both"):
-            run_method(
-                "vanilla",
-                small_graph,
-                epochs=3,
-                minibatch=True,
-                execution=ExecutionConfig(minibatch=True),
-            )
-
-    @pytest.mark.parametrize("method", ["vanilla", "fairwos"])
-    def test_shim_parity_with_execution_config(self, method, small_graph):
-        """Flat kwargs and ExecutionConfig produce identical results."""
-        settings = dict(minibatch=True, fanouts=(5,), batch_size=64)
-        with pytest.warns(DeprecationWarning):
-            flat = run_method(
-                method, small_graph, epochs=6, finetune_epochs=2,
-                patience=None, seed=0, **settings,
-            )
-        config = run_method(
-            method, small_graph, epochs=6, finetune_epochs=2,
-            patience=None, seed=0, execution=ExecutionConfig(**settings),
-        )
-        assert flat.test == config.test
-        assert flat.validation == config.validation
-        assert flat.method == config.method
-
-    def test_new_knobs_have_no_flat_spelling(self, small_graph):
-        with pytest.raises(TypeError):
-            run_method("vanilla", small_graph, epochs=3, num_workers=2)
+class TestRunMethodKeywords:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"minibatch": True}, {"dtype": "float32"}, {"num_workers": 0}],
+        ids=["minibatch", "dtype", "num_workers"],
+    )
+    def test_flat_keyword_raises(self, small_graph, kwargs):
+        """Execution settings are only accepted as ``execution=``."""
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            run_method("vanilla", small_graph, epochs=3, **kwargs)
 
 
 class TestFairwosConfigConflicts:
@@ -100,8 +81,6 @@ class TestFairwosConfigConflicts:
             ("cf_refresh_epochs", 3),
             ("cf_update", "incremental"),
             ("dtype", "float32"),
-            ("num_workers", 2),
-            ("prefetch_epochs", 2),
         ],
     )
     def test_rejects_disagreeing_field(self, small_graph, field, value):
@@ -130,14 +109,6 @@ class TestFairwosConfigConflicts:
         )
         assert 0.0 <= result.test.accuracy <= 1.0
 
-    def test_legacy_flat_conflicts_still_raise(self, small_graph):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="fairwos_config"):
-                run_method(
-                    "fairwos", small_graph,
-                    fairwos_config=FairwosConfig(), cf_backend="ann",
-                )
-
 
 class TestCliDerivation:
     def test_run_flags_derive_from_table(self):
@@ -148,7 +119,6 @@ class TestCliDerivation:
             [
                 "run", "--method", "vanilla", "--minibatch",
                 "--fanout", "10,5", "--batch-size", "256",
-                "--num-workers", "4", "--prefetch-epochs", "2",
                 "--cf-refresh", "3", "--dtype", "float32",
             ]
         )
@@ -161,11 +131,22 @@ class TestCliDerivation:
         assert execution.minibatch is True
         assert execution.fanouts == (10, 5)
         assert execution.batch_size == 256
-        assert execution.num_workers == 4
-        assert execution.prefetch_epochs == 2
         assert execution.cf_refresh_epochs == 3
         assert execution.dtype == "float32"
         execution.validate()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--num-workers", "2"], ["--prefetch-epochs", "1"]],
+        ids=["num-workers", "prefetch-epochs"],
+    )
+    def test_worker_flags_are_gone(self, flags, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["run", "--method", "vanilla", *flags])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_every_table_row_is_a_config_field(self):
         names = ExecutionConfig.field_names()
@@ -189,4 +170,29 @@ class TestCliDerivation:
         artifact = load_artifact(path)
         assert artifact.execution["minibatch"] is True
         assert artifact.execution["batch_size"] == 64
-        assert artifact.execution["num_workers"] == 0
+        assert set(artifact.execution) == set(ExecutionConfig.field_names())
+
+    def test_score_shows_only_current_execution_fields(self, small_graph, tmp_path):
+        """An artifact's execution record may carry knobs that have since
+        been removed; ``repro score`` reports only current fields."""
+        import json
+
+        from repro.cli import main
+        from repro.io import save_artifact
+
+        execution = ExecutionConfig(minibatch=True, batch_size=64)
+        result = run_method(
+            "vanilla", small_graph, epochs=3, execution=execution,
+            keep_model=True,
+        )
+        path = save_artifact(
+            result.extra["model"], small_graph, tmp_path / "art",
+            execution=execution,
+        )
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["execution"].update(num_workers=0, prefetch_epochs=1)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        output = main(["score", "--artifact", str(path)])
+        assert "  execution: batch_size=64 minibatch=True\n" in output
+        assert "num_workers" not in output
+        assert "prefetch_epochs" not in output

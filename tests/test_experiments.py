@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import ExecutionConfig
 from repro.experiments import (
     FAIRWOS_OVERRIDES,
     Scale,
@@ -66,14 +67,16 @@ class TestMethodRegistry:
         """Every Table II method accepts neighbour-sampled training."""
         result = run_method(
             method, small_graph, epochs=25, finetune_epochs=2, patience=5,
-            minibatch=True, fanouts=(10,), batch_size=64,
+            execution=ExecutionConfig(minibatch=True, fanouts=(10,), batch_size=64),
         )
         assert 0.0 <= result.test.accuracy <= 1.0
 
     def test_run_method_fairwos_ann_backend(self, small_graph):
         result = run_method(
             "fairwos", small_graph, epochs=25, finetune_epochs=2, patience=5,
-            minibatch=True, batch_size=64, cf_backend="ann", cf_refresh_epochs=2,
+            execution=ExecutionConfig(
+                minibatch=True, batch_size=64, cf_backend="ann", cf_refresh_epochs=2
+            ),
         )
         assert 0.0 <= result.test.accuracy <= 1.0
         assert result.extra["counterfactual_coverage"] > 0.0
@@ -84,12 +87,14 @@ class TestMethodRegistry:
         with pytest.raises(ValueError, match="fairwos_config"):
             run_method(
                 "fairwos", small_graph,
-                fairwos_config=FairwosConfig(), cf_backend="ann",
+                fairwos_config=FairwosConfig(),
+                execution=ExecutionConfig(cf_backend="ann"),
             )
         with pytest.raises(ValueError, match="fairwos_config"):
             run_method(
                 "fairwos", small_graph,
-                fairwos_config=FairwosConfig(), finetune_minibatch=True,
+                fairwos_config=FairwosConfig(),
+                execution=ExecutionConfig(finetune_minibatch=True),
             )
 
 

@@ -49,9 +49,14 @@ class _LexsortSampler(NeighborSampler):
 
     Kept verbatim as the parity oracle — both implementations consume the
     same ``rng.random(total)`` draw, so for any shared rng stream the
-    bucketed two-pass selection must keep the identical edge set."""
+    bucketed two-pass selection must keep the identical edge set.  ``calls``
+    counts oracle selections, so a parity test can assert that
+    ``sample_blocks`` really went through the oracle."""
+
+    calls = 0
 
     def _select_edges(self, dst, fanout, rng):
+        self.calls += 1
         starts = self._indptr[dst]
         counts = self._degrees[dst]
         if self.replace and fanout is not None:
@@ -84,6 +89,7 @@ class TestCountingSortSelectionParity:
         seeds = np.random.default_rng(seed).choice(60, size=12, replace=False)
         blocks_fast = fast.sample_blocks(seeds, np.random.default_rng(seed))
         blocks_slow = slow.sample_blocks(seeds, np.random.default_rng(seed))
+        assert slow.calls == num_layers
         assert len(blocks_fast) == len(blocks_slow)
         for a, b in zip(blocks_fast, blocks_slow):
             np.testing.assert_array_equal(a.src_nodes, b.src_nodes)
@@ -107,6 +113,7 @@ class TestCountingSortSelectionParity:
             seeds = np.arange(0, n, 3)
             (a,) = fast.sample_blocks(seeds, np.random.default_rng(fanout))
             (b,) = slow.sample_blocks(seeds, np.random.default_rng(fanout))
+            assert slow.calls == 1
             np.testing.assert_array_equal(a.src_nodes, b.src_nodes)
             np.testing.assert_array_equal(a.adjacency.indptr, b.adjacency.indptr)
             np.testing.assert_array_equal(a.adjacency.indices, b.adjacency.indices)
