@@ -86,19 +86,8 @@ def main(seed: int = 0) -> None:
     audit_data(graph)
 
     print("=== Model comparison (race hidden from both models) ===")
-    from repro.gnnzoo import make_backbone
-    from repro.tensor import Tensor
-    from repro.training import fit_binary_classifier, predict_logits
-
-    model = make_backbone("gcn", graph.num_features, 16, np.random.default_rng(seed))
-    features = Tensor(graph.features)
-    fit_binary_classifier(
-        model, features, graph.adjacency, graph.labels,
-        graph.train_mask, graph.val_mask, epochs=150, patience=30,
-    )
-    vanilla_logits = predict_logits(model, features, graph.adjacency)
-    vanilla = Vanilla(epochs=150, patience=30).fit(graph, seed=seed)
-    report_decisions("Vanilla GCN", vanilla.test, vanilla_logits, graph)
+    vanilla = Vanilla(epochs=150, patience=30).fit(graph, seed=seed, keep_logits=True)
+    report_decisions("Vanilla GCN", vanilla.test, vanilla.extra["logits"], graph)
 
     config = FairwosConfig(
         encoder_epochs=150, classifier_epochs=150, patience=30,

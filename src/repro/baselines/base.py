@@ -9,12 +9,7 @@ import numpy as np
 
 from repro.fairness import EvalResult, evaluate_predictions
 from repro.graph import Graph
-from repro.training import (
-    fit_binary_classifier,
-    fit_minibatch,
-    predict_logits,
-    predict_logits_batched,
-)
+from repro.training import fit_minibatch, predict_logits_batched
 
 __all__ = ["MethodResult", "BaselineMethod"]
 
@@ -112,14 +107,17 @@ class BaselineMethod:
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
-    def _sampling_config(self) -> tuple[tuple[int, ...] | None, int]:
-        """Validated ``(fanouts, batch_size)`` for neighbour-sampled training.
+    def _sampling_config(self) -> tuple[tuple[int, ...] | None, int | None]:
+        """The engine's ``(fanouts, batch_size)``: the declared sampling
+        knobs with ``minibatch=True``, else ``(None, None)`` (full-batch).
 
         Raises ``ValueError`` when ``minibatch=True`` was requested on a
         subclass that never declared the sampling knobs — the dispatch must
         not silently fall back to (or crash inside) a configuration the
         method does not actually support.
         """
+        if not getattr(self, "minibatch", False):
+            return None, None
         missing = [
             name for name in ("fanouts", "batch_size") if not hasattr(self, name)
         ]
@@ -136,14 +134,14 @@ class BaselineMethod:
         self, model, features, graph: Graph, rng: np.random.Generator,
         extra_loss=None,
     ):
-        """Shared full-batch / minibatch dispatch for plain supervised
-        baselines.
+        """Train a plain supervised baseline and score every node.
 
         Subclasses that support neighbour-sampled training (Vanilla,
         RemoveR, KSMOTE, ...) set ``minibatch`` / ``fanouts`` /
         ``batch_size`` in their constructors; training then runs through
-        :func:`~repro.training.fit_minibatch` and evaluation through exact
-        batched inference, so reported metrics are sampling-free.  Returns
+        :func:`~repro.training.fit_minibatch` with sampled batches and
+        evaluation through exact batched inference, so reported metrics are
+        sampling-free.  Otherwise both are full-batch.  Returns
         ``(history, logits)``.
         """
         return self._fit_and_predict_arrays(
@@ -171,44 +169,28 @@ class BaselineMethod:
         """:meth:`_fit_and_predict` on explicit arrays — for baselines that
         train on a modified graph (KSMOTE's oversampled one).
 
-        ``extra_loss`` follows the active engine's signature:
-        ``(logits) -> Tensor`` full-batch,
-        ``(logits, batch_indices) -> Tensor`` minibatched.
+        ``extra_loss`` is ``(logits, nodes) -> Tensor``, as in
+        :func:`~repro.training.fit_minibatch`.
         """
-        if getattr(self, "minibatch", False):
-            fanouts, batch_size = self._sampling_config()
-            history = fit_minibatch(
-                model,
-                features,
-                adjacency,
-                labels,
-                train_mask,
-                val_mask,
-                epochs=self.epochs,
-                fanouts=fanouts,
-                batch_size=batch_size,
-                lr=self.lr,
-                patience=self.patience,
-                rng=rng,
-                extra_loss=extra_loss,
-                cache_epochs=self.cache_epochs,
-            )
-            logits = predict_logits_batched(
-                model, features, adjacency, batch_size=batch_size
-            )
-        else:
-            history = fit_binary_classifier(
-                model,
-                features,
-                adjacency,
-                labels,
-                train_mask,
-                val_mask,
-                epochs=self.epochs,
-                lr=self.lr,
-                patience=self.patience,
-                extra_loss=extra_loss,
-            )
-            logits = predict_logits(model, features, adjacency)
+        fanouts, batch_size = self._sampling_config()
+        history = fit_minibatch(
+            model,
+            features,
+            adjacency,
+            labels,
+            train_mask,
+            val_mask,
+            epochs=self.epochs,
+            fanouts=fanouts,
+            batch_size=batch_size,
+            lr=self.lr,
+            patience=self.patience,
+            rng=rng,
+            extra_loss=extra_loss,
+            cache_epochs=self.cache_epochs,
+        )
+        logits = predict_logits_batched(
+            model, features, adjacency, batch_size=batch_size
+        )
         self.model_ = model
         return history, logits

@@ -10,14 +10,16 @@ leakage lives, so matching their fused representation debiases the student.
 Following the paper's setup, we use the variant without sensitive attributes
 (FairGKD\\S): teachers are trained with plain cross-entropy.
 
-``minibatch=True`` scales every stage: both teachers train through
-:func:`~repro.training.fit_minibatch` (the MLP teacher is block-capable —
-it simply reads the seed rows of the input block), the fused teacher target
-is extracted with exact batched inference, and the student's distillation
-epochs run on neighbour-sampled batches over all nodes (cross-entropy on the
-batch's labelled members, representation matching on the whole batch).  A
-covering batch with exhaustive fanout reproduces the full-batch run to float
-precision; sampled runs stay within the usual two points.
+Every stage runs on the shared engine, full-batch by default.
+``minibatch=True`` samples every stage: both teachers train through
+:func:`~repro.training.fit_minibatch` with seed batches (the MLP teacher is
+block-capable — it simply reads the seed rows of the input block), the
+structure teacher's target is extracted with exact batched inference, and
+the student's distillation epochs run on neighbour-sampled batches over all
+nodes (cross-entropy on the batch's labelled members, representation
+matching on the whole batch).  A covering batch with exhaustive fanout
+reproduces the full-batch run to float precision; sampled runs stay within
+the usual two points.
 """
 
 from __future__ import annotations
@@ -33,16 +35,7 @@ from repro.nn import MLP, Linear, Module, binary_cross_entropy_with_logits
 from repro.optim import Adam
 from repro.tensor import Tensor, no_grad
 from repro.tensor import ops
-from repro.training import (
-    DEFAULT_FANOUT,
-    MinibatchEngine,
-    TrainStep,
-    embed_batched,
-    fit_binary_classifier,
-    fit_minibatch,
-    predict_logits,
-)
-from repro.fairness.metrics import accuracy
+from repro.training import MinibatchEngine, TrainStep, embed_batched, fit_minibatch
 
 __all__ = ["FairGKD"]
 
@@ -130,16 +123,15 @@ class FairGKD(BaselineMethod):
             self.epochs if self.teacher_epochs is None else self.teacher_epochs
         )
         features = Tensor(graph.features)
-        if self.minibatch:
-            # Validate the whole sampling configuration before any work:
-            # teacher training is the dominant cost, so a fanouts/num_layers
-            # mismatch must not surface only when the student starts.
-            fanouts, _ = self._sampling_config()
-            if fanouts is not None and len(fanouts) != self.num_layers:
-                raise ValueError(
-                    f"fanouts has {len(fanouts)} entries but the backbone "
-                    f"has {self.num_layers} layers"
-                )
+        # Validate the whole sampling configuration before any work:
+        # teacher training is the dominant cost, so a fanouts/num_layers
+        # mismatch must not surface only when the student starts.
+        fanouts, batch_size = self._sampling_config()
+        if fanouts is not None and len(fanouts) != self.num_layers:
+            raise ValueError(
+                f"fanouts has {len(fanouts)} entries but the backbone "
+                f"has {self.num_layers} layers"
+            )
         # Drawn in *both* modes so weight initialisation consumes the same
         # stream regardless of `minibatch` — a covering sampled run then
         # starts from identical teacher/student weights.
@@ -163,15 +155,9 @@ class FairGKD(BaselineMethod):
         # Fused teacher target: average of the two representations.
         with no_grad():
             rep_a = teacher_a.embed(features, graph.adjacency).data
-            if self.minibatch:
-                rep_b = embed_batched(
-                    teacher_b,
-                    structure_feats,
-                    graph.adjacency,
-                    batch_size=self.batch_size,
-                )
-            else:
-                rep_b = teacher_b.embed(structure_feats, graph.adjacency).data
+        rep_b = embed_batched(
+            teacher_b, structure_feats, graph.adjacency, batch_size=batch_size
+        )
         target = 0.5 * (rep_a + rep_b)
 
         # Student: full-input GNN with CE + representation distillation
@@ -182,86 +168,6 @@ class FairGKD(BaselineMethod):
             num_layers=self.num_layers,
         )
         projection = Linear(self.hidden_dim, self.hidden_dim, rng)
-        if self.minibatch:
-            logits = self._fit_student_minibatch(
-                student, projection, graph, target, train_rng
-            )
-        else:
-            logits = self._fit_student_fullbatch(
-                student, projection, graph, features, target
-            )
-        return logits, {"teacher_epochs": teacher_epochs}
-
-    # ------------------------------------------------------------------ #
-    def _fit_teacher(
-        self, teacher, teacher_features, graph: Graph, epochs: int,
-        train_rng: np.random.Generator,
-    ) -> None:
-        if self.minibatch:
-            fanouts, batch_size = self._sampling_config()
-            if fanouts is None:
-                fanouts = (DEFAULT_FANOUT,) * teacher.num_layers
-            if getattr(teacher, "graph_free", False):
-                # The MLP teacher never reads a neighbour row: a fanout of 1
-                # keeps the block machinery happy at near-zero sampling cost
-                # (and its output is neighbour-independent either way).
-                fanouts = (1,) * teacher.num_layers
-            fit_minibatch(
-                teacher, teacher_features, graph.adjacency, graph.labels,
-                graph.train_mask, graph.val_mask,
-                epochs=epochs, fanouts=fanouts[: teacher.num_layers],
-                batch_size=batch_size, lr=self.lr, patience=self.patience,
-                rng=train_rng, cache_epochs=self.cache_epochs,
-            )
-        else:
-            fit_binary_classifier(
-                teacher, teacher_features, graph.adjacency, graph.labels,
-                graph.train_mask, graph.val_mask,
-                epochs=epochs, lr=self.lr, patience=self.patience,
-            )
-
-    # ------------------------------------------------------------------ #
-    def _fit_student_fullbatch(
-        self, student, projection, graph: Graph, features, target: np.ndarray
-    ) -> np.ndarray:
-        target_tensor = Tensor(target)
-        optimizer = Adam(student.parameters() + projection.parameters(), lr=self.lr)
-        train_idx = np.where(graph.train_mask)[0]
-        train_labels = graph.labels[train_idx].astype(np.float64)
-        best_val, best_state, since_best = -1.0, student.state_dict(), 0
-        for _ in range(self.epochs):
-            student.train()
-            optimizer.zero_grad()
-            h = student.embed(features, graph.adjacency)
-            logits = student.head(h).reshape(-1)
-            ce = binary_cross_entropy_with_logits(logits[train_idx], train_labels)
-            distill = ops.mean(ops.squared_distance(projection(h), target_tensor))
-            loss = ops.add(ce, ops.mul(distill, self.distill_weight))
-            loss.backward()
-            optimizer.step()
-
-            val_logits = predict_logits(student, features, graph.adjacency)[
-                graph.val_mask
-            ]
-            val_acc = accuracy(
-                (val_logits > 0).astype(np.int64), graph.labels[graph.val_mask]
-            )
-            if val_acc > best_val:
-                best_val, best_state, since_best = val_acc, student.state_dict(), 0
-            else:
-                since_best += 1
-                if self.patience is not None and since_best > self.patience:
-                    break
-        student.load_state_dict(best_state)
-        return predict_logits(student, features, graph.adjacency)
-
-    # ------------------------------------------------------------------ #
-    def _fit_student_minibatch(
-        self, student, projection, graph: Graph, target: np.ndarray,
-        train_rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Sampled distillation epochs (see the module docstring)."""
-        fanouts, batch_size = self._sampling_config()
         engine = MinibatchEngine(
             student,
             graph.features,
@@ -306,4 +212,23 @@ class FairGKD(BaselineMethod):
             # deterministic; epoch randomness lives in the composition.
             sort_batches=True,
         )
-        return engine.predict()
+        return engine.predict(), {"teacher_epochs": teacher_epochs}
+
+    # ------------------------------------------------------------------ #
+    def _fit_teacher(
+        self, teacher, teacher_features, graph: Graph, epochs: int,
+        train_rng: np.random.Generator,
+    ) -> None:
+        fanouts, batch_size = self._sampling_config()
+        if getattr(teacher, "graph_free", False):
+            # The MLP teacher never reads a neighbour row: a fanout of 1
+            # keeps the block machinery happy at near-zero sampling cost
+            # (and its output is neighbour-independent either way).
+            fanouts = (1,) * teacher.num_layers
+        fit_minibatch(
+            teacher, teacher_features, graph.adjacency, graph.labels,
+            graph.train_mask, graph.val_mask,
+            epochs=epochs, fanouts=fanouts, batch_size=batch_size,
+            lr=self.lr, patience=self.patience, rng=train_rng,
+            cache_epochs=self.cache_epochs,
+        )

@@ -9,10 +9,10 @@ closed form each epoch, emphasising the currently most-correlated features
 
 The related features come from ``graph.related_feature_indices``.
 
-``minibatch=True`` evaluates both the utility and the correlation terms on
-neighbour-sampled batches drawn over *all* nodes (cross-entropy on the
-batch's labelled members, correlations on the whole batch), running on the
-shared :class:`~repro.training.MinibatchEngine`.  The per-epoch
+Training runs on the shared :class:`~repro.training.MinibatchEngine`:
+full-batch by default, or with ``minibatch=True`` on neighbour-sampled
+batches drawn over *all* nodes (cross-entropy on the batch's labelled
+members, correlations on the whole batch).  The sampled per-epoch
 feature-weight update uses a streaming running-moment (Welford/Chan)
 estimator pooled across the epoch's batches
 (:class:`~repro.analysis.StreamingCorrelation`) rather than the mean of
@@ -34,11 +34,9 @@ from repro.core.weights import WeightUpdater
 from repro.graph import Graph
 from repro.gnnzoo import make_backbone
 from repro.nn import binary_cross_entropy_with_logits
-from repro.optim import Adam
 from repro.tensor import Tensor
 from repro.tensor import ops
-from repro.training import MinibatchEngine, TrainStep, predict_logits
-from repro.fairness.metrics import accuracy
+from repro.training import MinibatchEngine, TrainStep
 
 __all__ = ["FairRF"]
 
@@ -102,72 +100,6 @@ class FairRF(BaselineMethod):
         updater = WeightUpdater(
             len(columns), alpha=self.beta, prefer_high_disparity=True
         )
-        if self.minibatch:
-            logits = self._train_minibatch(graph, model, columns, updater, rng)
-        else:
-            logits = self._train_fullbatch(graph, model, columns, updater)
-        return logits, {
-            "related_features": int(related.size),
-            "final_weights": updater.weights.copy(),
-        }
-
-    # ------------------------------------------------------------------ #
-    def _train_fullbatch(
-        self, graph: Graph, model, columns, updater: WeightUpdater
-    ) -> np.ndarray:
-        features = Tensor(graph.features)
-        optimizer = Adam(model.parameters(), lr=self.lr)
-        train_idx = np.where(graph.train_mask)[0]
-        train_labels = graph.labels[train_idx].astype(np.float64)
-        best_val, best_state, since_best = -1.0, model.state_dict(), 0
-
-        for _ in range(self.epochs):
-            model.train()
-            optimizer.zero_grad()
-            logits = model(features, graph.adjacency)
-            loss = binary_cross_entropy_with_logits(logits[train_idx], train_labels)
-            probs = ops.sigmoid(logits)
-            correlations = np.zeros(len(columns))
-            reg = None
-            for j, column in enumerate(columns):
-                corr_sq = _differentiable_correlation(probs, column)
-                if corr_sq is None:
-                    continue
-                correlations[j] = float(corr_sq.data)
-                term = ops.mul(corr_sq, float(updater.weights[j]))
-                reg = term if reg is None else ops.add(reg, term)
-            if reg is not None:
-                loss = ops.add(loss, ops.mul(reg, self.beta))
-            loss.backward()
-            optimizer.step()
-            updater.update(correlations)
-
-            val_logits = predict_logits(model, features, graph.adjacency)[
-                graph.val_mask
-            ]
-            val_acc = accuracy(
-                (val_logits > 0).astype(np.int64), graph.labels[graph.val_mask]
-            )
-            if val_acc > best_val:
-                best_val, best_state, since_best = val_acc, model.state_dict(), 0
-            else:
-                since_best += 1
-                if self.patience is not None and since_best > self.patience:
-                    break
-
-        model.load_state_dict(best_state)
-        return predict_logits(model, features, graph.adjacency)
-
-    # ------------------------------------------------------------------ #
-    def _train_minibatch(
-        self,
-        graph: Graph,
-        model,
-        columns,
-        updater: WeightUpdater,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Neighbour-sampled FairRF epochs (see the module docstring)."""
         fanouts, batch_size = self._sampling_config()
         engine = MinibatchEngine(
             model,
@@ -182,10 +114,12 @@ class FairRF(BaselineMethod):
         val_indices = np.where(graph.val_mask)[0]
         column_matrix = np.stack(columns, axis=1)
         moments = StreamingCorrelation(len(columns))
+        correlations = np.zeros(len(columns))
 
         def on_epoch_start(epoch: int) -> None:
-            nonlocal moments
+            nonlocal moments, correlations
             moments = StreamingCorrelation(len(columns))
+            correlations = np.zeros(len(columns))
 
         def loss_fn(step: TrainStep) -> Tensor:
             batch, logits = step.batch, step.output
@@ -203,15 +137,23 @@ class FairRF(BaselineMethod):
                 corr_sq = _differentiable_correlation(probs, column[batch])
                 if corr_sq is None:
                     continue
+                correlations[j] = float(corr_sq.data)
                 term = ops.mul(corr_sq, float(updater.weights[j]))
                 reg = term if reg is None else ops.add(reg, term)
             if reg is not None:
                 loss = ops.add(loss, ops.mul(reg, self.beta))
-            moments.update(probs.data, column_matrix[batch])
+            if batch_size is not None:
+                moments.update(probs.data, column_matrix[batch])
             return loss
 
         def on_epoch_end(epoch: int) -> None:
-            updater.update(moments.squared_correlations())
+            # The full-batch step's correlations are the epoch's; sampled
+            # epochs pool running moments over their batches instead.
+            updater.update(
+                correlations
+                if batch_size is None
+                else moments.squared_correlations()
+            )
 
         engine.run(
             np.arange(graph.num_nodes, dtype=np.int64),
@@ -229,4 +171,7 @@ class FairRF(BaselineMethod):
             on_epoch_start=on_epoch_start,
             on_epoch_end=on_epoch_end,
         )
-        return engine.predict()
+        return engine.predict(), {
+            "related_features": int(related.size),
+            "final_weights": updater.weights.copy(),
+        }

@@ -135,11 +135,7 @@ class KSMOTE(BaselineMethod):
         features_tensor = Tensor(features)
         extra_loss = None
         if self.parity_weight > 0:
-            extra_loss = (
-                self._batch_parity_regulariser(clusters, graph.num_nodes)
-                if self.minibatch
-                else self._parity_regulariser(clusters, graph.num_nodes, num_total)
-            )
+            extra_loss = self._parity_regulariser(clusters, graph.num_nodes)
         _, logits = self._fit_and_predict_arrays(
             model,
             features_tensor,
@@ -156,60 +152,32 @@ class KSMOTE(BaselineMethod):
         }
 
     # ------------------------------------------------------------------ #
-    def _parity_regulariser(
-        self, clusters: np.ndarray, num_real: int, num_total: int
-    ):
-        """Penalise squared deviation of per-cluster positive rates."""
-        masks = []
-        for cluster in range(self.num_clusters):
-            mask = np.zeros(num_total)
-            members = np.where(clusters == cluster)[0]
-            if members.size:
-                mask[members] = 1.0 / members.size
-            masks.append(mask)
-        overall = np.zeros(num_total)
-        overall[:num_real] = 1.0 / num_real
-        weight = self.parity_weight
+    def _parity_regulariser(self, clusters: np.ndarray, num_real: int):
+        """Pseudo-group parity penalty ``(logits, nodes) -> Tensor``.
 
-        def regulariser(logits):
-            probs = ops.sigmoid(logits)
-            mean_all = ops.sum(ops.mul(probs, Tensor(overall)))
-            penalty = None
-            for mask in masks:
-                if mask.sum() == 0:
-                    continue
-                gap = ops.sub(ops.sum(ops.mul(probs, Tensor(mask))), mean_all)
-                term = ops.power(gap, 2.0)
-                penalty = term if penalty is None else ops.add(penalty, term)
-            return ops.mul(penalty, weight)
-
-        return regulariser
-
-    def _batch_parity_regulariser(self, clusters: np.ndarray, num_real: int):
-        """Sampled parity penalty for minibatch training.
-
-        Per batch: squared deviation of each cluster's mean predicted
-        probability (over the cluster's *batch* members) from the batch mean
-        — the batch-local estimate of :meth:`_parity_regulariser`.  Synthetic
-        nodes (ids >= ``num_real``) carry no cluster and are excluded, as in
-        the full-batch penalty.
+        Squared deviation of each cluster's mean predicted probability (over
+        the cluster's members among ``nodes``) from the mean over ``nodes``.
+        The full-batch step passes every node, making this the full-graph
+        penalty; a sampled step passes its batch, making it the batch-local
+        estimate.  Synthetic nodes (ids >= ``num_real``) carry no cluster
+        and are excluded.
         """
         weight = self.parity_weight
         num_clusters = self.num_clusters
 
-        def regulariser(logits, batch):
-            batch = np.asarray(batch)
-            real = batch < num_real
+        def regulariser(logits, nodes):
+            nodes = np.asarray(nodes)
+            real = nodes < num_real
             real_count = int(real.sum())
             if real_count == 0:
                 return Tensor(np.zeros(()))
-            batch_clusters = np.where(real, clusters[np.minimum(batch, num_real - 1)], -1)
+            node_clusters = np.where(real, clusters[np.minimum(nodes, num_real - 1)], -1)
             probs = ops.sigmoid(logits)
             overall = np.where(real, 1.0 / real_count, 0.0)
             mean_all = ops.sum(ops.mul(probs, Tensor(overall)))
             penalty = None
             for cluster in range(num_clusters):
-                members = batch_clusters == cluster
+                members = node_clusters == cluster
                 member_count = int(members.sum())
                 if member_count == 0:
                     continue

@@ -9,7 +9,9 @@ Dai & Wang (TKDE 2023): alternate between
    between the adversary's score and the prediction.
 
 The original also handles *limited* sensitive labels with an estimator; this
-oracle variant uses the full sensitive vector directly.
+oracle variant uses the full sensitive vector directly.  Training runs
+full-batch on the shared engine, with the adversary steps as its epoch-start
+callback.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import BaselineMethod
-from repro.fairness.metrics import accuracy
 from repro.graph import Graph
 from repro.gnnzoo import make_backbone
 from repro.nn import Linear, binary_cross_entropy_with_logits
 from repro.optim import Adam
 from repro.tensor import Tensor, no_grad
 from repro.tensor import ops
-from repro.training import predict_logits
+from repro.training import MinibatchEngine, TrainStep
 
 __all__ = ["FairGNN"]
 
@@ -69,14 +70,14 @@ class FairGNN(BaselineMethod):
         adversary = Linear(self.hidden_dim, 1, rng)
         features = Tensor(graph.features)
         sensitive = graph.sensitive.astype(np.float64)
-        model_opt = Adam(model.parameters(), lr=self.lr)
+        engine = MinibatchEngine(
+            model, features, graph.adjacency, batch_size=None, lr=self.lr
+        )
         adv_opt = Adam(adversary.parameters(), lr=self.lr * 3)
-        train_idx = np.where(graph.train_mask)[0]
-        train_labels = graph.labels[train_idx].astype(np.float64)
-        best_val, best_state, since_best = -1.0, model.state_dict(), 0
+        val_idx = np.where(graph.val_mask)[0]
 
-        for _ in range(self.epochs):
-            # -- adversary step(s): predict s from detached embeddings ---- #
+        def adversary_steps(epoch: int) -> None:
+            # Predict s from detached embeddings.
             with no_grad():
                 h_detached = model.embed(features, graph.adjacency).data
             for _ in range(self.adversary_steps):
@@ -86,12 +87,14 @@ class FairGNN(BaselineMethod):
                 adv_loss.backward()
                 adv_opt.step()
 
-            # -- classifier step: classify well + fool the adversary ------ #
-            model.train()
-            model_opt.zero_grad()
-            h = model.embed(features, graph.adjacency)
+        def loss_fn(step: TrainStep) -> Tensor:
+            # Classifier step: classify well + fool the adversary.  Only the
+            # classifier moves here; the adversary has its own step.
+            h = step.output
             logits = model.head(h).reshape(-1)
-            ce = binary_cross_entropy_with_logits(logits[train_idx], train_labels)
+            ce = binary_cross_entropy_with_logits(
+                logits[step.batch], graph.labels[step.batch].astype(np.float64)
+            )
             adv_logits = adversary(h).reshape(-1)
             # Confusion loss: drive the adversary's posterior to 0.5 —
             # bounded, unlike naively maximising the adversary's BCE.
@@ -107,27 +110,19 @@ class FairGNN(BaselineMethod):
                     ops.sub(prediction, ops.mean(prediction)),
                 )
             )
-            loss = ops.add(
+            return ops.add(
                 ops.add(ce, ops.mul(fool, self.adversary_weight)),
                 ops.mul(ops.absolute(cov), self.covariance_weight),
             )
-            loss.backward()
-            # Only the classifier moves here; the adversary has its own step.
-            model_opt.step()
 
-            val_logits = predict_logits(model, features, graph.adjacency)[
-                graph.val_mask
-            ]
-            val_acc = accuracy(
-                (val_logits > 0).astype(np.int64), graph.labels[graph.val_mask]
-            )
-            if val_acc > best_val:
-                best_val, best_state, since_best = val_acc, model.state_dict(), 0
-            else:
-                since_best += 1
-                if self.patience is not None and since_best > self.patience:
-                    break
-
-        model.load_state_dict(best_state)
-        logits = predict_logits(model, features, graph.adjacency)
-        return logits, {"uses_sensitive": True}
+        engine.run(
+            np.where(graph.train_mask)[0],
+            self.epochs,
+            loss_fn,
+            val_nodes=val_idx,
+            val_labels=graph.labels[val_idx],
+            patience=self.patience,
+            forward="embed",
+            on_epoch_start=adversary_steps,
+        )
+        return engine.predict(), {"uses_sensitive": True}

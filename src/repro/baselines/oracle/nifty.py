@@ -13,6 +13,8 @@ here as the classic sensitive-attribute-using reference point.
 
 Because the benchmark graphs exclude the sensitive attribute from ``X`` by
 construction, this oracle appends it as an extra feature column first.
+Training runs full-batch on the shared engine; the two extra views are
+built inside the loss closure.
 """
 
 from __future__ import annotations
@@ -21,15 +23,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.baselines.base import BaselineMethod
-from repro.fairness.metrics import accuracy
 from repro.graph import Graph
 from repro.graph.utils import adjacency_from_edges, edges_from_adjacency
 from repro.gnnzoo import make_backbone
 from repro.nn import binary_cross_entropy_with_logits
-from repro.optim import Adam
 from repro.tensor import Tensor
 from repro.tensor import ops
-from repro.training import predict_logits
+from repro.training import MinibatchEngine, TrainStep
 
 __all__ = ["NIFTY"]
 
@@ -86,20 +86,18 @@ class NIFTY(BaselineMethod):
             self.backbone, base.shape[1], self.hidden_dim, rng,
             num_layers=self.num_layers,
         )
-        anchor = Tensor(base)
         cf_view = Tensor(counterfactual)
-        optimizer = Adam(model.parameters(), lr=self.lr)
-        train_idx = np.where(graph.train_mask)[0]
-        train_labels = graph.labels[train_idx].astype(np.float64)
-        best_val, best_state, since_best = -1.0, model.state_dict(), 0
+        engine = MinibatchEngine(
+            model, base, graph.adjacency, batch_size=None, lr=self.lr
+        )
+        val_idx = np.where(graph.val_mask)[0]
 
-        for _ in range(self.epochs):
-            model.train()
-            optimizer.zero_grad()
-            h_anchor = model.embed(anchor, graph.adjacency)
+        def loss_fn(step: TrainStep) -> Tensor:
+            h_anchor = step.output
             logits = model.head(h_anchor).reshape(-1)
-            loss = binary_cross_entropy_with_logits(logits[train_idx], train_labels)
-
+            loss = binary_cross_entropy_with_logits(
+                logits[step.batch], graph.labels[step.batch].astype(np.float64)
+            )
             h_cf = model.embed(cf_view, graph.adjacency)
             noisy = Tensor(
                 base + rng.normal(scale=self.noise_scale, size=base.shape)
@@ -110,26 +108,18 @@ class NIFTY(BaselineMethod):
                 _cosine_disagreement(h_anchor, h_cf),
                 _cosine_disagreement(h_anchor, h_noisy),
             )
-            loss = ops.add(loss, ops.mul(agreement, self.sim_weight))
-            loss.backward()
-            optimizer.step()
+            return ops.add(loss, ops.mul(agreement, self.sim_weight))
 
-            val_logits = predict_logits(model, anchor, graph.adjacency)[
-                graph.val_mask
-            ]
-            val_acc = accuracy(
-                (val_logits > 0).astype(np.int64), graph.labels[graph.val_mask]
-            )
-            if val_acc > best_val:
-                best_val, best_state, since_best = val_acc, model.state_dict(), 0
-            else:
-                since_best += 1
-                if self.patience is not None and since_best > self.patience:
-                    break
-
-        model.load_state_dict(best_state)
-        logits = predict_logits(model, anchor, graph.adjacency)
-        return logits, {"uses_sensitive": True}
+        engine.run(
+            np.where(graph.train_mask)[0],
+            self.epochs,
+            loss_fn,
+            val_nodes=val_idx,
+            val_labels=graph.labels[val_idx],
+            patience=self.patience,
+            forward="embed",
+        )
+        return engine.predict(), {"uses_sensitive": True}
 
     def _drop_edges(
         self, adjacency: sp.csr_matrix, rng: np.random.Generator

@@ -543,20 +543,13 @@ def _serve_request(artifact, graph, request: str, batch_size) -> str | None:
 def _cmd_audit(args) -> str:
     from repro.baselines import Vanilla
     from repro.fairness.audit import audit_graph, audit_predictions
-    from repro.gnnzoo import make_backbone
-    from repro.tensor import Tensor
-    from repro.training import fit_binary_classifier, predict_logits
 
     graph = load_dataset(args.dataset, seed=args.seed)
     report = audit_graph(graph).render()
-    model = make_backbone("gcn", graph.num_features, 16, np.random.default_rng(args.seed))
-    features = Tensor(graph.features)
-    fit_binary_classifier(
-        model, features, graph.adjacency, graph.labels,
-        graph.train_mask, graph.val_mask, epochs=150, patience=30,
+    result = Vanilla(epochs=150, patience=30).fit(
+        graph, seed=args.seed, keep_logits=True
     )
-    logits = predict_logits(model, features, graph.adjacency)
-    model_report = audit_predictions(logits, graph).render()
+    model_report = audit_predictions(result.extra["logits"], graph).render()
     return f"{graph.summary()}\n\n{report}\n\n{model_report}"
 
 

@@ -172,6 +172,13 @@ class FairwosConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.refresh_counterfactuals_every < 1:
             raise ValueError("refresh_counterfactuals_every must be >= 1")
+        if self.patience is not None and self.patience < 0:
+            raise ValueError(f"patience must be >= 0 or None, got {self.patience}")
+        if self.finetune_val_tolerance is not None and self.finetune_val_tolerance < 0:
+            raise ValueError(
+                "finetune_val_tolerance must be >= 0 or None, got "
+                f"{self.finetune_val_tolerance}"
+            )
         if self.max_pseudo_attributes is not None and self.max_pseudo_attributes < 1:
             raise ValueError("max_pseudo_attributes must be >= 1 or None")
         if self.batch_size < 1:

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from repro.gnnzoo import make_backbone
 from repro.nn import MLP, Linear, Module
 from repro.tensor import Tensor, no_grad
-from repro.training import DEFAULT_FANOUT, fit_binary_classifier, fit_minibatch
+from repro.training import DEFAULT_FANOUT, fit_minibatch
 
 __all__ = ["EncoderModule", "binarize_attributes"]
 
@@ -108,40 +108,29 @@ class EncoderModule:
     ):
         """Optimise Eq. (5): classification loss over the labelled nodes.
 
-        With ``minibatch=True`` (and a graph backbone) training runs through
-        :func:`repro.training.fit_minibatch` with a single-hop ``fanout`` —
-        the encoder is always a one-layer network.  The MLP encoder ignores
-        the graph, so it always trains full-batch (its memory is already
-        linear in N).
+        Training runs through :func:`repro.training.fit_minibatch`: with
+        ``minibatch=True`` (and a graph backbone) on sampled seed batches
+        with a single-hop ``fanout`` — the encoder is always a one-layer
+        network — and full-batch otherwise.  The MLP encoder ignores the
+        graph, so it always trains full-batch (its memory is already linear
+        in N).
         """
-        if minibatch and self.backbone_name != "mlp":
-            history = fit_minibatch(
-                self.network,
-                features,
-                adjacency,
-                labels,
-                train_mask,
-                val_mask,
-                epochs=epochs,
-                fanouts=(fanout,),
-                batch_size=batch_size,
-                lr=lr,
-                patience=patience,
-                rng=rng,
-                cache_epochs=cache_epochs,
-            )
-        else:
-            history = fit_binary_classifier(
-                self.network,
-                features,
-                adjacency,
-                labels,
-                train_mask,
-                val_mask,
-                epochs=epochs,
-                lr=lr,
-                patience=patience,
-            )
+        sampled = minibatch and self.backbone_name != "mlp"
+        history = fit_minibatch(
+            self.network,
+            features,
+            adjacency,
+            labels,
+            train_mask,
+            val_mask,
+            epochs=epochs,
+            fanouts=(fanout,),
+            batch_size=batch_size if sampled else None,
+            lr=lr,
+            patience=patience,
+            rng=rng,
+            cache_epochs=cache_epochs,
+        )
         self.pretrained = True
         return history
 

@@ -30,7 +30,6 @@ from repro.core.fairloss import (
 )
 from repro.core.weights import WeightUpdater
 from repro.fairness import EvalResult, evaluate_predictions
-from repro.fairness.metrics import accuracy
 from repro.gnnzoo import make_backbone
 from repro.graph import Graph
 from repro.nn import binary_cross_entropy_with_logits
@@ -39,12 +38,8 @@ from repro.tensor import Tensor, backend_scope, dtype_scope, no_grad
 from repro.training import (
     IndexMaintainer,
     MinibatchEngine,
-    RefreshSchedule,
     TrainStep,
-    embed_batched,
-    fit_binary_classifier,
     fit_minibatch,
-    predict_logits,
     predict_logits_batched,
 )
 
@@ -187,36 +182,22 @@ class FairwosTrainer:
         )
         pseudo_tensor = Tensor(pseudo)
         self._pseudo_features = pseudo_tensor
-        if config.minibatch:
-            fit_minibatch(
-                self.classifier,
-                pseudo_tensor,
-                adjacency,
-                labels,
-                graph.train_mask,
-                graph.val_mask,
-                epochs=config.classifier_epochs,
-                fanouts=config.resolved_fanouts(),
-                batch_size=config.batch_size,
-                lr=config.learning_rate,
-                weight_decay=config.weight_decay,
-                patience=config.patience,
-                rng=rng,
-                cache_epochs=config.cache_epochs,
-            )
-        else:
-            fit_binary_classifier(
-                self.classifier,
-                pseudo_tensor,
-                adjacency,
-                labels,
-                graph.train_mask,
-                graph.val_mask,
-                epochs=config.classifier_epochs,
-                lr=config.learning_rate,
-                weight_decay=config.weight_decay,
-                patience=config.patience,
-            )
+        fit_minibatch(
+            self.classifier,
+            pseudo_tensor,
+            adjacency,
+            labels,
+            graph.train_mask,
+            graph.val_mask,
+            epochs=config.classifier_epochs,
+            fanouts=config.resolved_fanouts(),
+            batch_size=config.batch_size if config.minibatch else None,
+            lr=config.learning_rate,
+            weight_decay=config.weight_decay,
+            patience=config.patience,
+            rng=rng,
+            cache_epochs=config.cache_epochs,
+        )
         # Pseudo-labels: ground truth on the labelled (train) nodes, model
         # predictions elsewhere (Section III-D).
         logits = self._predict_logits(pseudo_tensor, adjacency)
@@ -234,12 +215,7 @@ class FairwosTrainer:
         )
         coverage = 0.0
         if config.use_fairness:
-            finetune = (
-                self._finetune_minibatch
-                if config.resolved_finetune_minibatch()
-                else self._finetune
-            )
-            coverage = finetune(
+            coverage = self._finetune(
                 graph, pseudo_tensor, binary_attrs, pseudo_labels, updater,
                 history, rng,
             )
@@ -293,109 +269,29 @@ class FairwosTrainer:
         history: dict[str, list[float]],
         rng: np.random.Generator,
     ) -> float:
-        """Lines 5–13 of Algorithm 1. Returns final counterfactual coverage."""
-        config = self.config
-        classifier = self.classifier
-        adjacency = graph.adjacency
-        train_indices = np.where(graph.train_mask)[0]
-        train_labels = graph.labels[train_indices].astype(np.float64)
-        optimizer = Adam(
-            classifier.parameters(),
-            lr=config.resolved_finetune_lr(),
-            weight_decay=config.weight_decay,
-        )
-        search = self._make_search(rng)
-        self._search = search
-        # The refresh cadence is hoisted into the schedule shared with the
-        # sampled path (and the IndexMaintainer), so the two cannot drift.
-        schedule = RefreshSchedule(config.resolved_cf_refresh())
-        cf_index: CounterfactualIndex | None = None
-        coverage = 0.0
-        # "Early stop operation to preserve competitive utility": abort the
-        # fairness fine-tuning if validation accuracy falls more than
-        # ``finetune_val_tolerance`` below its pre-finetune level, keeping
-        # the last state above the floor.
-        floor_logits = predict_logits(classifier, pseudo_tensor, adjacency)[
-            graph.val_mask
-        ]
-        floor = accuracy(
-            (floor_logits > 0).astype(np.int64), graph.labels[graph.val_mask]
-        ) - (
-            np.inf
-            if config.finetune_val_tolerance is None
-            else config.finetune_val_tolerance
-        )
-        last_good_state = classifier.state_dict()
+        """Lines 5–13 of Algorithm 1. Returns final counterfactual coverage.
 
-        for epoch in range(config.finetune_epochs):
-            if schedule.due(epoch, initialized=cf_index is not None):
-                with no_grad():
-                    reps = classifier.embed(pseudo_tensor, adjacency).data
-                cf_index = search.search(reps, pseudo_labels, binary_attrs)
-                coverage = cf_index.coverage()
+        One :class:`~repro.training.MinibatchEngine` run over *all* nodes:
+        a full-graph step per epoch, or with ``resolved_finetune_minibatch()``
+        sampled seed batches that a ``seed_fn`` extends with the batch's
+        counterfactual targets, so the fair loss's gradient reaches both
+        sides of every pair while peak memory stays bounded by the batch
+        receptive field.  Each step optimises the utility loss on the
+        labelled nodes plus the weighted fair loss on the counterfactual
+        pairs (:func:`fair_representation_loss`, or its batch estimate when
+        sampled); ``on_epoch_end`` runs the closed-form λ update.
 
-            classifier.train()
-            optimizer.zero_grad()
-            h = classifier.embed(pseudo_tensor, adjacency)
-            logits = classifier.head(h).reshape(-1)
-            utility = binary_cross_entropy_with_logits(
-                logits[train_indices], train_labels
-            )
-            fair, disparities = fair_representation_loss(
-                h, cf_index, updater.weights
-            )
-            total = utility + config.alpha * fair
-            total.backward()
-            optimizer.step()
-
-            if config.use_weight_update:
-                updater.update(disparities)
-
-            val_logits = predict_logits(classifier, pseudo_tensor, adjacency)[
-                graph.val_mask
-            ]
-            val_acc = accuracy(
-                (val_logits > 0).astype(np.int64), graph.labels[graph.val_mask]
-            )
-            history["finetune_loss"].append(float(total.data))
-            history["finetune_utility_loss"].append(float(utility.data))
-            history["finetune_fair_loss"].append(float(fair.data))
-            history["finetune_val_accuracy"].append(val_acc)
-            if val_acc >= floor:
-                last_good_state = classifier.state_dict()
-            elif config.finetune_val_tolerance is not None:
-                classifier.load_state_dict(last_good_state)
-                break
-        return coverage
-
-    # ------------------------------------------------------------------ #
-    def _finetune_minibatch(
-        self,
-        graph: Graph,
-        pseudo_tensor: Tensor,
-        binary_attrs: np.ndarray,
-        pseudo_labels: np.ndarray,
-        updater: WeightUpdater,
-        history: dict[str, list[float]],
-        rng: np.random.Generator,
-    ) -> float:
-        """Neighbour-sampled fine-tune: lines 5–13 on seed batches.
-
-        Runs on :class:`~repro.training.MinibatchEngine`: every step draws a
-        seed batch over *all* nodes, extends it with the batch's
-        counterfactual targets (the engine's ``seed_fn`` hook), folds the
-        union's sampled blocks, and optimises the utility loss on the
-        batch's labelled members plus the weighted fair loss on the batch's
-        counterfactual pairs.  Peak memory is bounded by the batch receptive
-        field; the counterfactual index is refreshed every
-        ``resolved_cf_refresh()`` epochs from exact batched embeddings by an
+        The counterfactual index is refreshed every ``resolved_cf_refresh()``
+        epochs from the engine's exact eval-mode embedding by an
         :class:`~repro.training.IndexMaintainer` registered as the engine's
-        ``on_epoch_start`` callback (it also invalidates the engine's
-        sampling cache, so cached seed sets never point at stale targets;
-        with ``cf_update="incremental"`` each refresh maintains the ANN
-        forest in place instead of rebuilding it).
-        The validation floor / checkpoint contract is the engine's
-        ``"floor"`` policy, mirroring the full-batch :meth:`_finetune`.
+        ``on_epoch_start`` callback (it also invalidates the sampling
+        cache, so cached seed sets never point at stale targets; with
+        ``cf_update="incremental"`` each refresh maintains the ANN forest in
+        place instead of rebuilding it).  "Early stop operation to preserve
+        competitive utility" is the engine's ``"floor"`` checkpoint: the
+        fine-tune aborts once validation accuracy falls more than
+        ``finetune_val_tolerance`` below its pre-finetune level, keeping the
+        last state above the floor.
 
         With ``cache_epochs > 1`` a replayed epoch reuses the refresh
         epoch's recorded structure *including* its ``cf_attrs_per_step``
@@ -405,6 +301,7 @@ class FairwosTrainer:
         """
         config = self.config
         classifier = self.classifier
+        sampled = config.resolved_finetune_minibatch()
         feature_array = pseudo_tensor.data
         num_nodes = feature_array.shape[0]
         train_mask = np.asarray(graph.train_mask, dtype=bool)
@@ -416,7 +313,7 @@ class FairwosTrainer:
             feature_array,
             graph.adjacency,
             fanouts=config.resolved_fanouts(),
-            batch_size=config.batch_size,
+            batch_size=config.batch_size if sampled else None,
             cache_epochs=config.cache_epochs,
             optimizer=Adam(
                 classifier.parameters(),
@@ -433,25 +330,19 @@ class FairwosTrainer:
         train_seen = 0
         disparity_sums = np.zeros(num_attrs)
         disparity_counts = np.zeros(num_attrs)
+        epoch_losses: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
         def refresh_index(epoch: int) -> None:
             nonlocal cf_index, coverage, running_disparities
-            reps = embed_batched(
-                classifier,
-                feature_array,
-                graph.adjacency,
-                batch_size=config.batch_size,
-            )
+            reps = engine.embed()
             cf_index = search.search(reps, pseudo_labels, binary_attrs)
             coverage = cf_index.coverage()
-            # Snapshot disparities for every attribute so the λ update
-            # has a current estimate even for attributes a subsampling
-            # epoch never draws (they must not read as "perfectly fair").
-            running_disparities = _snapshot_disparities(reps, cf_index)
+            if sampled:
+                # Snapshot disparities for every attribute so the λ update
+                # has a current estimate even for attributes a subsampling
+                # epoch never draws (they must not read as "perfectly fair").
+                running_disparities = _snapshot_disparities(reps, cf_index)
 
-        # Refreshes on the shared schedule; every refresh also invalidates
-        # the engine's sampling cache so cached batch structure built on
-        # the old index is resampled.
         maintainer = IndexMaintainer(
             refresh_index, config.resolved_cf_refresh(), engine=engine
         )
@@ -491,9 +382,8 @@ class FairwosTrainer:
             return seeds, (attrs_step, fair_scale)
 
         def loss_fn(step: TrainStep) -> Tensor:
-            nonlocal epoch_utility, epoch_fair, train_seen
-            nonlocal disparity_sums, disparity_counts
-            attrs_step, fair_scale = step.payload
+            nonlocal epoch_utility, epoch_fair, train_seen, epoch_losses
+            nonlocal disparity_sums, disparity_counts, running_disparities
             h = step.output
             batch = step.batch
             batch_train = batch[train_mask[batch]]
@@ -505,6 +395,17 @@ class FairwosTrainer:
                 )
             else:
                 utility = Tensor(np.zeros(()))
+            if not sampled:
+                # The full-graph step's statistics are the epoch's.
+                fair, running_disparities = fair_representation_loss(
+                    h, cf_index, updater.weights
+                )
+                total = utility + config.alpha * fair
+                epoch_losses = (
+                    float(total.data), float(utility.data), float(fair.data)
+                )
+                return total
+            attrs_step, fair_scale = step.payload
             fair, disparities, valid_counts = fair_representation_loss_minibatch(
                 h, cf_index, updater.weights, batch, step.seeds, attrs=attrs_step
             )
@@ -518,7 +419,8 @@ class FairwosTrainer:
             return utility + (config.alpha * fair_scale) * fair
 
         def on_epoch_end(epoch: int) -> None:
-            if config.use_weight_update:
+            nonlocal epoch_losses
+            if sampled:
                 # Weighted mean of the batch disparities == the full-graph
                 # D_i (mean over valid nodes), so the λ update sees the same
                 # statistic as the full-batch path.  Attributes this epoch
@@ -528,14 +430,20 @@ class FairwosTrainer:
                 running_disparities[seen] = (
                     disparity_sums[seen] / disparity_counts[seen]
                 )
+                utility_epoch = epoch_utility / max(train_seen, 1)
+                fair_epoch = epoch_fair / num_nodes
+                epoch_losses = (
+                    utility_epoch + config.alpha * fair_epoch,
+                    utility_epoch,
+                    fair_epoch,
+                )
+            if config.use_weight_update:
                 updater.update(running_disparities)
-            utility_epoch = epoch_utility / max(train_seen, 1)
-            fair_epoch = epoch_fair / num_nodes
-            history["finetune_loss"].append(
-                utility_epoch + config.alpha * fair_epoch
-            )
-            history["finetune_utility_loss"].append(utility_epoch)
-            history["finetune_fair_loss"].append(fair_epoch)
+            for key, value in zip(
+                ("finetune_loss", "finetune_utility_loss", "finetune_fair_loss"),
+                epoch_losses,
+            ):
+                history[key].append(value)
 
         fit = engine.run(
             np.arange(num_nodes, dtype=np.int64),
@@ -557,14 +465,12 @@ class FairwosTrainer:
     # ------------------------------------------------------------------ #
     def _predict_logits(self, pseudo_tensor: Tensor, adjacency) -> np.ndarray:
         """Full-graph logits, batched when the config asks for minibatching."""
-        if self.config.minibatch:
-            return predict_logits_batched(
-                self.classifier,
-                pseudo_tensor,
-                adjacency,
-                batch_size=self.config.batch_size,
-            )
-        return predict_logits(self.classifier, pseudo_tensor, adjacency)
+        return predict_logits_batched(
+            self.classifier,
+            pseudo_tensor,
+            adjacency,
+            batch_size=self.config.batch_size if self.config.minibatch else None,
+        )
 
     def predict(self, graph: Graph) -> np.ndarray:
         """Logits of the fitted model on ``graph`` (requires ``fit`` first)."""

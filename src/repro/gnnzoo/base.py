@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import weakref
+from typing import Callable
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -12,6 +15,25 @@ from repro.tensor import Tensor
 __all__ = ["GNNBackbone", "make_backbone"]
 
 
+def identity_cached(cache: dict, key, build: Callable):
+    """``build(key)``, memoised in ``cache`` per object identity of ``key``.
+
+    Each entry holds a weak reference to its key and only hits while that
+    very object is alive: an ``id`` is recycled once its object is freed,
+    so a bare id key would hand a fresh matrix (NIFTY's per-epoch
+    edge-dropped adjacency) the operator cached for a dead one.  The cache
+    is cleared once it exceeds 8 entries (experiments touch a few graphs).
+    """
+    entry = cache.get(id(key))
+    if entry is not None and entry[0]() is key:
+        return entry[1]
+    value = build(key)
+    if len(cache) > 8:
+        cache.clear()
+    cache[id(key)] = (weakref.ref(key), value)
+    return value
+
+
 class GNNBackbone(Module):
     """Base class: conv stack → representation ``h`` → linear head → logit.
 
@@ -20,8 +42,8 @@ class GNNBackbone(Module):
     :class:`~repro.graph.sampling.Block` per layer); the classification head
     (Eq. 9, ``ŷ_v = σ(h_v · w)``) lives here so every backbone exposes
     identical logits semantics.  Normalised adjacencies are cached per input
-    matrix (graphs are static within an experiment) keyed by object identity;
-    blocks are ephemeral and never cached.
+    matrix (graphs are static within an experiment) by object identity (see
+    :func:`identity_cached`); blocks are ephemeral and never cached.
     """
 
     def __init__(self, hidden_dim: int, rng: np.random.Generator) -> None:
@@ -29,7 +51,7 @@ class GNNBackbone(Module):
         self.hidden_dim = hidden_dim
         self.num_layers = 1  # overwritten by subclasses
         self.head = Linear(hidden_dim, 1, rng)
-        self._prop_cache: dict[int, sp.csr_matrix] = {}
+        self._prop_cache: dict[int, tuple] = {}
 
     # -- subclass API ---------------------------------------------------- #
     def embed(self, features: Tensor, adjacency: sp.spmatrix) -> Tensor:
@@ -75,15 +97,7 @@ class GNNBackbone(Module):
                 raise ValueError("block chain broken: dst/src node mismatch")
 
     def _cached_propagation(self, adjacency: sp.spmatrix) -> sp.csr_matrix:
-        key = id(adjacency)
-        cached = self._prop_cache.get(key)
-        if cached is None:
-            cached = self._propagation_matrix(adjacency)
-            # Keep the cache bounded: experiments touch at most a few graphs.
-            if len(self._prop_cache) > 8:
-                self._prop_cache.clear()
-            self._prop_cache[key] = cached
-        return cached
+        return identity_cached(self._prop_cache, adjacency, self._propagation_matrix)
 
 
 def make_backbone(

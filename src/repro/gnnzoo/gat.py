@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from repro.graph.normalize import add_self_loops
 from repro.graph.sampling import Block
-from repro.gnnzoo.base import GNNBackbone
+from repro.gnnzoo.base import GNNBackbone, identity_cached
 from repro.nn import Dropout, Linear, ModuleList, Parameter, init
 from repro.tensor import Tensor
 from repro.tensor import ops
@@ -57,21 +57,17 @@ class GAT(GNNBackbone):
             self.attn_dst_params.append(layer.attn_dst)
         self.negative_slope = negative_slope
         self.dropout = Dropout(dropout, rng) if dropout > 0 else None
-        self._edge_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._edge_cache: dict[int, tuple] = {}
 
     def _propagation_matrix(self, adjacency: sp.spmatrix) -> sp.csr_matrix:
         return add_self_loops(adjacency)
 
     def _edges(self, adjacency: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
-        key = id(adjacency)
-        cached = self._edge_cache.get(key)
-        if cached is None:
+        def build(adjacency):
             coo = sp.coo_matrix(self._cached_propagation(adjacency))
-            cached = (coo.row.astype(np.int64), coo.col.astype(np.int64))
-            if len(self._edge_cache) > 8:
-                self._edge_cache.clear()
-            self._edge_cache[key] = cached
-        return cached
+            return coo.row.astype(np.int64), coo.col.astype(np.int64)
+
+        return identity_cached(self._edge_cache, adjacency, build)
 
     def _attention_layer(
         self,

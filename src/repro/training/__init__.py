@@ -1,16 +1,17 @@
-"""Shared supervised-training loops used by Fairwos and every baseline.
+"""The one training loop used by Fairwos and every baseline.
 
-``fit_binary_classifier`` is the paper's full-batch recipe;
-``fit_minibatch`` is the neighbour-sampled large-graph equivalent with the
-same early-stopping / best-model contract.  Both the sampled loops and
-every method-specific variant (Fairwos fine-tune, FairRF, FairGKD) run on
-``MinibatchEngine`` — methods register loss closures and epoch callbacks
-instead of writing their own loop.
+:class:`MinibatchEngine` owns the epoch loop, validation and checkpointing
+for every fit: ``batch_size=None`` runs one full-graph step per epoch, an
+integer runs neighbour-sampled seed batches.  ``fit_binary_classifier`` is
+the paper's full-batch recipe and ``fit_minibatch`` the same supervised fit
+with the sampling knobs; the Fairwos fine-tune and the FairRF, FairGKD and
+oracle baselines register their own loss closures and epoch callbacks
+instead of writing a loop.
 """
 
 from repro.training.engine import MinibatchEngine, TrainStep
 from repro.training.loop import FitHistory, fit_binary_classifier, predict_logits
-from repro.training.maintenance import IndexMaintainer, RefreshSchedule
+from repro.training.maintenance import IndexMaintainer
 from repro.training.minibatch import (
     DEFAULT_FANOUT,
     embed_batched,
@@ -24,7 +25,6 @@ __all__ = [
     "FitHistory",
     "IndexMaintainer",
     "MinibatchEngine",
-    "RefreshSchedule",
     "TrainStep",
     "embed_batched",
     "fit_binary_classifier",

@@ -1,16 +1,18 @@
-"""Unified neighbour-sampled training engine.
+"""The one training loop: full-batch and neighbour-sampled epochs.
 
-Before this module, four training loops re-implemented the same sampled
-skeleton — :func:`~repro.training.minibatch.fit_minibatch`, the Fairwos
-fine-tune, FairRF's sampled epochs and FairGKD's distillation epochs each
-carried their own copy of batch iteration, neighbour sampling, validation,
-best-model/val-floor checkpointing and early stopping.
-:class:`MinibatchEngine` owns that skeleton once:
+Every fit in the library — :func:`~repro.training.loop.fit_binary_classifier`,
+:func:`~repro.training.minibatch.fit_minibatch`, the Fairwos fine-tune, the
+FairRF, FairGKD and oracle baselines — runs on :class:`MinibatchEngine`,
+which owns the loop skeleton once:
 
-* **batch iteration over an arbitrary node set** — the training nodes
-  (plain supervised fitting) or *all* nodes (methods whose fairness terms
-  are evaluated on unlabelled nodes too), optionally sorted per batch for
-  deterministic within-batch summation;
+* **two step kinds, chosen by ``batch_size``** — ``None`` runs one
+  full-graph step per epoch (the model's full-graph forward on a feature
+  tensor wrapped once per run; no sampler, no blocks, no RNG draws, the
+  iterated nodes kept in their given order); an integer runs
+  neighbour-sampled seed batches over an arbitrary node set (the training
+  nodes, or *all* nodes for methods whose fairness terms reach unlabelled
+  nodes), optionally sorted per batch for deterministic within-batch
+  summation;
 * **seed extension** — a per-batch hook that grows the sampled seed set
   beyond the iterated batch (Fairwos adds each batch's counterfactual
   targets so the fair loss reaches both sides of every pair);
@@ -18,19 +20,18 @@ best-model/val-floor checkpointing and early stopping.
   :class:`TrainStep` (batch, seeds, blocks, model output) to a loss
   ``Tensor``; the engine handles zero_grad/forward/backward/step;
 * **per-epoch callbacks** — ``on_epoch_start`` (λ refreshes,
-  counterfactual-index rebuilds, cache invalidation) and ``on_epoch_end``
-  (closed-form weight updates, history logging);
+  counterfactual-index rebuilds, cache invalidation, adversary steps) and
+  ``on_epoch_end`` (closed-form weight updates, history logging);
 * **the checkpoint contract** — ``checkpoint="best"`` restores the
-  best-validation-accuracy state with optional patience (the
-  :func:`~repro.training.loop.fit_binary_classifier` recipe), and
-  ``checkpoint="floor"`` aborts when validation accuracy falls more than
-  ``val_tolerance`` below its pre-training level, restoring the last state
-  above the floor (the Fairwos fine-tune recipe);
-* **a per-fit eval-block cache** — the exact validation pass folds full
-  (un-sampled) neighbourhoods that depend only on the fixed graph and val
-  split, so their block chains are built once per :meth:`MinibatchEngine.run`
-  and replayed every epoch (bit-identical metrics, the per-epoch sampling
-  constant gone);
+  best-validation-accuracy state with optional patience (the paper's
+  early-stopping recipe), and ``checkpoint="floor"`` aborts when validation
+  accuracy falls more than ``val_tolerance`` below its pre-training level,
+  restoring the last state above the floor (the Fairwos fine-tune recipe);
+* **a per-fit eval-block cache** — the sampled mode's exact validation pass
+  folds full (un-sampled) neighbourhoods that depend only on the fixed
+  graph and val split, so their block chains are built once per
+  :meth:`MinibatchEngine.run` and replayed every epoch (bit-identical
+  metrics, the per-epoch sampling constant gone);
 * **epoch-cached sampling** — with ``cache_epochs=R`` the engine records
   one epoch's batches/seeds/blocks through
   :class:`~repro.graph.sampling.EpochBlockCache` and replays them for the
@@ -38,16 +39,17 @@ best-model/val-floor checkpointing and early stopping.
   that dominates sampled-epoch wall-time (see the cache's RNG-stream
   contract; the default ``R=1`` is bit-identical to uncached training).
 
-The module also hosts the shared batched-inference helpers
-(:func:`predict_logits_batched`, :func:`embed_batched`) and
-:func:`iter_minibatches`; :mod:`repro.training.minibatch` re-exports them
-and builds :func:`~repro.training.minibatch.fit_minibatch` on the engine.
+The module also hosts :class:`FitHistory`, the shared inference helpers
+(:func:`predict_logits_batched`, :func:`embed_batched`; ``batch_size=None``
+is one full-graph forward) and :func:`iter_minibatches`;
+:mod:`repro.training.minibatch` re-exports them and builds
+:func:`~repro.training.minibatch.fit_minibatch` on the engine.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -58,10 +60,10 @@ from repro.graph.sampling import Block, EpochBlockCache, NeighborSampler
 from repro.nn.module import Module
 from repro.optim import Adam
 from repro.tensor import Tensor, get_default_dtype, no_grad
-from repro.training.loop import FitHistory
 
 __all__ = [
     "DEFAULT_FANOUT",
+    "FitHistory",
     "MinibatchEngine",
     "TrainStep",
     "embed_batched",
@@ -72,6 +74,30 @@ __all__ = [
 # Per-layer neighbour fanout used whenever the caller does not specify one
 # (shared by the engine, fit_minibatch, FairwosConfig and the CLI display).
 DEFAULT_FANOUT = 10
+
+
+@dataclass
+class FitHistory:
+    """Per-epoch training record; best-val state is restored on the model.
+
+    ``train_loss`` is the epoch's loss (the step loss in full-batch mode,
+    the batch-size-weighted mean of the step losses when sampled).
+    ``epoch_train_seconds`` has one entry per epoch, covering sampling and
+    the forward/backward steps but not the validation pass — the quantity
+    the sampler-cache benchmarks gate on.
+    """
+
+    train_loss: list[float] = field(default_factory=list)
+    val_accuracy: list[float] = field(default_factory=list)
+    best_val_accuracy: float = -1.0
+    best_epoch: int = -1
+    stopped_early: bool = False
+    epoch_train_seconds: list[float] = field(default_factory=list)
+
+    @property
+    def epochs_run(self) -> int:
+        """Number of completed epochs."""
+        return len(self.train_loss)
 
 
 def iter_minibatches(
@@ -115,12 +141,75 @@ def _resolve_num_layers(model: Module, num_layers: int | None) -> int:
     return int(layers)
 
 
+def _infer(
+    model: Module,
+    features,
+    adjacency: sp.spmatrix,
+    nodes: np.ndarray | None,
+    batch_size: int | None,
+    num_layers: int | None,
+    sampler: NeighborSampler | None,
+    rng: np.random.Generator | None,
+    embed: bool,
+) -> np.ndarray:
+    """Eval-mode logits (or representations with ``embed``) for ``nodes``.
+
+    ``batch_size=None`` runs one full-graph forward and slices ``nodes``
+    from it; an integer folds each seed batch's blocks.
+    """
+    feature_array = _as_feature_array(features)
+    was_training = model.training
+    model.eval()
+    try:
+        with no_grad():
+            if batch_size is None:
+                forward = model.embed if embed else model
+                out = forward(Tensor(feature_array), adjacency).data
+                if nodes is None:
+                    return out
+                return out[np.asarray(nodes, dtype=np.int64).reshape(-1)]
+            if sampler is None:
+                sampler = NeighborSampler.full_neighborhood(
+                    adjacency, _resolve_num_layers(model, num_layers)
+                )
+            if nodes is None:
+                nodes = np.arange(sampler.num_nodes)
+            nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+            if embed and nodes.size == 0:
+                # The embedding width is unknown without a forward pass, so
+                # an empty request has no well-defined result shape.
+                raise ValueError("nodes must be non-empty")
+            if rng is None:
+                # Fresh entropy: a custom *sampling* sampler without an
+                # explicit rng must not silently return identical draws on
+                # every call.  The exact full-neighbourhood default never
+                # consumes the generator.
+                rng = np.random.default_rng()
+            forward = model.embed_blocks if embed else model
+            out = np.empty(0, dtype=get_default_dtype())
+            filled = 0
+            for batch in iter_minibatches(nodes, batch_size):
+                blocks = sampler.sample_blocks(batch, rng)
+                batch_features = Tensor(feature_array[blocks[0].src_nodes])
+                part = forward(batch_features, blocks).data
+                if filled == 0:
+                    out = np.empty(
+                        (nodes.size, *part.shape[1:]),
+                        dtype=part.dtype if embed else out.dtype,
+                    )
+                out[filled : filled + batch.size] = part
+                filled += batch.size
+            return out
+    finally:
+        model.train(was_training)
+
+
 def predict_logits_batched(
     model: Module,
     features,
     adjacency: sp.spmatrix,
     nodes: np.ndarray | None = None,
-    batch_size: int = 1024,
+    batch_size: int | None = 1024,
     num_layers: int | None = None,
     sampler: NeighborSampler | None = None,
     rng: np.random.Generator | None = None,
@@ -143,7 +232,8 @@ def predict_logits_batched(
     nodes:
         Seed node ids to score (default: all nodes, in order).
     batch_size:
-        Seeds per inference batch.
+        Seeds per inference batch; ``None`` runs one full-graph forward
+        (no sampler, no blocks) and returns its ``nodes`` rows.
     num_layers:
         Number of message-passing layers (default: ``model.num_layers``).
     sampler:
@@ -152,32 +242,10 @@ def predict_logits_batched(
     rng:
         Only needed when ``sampler`` actually samples.
     """
-    feature_array = _as_feature_array(features)
-    if sampler is None:
-        sampler = NeighborSampler.full_neighborhood(
-            adjacency, _resolve_num_layers(model, num_layers)
-        )
-    if nodes is None:
-        nodes = np.arange(sampler.num_nodes)
-    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
-    if rng is None:
-        # Fresh entropy: a custom *sampling* sampler without an explicit rng
-        # must not silently return identical draws on every call.  The exact
-        # full-neighbourhood default never consumes the generator.
-        rng = np.random.default_rng()
-
-    logits = np.empty(nodes.size, dtype=get_default_dtype())
-    was_training = model.training
-    model.eval()
-    with no_grad():
-        filled = 0
-        for batch in iter_minibatches(nodes, batch_size):
-            blocks = sampler.sample_blocks(batch, rng)
-            batch_features = Tensor(feature_array[blocks[0].src_nodes])
-            logits[filled : filled + batch.size] = model(batch_features, blocks).data
-            filled += batch.size
-    model.train(was_training)
-    return logits
+    return _infer(
+        model, features, adjacency, nodes, batch_size, num_layers, sampler,
+        rng, embed=False,
+    )
 
 
 def embed_batched(
@@ -185,93 +253,70 @@ def embed_batched(
     features,
     adjacency: sp.spmatrix,
     nodes: np.ndarray | None = None,
-    batch_size: int = 1024,
+    batch_size: int | None = 1024,
     num_layers: int | None = None,
     sampler: NeighborSampler | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Inference-mode node representations, one seed batch at a time.
 
-    The representation-space analogue of :func:`predict_logits_batched`:
-    folds each batch's exact L-hop neighbourhood through ``model.embed_blocks``
-    so the output matches full-batch ``model.embed`` while only one batch's
-    computation graph is live.  Used by the sampled fine-tune phase to
-    refresh the counterfactual index without a full-graph forward pass.
+    The representation-space analogue of :func:`predict_logits_batched`
+    (same parameters): folds each batch's exact L-hop neighbourhood through
+    ``model.embed_blocks`` so the output matches full-batch ``model.embed``
+    while only one batch's computation graph is live; ``batch_size=None``
+    is one eval-mode ``model.embed`` over the whole graph.  The fine-tune
+    refreshes the counterfactual index from this embedding.
 
     Returns an ``(len(nodes), hidden)`` array in the active default dtype.
     """
-    feature_array = _as_feature_array(features)
-    if sampler is None:
-        sampler = NeighborSampler.full_neighborhood(
-            adjacency, _resolve_num_layers(model, num_layers)
-        )
-    if nodes is None:
-        nodes = np.arange(sampler.num_nodes)
-    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
-    if nodes.size == 0:
-        # The embedding width is unknown without a forward pass, so an
-        # empty request has no well-defined result shape.
-        raise ValueError("nodes must be non-empty")
-    if rng is None:
-        # Matches predict_logits_batched: the exact full-neighbourhood
-        # default never consumes the generator; a custom sampling sampler
-        # without an explicit rng must not repeat identical draws.
-        rng = np.random.default_rng()
-
-    out: np.ndarray | None = None
-    was_training = model.training
-    model.eval()
-    with no_grad():
-        filled = 0
-        for batch in iter_minibatches(nodes, batch_size):
-            blocks = sampler.sample_blocks(batch, rng)
-            batch_features = Tensor(feature_array[blocks[0].src_nodes])
-            h = model.embed_blocks(batch_features, blocks).data
-            if out is None:
-                out = np.empty((nodes.size, h.shape[1]), dtype=h.dtype)
-            out[filled : filled + batch.size] = h
-            filled += batch.size
-    model.train(was_training)
-    return out
+    return _infer(
+        model, features, adjacency, nodes, batch_size, num_layers, sampler,
+        rng, embed=True,
+    )
 
 
 @dataclass
 class TrainStep:
     """Everything one optimisation step exposes to a loss closure.
 
-    ``output`` is the model's forward result over the step's block chain —
-    per-seed logits in ``forward="logits"`` mode, per-seed representations
-    in ``forward="embed"`` mode; its rows correspond to ``seeds`` in order.
+    ``output`` is the model's forward result — per-seed logits in
+    ``forward="logits"`` mode, per-seed representations in
+    ``forward="embed"`` mode; its rows correspond to ``seeds`` in order.
     ``batch`` is the iterated node batch; ``seeds`` equals ``batch`` unless
-    a ``seed_fn`` extended it; ``payload`` carries whatever the ``seed_fn``
-    returned alongside (e.g. a sampled attribute subset).
+    a ``seed_fn`` extended it, and is every node (``arange(N)``) in the
+    full-batch step, whose ``blocks`` are ``None``; ``payload`` carries
+    whatever the ``seed_fn`` returned alongside (e.g. a sampled attribute
+    subset).
     """
 
     epoch: int
     batch: np.ndarray
     seeds: np.ndarray
-    blocks: list[Block]
+    blocks: list[Block] | None
     output: Tensor
     payload: Any = None
 
     def local_index(self, nodes: np.ndarray) -> np.ndarray:
         """Positions of global ``nodes`` within ``seeds``.
 
-        Valid when ``seeds`` is sorted — always true with a seed extension
-        (extensions are built with ``np.unique``) or ``sort_batches=True``.
+        Valid when ``seeds`` is sorted — always true in the full-batch step,
+        with a seed extension (extensions are built with ``np.unique``) or
+        with ``sort_batches=True``.
         """
         return np.searchsorted(self.seeds, nodes)
 
 
 class MinibatchEngine:
-    """Shared skeleton for neighbour-sampled training loops.
+    """The shared training loop, full-batch or neighbour-sampled.
 
     Parameters
     ----------
     model:
-        Block-capable model (any :class:`~repro.gnnzoo.base.GNNBackbone`).
+        Any :class:`~repro.gnnzoo.base.GNNBackbone`, or a module with the
+        same ``model(features, support)`` / ``embed`` signatures (the
+        sampled mode also needs ``embed_blocks`` and a layer count).
     features:
-        ``(N, F)`` numpy array or Tensor; rows are gathered per batch.
+        ``(N, F)`` numpy array or Tensor of node features.
     adjacency:
         Full-graph CSR adjacency.
     fanouts:
@@ -279,7 +324,13 @@ class MinibatchEngine:
         ``DEFAULT_FANOUT`` per model layer).  Entries may be ``None`` to
         keep full neighbourhoods.
     batch_size:
-        Seed nodes per training step.
+        Seed nodes per training step, or ``None`` for one full-graph step
+        per epoch.  The full-batch step builds no sampler and no blocks,
+        draws nothing from the RNG and keeps the iterated nodes in their
+        given order; ``fanouts``, ``num_layers``, ``replace``,
+        ``cache_epochs`` and ``eval_batch_size`` only shape sampled runs,
+        and validation, :meth:`predict` and :meth:`embed` run one eval-mode
+        full-graph forward.  A covering integer batch still samples blocks.
     num_layers:
         Message-passing depth (default: ``model.num_layers``).
     replace:
@@ -325,7 +376,7 @@ class MinibatchEngine:
         adjacency: sp.spmatrix,
         *,
         fanouts: Sequence[int | None] | None = None,
-        batch_size: int = 512,
+        batch_size: int | None = 512,
         num_layers: int | None = None,
         replace: bool = False,
         cache_epochs: int = 1,
@@ -334,8 +385,8 @@ class MinibatchEngine:
         weight_decay: float = 0.0,
         eval_batch_size: int | None = None,
     ) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if batch_size is not None and batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1 or None, got {batch_size}")
         if eval_batch_size is not None and eval_batch_size < 1:
             # Explicit is-None resolution: a non-positive eval batch must be
             # rejected, never silently collapsed into "follow batch_size"
@@ -343,25 +394,28 @@ class MinibatchEngine:
             raise ValueError(
                 f"eval_batch_size must be >= 1 or None, got {eval_batch_size}"
             )
-        self.model = model
-        self.feature_array = _as_feature_array(features)
-        self.adjacency = adjacency
-        depth = _resolve_num_layers(model, num_layers)
-        if fanouts is None:
-            fanouts = (DEFAULT_FANOUT,) * depth
-        self.sampler = NeighborSampler(adjacency, fanouts, replace=replace)
-        if self.sampler.num_layers != depth:
-            raise ValueError(
-                f"got {self.sampler.num_layers} fanouts for a {depth}-layer model"
-            )
-        self.eval_sampler = NeighborSampler.full_neighborhood(adjacency, depth)
-        self.batch_size = batch_size
-        self.eval_batch_size = (
-            batch_size if eval_batch_size is None else eval_batch_size
-        )
         self.cache_epochs = int(cache_epochs)
         if self.cache_epochs < 1:
             raise ValueError(f"cache_epochs must be >= 1, got {cache_epochs}")
+        self.model = model
+        self.feature_array = _as_feature_array(features)
+        self.adjacency = adjacency
+        self.batch_size = batch_size
+        self.sampler = self.eval_sampler = None
+        self.eval_batch_size = None
+        if batch_size is not None:
+            depth = _resolve_num_layers(model, num_layers)
+            if fanouts is None:
+                fanouts = (DEFAULT_FANOUT,) * depth
+            self.sampler = NeighborSampler(adjacency, fanouts, replace=replace)
+            if self.sampler.num_layers != depth:
+                raise ValueError(
+                    f"got {self.sampler.num_layers} fanouts for a {depth}-layer model"
+                )
+            self.eval_sampler = NeighborSampler.full_neighborhood(adjacency, depth)
+            self.eval_batch_size = (
+                batch_size if eval_batch_size is None else eval_batch_size
+            )
         self.optimizer = optimizer if optimizer is not None else Adam(
             model.parameters(), lr=lr, weight_decay=weight_decay
         )
@@ -371,15 +425,36 @@ class MinibatchEngine:
     def predict(
         self, nodes: np.ndarray | None = None, batch_size: int | None = None
     ) -> np.ndarray:
-        """Exact (full-neighbourhood) batched logits for ``nodes``."""
+        """Exact (full-neighbourhood) logits for ``nodes`` (default: all).
+
+        ``batch_size`` overrides the sampled mode's ``eval_batch_size``; the
+        full-batch mode always runs one full-graph forward.
+        """
+        if self.batch_size is None:
+            batch_size = None
+        elif batch_size is None:
+            batch_size = self.eval_batch_size
         return predict_logits_batched(
             self.model,
             self.feature_array,
             self.adjacency,
             nodes=nodes,
-            batch_size=(
-                self.eval_batch_size if batch_size is None else batch_size
-            ),
+            batch_size=batch_size,
+            sampler=self.eval_sampler,
+        )
+
+    def embed(self) -> np.ndarray:
+        """Exact eval-mode representations of every node.
+
+        One ``model.embed`` over the whole graph in full-batch mode,
+        :func:`embed_batched` over the exact eval blocks when sampled — the
+        same dropout-free embedding either way.
+        """
+        return embed_batched(
+            self.model,
+            self.feature_array,
+            self.adjacency,
+            batch_size=self.eval_batch_size,
             sampler=self.eval_sampler,
         )
 
@@ -413,12 +488,13 @@ class MinibatchEngine:
         on_epoch_start: Callable[[int], None] | None = None,
         on_epoch_end: Callable[[int], None] | None = None,
     ) -> FitHistory:
-        """Run the sampled training loop; return its :class:`FitHistory`.
+        """Run the training loop; return its :class:`FitHistory`.
 
         Parameters
         ----------
         nodes:
-            Node set iterated per epoch (shuffled, then batched).
+            Node set iterated per epoch (shuffled, then batched, when
+            sampled; one step over all of them, in order, when full-batch).
         epochs:
             Maximum epoch count.
         loss_fn:
@@ -426,10 +502,9 @@ class MinibatchEngine:
             backpropagates it and steps the optimiser.
         rng:
             Generator (or seed) driving shuffling, neighbour sampling and
-            any ``seed_fn`` draws.
+            any ``seed_fn`` draws (the full-batch step draws nothing).
         val_nodes, val_labels:
-            Validation split scored with exact batched inference after
-            every epoch.
+            Validation split scored with exact inference after every epoch.
         checkpoint:
             ``"best"`` — best-validation-accuracy model selection with
             optional ``patience`` early stopping, best state restored at
@@ -440,27 +515,29 @@ class MinibatchEngine:
             bookkeeping, and the final state is kept.
         patience:
             Epochs without validation improvement tolerated in ``"best"``
-            mode (``None`` disables early stopping).
+            mode (``None`` disables early stopping; must be >= 0).
         val_tolerance:
-            Allowed validation-accuracy drop in ``"floor"`` mode.
+            Allowed validation-accuracy drop in ``"floor"`` mode (>= 0).
         forward:
-            ``"logits"`` feeds ``model(features, blocks)`` to the closure,
-            ``"embed"`` feeds ``model.embed_blocks(features, blocks)``
-            (methods that apply their own head / representation losses).
+            ``"logits"`` feeds ``model(features, support)`` to the closure,
+            ``"embed"`` feeds the model's representations (``embed_blocks``
+            when sampled, ``embed`` in full-batch mode) for methods that
+            apply their own head / representation losses.
         seed_fn:
             Optional ``(batch, rng) -> (seeds, payload)`` extending the
             sampled seed set beyond the batch; ``seeds`` must be sorted,
-            unique and contain ``batch``.
+            unique and contain ``batch``.  Unused in full-batch mode, whose
+            seeds are already every node.
         sort_batches:
-            Sort each batch before use, making within-batch summation order
-            deterministic (epoch randomness then lives only in the batch
-            composition — required for covering-batch bit-parity by
-            consumers without a sorting seed extension).
+            Sort each sampled batch before use, making within-batch
+            summation order deterministic (epoch randomness then lives only
+            in the batch composition — required for covering-batch
+            bit-parity by consumers without a sorting seed extension).
         on_epoch_start, on_epoch_end:
             Epoch callbacks: ``on_epoch_start(epoch)`` runs before the
             epoch's cache/refresh decision (so it may call
             :meth:`invalidate_cache`); ``on_epoch_end(epoch)`` runs after
-            the batch loop, before validation.
+            the training steps, before validation.
         """
         if epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -468,6 +545,12 @@ class MinibatchEngine:
             raise ValueError(f"checkpoint must be 'best' or 'floor', got {checkpoint!r}")
         if forward not in ("logits", "embed"):
             raise ValueError(f"forward must be 'logits' or 'embed', got {forward!r}")
+        if patience is not None and patience < 0:
+            raise ValueError(f"patience must be >= 0 or None, got {patience}")
+        if val_tolerance is not None and val_tolerance < 0:
+            raise ValueError(
+                f"val_tolerance must be >= 0 or None, got {val_tolerance}"
+            )
         nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
         if nodes.size == 0:
             raise ValueError("nodes must be non-empty")
@@ -480,42 +563,66 @@ class MinibatchEngine:
 
         model = self.model
         history = FitHistory()
+        full_batch = self.batch_size is None
         cache = EpochBlockCache(self.cache_epochs)
         self._active_cache = cache
-        # The exact validation pass folds full (un-sampled) neighbourhoods,
-        # which depend only on the fixed graph and the fixed val split —
-        # build its block chains once per fit and reuse them every epoch.
-        # Trade-off: the val set's receptive field stays resident for the
-        # whole fit (same order as one cached training epoch's structure).
-        eval_steps = self._build_eval_steps(val_nodes)
+        if full_batch:
+            inputs = Tensor(self.feature_array)
+            full_step = (nodes, np.arange(self.feature_array.shape[0]), None, None)
+        else:
+            # The exact validation pass folds full (un-sampled)
+            # neighbourhoods, which depend only on the fixed graph and the
+            # fixed val split — build its block chains once per fit and
+            # reuse them every epoch.  Trade-off: the val set's receptive
+            # field stays resident for the whole fit (same order as one
+            # cached training epoch's structure).
+            eval_steps = self._build_eval_steps(val_nodes)
+
+        def validate() -> float:
+            was_training = model.training
+            model.eval()
+            with no_grad():
+                if full_batch:
+                    logits = model(inputs, self.adjacency).data[val_nodes]
+                else:
+                    logits = np.concatenate([
+                        model(self._block_inputs(blocks), blocks).data
+                        for blocks in eval_steps
+                    ])
+            model.train(was_training)
+            return accuracy((logits > 0).astype(np.int64), val_labels)
+
         since_best = 0
         best_state = model.state_dict()
         floor = -np.inf
         if checkpoint == "floor":
-            floor = self._validate(eval_steps, val_labels) - (
-                np.inf if val_tolerance is None else val_tolerance
-            )
+            floor = validate() - (np.inf if val_tolerance is None else val_tolerance)
         try:
             for epoch in range(epochs):
                 if on_epoch_start is not None:
                     on_epoch_start(epoch)
-                replay = cache.start_epoch()
-                model.train()
-                epoch_loss = 0.0
-                started = time.perf_counter()
-                if replay:
+                if full_batch:
+                    steps = [full_step]
+                elif cache.start_epoch():
                     steps = cache.steps()
                 else:
                     steps = self._fresh_steps(
                         nodes, rng, seed_fn, sort_batches, cache
                     )
+                model.train()
+                epoch_loss = 0.0
+                started = time.perf_counter()
                 for batch, seeds, payload, blocks in steps:
-                    batch_features = Tensor(self.feature_array[blocks[0].src_nodes])
                     self.optimizer.zero_grad()
-                    if forward == "logits":
-                        output = model(batch_features, blocks)
+                    if full_batch:
+                        step_inputs, support = inputs, self.adjacency
+                        embed = model.embed
                     else:
-                        output = model.embed_blocks(batch_features, blocks)
+                        step_inputs, support = self._block_inputs(blocks), blocks
+                        embed = model.embed_blocks
+                    output = (model if forward == "logits" else embed)(
+                        step_inputs, support
+                    )
                     loss = loss_fn(
                         TrainStep(
                             epoch=epoch,
@@ -533,8 +640,11 @@ class MinibatchEngine:
 
                 if on_epoch_end is not None:
                     on_epoch_end(epoch)
-                val_acc = self._validate(eval_steps, val_labels)
-                history.train_loss.append(epoch_loss / nodes.size)
+                val_acc = validate()
+                # One full-batch step's loss is the epoch's, unscaled.
+                history.train_loss.append(
+                    float(loss.data) if full_batch else epoch_loss / nodes.size
+                )
                 history.val_accuracy.append(val_acc)
 
                 if checkpoint == "best":
@@ -565,6 +675,10 @@ class MinibatchEngine:
         return history
 
     # ------------------------------------------------------------------ #
+    def _block_inputs(self, blocks: list[Block]) -> Tensor:
+        """Input-layer feature rows of a block chain."""
+        return Tensor(self.feature_array[blocks[0].src_nodes])
+
     def _fresh_steps(self, nodes, rng, seed_fn, sort_batches, cache):
         """Sample one epoch's steps, recording them for cache replay."""
         for batch in iter_minibatches(nodes, self.batch_size, rng):
@@ -578,10 +692,8 @@ class MinibatchEngine:
             cache.record(batch, seeds, payload, blocks)
             yield batch, seeds, payload, blocks
 
-    def _build_eval_steps(
-        self, nodes: np.ndarray
-    ) -> list[tuple[np.ndarray, list[Block]]]:
-        """Exact-evaluation ``(batch, blocks)`` pairs for ``nodes``.
+    def _build_eval_steps(self, nodes: np.ndarray) -> list[list[Block]]:
+        """Exact-evaluation block chains for ``nodes``, one per eval batch.
 
         Full-neighbourhood sampling is deterministic (it consumes no
         randomness) and the graph never changes during a fit, so these
@@ -590,24 +702,6 @@ class MinibatchEngine:
         """
         rng = np.random.default_rng(0)  # never consumed by exhaustive fanout
         return [
-            (batch, self.eval_sampler.sample_blocks(batch, rng))
+            self.eval_sampler.sample_blocks(batch, rng)
             for batch in iter_minibatches(nodes, self.eval_batch_size)
         ]
-
-    def _validate(
-        self,
-        eval_steps: list[tuple[np.ndarray, list[Block]]],
-        val_labels: np.ndarray,
-    ) -> float:
-        """Exact validation accuracy over prebuilt eval block chains."""
-        model = self.model
-        was_training = model.training
-        model.eval()
-        parts = []
-        with no_grad():
-            for batch, blocks in eval_steps:
-                batch_features = Tensor(self.feature_array[blocks[0].src_nodes])
-                parts.append(model(batch_features, blocks).data)
-        model.train(was_training)
-        logits = np.concatenate(parts)
-        return accuracy((logits > 0).astype(np.int64), val_labels)

@@ -1,48 +1,25 @@
-"""Generic full-batch training loop for binary node classification.
+"""The paper's full-batch training recipe, run on the shared engine.
 
 Implements the paper's shared recipe: Adam (lr 0.001), full-batch epochs,
 best-model selection by validation accuracy with optional early stopping
 ("we use early stop operation to preserve competitive utility performance").
-Both the Fairwos pre-training stages and all baselines call into this, so
-utility comparisons are apples-to-apples.
+:func:`fit_binary_classifier` is :func:`~repro.training.minibatch.fit_minibatch`
+with ``batch_size=None``: one full-graph step per epoch on
+:class:`~repro.training.engine.MinibatchEngine`, the loop every other fit
+uses too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.sparse as sp
 
-from repro.fairness.metrics import accuracy
-from repro.nn import binary_cross_entropy_with_logits
 from repro.nn.module import Module
-from repro.optim import Adam
 from repro.tensor import Tensor, no_grad
+from repro.training.engine import FitHistory
+from repro.training.minibatch import fit_minibatch
 
 __all__ = ["FitHistory", "fit_binary_classifier", "predict_logits"]
-
-
-@dataclass
-class FitHistory:
-    """Per-epoch training record; best-val state is restored on the model.
-
-    ``epoch_train_seconds`` is filled by the minibatch engine only (one
-    entry per epoch, covering sampling + forward/backward but not the
-    validation pass) — the quantity the sampler-cache benchmarks gate on.
-    """
-
-    train_loss: list[float] = field(default_factory=list)
-    val_accuracy: list[float] = field(default_factory=list)
-    best_val_accuracy: float = -1.0
-    best_epoch: int = -1
-    stopped_early: bool = False
-    epoch_train_seconds: list[float] = field(default_factory=list)
-
-    @property
-    def epochs_run(self) -> int:
-        """Number of completed epochs."""
-        return len(self.train_loss)
 
 
 def predict_logits(model: Module, features: Tensor, adjacency: sp.spmatrix) -> np.ndarray:
@@ -68,7 +45,7 @@ def fit_binary_classifier(
     patience: int | None = None,
     extra_loss=None,
 ) -> FitHistory:
-    """Train ``model`` and restore its best-validation-accuracy weights.
+    """Train ``model`` full-batch and restore its best-validation weights.
 
     Parameters
     ----------
@@ -86,49 +63,21 @@ def fit_binary_classifier(
         Stop after this many epochs without a validation improvement
         (None disables early stopping).
     extra_loss:
-        Optional callable ``(logits) -> Tensor`` added to the BCE objective —
-        the hook baselines use for their fairness regularisers.
+        Optional callable ``(logits, nodes) -> Tensor`` added to the BCE
+        objective — the hook baselines use for their fairness regularisers.
+        Here ``logits`` covers every node and ``nodes`` is ``arange(N)``.
     """
-    labels = np.asarray(labels)
-    train_mask = np.asarray(train_mask, dtype=bool)
-    val_mask = np.asarray(val_mask, dtype=bool)
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if not train_mask.any() or not val_mask.any():
-        raise ValueError("train and validation masks must be non-empty")
-
-    optimizer = Adam(model.parameters(), lr=lr, weight_decay=weight_decay)
-    history = FitHistory()
-    best_state = model.state_dict()
-    train_indices = np.where(train_mask)[0]
-    train_labels = labels[train_indices].astype(np.float64)
-    since_best = 0
-
-    for epoch in range(epochs):
-        model.train()
-        optimizer.zero_grad()
-        logits = model(features, adjacency)
-        loss = binary_cross_entropy_with_logits(logits[train_indices], train_labels)
-        if extra_loss is not None:
-            loss = loss + extra_loss(logits)
-        loss.backward()
-        optimizer.step()
-
-        val_logits = predict_logits(model, features, adjacency)[val_mask]
-        val_acc = accuracy((val_logits > 0).astype(np.int64), labels[val_mask])
-        history.train_loss.append(float(loss.data))
-        history.val_accuracy.append(val_acc)
-
-        if val_acc > history.best_val_accuracy:
-            history.best_val_accuracy = val_acc
-            history.best_epoch = epoch
-            best_state = model.state_dict()
-            since_best = 0
-        else:
-            since_best += 1
-            if patience is not None and since_best > patience:
-                history.stopped_early = True
-                break
-
-    model.load_state_dict(best_state)
-    return history
+    return fit_minibatch(
+        model,
+        features,
+        adjacency,
+        labels,
+        train_mask,
+        val_mask,
+        epochs,
+        batch_size=None,
+        lr=lr,
+        weight_decay=weight_decay,
+        patience=patience,
+        extra_loss=extra_loss,
+    )

@@ -1,20 +1,12 @@
-"""Amortised index maintenance for sampled training loops.
+"""Amortised index maintenance for the fine-tune loop.
 
 The Fairwos fine-tune keeps a counterfactual index that must be refreshed
-as the representation space moves.  Before this module, the refresh
-*schedule* lived twice — the full-batch path evaluated
-``epoch % resolved_cf_refresh() == 0`` inside its epoch loop while the
-sampled path hoisted the cadence into a closure — and the cache
-invalidation that must accompany every refresh was hand-rolled in the
-trainer.  Two pieces own that now:
-
-* :class:`RefreshSchedule` — the single predicate deciding which epochs
-  refresh (epoch 0 or any multiple of the period, plus "not initialised
-  yet"), shared by both fine-tune paths so they cannot drift;
-* :class:`IndexMaintainer` — an engine ``on_epoch_start`` callback that
-  runs a refresh callable on the schedule and invalidates the engine's
-  sampling cache afterwards (cached seed sets must never point at stale
-  index targets).
+as the representation space moves.  :class:`IndexMaintainer` is the engine
+``on_epoch_start`` callback that owns that schedule: it runs a refresh
+callable on epoch 0 and every ``period`` epochs after, and invalidates the
+engine's sampling cache afterwards (cached seed sets must never point at
+stale index targets).  The full-batch and the sampled fine-tune are one
+method on one engine, so this is the only place the cadence is decided.
 
 The maintainer is deliberately index-agnostic: it holds a ``refresh_fn``
 closure, not a :class:`~repro.core.counterfactual.CounterfactualSearch`,
@@ -28,29 +20,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-__all__ = ["IndexMaintainer", "RefreshSchedule"]
-
-
-class RefreshSchedule:
-    """Periodic refresh predicate shared by every fine-tune path.
-
-    ``due(epoch, initialized)`` is True on every ``period``-th epoch
-    (counting from 0) and always True while the index has never been
-    built — exactly the ``cf_index is None or epoch % refresh == 0``
-    condition both trainer paths used to spell out independently.
-    """
-
-    def __init__(self, period: int) -> None:
-        if period < 1:
-            raise ValueError(f"refresh period must be >= 1, got {period}")
-        self.period = int(period)
-
-    def due(self, epoch: int, initialized: bool = True) -> bool:
-        """Whether ``epoch`` should refresh the index."""
-        return not initialized or epoch % self.period == 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RefreshSchedule(period={self.period})"
+__all__ = ["IndexMaintainer"]
 
 
 class IndexMaintainer:
@@ -60,8 +30,8 @@ class IndexMaintainer:
     ----------
     refresh_fn:
         ``(epoch) -> None`` performing the actual refresh (embedding the
-        nodes and rebuilding/updating the index).  Run on epoch 0 and then
-        every ``period`` epochs.
+        nodes and rebuilding/updating the index).  Run on the first call,
+        then on every epoch that is a multiple of ``period``.
     period:
         Refresh cadence in epochs (``resolved_cf_refresh()`` for Fairwos).
     engine:
@@ -85,7 +55,9 @@ class IndexMaintainer:
         period: int,
         engine=None,
     ) -> None:
-        self.schedule = RefreshSchedule(period)
+        if period < 1:
+            raise ValueError(f"refresh period must be >= 1, got {period}")
+        self.period = int(period)
         self.refresh_fn = refresh_fn
         self.engine = engine
         self.refreshes = 0
@@ -97,7 +69,7 @@ class IndexMaintainer:
 
     def __call__(self, epoch: int) -> bool:
         """Refresh if due; returns whether a refresh ran."""
-        if not self.schedule.due(epoch, self.initialized):
+        if self.initialized and epoch % self.period != 0:
             return False
         self.refresh_fn(epoch)
         self.refreshes += 1

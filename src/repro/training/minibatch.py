@@ -1,18 +1,18 @@
-"""Minibatch neighbour-sampled training for large graphs.
+"""Supervised node classification on the shared engine, sampled or full-batch.
 
-:func:`fit_minibatch` mirrors :func:`repro.training.loop.fit_binary_classifier`
-(Adam, best-validation model selection, optional early stopping, a
-:class:`~repro.training.loop.FitHistory` record) but replaces the full-batch
-epoch with GraphSAGE-style sampled minibatches: every step touches only the
-fanout-bounded computation graph of one seed batch, so peak memory is
-independent of the number of nodes — no dense ``(N, N)`` operator and no
-full-graph ``(N, hidden)`` activation is ever materialised during training.
+:func:`fit_minibatch` is the plain supervised instantiation of
+:class:`repro.training.engine.MinibatchEngine`: BCE on the training nodes
+plus an optional extra loss, best-validation checkpointing with optional
+early stopping, and a :class:`~repro.training.engine.FitHistory` record.
+With an integer ``batch_size`` each epoch runs GraphSAGE-style sampled
+minibatches: every step touches only the fanout-bounded computation graph
+of one seed batch, so peak memory is independent of the number of nodes —
+no dense ``(N, N)`` operator and no full-graph ``(N, hidden)`` activation
+is ever materialised during training.  ``batch_size=None`` is the paper's
+full-batch recipe (one full-graph step per epoch), which
+:func:`~repro.training.loop.fit_binary_classifier` names.
 
-The loop skeleton itself lives in :class:`repro.training.engine.MinibatchEngine`
-(shared with the Fairwos fine-tune and the FairRF/FairGKD sampled loops);
-``fit_minibatch`` is the plain supervised instantiation: BCE on the train
-batch plus an optional extra loss, best-val checkpointing and an optional
-epoch-level sampling cache (``cache_epochs``).  Note the cache trades that
+The optional epoch-level sampling cache (``cache_epochs``) trades the
 memory bound for sampling speed: with ``cache_epochs > 1`` one whole
 epoch's batch/block structure stays resident between refreshes, so peak
 memory grows with the epoch's total receptive field (roughly the sampled
@@ -36,13 +36,13 @@ from repro.nn import binary_cross_entropy_with_logits
 from repro.nn.module import Module
 from repro.training.engine import (
     DEFAULT_FANOUT,
+    FitHistory,
     MinibatchEngine,
     TrainStep,
     embed_batched,
     iter_minibatches,
     predict_logits_batched,
 )
-from repro.training.loop import FitHistory
 
 __all__ = [
     "DEFAULT_FANOUT",
@@ -62,7 +62,7 @@ def fit_minibatch(
     val_mask: np.ndarray,
     epochs: int,
     fanouts: Sequence[int | None] | None = None,
-    batch_size: int = 512,
+    batch_size: int | None = 512,
     lr: float = 1e-3,
     weight_decay: float = 0.0,
     patience: int | None = None,
@@ -72,22 +72,24 @@ def fit_minibatch(
     extra_loss=None,
     cache_epochs: int = 1,
 ) -> FitHistory:
-    """Train ``model`` with sampled minibatches; restore its best-val weights.
+    """Train ``model`` on the engine; restore its best-validation weights.
 
-    The contract mirrors :func:`~repro.training.loop.fit_binary_classifier`:
     BCE-with-logits on the train nodes, per-epoch validation accuracy,
-    best-model checkpointing and optional early stopping — only the epoch
-    structure changes from one full-graph step to
-    ``ceil(|train| / batch_size)`` sampled steps.
+    best-model checkpointing and optional early stopping; an epoch is
+    ``ceil(|train| / batch_size)`` sampled steps, or one full-graph step
+    with ``batch_size=None``.
 
     Parameters
     ----------
     model:
-        Block-capable model (any :class:`~repro.gnnzoo.base.GNNBackbone`).
+        A :class:`~repro.gnnzoo.base.GNNBackbone` (any ``model(features,
+        adjacency)`` module full-batch; block-capable when sampled).
     features:
         ``(N, F)`` numpy array or Tensor; rows are gathered per batch.
-    adjacency, labels, train_mask, val_mask:
-        Full-graph inputs, as in ``fit_binary_classifier``.
+    adjacency, labels:
+        Full-graph CSR adjacency and 0/1 integer labels.
+    train_mask, val_mask:
+        Boolean node masks; loss is computed on train, selection on val.
     epochs:
         Maximum epoch count.
     fanouts:
@@ -95,9 +97,13 @@ def fit_minibatch(
         ``DEFAULT_FANOUT`` per layer).  Entries may be ``None`` to keep
         full neighbourhoods.
     batch_size:
-        Seed nodes per training step.
-    lr, weight_decay, patience:
-        Optimiser / early-stopping settings (as full-batch).
+        Seed nodes per training step; ``None`` trains full-batch (the
+        sampling knobs are then unused).
+    lr, weight_decay:
+        Adam hyper-parameters (paper defaults: 0.001, 0).
+    patience:
+        Stop after this many epochs without a validation improvement
+        (None disables early stopping).
     replace:
         Sample neighbours with replacement.
     eval_batch_size:
@@ -105,8 +111,9 @@ def fit_minibatch(
     rng:
         Generator (or seed) driving shuffling and neighbour sampling.
     extra_loss:
-        Optional callable ``(logits, batch_indices) -> Tensor`` added to the
-        per-batch BCE objective.
+        Optional callable ``(logits, nodes) -> Tensor`` added to the BCE
+        objective, where ``logits[i]`` belongs to node ``nodes[i]``: the
+        step's batch when sampled, every node in full-batch mode.
     cache_epochs:
         Epoch-level sampling cache window: batch composition and sampled
         blocks are refreshed every ``cache_epochs`` epochs and replayed in
@@ -135,11 +142,16 @@ def fit_minibatch(
     val_indices = np.where(val_mask)[0]
 
     def loss_fn(step: TrainStep):
+        # A sampled step scores exactly its batch; the full-batch step
+        # scores every node, so the batch's rows are gathered.
+        logits = step.output
+        if step.seeds is not step.batch:
+            logits = logits[step.local_index(step.batch)]
         loss = binary_cross_entropy_with_logits(
-            step.output, labels[step.batch].astype(np.float64)
+            logits, labels[step.batch].astype(np.float64)
         )
         if extra_loss is not None:
-            loss = loss + extra_loss(step.output, step.batch)
+            loss = loss + extra_loss(step.output, step.seeds)
         return loss
 
     return engine.run(

@@ -83,6 +83,12 @@ class TestCLI:
         assert "Vanilla" in output
         assert "ACC" in output
 
+    def test_audit_command(self):
+        output = main(["audit", "--dataset", "nba"])
+        assert "homophily" in output
+        assert "amplification" in output
+        assert "verdict" in output
+
     def test_table2_smoke(self):
         output = main([
             "table2", "--datasets", "nba", "--backbones", "gcn",

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import FairwosConfig, FairwosTrainer
+from repro.core import CounterfactualSearch, FairwosConfig, FairwosTrainer
+from repro.tensor import no_grad
 
 
 def _fast_config(**overrides) -> FairwosConfig:
@@ -38,6 +39,8 @@ class TestConfigValidation:
             {"finetune_epochs": 0},
             {"refresh_counterfactuals_every": 0},
             {"max_pseudo_attributes": 0},
+            {"patience": -1},
+            {"finetune_val_tolerance": -0.5},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -144,3 +147,33 @@ class TestAblationFlags:
             small_graph, seed=0
         )
         assert result.test.accuracy > 0.0
+
+
+class TestRefreshEmbedding:
+    def test_fullbatch_refresh_searches_the_eval_mode_embedding(
+        self, monkeypatch, small_graph
+    ):
+        """With dropout on, every counterfactual refresh must rank the
+        dropout-free (eval-mode) embedding — the one the sampled refresh has
+        always used — not a dropout-noised training-mode forward."""
+        trainer = FairwosTrainer(
+            _fast_config(dropout=0.5, finetune_val_tolerance=None)
+        )
+        matches = []
+        original = CounterfactualSearch.search
+
+        def checking(search, representations, labels, attributes):
+            classifier = trainer.classifier
+            was_training = classifier.training
+            classifier.eval()
+            with no_grad():
+                expected = classifier.embed(
+                    trainer._pseudo_features, small_graph.adjacency
+                ).data
+            classifier.train(was_training)
+            matches.append(np.array_equal(representations, expected))
+            return original(search, representations, labels, attributes)
+
+        monkeypatch.setattr(CounterfactualSearch, "search", checking)
+        trainer.fit(small_graph, seed=0)
+        assert matches == [True] * 3  # one refresh per fine-tune epoch

@@ -435,6 +435,25 @@ class TestEngineContracts:
         with pytest.raises(ValueError, match="fanouts"):
             self._engine(graph, fanouts=(5, 5))  # 1-layer model
 
+    @pytest.mark.parametrize("batch_size", [64, None], ids=["sampled", "full"])
+    def test_rejects_negative_patience_and_tolerance(self, causal_graph, batch_size):
+        """A negative patience used to act like 0 and a negative floor
+        tolerance cut the fine-tune short; both must be rejected."""
+        graph = causal_graph
+        model, engine = self._engine(graph, batch_size=batch_size)
+        val = np.where(graph.val_mask)[0]
+        run = dict(
+            loss_fn=self._bce_loss(graph),
+            rng=0,
+            val_nodes=val,
+            val_labels=graph.labels[val],
+        )
+        train = np.where(graph.train_mask)[0]
+        with pytest.raises(ValueError, match="patience"):
+            engine.run(train, 1, patience=-1, **run)
+        with pytest.raises(ValueError, match="val_tolerance"):
+            engine.run(train, 1, checkpoint="floor", val_tolerance=-0.5, **run)
+
     def test_best_checkpoint_restores_best_state(self, causal_graph):
         graph = causal_graph
         model, engine = self._engine(graph)

@@ -123,6 +123,22 @@ class TestMessagePassingSemantics:
         model.embed(feats, tiny_graph.adjacency)
         assert model._prop_cache[id(tiny_graph.adjacency)] is cached
 
+    def test_propagation_cache_ignores_recycled_ids(self, tiny_graph):
+        """An id-only key would serve a freed matrix's operator to a new
+        matrix that happens to reuse its id (NIFTY's per-epoch edge-dropped
+        adjacency did, making its runs irreproducible)."""
+        model = GCN(4, 8, np.random.default_rng(0))
+        stale = tiny_graph.adjacency.copy()
+        fresh = tiny_graph.adjacency.copy()
+        fresh.data[:] = 2.0
+        # Plant the stale entry under the fresh matrix's id, as if ``stale``
+        # had been freed and its id handed to ``fresh``.
+        model._cached_propagation(stale)
+        model._prop_cache[id(fresh)] = model._prop_cache.pop(id(stale))
+        got = model._cached_propagation(fresh)
+        expected = GCN(4, 8, np.random.default_rng(0))._propagation_matrix(fresh)
+        assert (got != expected).nnz == 0
+
     def test_head_maps_hidden_to_logit(self, tiny_graph):
         model = GCN(4, 8, np.random.default_rng(0))
         feats = Tensor(np.random.default_rng(2).normal(size=(6, 4)))

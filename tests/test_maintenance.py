@@ -1,44 +1,18 @@
-"""Tests for the shared refresh schedule and the IndexMaintainer.
+"""Tests for the IndexMaintainer refresh schedule.
 
-The refresh cadence of the counterfactual index used to be spelled out
-independently by the full-batch and the sampled fine-tune; these tests pin
-the single shared predicate (:class:`~repro.training.RefreshSchedule`),
-the engine-callback wrapper (:class:`~repro.training.IndexMaintainer`)
-and — at the trainer level — that both fine-tune paths refresh on exactly
-the same epochs.
+The refresh cadence of the counterfactual index lives in one place, the
+engine-callback :class:`~repro.training.IndexMaintainer`; these tests pin
+its schedule and — at the trainer level — that the full-batch and the
+sampled fine-tune refresh on exactly the same epochs.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import CounterfactualSearch, FairwosConfig, FairwosTrainer
 from repro.datasets import BiasSpec, generate_biased_graph
-from repro.training import IndexMaintainer, RefreshSchedule
-
-
-class TestRefreshSchedule:
-    def test_rejects_bad_period(self):
-        with pytest.raises(ValueError, match="period"):
-            RefreshSchedule(0)
-
-    def test_period_one_is_always_due(self):
-        schedule = RefreshSchedule(1)
-        assert all(schedule.due(epoch) for epoch in range(5))
-
-    def test_periodic_pattern(self):
-        schedule = RefreshSchedule(3)
-        assert [schedule.due(e) for e in range(7)] == [
-            True, False, False, True, False, False, True,
-        ]
-
-    def test_uninitialized_always_due(self):
-        """An index that has never been built refreshes regardless of the
-        epoch — the `cf_index is None` arm both trainer paths relied on."""
-        schedule = RefreshSchedule(4)
-        assert schedule.due(epoch=1, initialized=False)
-        assert not schedule.due(epoch=1, initialized=True)
+from repro.training import IndexMaintainer
 
 
 class _FakeEngine:
@@ -50,6 +24,27 @@ class _FakeEngine:
 
 
 class TestIndexMaintainer:
+    def test_rejects_bad_period(self):
+        with pytest.raises(ValueError, match="period"):
+            IndexMaintainer(lambda epoch: None, 0)
+
+    def test_period_one_refreshes_every_epoch(self):
+        maintainer = IndexMaintainer(lambda epoch: None, 1)
+        assert all(maintainer(epoch) for epoch in range(5))
+
+    def test_periodic_pattern(self):
+        maintainer = IndexMaintainer(lambda epoch: None, 3)
+        assert [maintainer(e) for e in range(7)] == [
+            True, False, False, True, False, False, True,
+        ]
+
+    def test_uninitialized_always_due(self):
+        """An index that has never been built refreshes regardless of the
+        epoch; once built, only the cadence decides."""
+        maintainer = IndexMaintainer(lambda epoch: None, 4)
+        assert maintainer(1) is True
+        assert maintainer(1) is False
+
     def test_refreshes_on_schedule_and_invalidates_cache(self):
         refreshed = []
         engine = _FakeEngine()
