@@ -353,8 +353,6 @@ def _cmd_run(args) -> str:
             mode += f" cf-update={execution.cf_update}"
     if execution.dtype != "float64":
         mode += f", dtype={execution.dtype}"
-    if execution.backend != "numpy":
-        mode += f", backend={execution.backend}"
     output = (
         f"{result.method} on {graph.name} ({args.backbone}, seed {args.seed}"
         f"{mode}):\n  {result.test}\n  trained in {result.seconds:.1f}s"

@@ -43,7 +43,7 @@ class FairwosConfig:
     attribute subset: the ``I/M`` rescale stays unbiased per *window*
     rather than per epoch, and attributes outside a window's draw get no
     fair-loss gradient until the next refresh.  The window is bounded by
-    ``min(cache_epochs, resolved_cf_refresh())`` because every index
+    ``min(cache_epochs, cf_refresh_epochs)`` because every index
     refresh invalidates the cache; keep ``cache_epochs`` at or below the
     refresh cadence when combining both knobs.
 
@@ -55,8 +55,8 @@ class FairwosConfig:
     ``cf_backend`` selects the counterfactual search backend — ``"exact"``
     (the O(N²) oracle) or ``"ann"`` (random-projection forest; options via
     ``cf_backend_options``).  ``cf_refresh_epochs`` refreshes the
-    counterfactual index (and the ANN forest) every R fine-tune epochs;
-    ``None`` falls back to ``refresh_counterfactuals_every``.
+    counterfactual index (and the ANN forest) every R fine-tune epochs
+    (default 1: every epoch).
 
     ``cf_update`` selects how an ANN refresh maintains the forest:
     ``"rebuild"`` (default) reconstructs it from scratch every refresh;
@@ -83,15 +83,6 @@ class FairwosConfig:
     trainer applies it via :func:`repro.tensor.dtype_scope` around every
     phase, so concurrent float64 work outside the fit is unaffected.
 
-    ``backend`` selects the array library the tensor stack executes on.
-    The default ``"numpy"`` is the historical bit-identical CPU path;
-    ``"torch"`` routes dense math through PyTorch when it is importable
-    (activation fails with ``BackendUnavailableError`` otherwise).  The
-    trainer applies it via :func:`repro.tensor.backend_scope` around
-    every phase, exactly like ``dtype``.  Validation only checks the
-    name is registered — the library itself is imported lazily at fit
-    time, so configs naming an uninstalled backend remain constructible.
-
     ``num_workers`` only accepts ``0``: sampling and the ANN forest run
     in the training process.  The field is kept so configs that spell out
     ``num_workers=0`` stay valid; any other value raises ``ValueError``.
@@ -113,7 +104,6 @@ class FairwosConfig:
     classifier_epochs: int = 200
     finetune_epochs: int = 15
     patience: int | None = 40
-    refresh_counterfactuals_every: int = 1
     binarize_quantile: float = 0.5
     prefer_high_disparity: bool = True
     use_encoder: bool = True
@@ -127,22 +117,24 @@ class FairwosConfig:
     finetune_minibatch: bool | None = None
     cf_backend: str = "exact"
     cf_backend_options: dict | None = None
-    cf_refresh_epochs: int | None = None
+    cf_refresh_epochs: int = 1
     cf_attrs_per_step: int | None = None
     cf_update: str = "rebuild"
     cf_drift_threshold: float = 1e-2
     cf_rebuild_frac: float = 0.5
     dtype: str = "float64"
-    backend: str = "numpy"
     num_workers: int = 0
 
     def validate(self) -> None:
-        """Raise ``ValueError`` for inconsistent settings."""
-        from repro.tensor.backend import resolve_backend
-        from repro.tensor.dtype import resolve_dtype
+        """Raise ``ValueError`` for inconsistent settings.
 
-        resolve_dtype(self.dtype)  # raises on anything but float32/float64
-        resolve_backend(self.backend)  # raises on unregistered names
+        The execution fields are checked by the :class:`ExecutionConfig`
+        they form; this method adds the Fairwos-only fields and the
+        fanouts-vs-``num_layers`` coupling.
+        """
+        ExecutionConfig(
+            **{name: getattr(self, name) for name in ExecutionConfig.field_names()}
+        ).validate()
         if self.hidden_dim < 1 or self.encoder_dim < 1:
             raise ValueError("hidden_dim and encoder_dim must be positive")
         if self.alpha < 0:
@@ -170,8 +162,6 @@ class FairwosConfig:
         for name in ("encoder_epochs", "classifier_epochs", "finetune_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.refresh_counterfactuals_every < 1:
-            raise ValueError("refresh_counterfactuals_every must be >= 1")
         if self.patience is not None and self.patience < 0:
             raise ValueError(f"patience must be >= 0 or None, got {self.patience}")
         if self.finetune_val_tolerance is not None and self.finetune_val_tolerance < 0:
@@ -181,26 +171,8 @@ class FairwosConfig:
             )
         if self.max_pseudo_attributes is not None and self.max_pseudo_attributes < 1:
             raise ValueError("max_pseudo_attributes must be >= 1 or None")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.cache_epochs < 1:
-            raise ValueError(f"cache_epochs must be >= 1, got {self.cache_epochs}")
-        if isinstance(self.cf_backend, str) and self.cf_backend.lower() not in (
-            "exact",
-            "ann",
-        ):
-            raise ValueError(
-                f"cf_backend must be 'exact' or 'ann', got {self.cf_backend!r}"
-            )
-        if self.cf_refresh_epochs is not None and self.cf_refresh_epochs < 1:
-            raise ValueError("cf_refresh_epochs must be >= 1 or None")
         if self.cf_attrs_per_step is not None and self.cf_attrs_per_step < 1:
             raise ValueError("cf_attrs_per_step must be >= 1 or None")
-        if self.cf_update not in ("rebuild", "incremental"):
-            raise ValueError(
-                f"cf_update must be 'rebuild' or 'incremental', got "
-                f"{self.cf_update!r}"
-            )
         if self.cf_drift_threshold < 0:
             raise ValueError(
                 f"cf_drift_threshold must be non-negative, got "
@@ -210,32 +182,16 @@ class FairwosConfig:
             raise ValueError(
                 f"cf_rebuild_frac must be in (0, 1], got {self.cf_rebuild_frac}"
             )
-        if self.cf_update == "incremental" and not (
-            isinstance(self.cf_backend, str)
-            and self.cf_backend.lower() == "ann"
-        ):
-            raise ValueError(
-                "cf_update='incremental' maintains the ANN forest in place; "
-                "it requires cf_backend='ann' (the exact backend has no "
-                "index to maintain, and a custom backend instance must "
-                "carry its own update policy — e.g. AnnBackend("
-                "update='incremental'))"
-            )
         if self.num_workers != 0:
             raise ValueError(
                 f"num_workers must be 0 (training runs in one process), "
                 f"got {self.num_workers}"
             )
-        if self.fanouts is not None:
-            if len(self.fanouts) == 0:
-                raise ValueError("fanouts must be non-empty or None")
-            if any(f is not None and f < 1 for f in self.fanouts):
-                raise ValueError(f"fanouts entries must be >= 1, got {self.fanouts}")
-            if len(self.fanouts) != self.num_layers:
-                raise ValueError(
-                    f"fanouts has {len(self.fanouts)} entries but the backbone "
-                    f"has {self.num_layers} layers"
-                )
+        if self.fanouts is not None and len(self.fanouts) != self.num_layers:
+            raise ValueError(
+                f"fanouts has {len(self.fanouts)} entries but the backbone "
+                f"has {self.num_layers} layers"
+            )
 
     def resolved_fanouts(self) -> tuple[int, ...]:
         """Per-layer fanouts for minibatch phases (engine default per layer)."""
@@ -250,12 +206,6 @@ class FairwosConfig:
         if self.finetune_minibatch is None:
             return self.minibatch
         return self.finetune_minibatch
-
-    def resolved_cf_refresh(self) -> int:
-        """Counterfactual-index refresh cadence in fine-tune epochs."""
-        if self.cf_refresh_epochs is not None:
-            return self.cf_refresh_epochs
-        return self.refresh_counterfactuals_every
 
     def resolved_finetune_lr(self) -> float:
         """Fine-tune learning rate (``None`` → follow ``learning_rate``).
@@ -345,14 +295,6 @@ _EXECUTION_CLI_FLAGS: tuple = (
             "baseline)",
         },
     ),
-    (
-        "backend",
-        {
-            "flag": "--backend",
-            "help": "array backend of the training stack (numpy is the "
-            "exact baseline; torch requires PyTorch to be importable)",
-        },
-    ),
 )
 
 
@@ -382,23 +324,20 @@ class ExecutionConfig:
     cache_epochs: int = 1
     finetune_minibatch: bool | None = None
     cf_backend: str = "exact"
-    cf_refresh_epochs: int | None = None
+    cf_refresh_epochs: int = 1
     cf_update: str = "rebuild"
     dtype: str = "float64"
-    backend: str = "numpy"
 
     def validate(self) -> None:
         """Raise ``ValueError`` for inconsistent settings.
 
-        Mirrors the matching :meth:`FairwosConfig.validate` checks except
-        the fanouts-vs-layer-count coupling, which needs the backbone
-        depth and is re-checked at fit time.
+        :meth:`FairwosConfig.validate` runs these checks on its own
+        execution fields.  The fanouts-vs-layer-count coupling needs the
+        backbone depth, so it is checked there, not here.
         """
-        from repro.tensor.backend import resolve_backend
         from repro.tensor.dtype import resolve_dtype
 
-        resolve_dtype(self.dtype)
-        resolve_backend(self.backend)
+        resolve_dtype(self.dtype)  # raises on anything but float32/float64
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.cache_epochs < 1:
@@ -412,8 +351,10 @@ class ExecutionConfig:
             raise ValueError(
                 f"cf_backend must be 'exact' or 'ann', got {self.cf_backend!r}"
             )
-        if self.cf_refresh_epochs is not None and self.cf_refresh_epochs < 1:
-            raise ValueError("cf_refresh_epochs must be >= 1 or None")
+        if self.cf_refresh_epochs is None or self.cf_refresh_epochs < 1:
+            raise ValueError(
+                f"cf_refresh_epochs must be >= 1, got {self.cf_refresh_epochs}"
+            )
         if self.cf_update not in ("rebuild", "incremental"):
             raise ValueError(
                 f"cf_update must be 'rebuild' or 'incremental', got "
@@ -424,7 +365,11 @@ class ExecutionConfig:
             and self.cf_backend.lower() == "ann"
         ):
             raise ValueError(
-                "cf_update='incremental' requires cf_backend='ann'"
+                "cf_update='incremental' maintains the ANN forest in place; "
+                "it requires cf_backend='ann' (the exact backend has no "
+                "index to maintain, and a custom backend instance must "
+                "carry its own update policy — e.g. AnnBackend("
+                "update='incremental'))"
             )
         if self.fanouts is not None:
             if len(self.fanouts) == 0:

@@ -34,7 +34,7 @@ from repro.gnnzoo import make_backbone
 from repro.graph import Graph
 from repro.nn import binary_cross_entropy_with_logits
 from repro.optim import Adam
-from repro.tensor import Tensor, backend_scope, dtype_scope, no_grad
+from repro.tensor import Tensor, dtype_scope, no_grad
 from repro.training import (
     IndexMaintainer,
     MinibatchEngine,
@@ -105,9 +105,8 @@ class FairwosTrainer:
         precision (``float64`` by default; ``float32`` for the
         memory-bounded large-graph tier).
         """
-        with backend_scope(self.config.backend):
-            with dtype_scope(self.config.dtype):
-                return self._fit(graph, seed)
+        with dtype_scope(self.config.dtype):
+            return self._fit(graph, seed)
 
     def _fit(self, graph: Graph, seed: int) -> FairwosResult:
         config = self.config
@@ -281,7 +280,7 @@ class FairwosTrainer:
         pairs (:func:`fair_representation_loss`, or its batch estimate when
         sampled); ``on_epoch_end`` runs the closed-form λ update.
 
-        The counterfactual index is refreshed every ``resolved_cf_refresh()``
+        The counterfactual index is refreshed every ``cf_refresh_epochs``
         epochs from the engine's exact eval-mode embedding by an
         :class:`~repro.training.IndexMaintainer` registered as the engine's
         ``on_epoch_start`` callback (it also invalidates the sampling
@@ -343,9 +342,7 @@ class FairwosTrainer:
                 # epoch never draws (they must not read as "perfectly fair").
                 running_disparities = _snapshot_disparities(reps, cf_index)
 
-        maintainer = IndexMaintainer(
-            refresh_index, config.resolved_cf_refresh(), engine=engine
-        )
+        maintainer = IndexMaintainer(refresh_index, config.cf_refresh_epochs, engine=engine)
 
         def on_epoch_start(epoch: int) -> None:
             nonlocal epoch_utility, epoch_fair, train_seen
@@ -476,11 +473,8 @@ class FairwosTrainer:
         """Logits of the fitted model on ``graph`` (requires ``fit`` first)."""
         if self.classifier is None or self._pseudo_features is None:
             raise RuntimeError("call fit() before predict()")
-        with backend_scope(self.config.backend):
-            with dtype_scope(self.config.dtype):
-                return self._predict_logits(
-                    self._pseudo_features, graph.adjacency
-                )
+        with dtype_scope(self.config.dtype):
+            return self._predict_logits(self._pseudo_features, graph.adjacency)
 
     def transform_features(self, features, adjacency) -> np.ndarray:
         """Map a raw feature matrix to the classifier's X(0) input space.
@@ -495,7 +489,7 @@ class FairwosTrainer:
         """
         if self.classifier is None or self._pseudo_stats is None:
             raise RuntimeError("call fit() before transform_features()")
-        with backend_scope(self.config.backend), dtype_scope(self.config.dtype):
+        with dtype_scope(self.config.dtype):
             features = Tensor(features)
             if self.config.use_encoder:
                 if self.encoder is None:

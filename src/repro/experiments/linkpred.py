@@ -42,7 +42,7 @@ from repro.fairness import evaluate_predictions
 from repro.gnnzoo import make_backbone
 from repro.graph import Graph
 from repro.nn import binary_cross_entropy_with_logits, mse_loss
-from repro.tensor import backend_scope, dtype_scope, ops
+from repro.tensor import dtype_scope, ops
 from repro.training import MinibatchEngine, embed_batched
 
 __all__ = [
@@ -211,7 +211,7 @@ def run_linkpred_method(
         Dataset; its sensitive attribute is used only for evaluation.
     backbone, seed, epochs, execution:
         As in ``run_method`` (``execution`` supplies fanouts / batch size /
-        dtype / backend; sampled defaults otherwise).
+        dtype; sampled defaults otherwise).
     hidden_dim, lr:
         Embedding recipe (paper defaults).
     fairness_weight:
@@ -238,7 +238,7 @@ def run_linkpred_method(
         split = make_link_split(graph, seed=seed)
 
     start = time.perf_counter()
-    with backend_scope(execution.backend), dtype_scope(execution.dtype):
+    with dtype_scope(execution.dtype):
         features = graph.features
         extra: dict = {}
         if key == "remover" and graph.related_feature_indices.size:

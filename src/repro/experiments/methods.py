@@ -18,7 +18,7 @@ from repro.baselines import FairGKD, KSMOTE, FairRF, RemoveR, Vanilla
 from repro.baselines.base import MethodResult
 from repro.core import ExecutionConfig, FairwosConfig, FairwosTrainer
 from repro.graph import Graph
-from repro.tensor import backend_scope, dtype_scope
+from repro.tensor import dtype_scope
 
 __all__ = ["available_methods", "run_method", "FAIRWOS_OVERRIDES", "METHOD_ORDER"]
 
@@ -108,15 +108,15 @@ def run_method(
         full-batch training (``minibatch``/``fanouts``/``batch_size``/
         ``cache_epochs``), the Fairwos fine-tune scaling knobs
         (``finetune_minibatch``/``cf_backend``/``cf_refresh_epochs``/
-        ``cf_update`` — ignored by baselines), and precision and array
-        backend (``dtype``/``backend``).  Every method honours the shared
-        fields: "vanilla"/"remover" train through the shared
+        ``cf_update`` — ignored by baselines), and precision (``dtype``).
+        Every method honours the shared fields: "vanilla"/"remover" train
+        through the shared
         :func:`~repro.training.fit_minibatch` engine, "ksmote" adds a
         minibatch-k-means cluster step, "fairrf"/"fairgkd" evaluate their
         fairness terms on sampled batches, and "fairwos" runs all three
         phases sampled.  With ``fanouts`` set, the backbone depth follows
         its length.  ``None`` means the defaults (full-batch, exact,
-        float64, numpy).
+        float64).
     keep_model:
         Attach the fitted runner (the :class:`~repro.core.FairwosTrainer`
         or baseline instance) to ``result.extra["model"]`` so callers can
@@ -152,7 +152,7 @@ def run_method(
             num_layers=len(execution.fanouts) if execution.fanouts else 1,
         )
         runner = baseline_classes[key](**kwargs)
-        with backend_scope(execution.backend), dtype_scope(execution.dtype):
+        with dtype_scope(execution.dtype):
             result = runner.fit(graph, seed=seed, keep_logits=keep_logits)
         if keep_model:
             result.extra["model"] = runner
@@ -177,7 +177,7 @@ def run_method(
                 "the explicit fairwos_config; when supplying a full config, "
                 "set its execution fields (minibatch/fanouts/batch_size/"
                 "cache_epochs/cf_backend/cf_refresh_epochs/"
-                "finetune_minibatch/cf_update/dtype/backend) directly"
+                "finetune_minibatch/cf_update/dtype) directly"
             )
     if fairwos_config is None:
         overrides = FAIRWOS_OVERRIDES.get(graph.name, FAIRWOS_OVERRIDES["default"])
@@ -197,7 +197,6 @@ def run_method(
             finetune_minibatch=execution.finetune_minibatch,
             cf_update=execution.cf_update,
             dtype=execution.dtype,
-            backend=execution.backend,
             **overrides,
         )
     start = time.perf_counter()
@@ -212,7 +211,7 @@ def run_method(
     if keep_model:
         extra["model"] = trainer
     if keep_logits:
-        # predict() re-enters the config's backend/dtype scopes itself.
+        # predict() re-enters the config's dtype scope itself.
         extra["logits"] = trainer.predict(graph)
     return MethodResult(
         method="Fairwos",

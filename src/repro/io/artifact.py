@@ -52,14 +52,14 @@ from repro.gnnzoo import make_backbone
 from repro.graph import Graph
 from repro.io.graph_io import load_graph, save_graph
 from repro.io.model_io import pack_state, unpack_state
-from repro.tensor import Tensor, backend_scope, dtype_scope, no_grad
-from repro.training import embed_batched, predict_logits, predict_logits_batched
+from repro.tensor import Tensor, dtype_scope
+from repro.training import embed_batched, predict_logits_batched
 
 __all__ = ["ArtifactError", "ModelArtifact", "save_artifact", "load_artifact"]
 
 #: Manifest schema version.  Bumped on any incompatible layout change;
 #: :func:`load_artifact` refuses other versions with a clear error.
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 _MANIFEST = "manifest.json"
 _MODEL = "model.npz"
@@ -270,28 +270,16 @@ def _save_index(trainer: FairwosTrainer, graph: Graph, path: Path) -> dict:
         }
     points = getattr(backend, "_points", None)
     if points is None:
-        points = _embed_full(trainer, graph.adjacency)
+        config = trainer.config
+        with dtype_scope(config.dtype):
+            points = embed_batched(
+                trainer.classifier,
+                trainer._pseudo_features,
+                graph.adjacency,
+                batch_size=config.batch_size if config.minibatch else None,
+            )
     np.savez_compressed(path / _INDEX, points=np.asarray(points, dtype=np.float64))
     return {"kind": "exact", "num_points": int(np.asarray(points).shape[0])}
-
-
-def _embed_full(trainer: FairwosTrainer, adjacency) -> np.ndarray:
-    """Exact full-graph representations of the fitted classifier."""
-    features = trainer._pseudo_features
-    if trainer.config.minibatch:
-        return embed_batched(
-            trainer.classifier,
-            features.data,
-            adjacency,
-            batch_size=trainer.config.batch_size,
-        )
-    classifier = trainer.classifier
-    was_training = classifier.training
-    classifier.eval()
-    with no_grad():
-        reps = classifier.embed(features, adjacency).data.copy()
-    classifier.train(was_training)
-    return reps
 
 
 def _save_baseline(method: BaselineMethod, graph: Graph, path: Path) -> dict:
@@ -436,16 +424,19 @@ class ModelArtifact:
         self.kind: str = manifest["kind"]
         self.method_name: str = manifest.get("method", self.kind)
         self._graph: Graph | None = None
-        self._index_backend = None
-        self._cf_state: tuple | None = None
         # The resolved execution settings the run trained under, when the
         # saver recorded them (repro run --save does); None for artifacts
         # written before the execution manifest or saved without one.
         self.execution: dict | None = manifest.get("execution")
         if self.kind == "fairwos":
             self._load_fairwos()
+            self._model = self.trainer.classifier
         else:
             self._load_baseline()
+            self._model = self.baseline.model_
+        # Scoring runs in the precision the weights were trained in, as the
+        # live model scores.
+        self._dtype = self._model.parameters()[0].data.dtype
 
     # -- reconstruction ------------------------------------------------ #
     def _load_fairwos(self) -> None:
@@ -501,7 +492,8 @@ class ModelArtifact:
             encoder.network.eval()
             encoder.pretrained = True
             trainer.encoder = encoder
-        trainer._pseudo_features = Tensor(pseudo)
+        with dtype_scope(self.config.dtype):
+            trainer._pseudo_features = Tensor(pseudo)
         trainer._binary_attrs = arrays["binary_attrs"]
         trainer._pseudo_labels = arrays["pseudo_labels"]
         trainer._pseudo_stats = {
@@ -619,7 +611,8 @@ class ModelArtifact:
         graph:
             Graph to score (default: the bundled training graph).
         nodes:
-            Optional node-id subset; returns logits aligned with it.
+            Optional node ids in ``[0, N)``; returns one logit per id, in
+            order (a repeated id is scored once and returned per request).
         features:
             Optional replacement feature matrix (``(N, F_raw)`` in the raw
             input space); it is pushed through the fitted preprocessing
@@ -628,8 +621,8 @@ class ModelArtifact:
         batch_size:
             Batched-inference batch size override (minibatch configs).
 
-        Scoring the training graph with no overrides reproduces the
-        in-memory trainer's predictions bit-identically.
+        Scoring runs in the dtype of the stored weights and reproduces the
+        in-memory model's predictions bit-identically, dtype included.
         """
         graph = self._resolve_graph(graph)
         if self.kind == "fairwos":
@@ -639,9 +632,7 @@ class ModelArtifact:
     def _score_fairwos(self, graph, nodes, features, batch_size):
         trainer = self.trainer
         if features is not None:
-            pseudo = Tensor(
-                trainer.transform_features(features, graph.adjacency)
-            )
+            pseudo = trainer.transform_features(features, graph.adjacency)
         else:
             pseudo = trainer._pseudo_features
             if graph.num_nodes != pseudo.data.shape[0]:
@@ -651,18 +642,10 @@ class ModelArtifact:
                     f"score new data"
                 )
         config = trainer.config
-        # The trained precision, as FairwosTrainer.predict scores it.
-        with backend_scope(config.backend), dtype_scope(config.dtype):
-            if config.minibatch:
-                return predict_logits_batched(
-                    trainer.classifier,
-                    pseudo.data,
-                    graph.adjacency,
-                    nodes=nodes,
-                    batch_size=batch_size or config.batch_size,
-                )
-            logits = predict_logits(trainer.classifier, pseudo, graph.adjacency)
-        return logits if nodes is None else logits[np.asarray(nodes)]
+        return self._predict(
+            pseudo, graph, nodes,
+            (batch_size or config.batch_size) if config.minibatch else None,
+        )
 
     def _score_baseline(self, graph, nodes, features, batch_size):
         method = self.baseline
@@ -675,16 +658,19 @@ class ModelArtifact:
                 f"feature matrix has {raw.shape[1]} columns but the model "
                 f"expects {expected}"
             )
-        if getattr(method, "minibatch", False):
+        return self._predict(
+            raw, graph, nodes,
+            (batch_size or method.batch_size) if method.minibatch else None,
+        )
+
+    def _predict(self, features, graph, nodes, batch_size) -> np.ndarray:
+        """Eval-mode logits of the stored model for ``nodes``
+        (``batch_size=None``: one full-graph forward)."""
+        with dtype_scope(self._dtype):
             return predict_logits_batched(
-                method.model_,
-                raw,
-                graph.adjacency,
-                nodes=nodes,
-                batch_size=batch_size or method.batch_size,
+                self._model, features, graph.adjacency, nodes=nodes,
+                batch_size=batch_size,
             )
-        logits = predict_logits(method.model_, Tensor(raw), graph.adjacency)
-        return logits if nodes is None else logits[np.asarray(nodes)]
 
     # -- counterfactual retrieval -------------------------------------- #
     def counterfactuals(

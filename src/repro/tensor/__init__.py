@@ -17,15 +17,7 @@ The public entry point is :class:`Tensor`; free functions mirror the method
 API for a functional style.
 """
 
-from repro.tensor.backend import (
-    BackendUnavailableError,
-    available_backends,
-    backend_scope,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    set_backend,
-)
+from repro.tensor.backend import get_backend
 from repro.tensor.dtype import (
     dtype_scope,
     get_default_dtype,
@@ -62,13 +54,7 @@ __all__ = [
     "Tensor",
     "no_grad",
     "is_grad_enabled",
-    "BackendUnavailableError",
-    "available_backends",
-    "backend_scope",
     "get_backend",
-    "register_backend",
-    "resolve_backend",
-    "set_backend",
     "dtype_scope",
     "get_default_dtype",
     "resolve_dtype",

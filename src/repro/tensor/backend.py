@@ -1,9 +1,8 @@
-"""Array-API backend seam for the tensor engine.
+"""Array-API seam between the tensor engine and its array library.
 
-Historically every op in :mod:`repro.tensor.ops` (and the layers and
-optimisers built on it) called ``numpy`` directly, which welded the whole
-autograd engine to one CPU array library.  This module cuts a narrow seam
-between the engine and the array library: ops ask the *active backend* for
+Ops in :mod:`repro.tensor.ops` (and the layers, losses and optimisers built
+on them) do not import numpy for their floating-point math; they ask
+:func:`get_backend` for
 
 * ``xp`` — a numpy-flavoured namespace (``xp.exp``, ``xp.where``,
   ``xp.sum(a, axis=..., keepdims=...)``, …) the forward/backward math is
@@ -13,58 +12,19 @@ between the engine and the array library: ops ask the *active backend* for
   :meth:`ArrayBackend.spmm`) plus fused kernels
   (:meth:`ArrayBackend.adam_step`).
 
-The default :class:`NumpyBackend` exposes ``numpy`` itself as ``xp``, so the
-numpy path executes the very same ufunc calls it always did — bit-identical
-to the pre-seam engine.  Alternative backends are *registered*, not
-imported: the ``"torch"`` entry resolves ``import torch`` lazily on first
-use and raises :class:`BackendUnavailableError` when the wheel is absent,
-so CI environments without torch skip cleanly instead of failing at import
-time.  Adding a GPU or parallel backend is therefore a registration::
-
-    from repro.tensor import backend
-
-    class CupyBackend(backend.ArrayBackend):
-        name = "cupy"
-        ...
-
-    backend.register_backend("cupy", CupyBackend)
-
-and every tensor op, layer, loss and optimiser runs on it unchanged.
-
-The intended entry point mirrors :func:`repro.tensor.dtype.dtype_scope`::
-
-    with backend_scope("torch"):
-        model = GCN(...)
-        trainer.fit(...)
-
-``set_backend`` exists as the primitive for long-lived workers that
-configure the backend once at startup.
+There is one backend, :class:`NumpyBackend`, whose ``xp`` is ``numpy``
+itself, so every op executes the same ufunc calls a direct-numpy engine
+would.  :class:`ArrayBackend` is the protocol a second array library would
+implement; it comes back together with a way to select it and a measured
+win over numpy.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Callable, Iterator
-
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = [
-    "ArrayBackend",
-    "BackendUnavailableError",
-    "NumpyBackend",
-    "TorchBackend",
-    "available_backends",
-    "backend_scope",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
-    "set_backend",
-]
-
-
-class BackendUnavailableError(RuntimeError):
-    """The backend is registered but its array library cannot be imported."""
+__all__ = ["ArrayBackend", "NumpyBackend", "get_backend"]
 
 
 # Above this many gathered rows the scatter adjoint routes through a sparse
@@ -84,7 +44,7 @@ class ArrayBackend:
     """
 
     name = "abstract"
-    #: numpy-flavoured namespace (``numpy`` itself for the default backend).
+    #: numpy-flavoured namespace (``numpy`` itself for :class:`NumpyBackend`).
     xp = None
 
     # ------------------------------------------------------------------ #
@@ -191,8 +151,8 @@ class ArrayBackend:
 
 
 class NumpyBackend(ArrayBackend):
-    """The default backend: ``xp`` *is* numpy, so every call is the same
-    ufunc the pre-seam engine issued — bit-identical by construction."""
+    """The one backend: ``xp`` *is* numpy, so every call is the same ufunc
+    a direct-numpy engine would make — bit-identical by construction."""
 
     name = "numpy"
     xp = np
@@ -252,262 +212,9 @@ class NumpyBackend(ArrayBackend):
         return array.transpose(axes)
 
 
-class _TorchNamespace:
-    """Minimal numpy-flavoured view over ``torch``.
-
-    Only the surface the engine's ops actually use is adapted; everything
-    else falls through to the torch module via ``__getattr__``.  The
-    axis/keepdims keywords are translated to torch's dim/keepdim spelling
-    where they differ.
-    """
-
-    def __init__(self, torch_module) -> None:
-        self._torch = torch_module
-
-    def __getattr__(self, name: str):
-        return getattr(self._torch, name)
-
-    # --- reductions -------------------------------------------------- #
-    def sum(self, array, axis=None, keepdims: bool = False):
-        if axis is None:
-            out = self._torch.sum(array)
-            return out.reshape((1,) * array.dim()) if keepdims else out
-        return self._torch.sum(array, dim=axis, keepdim=keepdims)
-
-    def mean(self, array, axis=None, keepdims: bool = False):
-        if axis is None:
-            out = self._torch.mean(array)
-            return out.reshape((1,) * array.dim()) if keepdims else out
-        return self._torch.mean(array, dim=axis, keepdim=keepdims)
-
-    def max(self, array, axis=None, keepdims: bool = False):
-        if axis is None:
-            return self._torch.max(array)
-        return self._torch.amax(array, dim=axis, keepdim=keepdims)
-
-    # --- shape ops ---------------------------------------------------- #
-    def expand_dims(self, array, axis):
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        for ax in sorted(ax % (array.dim() + len(axes)) for ax in axes):
-            array = self._torch.unsqueeze(array, ax)
-        return array
-
-    def squeeze(self, array, axis=None):
-        if axis is None:
-            return self._torch.squeeze(array)
-        return self._torch.squeeze(array, dim=axis)
-
-    def concatenate(self, arrays, axis: int = 0):
-        return self._torch.cat(list(arrays), dim=axis)
-
-    def zeros(self, shape, dtype=None):
-        return self._torch.zeros(
-            shape, dtype=_to_torch_dtype(self._torch, dtype)
-        )
-
-    def asarray(self, value, dtype=None):
-        return self._torch.as_tensor(
-            value, dtype=_to_torch_dtype(self._torch, dtype)
-        )
-
-
-def _to_torch_dtype(torch_module, dtype):
-    if dtype is None or isinstance(dtype, torch_module.dtype):
-        return dtype
-    return {
-        "float32": torch_module.float32,
-        "float64": torch_module.float64,
-        "bool": torch_module.bool,
-        "int32": torch_module.int32,
-        "int64": torch_module.int64,
-    }[np.dtype(dtype).name]
-
-
-class TorchBackend(ArrayBackend):
-    """CPU torch backend — the seam's proof of pluggability.
-
-    Resolved lazily: constructing it imports torch and raises
-    :class:`BackendUnavailableError` when the wheel is missing, so test
-    suites can skip rather than fail.  The namespace covers the op surface
-    exercised by the parity subset in ``tests/test_backend.py``; growing it
-    is additive work on this class only, never on the engine.
-    """
-
-    name = "torch"
-
-    def __init__(self) -> None:
-        try:
-            import torch
-        except ImportError as exc:  # pragma: no cover - env-dependent
-            raise BackendUnavailableError(
-                "backend 'torch' requires the torch package (pip install "
-                "torch --index-url https://download.pytorch.org/whl/cpu)"
-            ) from exc
-        self._torch = torch
-        self.xp = _TorchNamespace(torch)
-
-    def asarray(self, value, dtype=None):
-        torch = self._torch
-        if isinstance(value, torch.Tensor):
-            wanted = _to_torch_dtype(torch, dtype)
-            if wanted is None or value.dtype == wanted:
-                return value
-            return value.to(wanted)
-        if isinstance(value, np.ndarray) and value.dtype == object:
-            value = value.astype(np.float64)
-        return torch.as_tensor(value, dtype=_to_torch_dtype(torch, dtype))
-
-    def copy(self, array):
-        return array.clone()
-
-    def to_numpy(self, array) -> np.ndarray:
-        return array.detach().cpu().numpy()
-
-    def np_dtype(self, array) -> np.dtype:
-        return np.dtype(str(array.dtype).removeprefix("torch."))
-
-    def index_add(self, target, index, values) -> None:
-        torch = self._torch
-
-        def as_index(i):
-            t = torch.as_tensor(np.asarray(i)) if not torch.is_tensor(i) else i
-            return t if t.dtype == torch.bool else t.to(torch.int64)
-
-        idx = tuple(as_index(i) for i in (index if isinstance(index, tuple) else (index,)))
-        target.index_put_(idx, torch.as_tensor(values), accumulate=True)
-
-    def scatter_rows(self, indices, grad, out_shape):
-        torch = self._torch
-        flat_idx = torch.as_tensor(
-            np.asarray(indices).reshape(-1), dtype=torch.int64
-        )
-        flat_grad = grad.contiguous().reshape(flat_idx.shape[0], -1)
-        full = torch.zeros(
-            (out_shape[0], flat_grad.shape[1]), dtype=grad.dtype
-        )
-        full.index_add_(0, flat_idx, flat_grad)
-        return full.reshape(out_shape)
-
-    def prepare_spmm(self, matrix: sp.spmatrix, dtype: np.dtype):
-        # Both directions are prepared eagerly: transposing a torch sparse
-        # CSR tensor at adjoint time yields a CSC tensor with patchy matmul
-        # support, so the handle carries (forward, adjoint) CSR tensors.
-        return (
-            self._csr_tensor(matrix.tocsr(), dtype),
-            self._csr_tensor(matrix.T.tocsr(), dtype),
-        )
-
-    def _csr_tensor(self, matrix: sp.csr_matrix, dtype: np.dtype):
-        torch = self._torch
-        return torch.sparse_csr_tensor(
-            torch.as_tensor(matrix.indptr, dtype=torch.int64),
-            torch.as_tensor(matrix.indices, dtype=torch.int64),
-            torch.as_tensor(matrix.data, dtype=_to_torch_dtype(torch, dtype)),
-            size=matrix.shape,
-        )
-
-    def _spmm_with(self, sparse, dense):
-        operand = dense if dense.dim() == 2 else dense.reshape(-1, 1)
-        out = sparse @ operand
-        return out if dense.dim() == 2 else out.reshape(-1)
-
-    def spmm_apply(self, handle, dense):
-        return self._spmm_with(handle[0], dense)
-
-    def spmm_adjoint(self, handle, grad):
-        return self._spmm_with(handle[1], grad)
-
-    def transpose(self, array, axes=None):
-        if axes is None:
-            return array.permute(tuple(range(array.dim() - 1, -1, -1)))
-        return array.permute(tuple(axes))
-
-
-# --------------------------------------------------------------------- #
-# registry
-# --------------------------------------------------------------------- #
-_REGISTRY: dict[str, Callable[[], ArrayBackend]] = {}
-_ACTIVE: ArrayBackend = NumpyBackend()
-_INSTANCES: dict[str, ArrayBackend] = {"numpy": _ACTIVE}
-
-
-def register_backend(name: str, factory: Callable[[], ArrayBackend]) -> None:
-    """Register a backend factory under ``name`` (lazily constructed).
-
-    The factory runs on first :func:`set_backend`/:func:`backend_scope` use;
-    it should raise :class:`BackendUnavailableError` when its array library
-    cannot be imported.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"backend name must be a non-empty string, got {name!r}")
-    _REGISTRY[name] = factory
-    _INSTANCES.pop(name, None)
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of every registered backend (importable or not)."""
-    return tuple(sorted(_REGISTRY))
-
-
-def resolve_backend(name: str) -> str:
-    """Validate that ``name`` is a registered backend; returns it unchanged.
-
-    Raises ``ValueError`` for unknown names.  Does *not* import the array
-    library — availability is only checked when the backend is activated,
-    so configs naming an optional backend stay constructible everywhere.
-    """
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown backend {name!r}; registered: {available_backends()}"
-        )
-    return name
-
-
-def _instantiate(name: str) -> ArrayBackend:
-    resolve_backend(name)
-    if name not in _INSTANCES:
-        _INSTANCES[name] = _REGISTRY[name]()
-    return _INSTANCES[name]
+_NUMPY = NumpyBackend()
 
 
 def get_backend() -> ArrayBackend:
-    """The backend new tensor ops execute on (numpy unless overridden)."""
-    return _ACTIVE
-
-
-def set_backend(backend: str | ArrayBackend) -> ArrayBackend:
-    """Activate a backend by name or instance; returns the previous one.
-
-    Prefer :func:`backend_scope` — an unbalanced global switch leaks into
-    unrelated code (and tests).  Raises ``ValueError`` for unknown names
-    and :class:`BackendUnavailableError` when the backend's array library
-    is not importable.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    if isinstance(backend, ArrayBackend):
-        _ACTIVE = backend
-    else:
-        _ACTIVE = _instantiate(backend)
-    return previous
-
-
-@contextlib.contextmanager
-def backend_scope(backend: str | ArrayBackend) -> Iterator[ArrayBackend]:
-    """Context manager temporarily switching the active backend.
-
-    Restores the previous backend on exit even when the body raises, so a
-    failing torch run cannot poison subsequent numpy work.
-    """
-    previous = set_backend(backend)
-    try:
-        yield _ACTIVE
-    finally:
-        set_backend(previous)
-
-
-register_backend("numpy", NumpyBackend)
-register_backend("torch", TorchBackend)
-# numpy was instantiated eagerly above; re-registering cleared the cache, so
-# seed it again to keep get_backend() identity stable from import time.
-_INSTANCES["numpy"] = _ACTIVE
+    """The backend every tensor op executes on: the one numpy backend."""
+    return _NUMPY

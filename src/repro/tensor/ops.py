@@ -1,17 +1,15 @@
 """Differentiable operations for :class:`repro.tensor.Tensor`.
 
 Every function takes tensors (or array-likes, which are promoted to constant
-tensors), computes the forward value against the *active backend*'s array
-namespace (:func:`repro.tensor.backend.get_backend` — numpy by default, in
-which case ``xp`` below is literally the ``numpy`` module and every call is
-bit-identical to the historical direct-numpy engine), and registers a closure
-that maps the output gradient to per-parent gradients.  Broadcasting ops
-reduce gradients back to parent shapes with
+tensors), computes the forward value against the array namespace of
+:func:`repro.tensor.backend.get_backend` (``xp`` below is literally the
+``numpy`` module, so every call is the direct-numpy one), and registers a
+closure that maps the output gradient to per-parent gradients.  Broadcasting
+ops reduce gradients back to parent shapes with
 :func:`repro.tensor.tensor.unbroadcast`.
 
 Index bookkeeping (axis permutations, concat offsets, integer index arrays)
-stays host-side numpy on every backend; only the floating-point math routes
-through the seam.
+is plain numpy; only the floating-point math routes through the seam.
 
 The sparse-dense product :func:`spmm` accepts a *constant* ``scipy.sparse``
 matrix on the left (graph adjacency matrices never require gradients in this
@@ -436,8 +434,7 @@ def _scatter_rows(indices: np.ndarray, grad, out_shape):
     ``indices`` has any shape; ``grad`` has shape ``indices.shape + rest``.
     Large scatters use ``Sᵀ @ grad`` with a constant CSR selection matrix
     (see :data:`repro.tensor.backend._SCATTER_SPMM_THRESHOLD`); the routing
-    lives on the backend so alternative array libraries can use their native
-    ``index_add``.
+    lives on the backend, behind the seam.
     """
     return get_backend().scatter_rows(indices, grad, out_shape)
 
@@ -557,8 +554,7 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator):
     """Sample an inverted-dropout mask (scaled keep mask) as a constant array.
 
-    The mask is sampled host-side (numpy RNG, so seeded runs reproduce across
-    backends) and handed to the active backend.
+    The mask is sampled from the numpy ``rng`` and handed to the backend.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")

@@ -7,11 +7,10 @@ closure computing the local vector-Jacobian product.  Calling
 graph and accumulates gradients into every reachable tensor that has
 ``requires_grad=True``.
 
-Data lives in arrays of the *active backend* (see
-:mod:`repro.tensor.backend`) — ``numpy.ndarray`` unless a run opted into an
-alternative array library — coerced at construction to the process default
-dtype (see :mod:`repro.tensor.dtype`); ``float64`` unless a trainer opted
-into a ``float32`` scope; float64 keeps the finite-difference gradient
+Data lives in numpy arrays, created through the array seam of
+:mod:`repro.tensor.backend` and coerced at construction to the process
+default dtype (see :mod:`repro.tensor.dtype`); ``float64`` unless a trainer
+opted into a ``float32`` scope; float64 keeps the finite-difference gradient
 checks in the test-suite tight.
 """
 
@@ -48,7 +47,7 @@ def is_grad_enabled() -> bool:
 
 
 def _as_array(value):
-    """Coerce python scalars / lists / arrays to a default-dtype backend array."""
+    """Coerce python scalars / lists / arrays to a default-dtype array."""
     return get_backend().asarray(value, dtype=get_default_dtype())
 
 

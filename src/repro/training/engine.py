@@ -141,6 +141,29 @@ def _resolve_num_layers(model: Module, num_layers: int | None) -> int:
     return int(layers)
 
 
+def _distinct_nodes(nodes, num_nodes: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Check requested node ids and collapse repeats.
+
+    Returns the distinct ids in first-occurrence order, plus the row of
+    each request among them (``None`` when nothing repeats, so a request
+    without repeats is computed exactly as given).  Ids outside
+    ``[0, num_nodes)`` raise ``ValueError``.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+    ordered = np.sort(nodes)
+    if ordered.size and (ordered[0] < 0 or ordered[-1] >= num_nodes):
+        outside = nodes[(nodes < 0) | (nodes >= num_nodes)]
+        raise ValueError(
+            f"node ids must be in [0, {num_nodes}), got {outside[:5].tolist()}"
+        )
+    if not (ordered[1:] == ordered[:-1]).any():
+        return nodes, None
+    _, first, inverse = np.unique(nodes, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return nodes[np.sort(first)], rank[inverse]
+
+
 def _infer(
     model: Module,
     features,
@@ -155,8 +178,13 @@ def _infer(
     """Eval-mode logits (or representations with ``embed``) for ``nodes``.
 
     ``batch_size=None`` runs one full-graph forward and slices ``nodes``
-    from it; an integer folds each seed batch's blocks.
+    from it; an integer folds each seed batch's blocks.  Both modes read
+    ``nodes`` the same way: ids outside ``[0, N)`` raise ``ValueError``,
+    and a repeated id gets one row per request, computed once.
     """
+    take = None
+    if nodes is not None:
+        nodes, take = _distinct_nodes(nodes, adjacency.shape[0])
     feature_array = _as_feature_array(features)
     was_training = model.training
     model.eval()
@@ -165,43 +193,42 @@ def _infer(
             if batch_size is None:
                 forward = model.embed if embed else model
                 out = forward(Tensor(feature_array), adjacency).data
-                if nodes is None:
-                    return out
-                return out[np.asarray(nodes, dtype=np.int64).reshape(-1)]
-            if sampler is None:
-                sampler = NeighborSampler.full_neighborhood(
-                    adjacency, _resolve_num_layers(model, num_layers)
-                )
-            if nodes is None:
-                nodes = np.arange(sampler.num_nodes)
-            nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
-            if embed and nodes.size == 0:
-                # The embedding width is unknown without a forward pass, so
-                # an empty request has no well-defined result shape.
-                raise ValueError("nodes must be non-empty")
-            if rng is None:
-                # Fresh entropy: a custom *sampling* sampler without an
-                # explicit rng must not silently return identical draws on
-                # every call.  The exact full-neighbourhood default never
-                # consumes the generator.
-                rng = np.random.default_rng()
-            forward = model.embed_blocks if embed else model
-            out = np.empty(0, dtype=get_default_dtype())
-            filled = 0
-            for batch in iter_minibatches(nodes, batch_size):
-                blocks = sampler.sample_blocks(batch, rng)
-                batch_features = Tensor(feature_array[blocks[0].src_nodes])
-                part = forward(batch_features, blocks).data
-                if filled == 0:
-                    out = np.empty(
-                        (nodes.size, *part.shape[1:]),
-                        dtype=part.dtype if embed else out.dtype,
+                if nodes is not None:
+                    out = out[nodes]
+            else:
+                if sampler is None:
+                    sampler = NeighborSampler.full_neighborhood(
+                        adjacency, _resolve_num_layers(model, num_layers)
                     )
-                out[filled : filled + batch.size] = part
-                filled += batch.size
-            return out
+                if nodes is None:
+                    nodes = np.arange(sampler.num_nodes)
+                if embed and nodes.size == 0:
+                    # The embedding width is unknown without a forward pass,
+                    # so an empty request has no well-defined result shape.
+                    raise ValueError("nodes must be non-empty")
+                if rng is None:
+                    # Fresh entropy: a custom *sampling* sampler without an
+                    # explicit rng must not silently return identical draws
+                    # on every call.  The exact full-neighbourhood default
+                    # never consumes the generator.
+                    rng = np.random.default_rng()
+                forward = model.embed_blocks if embed else model
+                out = np.empty(0, dtype=get_default_dtype())
+                filled = 0
+                for batch in iter_minibatches(nodes, batch_size):
+                    blocks = sampler.sample_blocks(batch, rng)
+                    batch_features = Tensor(feature_array[blocks[0].src_nodes])
+                    part = forward(batch_features, blocks).data
+                    if filled == 0:
+                        out = np.empty(
+                            (nodes.size, *part.shape[1:]),
+                            dtype=part.dtype if embed else out.dtype,
+                        )
+                    out[filled : filled + batch.size] = part
+                    filled += batch.size
     finally:
         model.train(was_training)
+    return out if take is None else out[take]
 
 
 def predict_logits_batched(
@@ -230,7 +257,8 @@ def predict_logits_batched(
     adjacency:
         Full-graph CSR adjacency.
     nodes:
-        Seed node ids to score (default: all nodes, in order).
+        Seed node ids to score (default: all nodes, in order), each in
+        ``[0, N)``; a repeated id is scored once and returned per request.
     batch_size:
         Seeds per inference batch; ``None`` runs one full-graph forward
         (no sampler, no blocks) and returns its ``nodes`` rows.

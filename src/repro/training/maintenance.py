@@ -33,7 +33,7 @@ class IndexMaintainer:
         nodes and rebuilding/updating the index).  Run on the first call,
         then on every epoch that is a multiple of ``period``.
     period:
-        Refresh cadence in epochs (``resolved_cf_refresh()`` for Fairwos).
+        Refresh cadence in epochs (``cf_refresh_epochs`` for Fairwos).
     engine:
         Optional :class:`~repro.training.engine.MinibatchEngine`; its
         sampling cache is invalidated after every refresh so replayed seed
@@ -41,7 +41,7 @@ class IndexMaintainer:
 
     The maintainer is callable so it can be registered directly::
 
-        maintainer = IndexMaintainer(refresh, config.resolved_cf_refresh(),
+        maintainer = IndexMaintainer(refresh, config.cf_refresh_epochs,
                                      engine=engine)
         engine.run(..., on_epoch_start=maintainer)
 

@@ -96,35 +96,121 @@ class TestFairwosRoundTrip:
         np.testing.assert_array_equal(scored, expected)
 
 
+def _float32_fairwos(small_graph, tmp_path, **config):
+    """Fit a small float32 Fairwos run, save it, and reload it."""
+    graph = small_graph.with_features(
+        small_graph.features.astype(np.float32),
+        related=small_graph.related_feature_indices,
+    )
+    trainer = FairwosTrainer(
+        FairwosConfig(
+            dtype="float32",
+            encoder_epochs=3,
+            classifier_epochs=3,
+            finetune_epochs=2,
+            patience=None,
+            **config,
+        )
+    )
+    trainer.fit(graph, seed=0)
+    save_artifact(trainer, graph, tmp_path / "f32")
+    return graph, trainer, load_artifact(tmp_path / "f32")
+
+
+def _assert_same_logits(served, live):
+    assert served.dtype == live.dtype == np.float32
+    np.testing.assert_array_equal(served, live)
+
+
 class TestFloat32RoundTrip:
-    def test_minibatch_float32_score_bit_identical(self, small_graph, tmp_path):
-        # Reload scoring runs in the trained precision: a float32 artifact
-        # returns the live model's float32 logits, not float64 ones.
-        graph = small_graph.with_features(
-            small_graph.features.astype(np.float32),
-            related=small_graph.related_feature_indices,
-        )
-        trainer = FairwosTrainer(
-            FairwosConfig(
-                minibatch=True,
-                batch_size=64,
-                dtype="float32",
-                cf_backend="ann",
-                encoder_epochs=3,
-                classifier_epochs=3,
-                finetune_epochs=2,
-                patience=None,
-            )
-        )
-        trainer.fit(graph, seed=0)
+    """Reload scoring runs in the trained precision: a float32 artifact
+    returns the live model's float32 logits, not float64 ones."""
+
+    @staticmethod
+    def _assert_scores_match(graph, trainer, art):
         live = trainer.predict(graph)
-        save_artifact(trainer, graph, tmp_path / "f32")
-        art = load_artifact(tmp_path / "f32")
-        served = art.score()
-        assert served.dtype == live.dtype == np.float32
-        np.testing.assert_array_equal(served, live)
+        _assert_same_logits(art.score(), live)
         nodes = np.array([4, 8, 15, 16, 23, 42])
         np.testing.assert_array_equal(art.score(nodes=nodes), live[nodes])
+
+    def test_minibatch_float32_score_bit_identical(self, small_graph, tmp_path):
+        self._assert_scores_match(*_float32_fairwos(
+            small_graph, tmp_path, minibatch=True, batch_size=64, cf_backend="ann"
+        ))
+
+    @pytest.mark.parametrize("cf_backend", ["exact", "ann"])
+    def test_fullbatch_float32_score_bit_identical(self, small_graph, tmp_path, cf_backend):
+        self._assert_scores_match(
+            *_float32_fairwos(small_graph, tmp_path, cf_backend=cf_backend)
+        )
+
+    @pytest.mark.parametrize("minibatch", [False, True], ids=["fullbatch", "sampled"])
+    def test_vanilla_float32_score_bit_identical(self, small_graph, tmp_path, minibatch):
+        result = run_method(
+            "vanilla",
+            small_graph,
+            epochs=3,
+            execution=ExecutionConfig(minibatch=minibatch, batch_size=64, dtype="float32"),
+            keep_model=True,
+            keep_logits=True,
+        )
+        save_artifact(result.extra["model"], small_graph, tmp_path / "vanilla")
+        art = load_artifact(tmp_path / "vanilla")
+        _assert_same_logits(art.score(), result.extra["logits"])
+
+    def test_unsearched_trainer_index_is_embedded_in_float32(self, small_graph, tmp_path):
+        """A trainer that never searched gets an exact index over its
+        embedding, computed in the trained precision."""
+        graph, trainer, art = _float32_fairwos(
+            small_graph, tmp_path, minibatch=True, batch_size=64, use_fairness=False
+        )
+        points = art._index_points
+        assert points.shape == (graph.num_nodes, trainer.config.hidden_dim)
+        np.testing.assert_array_equal(points.astype(np.float32), points)
+
+
+@pytest.fixture(scope="module")
+def sampled_artifact(small_graph, tmp_path_factory):
+    """A neighbour-sampled Vanilla artifact (batched scoring)."""
+    result = run_method(
+        "vanilla",
+        small_graph,
+        epochs=3,
+        execution=ExecutionConfig(minibatch=True, batch_size=64),
+        keep_model=True,
+    )
+    path = tmp_path_factory.mktemp("artifacts") / "vanilla-sampled"
+    save_artifact(result.extra["model"], small_graph, path)
+    return path
+
+
+class TestNodeIds:
+    """Node ids mean the same thing for full-batch and sampled artifacts."""
+
+    @pytest.fixture(params=["fullbatch", "sampled"])
+    def artifact(self, request, fairwos_artifact, sampled_artifact):
+        if request.param == "fullbatch":
+            return load_artifact(fairwos_artifact)
+        return load_artifact(sampled_artifact)
+
+    @pytest.mark.parametrize("batch_size", [None, 16])
+    def test_repeated_ids_answered_row_for_row(self, artifact, batch_size):
+        once = artifact.score(nodes=np.array([2, 5]), batch_size=batch_size)
+        scored = artifact.score(nodes=np.array([2, 2, 5, 2]), batch_size=batch_size)
+        np.testing.assert_array_equal(scored, once[[0, 0, 1, 0]])
+
+    @pytest.mark.parametrize("batch_size", [None, 16])
+    def test_ids_outside_the_graph_raise(self, artifact, batch_size):
+        n = artifact.graph.num_nodes
+        for bad in (-1, n):
+            with pytest.raises(ValueError, match=rf"node ids must be in \[0, {n}\)"):
+                artifact.score(nodes=np.array([0, bad]), batch_size=batch_size)
+
+    def test_cli_scores_repeated_ids(self, artifact):
+        from repro.cli import main
+
+        output = main(["score", "--artifact", str(artifact.path), "--node-ids", "2,2,5"])
+        assert "scored 3 nodes" in output
 
 
 class TestPersistedIndex:
@@ -233,6 +319,21 @@ class TestManifestValidation:
         manifest["format_version"] = ARTIFACT_VERSION + 1
         (copy / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ArtifactError, match="unsupported artifact version"):
+            load_artifact(copy)
+
+    def test_v1_artifact_rejected(self, fairwos_artifact, tmp_path):
+        """Version 1 manifests recorded the removed ``backend`` setting; the
+        version check turns them away before the config is read."""
+        import shutil
+
+        copy = tmp_path / "v1"
+        shutil.copytree(fairwos_artifact, copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        assert "backend" not in manifest["config"]
+        manifest["format_version"] = 1
+        manifest["config"]["backend"] = "numpy"
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactError, match="unsupported artifact version 1"):
             load_artifact(copy)
 
     def test_config_with_removed_field_is_incompatible(self, fairwos_artifact, tmp_path):

@@ -1,116 +1,17 @@
-"""Backend-seam tests: registry semantics, numpy-backend primitives, and the
-optional torch parity subset (skipped when torch is not importable)."""
+"""Array-seam tests: numpy is the one backend, and its primitives."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.config import FairwosConfig
-from repro.tensor import Tensor, dtype_scope
-from repro.tensor import backend as backend_mod
-from repro.tensor.backend import (
-    ArrayBackend,
-    BackendUnavailableError,
-    NumpyBackend,
-    available_backends,
-    backend_scope,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    set_backend,
-)
+from repro.tensor.backend import NumpyBackend, get_backend
 
 
 class TestRegistry:
     def test_numpy_is_the_default(self):
+        assert isinstance(get_backend(), NumpyBackend)
         assert get_backend().name == "numpy"
         assert get_backend().xp is np
-
-    def test_available_backends_lists_registered_names(self):
-        names = available_backends()
-        assert "numpy" in names
-        assert "torch" in names
-
-    def test_resolve_backend_round_trip(self):
-        assert resolve_backend("numpy") == "numpy"
-
-    def test_resolve_backend_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("tensorflow")
-
-    def test_resolve_backend_does_not_require_importability(self):
-        # torch may or may not be installed; resolution must succeed either
-        # way because configs naming it have to stay constructible.
-        assert resolve_backend("torch") == "torch"
-
-    def test_set_backend_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            set_backend("tensorflow")
-
-    def test_register_backend_rejects_bad_names(self):
-        with pytest.raises(ValueError):
-            register_backend("", NumpyBackend)
-
-    def test_unimportable_backend_raises_on_activation_only(self):
-        class Broken(ArrayBackend):
-            name = "broken"
-
-            def __init__(self):
-                raise BackendUnavailableError("no such library")
-
-        register_backend("broken", Broken)
-        try:
-            assert resolve_backend("broken") == "broken"  # no import yet
-            with pytest.raises(BackendUnavailableError):
-                set_backend("broken")
-            # A failed activation must not poison the active backend.
-            assert get_backend().name == "numpy"
-        finally:
-            del backend_mod._REGISTRY["broken"]
-
-    def test_backend_scope_restores_previous(self):
-        before = get_backend()
-        with backend_scope("numpy") as active:
-            assert active.name == "numpy"
-            assert get_backend() is active
-        assert get_backend() is before
-
-    def test_backend_scope_restores_on_exception(self):
-        before = get_backend()
-        with pytest.raises(RuntimeError):
-            with backend_scope("numpy"):
-                raise RuntimeError("boom")
-        assert get_backend() is before
-
-    def test_numpy_instance_is_cached(self):
-        with backend_scope("numpy") as first:
-            pass
-        with backend_scope("numpy") as second:
-            pass
-        assert first is second
-
-    def test_set_backend_accepts_instances(self):
-        custom = NumpyBackend()
-        previous = set_backend(custom)
-        try:
-            assert get_backend() is custom
-        finally:
-            set_backend(previous)
-        assert get_backend() is previous
-
-
-class TestConfigIntegration:
-    def test_default_backend_validates(self):
-        FairwosConfig().validate()
-
-    def test_torch_backend_config_is_constructible(self):
-        # Validation checks the name only; importability is checked at fit
-        # time, so this must pass with or without torch installed.
-        FairwosConfig(backend="torch").validate()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            FairwosConfig(backend="tensorflow").validate()
 
 
 class TestNumpyPrimitives:
@@ -170,121 +71,3 @@ class TestNumpyPrimitives:
         matrix = sp.eye(4, format="csr")  # float64 constant
         handle = b.prepare_spmm(matrix, np.dtype("float32"))
         assert handle.dtype == np.float32
-
-
-TORCH_PARITY_TOL = dict(rtol=1e-10, atol=1e-10)
-
-
-class TestTorchParity:
-    """Numerical parity of the torch backend against numpy on the op surface
-    the engine uses.  Requires torch; skips (never fails) without it."""
-
-    @pytest.fixture(autouse=True)
-    def _torch(self):
-        pytest.importorskip("torch")
-
-    def _grads(self, backend_name, fn, *arrays):
-        with backend_scope(backend_name):
-            tensors = [Tensor(a, requires_grad=True) for a in arrays]
-            out = fn(*tensors)
-            out.backward()
-            value = get_backend().to_numpy(out.data)
-            grads = [get_backend().to_numpy(t.grad) for t in tensors]
-        return value, grads
-
-    def _assert_parity(self, fn, *arrays):
-        value_np, grads_np = self._grads("numpy", fn, *arrays)
-        value_t, grads_t = self._grads("torch", fn, *arrays)
-        np.testing.assert_allclose(value_t, value_np, **TORCH_PARITY_TOL)
-        for gt, gn in zip(grads_t, grads_np):
-            np.testing.assert_allclose(gt, gn, **TORCH_PARITY_TOL)
-
-    def test_elementwise_chain(self):
-        from repro.tensor import ops
-
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((4, 3))
-
-        def fn(t):
-            return ops.sum(ops.tanh(ops.mul(ops.sigmoid(t), ops.exp(t))))
-
-        self._assert_parity(fn, x)
-
-    def test_matmul_softmax_reduction(self):
-        from repro.tensor import ops
-
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((5, 4))
-        w = rng.standard_normal((4, 2))
-
-        def fn(ta, tw):
-            return ops.sum(ops.log_softmax(ops.matmul(ta, tw), axis=1))
-
-        self._assert_parity(fn, a, w)
-
-    def test_spmm_and_gather(self):
-        from repro.tensor import ops
-
-        rng = np.random.default_rng(2)
-        adj = sp.random(6, 6, density=0.4, random_state=3, format="csr")
-        x = rng.standard_normal((6, 3))
-        idx = np.array([0, 2, 2, 5])
-
-        def fn(t):
-            return ops.sum(ops.gather(ops.spmm(adj, t), idx))
-
-        self._assert_parity(fn, x)
-
-    def test_fused_bce_parity(self):
-        from repro.nn.losses import binary_cross_entropy_with_logits
-
-        rng = np.random.default_rng(3)
-        logits = rng.standard_normal(32)
-        targets = (rng.random(32) > 0.5).astype(float)
-        weights = rng.random(32)
-
-        def fn(t):
-            return binary_cross_entropy_with_logits(t, targets, weights)
-
-        self._assert_parity(fn, logits)
-
-    def test_fused_fair_loss_parity(self):
-        from repro.core.fairloss import _fused_pair_disparities
-        from repro.tensor import ops
-
-        rng = np.random.default_rng(4)
-        N, d, M, K = 40, 6, 2, 3
-        h = rng.standard_normal((N, d))
-        idx = rng.integers(0, N, size=(M, N, K))
-        anchors = np.arange(N, dtype=np.int64)
-        scale = rng.random((M, N))
-
-        def fn(t):
-            return ops.sum(_fused_pair_disparities(t, idx, anchors, scale))
-
-        self._assert_parity(fn, h)
-
-    def test_fused_adam_parity(self):
-        from repro.nn.module import Parameter
-        from repro.optim import Adam
-
-        rng = np.random.default_rng(5)
-        w0 = rng.standard_normal((4, 3))
-        grads = [rng.standard_normal((4, 3)) for _ in range(3)]
-        results = {}
-        for name in ("numpy", "torch"):
-            with backend_scope(name):
-                p = Parameter(w0.copy())
-                opt = Adam([p], lr=0.05, weight_decay=0.01)
-                for g in grads:
-                    p.grad = get_backend().asarray(g)
-                    opt.step()
-                results[name] = get_backend().to_numpy(p.data)
-        np.testing.assert_allclose(
-            results["torch"], results["numpy"], **TORCH_PARITY_TOL
-        )
-
-    def test_dtype_scope_composes_with_torch(self):
-        with backend_scope("torch"), dtype_scope("float32"):
-            t = Tensor(np.ones(3))
-            assert get_backend().np_dtype(t.data) == np.float32

@@ -37,7 +37,7 @@ class TestConfigValidation:
             {"binarize_quantile": 0.0},
             {"encoder_epochs": 0},
             {"finetune_epochs": 0},
-            {"refresh_counterfactuals_every": 0},
+            {"cf_refresh_epochs": 0},
             {"max_pseudo_attributes": 0},
             {"patience": -1},
             {"finetune_val_tolerance": -0.5},

@@ -21,7 +21,7 @@ class TestValidation:
             ({"cf_refresh_epochs": 0}, "cf_refresh_epochs"),
             ({"cf_update": "lazy"}, "cf_update"),
             ({"cf_update": "incremental"}, "cf_backend"),
-            ({"backend": "jax"}, "backend"),
+            ({"cf_refresh_epochs": None}, "cf_refresh_epochs"),
             ({"dtype": "half-precision"}, "not a dtype"),
             ({"fanouts": ()}, "fanouts"),
             ({"fanouts": (0,)}, "fanouts"),
@@ -50,6 +50,18 @@ class TestValidation:
     def test_execution_config_has_no_worker_fields(self, field):
         with pytest.raises(TypeError, match=field):
             ExecutionConfig(**{field: 0})
+
+    def test_backend_setting_is_gone(self, capsys):
+        """numpy is the only array backend, so nothing selects one."""
+        from repro.cli import build_parser
+
+        for config in (FairwosConfig, ExecutionConfig):
+            with pytest.raises(TypeError, match="backend"):
+                config(backend="numpy")
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["run", "--backend", "numpy"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestRunMethodKeywords:

@@ -41,7 +41,7 @@ FAIRWOS_VARIANTS = {
     "no_encoder": dict(use_encoder=False),
     "mlp_encoder": dict(encoder_backbone="mlp"),
     "no_weight_update": dict(use_weight_update=False),
-    "refresh_every_3": dict(refresh_counterfactuals_every=3),
+    "refresh_every_3": dict(cf_refresh_epochs=3),
     # A zero tolerance trips the validation floor in the third epoch, after
     # one state above the floor was kept (asserted below, so the pin keeps
     # its purpose).

@@ -27,6 +27,7 @@ from repro.graph import (
 from repro.gnnzoo import make_backbone
 from repro.tensor import Tensor
 from repro.training import (
+    embed_batched,
     fit_binary_classifier,
     fit_minibatch,
     iter_minibatches,
@@ -333,6 +334,41 @@ class TestFullBatchAgreement:
         grads = [p.grad for p in model.parameters()]
         assert all(g is not None for g in grads)
         assert any(np.abs(g).max() > 0 for g in grads)
+
+
+class TestNodeIds:
+    """Both inference helpers read node ids the same way in both modes."""
+
+    HELPERS = pytest.mark.parametrize(
+        "helper", [predict_logits_batched, embed_batched], ids=["logits", "embed"]
+    )
+    MODES = pytest.mark.parametrize("batch_size", [None, 7], ids=["fullbatch", "sampled"])
+
+    @staticmethod
+    def _args(graph):
+        model = make_backbone("gcn", graph.num_features, 8, np.random.default_rng(0))
+        return model, graph.features, graph.adjacency
+
+    @HELPERS
+    @MODES
+    def test_repeated_ids_answered_row_for_row(self, small_graph, helper, batch_size):
+        args = self._args(small_graph)
+        nodes = np.array([2, 2, 5, 2, 0, 5])
+        out = helper(*args, nodes=nodes, batch_size=batch_size)
+        # Each distinct id is computed once, in first-occurrence order.
+        once = helper(*args, nodes=np.array([2, 5, 0]), batch_size=batch_size)
+        np.testing.assert_array_equal(out, once[[0, 0, 1, 0, 2, 1]])
+        every = helper(*args, batch_size=batch_size)
+        np.testing.assert_allclose(out, every[nodes], atol=1e-10)
+
+    @HELPERS
+    @MODES
+    def test_ids_outside_the_graph_raise(self, small_graph, helper, batch_size):
+        args = self._args(small_graph)
+        n = small_graph.num_nodes
+        for bad in (-1, n):
+            with pytest.raises(ValueError, match=rf"node ids must be in \[0, {n}\)"):
+                helper(*args, nodes=np.array([0, bad]), batch_size=batch_size)
 
 
 # --------------------------------------------------------------------- #
