@@ -32,6 +32,7 @@ from repro.core.weights import WeightUpdater
 from repro.fairness import EvalResult, evaluate_predictions
 from repro.gnnzoo import make_backbone
 from repro.graph import Graph
+from repro.graph.utils import sorted_unique
 from repro.nn import binary_cross_entropy_with_logits
 from repro.optim import Adam
 from repro.tensor import Tensor, dtype_scope, no_grad
@@ -375,7 +376,7 @@ class FairwosTrainer:
             # np.ix_ slices both axes at once — no O(I·N·K) intermediate.
             sub = np.ix_(attrs_step, batch)
             targets = cf_index.indices[sub][cf_index.valid[sub]]
-            seeds = np.unique(np.concatenate([batch, targets.reshape(-1)]))
+            seeds = sorted_unique(np.concatenate([batch, targets.reshape(-1)]))
             return seeds, (attrs_step, fair_scale)
 
         def loss_fn(step: TrainStep) -> Tensor:

@@ -19,6 +19,11 @@ them input-layer-first so a model can fold them left to right.
 
 All sampling is vectorized over CSR ``indptr``/``indices`` — there are no
 Python-per-node loops, so sampling a batch is O(edges touched) numpy work.
+Building a block is too: each sampler owns an N-entry position map from
+global to local ids (DGL's ``to_block`` relabelling), so local columns are
+one gather, the new source nodes are one sort of the unmatched neighbours,
+and the CSR is assembled directly from the row counts — no sort of the
+edge list and no COO round trip.
 """
 
 from __future__ import annotations
@@ -29,7 +34,11 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.graph.utils import adjacency_from_edges, edges_from_adjacency
+from repro.graph.utils import (
+    adjacency_from_edges,
+    edges_from_adjacency,
+    sorted_unique,
+)
 
 __all__ = [
     "Block",
@@ -75,11 +84,15 @@ class Block:
 
     def __post_init__(self) -> None:
         # Float data keeps the block operators' reciprocal/ratio scaling
-        # exact even when callers hand in an integer 0/1 adjacency;
-        # copy=False leaves sampler-built float blocks untouched.
-        self.adjacency = sp.csr_matrix(self.adjacency).astype(
-            np.float64, copy=False
-        )
+        # exact even when callers hand in an integer 0/1 adjacency; a
+        # sampler-built float64 CSR is kept as it is, without a re-wrap.
+        if not (
+            isinstance(self.adjacency, sp.csr_matrix)
+            and self.adjacency.dtype == np.float64
+        ):
+            self.adjacency = sp.csr_matrix(self.adjacency).astype(
+                np.float64, copy=False
+            )
         self.src_nodes = np.asarray(self.src_nodes, dtype=np.int64)
         self.dst_nodes = np.asarray(self.dst_nodes, dtype=np.int64)
         self.src_degrees = np.asarray(self.src_degrees, dtype=np.float64)
@@ -145,6 +158,10 @@ class NeighborSampler:
         draws accumulate multiplicity in the block adjacency, which the mean
         aggregator weights correctly.
 
+    A sampler owns an ``(N,)`` int64 position map (8 bytes per node) that
+    relabels each block's global ids; every call leaves it all ``-1``.  Do
+    not share one sampler across threads — give each its own.
+
     Examples
     --------
     >>> sampler = NeighborSampler(graph.adjacency, fanouts=(10, 5))
@@ -181,6 +198,9 @@ class NeighborSampler:
         self._indices = matrix.indices.astype(np.int64, copy=False)
         self._degrees = np.diff(matrix.indptr).astype(np.int64)
         self.num_nodes = matrix.shape[0]
+        # Global id -> local source id of the block being built, -1 when
+        # unset.  Every call resets the entries it wrote before returning.
+        self._position = np.full(self.num_nodes, -1, dtype=np.int64)
         self.fanouts = fanouts
         self.replace = replace
 
@@ -213,7 +233,14 @@ class NeighborSampler:
             raise ValueError("seeds must be non-empty")
         if seeds.min() < 0 or seeds.max() >= self.num_nodes:
             raise ValueError("seed ids out of range")
-        if np.unique(seeds).size != seeds.size:
+        local = np.arange(seeds.size)
+        try:
+            self._position[seeds] = local
+            # A repeated id holds only one of its positions.
+            duplicated = (self._position[seeds] != local).any()
+        finally:
+            self._position[seeds] = -1
+        if duplicated:
             raise ValueError("seeds must be unique")
         if rng is None:
             rng = np.random.default_rng()
@@ -232,7 +259,8 @@ class NeighborSampler:
         """Vectorized per-row edge selection.
 
         Returns ``(rows, neighbors)`` where ``rows`` are local indices into
-        ``dst`` and ``neighbors`` are global neighbour ids.  Each call makes
+        ``dst``, in ascending order (the block's CSR row pointer counts
+        them), and ``neighbors`` are global neighbour ids.  Each call makes
         at most one generator draw: ``fanout`` uniform picks per
         non-isolated row with replacement, otherwise one random key per
         candidate edge (skipped when the layer keeps full neighbourhoods or
@@ -309,16 +337,30 @@ class NeighborSampler:
     ) -> Block:
         rows, neighbors = self._select_edges(dst, fanout, rng)
         # Source set: destinations first (local id i == dst i), then the
-        # newly reached neighbours in sorted order (deterministic).
-        extra = np.setdiff1d(neighbors, dst)
-        src_nodes = np.concatenate([dst, extra])
-        # Map global neighbour ids to local column ids via a sorted view.
-        src_order = np.argsort(src_nodes, kind="stable")
-        cols = src_order[np.searchsorted(src_nodes[src_order], neighbors)]
+        # newly reached neighbours in sorted order (deterministic).  Local
+        # column ids are read through the position map, so relabelling is
+        # O(edges) with no sort of the edge list.
+        position = self._position
+        src_nodes = dst
+        try:
+            position[dst] = np.arange(dst.size)
+            cols = position[neighbors]
+            new = cols < 0
+            extra = sorted_unique(neighbors[new])
+            src_nodes = np.concatenate([dst, extra])
+            position[extra] = np.arange(dst.size, src_nodes.size)
+            cols[new] = position[neighbors[new]]
+        finally:
+            position[src_nodes] = -1
+        # Rows arrive ascending, so the CSR row pointer is a running count;
+        # sum_duplicates sorts each row and merges replace=True repeats.
+        indptr = np.zeros(dst.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=dst.size), out=indptr[1:])
         adjacency = sp.csr_matrix(
-            (np.ones(neighbors.size), (rows, cols)),
+            (np.ones(cols.size), cols, indptr),
             shape=(dst.size, src_nodes.size),
         )
+        adjacency.sum_duplicates()
         return Block(
             adjacency=adjacency,
             src_nodes=src_nodes,
@@ -331,12 +373,13 @@ class NeighborSampler:
 class EpochBlockCache:
     """Epoch-level replay cache for sampled minibatch structure.
 
-    Per-batch neighbour sampling is pure numpy bookkeeping (lexsort,
-    setdiff, searchsorted per layer) and dominates sampled-epoch wall-time
-    once the model is small; the structure it produces, however, is equally
-    valid for several consecutive epochs of SGD.  This cache records every
-    step of a *refresh* epoch — the iterated batch, its (possibly extended)
-    seed set, an arbitrary caller payload, and the sampled block chain — and
+    Per-batch neighbour sampling is numpy bookkeeping (edge selection,
+    relabelling and CSR assembly per layer, then the block operators) and
+    a large share of sampled-epoch wall-time once the model is small; the
+    structure it produces, however, is equally valid for several
+    consecutive epochs of SGD.  This cache records every step of a
+    *refresh* epoch — the iterated batch, its (possibly extended) seed set,
+    an arbitrary caller payload, and the sampled block chain — and
     replays the recorded sequence verbatim for the following
     ``cache_epochs - 1`` epochs, so sampling cost is paid once per window
     (and the replayed :class:`Block`\\ s keep their memoised operator
@@ -422,9 +465,12 @@ class EpochBlockCache:
 # --------------------------------------------------------------------- #
 def _self_loops(block: Block) -> sp.csr_matrix:
     """Identity-like ``(num_dst, num_src)`` matrix on the shared prefix."""
-    eye = np.arange(block.num_dst)
     return sp.csr_matrix(
-        (np.ones(block.num_dst), (eye, eye)),
+        (
+            np.ones(block.num_dst),
+            np.arange(block.num_dst),
+            np.arange(block.num_dst + 1),
+        ),
         shape=(block.num_dst, block.num_src),
     )
 
@@ -449,9 +495,15 @@ def block_gcn_matrix(block: Block) -> sp.csr_matrix:
 
     def build(block: Block) -> sp.csr_matrix:
         matrix = block.adjacency + _self_loops(block)
+        rows = np.repeat(np.arange(block.num_dst), np.diff(matrix.indptr))
         row_scale = 1.0 / np.sqrt(block.dst_degrees + 1.0)
         col_scale = 1.0 / np.sqrt(block.src_degrees + 1.0)
-        return (sp.diags(row_scale) @ matrix @ sp.diags(col_scale)).tocsr()
+        # The values and entry order of diags(row) @ (A + I) @ diags(col):
+        # each scipy product reverses every row, so the two cancel.
+        data = (row_scale[rows] * matrix.data) * col_scale[matrix.indices]
+        return sp.csr_matrix(
+            (data, matrix.indices, matrix.indptr), shape=matrix.shape
+        )
 
     return _memoized_operator(block, "gcn", build)
 

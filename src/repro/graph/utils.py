@@ -11,6 +11,7 @@ __all__ = [
     "degree_vector",
     "k_hop_neighbors",
     "edge_homophily",
+    "sorted_unique",
 ]
 
 
@@ -41,6 +42,24 @@ def adjacency_from_edges(edges: np.ndarray, num_nodes: int) -> sp.csr_matrix:
     matrix.sum_duplicates()
     matrix.data = np.ones_like(matrix.data)
     return matrix
+
+
+def sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of a 1-D integer id array.
+
+    Equals ``np.unique(ids)`` but takes one ``np.sort`` and a neighbour
+    compare.  numpy 2's ``np.unique`` hashes integers, which is slower at
+    the sizes a sampled batch produces: on a 2-vCPU x86 box with numpy
+    2.4.6, 161 µs against 13 µs for 1,600 int64 ids, and 15.4 ms against
+    0.8 ms for 80k ids in ``[0, 1M)``.
+    """
+    ordered = np.sort(np.asarray(ids).reshape(-1))
+    if ordered.size < 2:
+        return ordered
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 def degree_vector(adjacency: sp.spmatrix) -> np.ndarray:

@@ -49,7 +49,8 @@ from repro.core.ann import EXHAUSTIVE, AnnBackend, RPForestIndex
 from repro.core.counterfactual import CounterfactualIndex, CounterfactualSearch
 from repro.core.encoder import EncoderModule
 from repro.gnnzoo import make_backbone
-from repro.graph import Graph
+from repro.gnnzoo.base import identity_cached
+from repro.graph import Graph, NeighborSampler
 from repro.io.graph_io import load_graph, save_graph
 from repro.io.model_io import pack_state, unpack_state
 from repro.tensor import Tensor, dtype_scope
@@ -402,6 +403,16 @@ class _FrozenForestBackend(AnnBackend):
         return None
 
 
+def _override(name: str, value: int | None, saved: int) -> int:
+    """``value`` when given, else the saved setting; values below 1 raise
+    (0 is an invalid override, not "unset")."""
+    if value is None:
+        return saved
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 class ModelArtifact:
     """A loaded artifact: a trained method ready to score.
 
@@ -416,6 +427,10 @@ class ModelArtifact:
       monitoring;
     * :meth:`matches` — fingerprint check of a candidate graph against
       the training dataset.
+
+    A minibatch artifact keeps one full-neighbourhood
+    :class:`~repro.graph.NeighborSampler` per scored adjacency, whose
+    position map is not thread-safe: serve one artifact from one thread.
     """
 
     def __init__(self, path: Path, manifest: dict) -> None:
@@ -424,6 +439,10 @@ class ModelArtifact:
         self.kind: str = manifest["kind"]
         self.method_name: str = manifest.get("method", self.kind)
         self._graph: Graph | None = None
+        # One full-neighbourhood sampler per scored adjacency (minibatch
+        # artifacts), so a request does not rebuild the sampler's O(N + E)
+        # state.  Keyed by adjacency identity like the backbones' operators.
+        self._samplers: dict[int, tuple] = {}
         # The resolved execution settings the run trained under, when the
         # saver recorded them (repro run --save does); None for artifacts
         # written before the execution manifest or saved without one.
@@ -619,7 +638,8 @@ class ModelArtifact:
             (encoder, standardization, column selection) before scoring.
             Requires ``graph`` (or the bundle) for the adjacency.
         batch_size:
-            Batched-inference batch size override (minibatch configs).
+            Batched-inference batch size override (minibatch configs);
+            ``None`` keeps the saved one, values below 1 raise.
 
         Scoring runs in the dtype of the stored weights and reproduces the
         in-memory model's predictions bit-identically, dtype included.
@@ -631,6 +651,8 @@ class ModelArtifact:
 
     def _score_fairwos(self, graph, nodes, features, batch_size):
         trainer = self.trainer
+        config = trainer.config
+        batch_size = _override("batch_size", batch_size, config.batch_size)
         if features is not None:
             pseudo = trainer.transform_features(features, graph.adjacency)
         else:
@@ -641,14 +663,13 @@ class ModelArtifact:
                     f"trained on {pseudo.data.shape[0]}; pass features= to "
                     f"score new data"
                 )
-        config = trainer.config
         return self._predict(
-            pseudo, graph, nodes,
-            (batch_size or config.batch_size) if config.minibatch else None,
+            pseudo, graph, nodes, batch_size if config.minibatch else None
         )
 
     def _score_baseline(self, graph, nodes, features, batch_size):
         method = self.baseline
+        batch_size = _override("batch_size", batch_size, method.batch_size)
         raw = graph.features if features is None else np.asarray(features)
         if method.feature_columns_ is not None:
             raw = raw[:, method.feature_columns_]
@@ -659,17 +680,25 @@ class ModelArtifact:
                 f"expects {expected}"
             )
         return self._predict(
-            raw, graph, nodes,
-            (batch_size or method.batch_size) if method.minibatch else None,
+            raw, graph, nodes, batch_size if method.minibatch else None
         )
 
     def _predict(self, features, graph, nodes, batch_size) -> np.ndarray:
         """Eval-mode logits of the stored model for ``nodes``
         (``batch_size=None``: one full-graph forward)."""
+        sampler = None
+        if batch_size is not None:
+            sampler = identity_cached(
+                self._samplers,
+                graph.adjacency,
+                lambda adjacency: NeighborSampler.full_neighborhood(
+                    adjacency, self._model.num_layers
+                ),
+            )
         with dtype_scope(self._dtype):
             return predict_logits_batched(
                 self._model, features, graph.adjacency, nodes=nodes,
-                batch_size=batch_size,
+                batch_size=batch_size, sampler=sampler,
             )
 
     # -- counterfactual retrieval -------------------------------------- #
@@ -686,7 +715,8 @@ class ModelArtifact:
         so no rebuild happens at serving time.  Retrieval covers the
         *indexed* (training-graph) nodes; pass ``nodes`` to restrict the
         query set to a served batch, ``probes`` (int or ``"exhaustive"``)
-        to trade recall for work per query.
+        to trade recall for work per query.  ``top_k`` overrides the saved
+        K; values below 1 raise.
 
         Only Fairwos artifacts carry an index; baselines raise.
         """
@@ -706,7 +736,7 @@ class ModelArtifact:
             )
         trainer = self.trainer
         search = CounterfactualSearch(
-            top_k or trainer.config.top_k, backend=backend
+            _override("top_k", top_k, trainer.config.top_k), backend=backend
         )
         return search.search(
             self._index_points,

@@ -328,8 +328,8 @@ class TrainStep:
         """Positions of global ``nodes`` within ``seeds``.
 
         Valid when ``seeds`` is sorted — always true in the full-batch step,
-        with a seed extension (extensions are built with ``np.unique``) or
-        with ``sort_batches=True``.
+        with a seed extension (extensions are sorted distinct ids) or with
+        ``sort_batches=True``.
         """
         return np.searchsorted(self.seeds, nodes)
 

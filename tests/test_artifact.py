@@ -410,3 +410,176 @@ class TestAuditSurface:
         assert report.num_windows == 3
         assert int(report.ends[-1]) == art.graph.num_nodes
         assert "drift" in report.render()
+
+
+@pytest.fixture(scope="module")
+def sampled_fairwos_artifact(small_graph, tmp_path_factory):
+    """A neighbour-sampled Fairwos artifact with an ANN index."""
+    result = run_method(
+        "fairwos",
+        small_graph,
+        epochs=4,
+        finetune_epochs=2,
+        execution=ExecutionConfig(minibatch=True, batch_size=64, cf_backend="ann"),
+        keep_model=True,
+    )
+    path = tmp_path_factory.mktemp("artifacts") / "fairwos-sampled"
+    save_artifact(result.extra["model"], small_graph, path)
+    return path
+
+
+@pytest.fixture
+def sampler_builds(monkeypatch):
+    """Every NeighborSampler constructed while the test runs."""
+    from repro.graph import NeighborSampler
+
+    built = []
+    construct = NeighborSampler.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(NeighborSampler, "__init__", counting)
+    return built
+
+
+class TestServedSampler:
+    """A minibatch artifact keeps one full-neighbourhood sampler per
+    scored adjacency instead of building one per request."""
+
+    def test_repeated_scores_build_one_sampler(
+        self, sampled_fairwos_artifact, sampler_builds
+    ):
+        art = load_artifact(sampled_fairwos_artifact)
+        for nodes in ([1, 5, 9], [2, 2, 7], None):
+            art.score(nodes=None if nodes is None else np.array(nodes))
+        assert len(sampler_builds) == 1
+
+    def test_new_graph_object_gets_its_own_sampler(
+        self, sampled_fairwos_artifact, small_graph, sampler_builds
+    ):
+        import dataclasses
+
+        art = load_artifact(sampled_fairwos_artifact)
+        other = dataclasses.replace(
+            small_graph, adjacency=small_graph.adjacency.copy()
+        )
+        first = art.score(small_graph)
+        assert len(sampler_builds) == 1
+        np.testing.assert_array_equal(art.score(other), first)
+        assert len(sampler_builds) == 2
+        art.score(other)
+        art.score(small_graph)
+        assert len(sampler_builds) == 2
+
+    def test_fullbatch_artifact_builds_none(self, fairwos_artifact, sampler_builds):
+        art = load_artifact(fairwos_artifact)
+        art.score()
+        art.score(nodes=np.array([3, 4]))
+        assert sampler_builds == []
+
+    def test_recycled_id_misses_the_cache(
+        self, sampled_fairwos_artifact, tiny_adjacency, sampler_builds
+    ):
+        """An entry whose adjacency was freed must not serve a new matrix
+        that happens to reuse its ``id``."""
+        import weakref
+
+        from repro.graph import NeighborSampler
+
+        art = load_artifact(sampled_fairwos_artifact)
+        graph = art.graph
+
+        class _Freed:
+            pass
+
+        freed = _Freed()
+        dead = weakref.ref(freed)
+        del freed
+        assert dead() is None
+        stale = NeighborSampler.full_neighborhood(tiny_adjacency, 1)
+        art._samplers[id(graph.adjacency)] = (dead, stale)
+        sampler_builds.clear()
+        nodes = np.array([0, 10, 20])
+        served = art.score(nodes=nodes)
+        assert len(sampler_builds) == 1
+        assert art._samplers[id(graph.adjacency)][1] is not stale
+        fresh = load_artifact(sampled_fairwos_artifact).score(nodes=nodes)
+        np.testing.assert_array_equal(served, fresh)
+
+    def test_cached_logits_equal_an_uncached_call(self, sampled_fairwos_artifact):
+        from repro.tensor import dtype_scope
+
+        art = load_artifact(sampled_fairwos_artifact)
+        graph = art.graph
+        nodes = np.array([7, 3, 3, 200, 1])
+        for batch_size in (64, 2):
+            with dtype_scope(art._dtype):
+                uncached = predict_logits_batched(
+                    art.trainer.classifier,
+                    art.trainer._pseudo_features,
+                    graph.adjacency,
+                    nodes=nodes,
+                    batch_size=batch_size,
+                )
+            for _ in range(2):
+                np.testing.assert_array_equal(
+                    art.score(nodes=nodes, batch_size=batch_size), uncached
+                )
+
+
+class TestZeroOverrides:
+    """An override of 0 is an error, not "use the saved value"."""
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_score_batch_size_below_one_raises(
+        self, sampled_fairwos_artifact, sampled_artifact, bad
+    ):
+        for path in (sampled_fairwos_artifact, sampled_artifact):
+            art = load_artifact(path)
+            with pytest.raises(ValueError, match="batch_size must be >= 1"):
+                art.score(nodes=np.array([1, 2]), batch_size=bad)
+
+    def test_score_batch_size_none_keeps_saved(self, sampled_fairwos_artifact):
+        art = load_artifact(sampled_fairwos_artifact)
+        np.testing.assert_array_equal(
+            art.score(batch_size=None), art.score(batch_size=64)
+        )
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_counterfactuals_top_k_below_one_raises(
+        self, sampled_fairwos_artifact, bad
+    ):
+        art = load_artifact(sampled_fairwos_artifact)
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            art.counterfactuals(nodes=np.array([3]), top_k=bad)
+        assert art.counterfactuals(nodes=np.array([3])).top_k == 5
+        assert art.counterfactuals(nodes=np.array([3]), top_k=1).top_k == 1
+
+    def test_cli_score_batch_size_zero_raises(self, sampled_fairwos_artifact):
+        from repro.cli import main
+
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            main([
+                "score", "--artifact", str(sampled_fairwos_artifact),
+                "--node-ids", "1,5,9", "--batch-size", "0",
+            ])
+
+    def test_cli_serve_answers_zero_overrides_with_errors(
+        self, sampled_fairwos_artifact, capsys
+    ):
+        import io
+
+        from repro.cli import _cmd_serve, build_parser
+
+        args = build_parser().parse_args(
+            ["serve", "--artifact", str(sampled_fairwos_artifact), "--batch-size", "0"]
+        )
+        stdin = io.StringIO("score 1,5,9\ncf 3 0\ncf 3 2\nquit\n")
+        summary = _cmd_serve(args, stdin=stdin)
+        assert "served 3 requests" in summary
+        transcript = capsys.readouterr().out
+        assert "error: batch_size must be >= 1, got 0" in transcript
+        assert "error: top_k must be >= 1, got 0" in transcript
+        assert "counterfactual twins (K=2" in transcript

@@ -20,6 +20,7 @@ from repro.graph import (
     row_normalize,
     to_symmetric,
 )
+from repro.graph.utils import sorted_unique
 
 
 class TestGraphContainer:
@@ -164,6 +165,17 @@ class TestGraphUtils:
 
     def test_adjacency_from_empty_edges(self):
         assert adjacency_from_edges(np.zeros((0, 2)), 4).nnz == 0
+
+    @settings(deadline=None)
+    @given(
+        ids=st.lists(st.integers(-(2**40), 2**40), max_size=60),
+        dtype=st.sampled_from([np.int64, np.int32]),
+    )
+    def test_sorted_unique_matches_np_unique(self, ids, dtype):
+        values = np.array(ids, dtype=np.int64).astype(dtype)
+        got, want = sorted_unique(values), np.unique(values)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
     def test_degree_vector(self, tiny_adjacency):
         np.testing.assert_allclose(
