@@ -4,9 +4,9 @@
 Reads every ``benchmarks/output/BENCH_<name>.json`` produced by the bench
 run, looks each one up in ``benchmarks/bench_baseline.json``, and exits
 non-zero when any gated wall-time exceeds its reference by more than the
-baseline's ``max_regression`` factor (1.5x) — so the sampled-epoch wins the
-benches assert relatively (8x fused fair loss, >=2x sampler cache) are also
-guarded absolutely between runs.
+baseline's ``max_regression`` factor (1.5x) — so the wins the benches
+assert relatively (8x fused fair loss) are also guarded absolutely between
+runs.
 
 Reference values are dotted paths into the bench payload
 (``"minibatch.wall_seconds"``).  Benches that did not run, metrics missing

@@ -42,11 +42,6 @@ class BaselineMethod:
     """
 
     name = "baseline"
-    # Epoch-level sampling-cache window of the minibatch engine.  Owned here
-    # (class default: fresh sampling every epoch) so every subclass resolves
-    # it explicitly; minibatch-capable subclasses override it from their
-    # constructors alongside the fanouts/batch_size knobs they declare.
-    cache_epochs = 1
 
     def __init__(
         self,
@@ -187,7 +182,6 @@ class BaselineMethod:
             patience=self.patience,
             rng=rng,
             extra_loss=extra_loss,
-            cache_epochs=self.cache_epochs,
         )
         logits = predict_logits_batched(
             model, features, adjacency, batch_size=batch_size

@@ -99,7 +99,6 @@ class FairGKD(BaselineMethod):
         minibatch: bool = False,
         fanouts: tuple[int, ...] | None = None,
         batch_size: int = 512,
-        cache_epochs: int = 1,
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
@@ -115,7 +114,6 @@ class FairGKD(BaselineMethod):
         self.minibatch = minibatch
         self.fanouts = fanouts
         self.batch_size = batch_size
-        self.cache_epochs = cache_epochs
 
     # ------------------------------------------------------------------ #
     def _train_logits(self, graph: Graph, rng: np.random.Generator):
@@ -174,7 +172,6 @@ class FairGKD(BaselineMethod):
             graph.adjacency,
             fanouts=fanouts,
             batch_size=batch_size,
-            cache_epochs=self.cache_epochs,
             optimizer=Adam(
                 student.parameters() + projection.parameters(), lr=self.lr
             ),
@@ -230,5 +227,4 @@ class FairGKD(BaselineMethod):
             graph.train_mask, graph.val_mask,
             epochs=epochs, fanouts=fanouts, batch_size=batch_size,
             lr=self.lr, patience=self.patience, rng=train_rng,
-            cache_epochs=self.cache_epochs,
         )

@@ -73,7 +73,6 @@ class FairRF(BaselineMethod):
         minibatch: bool = False,
         fanouts: tuple[int, ...] | None = None,
         batch_size: int = 512,
-        cache_epochs: int = 1,
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
@@ -83,7 +82,6 @@ class FairRF(BaselineMethod):
         self.minibatch = minibatch
         self.fanouts = fanouts
         self.batch_size = batch_size
-        self.cache_epochs = cache_epochs
 
     def _train_logits(self, graph: Graph, rng: np.random.Generator):
         related = graph.related_feature_indices
@@ -107,7 +105,6 @@ class FairRF(BaselineMethod):
             graph.adjacency,
             fanouts=fanouts,
             batch_size=batch_size,
-            cache_epochs=self.cache_epochs,
             lr=self.lr,
         )
         train_mask = np.asarray(graph.train_mask, dtype=bool)

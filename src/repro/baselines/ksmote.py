@@ -79,7 +79,6 @@ class KSMOTE(BaselineMethod):
         minibatch: bool = False,
         fanouts: tuple[int, ...] | None = None,
         batch_size: int = 512,
-        cache_epochs: int = 1,
         kmeans_batch_size: int | None = None,
         **kwargs,
     ) -> None:
@@ -98,7 +97,6 @@ class KSMOTE(BaselineMethod):
         self.minibatch = minibatch
         self.fanouts = fanouts
         self.batch_size = batch_size
-        self.cache_epochs = cache_epochs
         self.kmeans_batch_size = kmeans_batch_size
 
     # ------------------------------------------------------------------ #

@@ -35,14 +35,12 @@ class RemoveR(BaselineMethod):
         minibatch: bool = False,
         fanouts: tuple[int, ...] | None = None,
         batch_size: int = 512,
-        cache_epochs: int = 1,
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
         self.minibatch = minibatch
         self.fanouts = fanouts
         self.batch_size = batch_size
-        self.cache_epochs = cache_epochs
 
     def _train_logits(self, graph: Graph, rng: np.random.Generator):
         if graph.related_feature_indices.size == 0:

@@ -345,8 +345,6 @@ def _cmd_run(args) -> str:
             f", minibatch fanout={','.join(map(str, fanouts))} "
             f"batch={execution.batch_size}"
         )
-        if execution.cache_epochs != 1:
-            mode += f" cache-epochs={execution.cache_epochs}"
     if args.method == "fairwos" and execution.cf_backend != "exact":
         mode += f", cf-backend={execution.cf_backend}"
         if execution.cf_update != "rebuild":

@@ -30,22 +30,8 @@ class FairwosConfig:
     phases (and every inference pass) to the neighbour-sampled engine of
     :mod:`repro.training.minibatch`, bounding memory by ``batch_size`` and
     ``fanouts`` instead of the graph size.  ``fanouts`` has one entry per
-    backbone layer (default: 10 per layer).  ``cache_epochs`` sets the
-    engine's epoch-level sampling cache window: batch composition and
-    sampled blocks are refreshed every that many epochs and replayed in
-    between (1 = fresh sampling every epoch; see
-    :class:`~repro.graph.sampling.EpochBlockCache`).  The sampled
-    fine-tune additionally invalidates the cache whenever the
-    counterfactual index refreshes, so cached seed sets never reference a
-    stale index.  Note that the cached structure includes everything the
-    seed sets were built from — with ``cf_attrs_per_step`` subsampling,
-    the attribute draw is part of it, so replayed epochs revisit the same
-    attribute subset: the ``I/M`` rescale stays unbiased per *window*
-    rather than per epoch, and attributes outside a window's draw get no
-    fair-loss gradient until the next refresh.  The window is bounded by
-    ``min(cache_epochs, cf_refresh_epochs)`` because every index
-    refresh invalidates the cache; keep ``cache_epochs`` at or below the
-    refresh cadence when combining both knobs.
+    backbone layer (default: 10 per layer).  Every sampled epoch draws
+    fresh batches and blocks.
 
     The fine-tuning phase scales through three further knobs:
     ``finetune_minibatch`` runs the fairness fine-tune itself on sampled
@@ -66,13 +52,12 @@ class FairwosConfig:
     distance ranking always uses the fresh embeddings either way, only the
     tree routing is maintained lazily (see
     :meth:`repro.core.ann.RPForestIndex.update`).  Requires the ``"ann"``
-    backend.  Every refresh still invalidates the sampling cache, so the
-    ``cache_epochs`` interaction above is unchanged.
+    backend.
     ``cf_attrs_per_step`` bounds the sampled fine-tune's per-step receptive
     field: each optimizer step draws that many pseudo-sensitive attributes
-    uniformly and rescales the fair loss by I/M (an unbiased estimator of
-    ``Σ_i λ_i D_i``), so the batch's counterfactual-target union stays
-    O(batch · M · K) instead of O(batch · I · K).  ``None`` keeps every
+    uniformly and rescales the fair loss by I/M (an unbiased per-step
+    estimator of ``Σ_i λ_i D_i``), so the batch's counterfactual-target
+    union stays O(batch · M · K) instead of O(batch · I · K).  ``None`` keeps every
     attribute every step (the full-batch semantics).
 
     ``dtype`` selects the floating precision of the whole training stack —
@@ -113,7 +98,6 @@ class FairwosConfig:
     minibatch: bool = False
     fanouts: tuple[int, ...] | None = None
     batch_size: int = 512
-    cache_epochs: int = 1
     finetune_minibatch: bool | None = None
     cf_backend: str = "exact"
     cf_backend_options: dict | None = None
@@ -248,16 +232,6 @@ _EXECUTION_CLI_FLAGS: tuple = (
     ),
     ("batch_size", {"flag": "--batch-size", "type": int}),
     (
-        "cache_epochs",
-        {
-            "flag": "--cache-epochs",
-            "type": int,
-            "metavar": "R",
-            "help": "reuse sampled minibatch structure for R epochs before "
-            "resampling (1 = fresh sampling every epoch)",
-        },
-    ),
-    (
         "cf_backend",
         {
             "flag": "--cf-backend",
@@ -321,7 +295,6 @@ class ExecutionConfig:
     minibatch: bool = False
     fanouts: tuple[int, ...] | None = None
     batch_size: int = 512
-    cache_epochs: int = 1
     finetune_minibatch: bool | None = None
     cf_backend: str = "exact"
     cf_refresh_epochs: int = 1
@@ -340,10 +313,6 @@ class ExecutionConfig:
         resolve_dtype(self.dtype)  # raises on anything but float32/float64
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.cache_epochs < 1:
-            raise ValueError(
-                f"cache_epochs must be >= 1, got {self.cache_epochs}"
-            )
         if isinstance(self.cf_backend, str) and self.cf_backend.lower() not in (
             "exact",
             "ann",

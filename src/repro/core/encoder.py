@@ -103,7 +103,6 @@ class EncoderModule:
         minibatch: bool = False,
         fanout: int | None = DEFAULT_FANOUT,
         batch_size: int = 512,
-        cache_epochs: int = 1,
         rng: np.random.Generator | None = None,
     ):
         """Optimise Eq. (5): classification loss over the labelled nodes.
@@ -129,7 +128,6 @@ class EncoderModule:
             lr=lr,
             patience=patience,
             rng=rng,
-            cache_epochs=cache_epochs,
         )
         self.pretrained = True
         return history

@@ -7,8 +7,9 @@ Phases:
 2. pre-train the GNN classifier on ``X(0)`` (line 4) — this model also
    provides pseudo-labels for unlabelled nodes;
 3. fine-tune: alternate gradient steps on θ (Eq. 16) with closed-form KKT
-   updates of λ (Eq. 24), re-searching graph counterfactuals as the
-   representation space moves (lines 5–13).
+   updates of λ (Eq. 24), re-searching graph counterfactuals every
+   ``cf_refresh_epochs`` epochs as the representation space moves
+   (lines 5–13).
 
 The ablation flags of :class:`~repro.core.config.FairwosConfig` disable
 individual modules to produce the paper's Fig. 4 variants.
@@ -37,7 +38,6 @@ from repro.nn import binary_cross_entropy_with_logits
 from repro.optim import Adam
 from repro.tensor import Tensor, dtype_scope, no_grad
 from repro.training import (
-    IndexMaintainer,
     MinibatchEngine,
     TrainStep,
     fit_minibatch,
@@ -144,7 +144,6 @@ class FairwosTrainer:
                 minibatch=config.minibatch,
                 fanout=config.resolved_fanouts()[0],
                 batch_size=config.batch_size,
-                cache_epochs=config.cache_epochs,
                 rng=rng,
             )
             pseudo_raw = self.encoder.extract(features, adjacency)
@@ -196,7 +195,6 @@ class FairwosTrainer:
             weight_decay=config.weight_decay,
             patience=config.patience,
             rng=rng,
-            cache_epochs=config.cache_epochs,
         )
         # Pseudo-labels: ground truth on the labelled (train) nodes, model
         # predictions elsewhere (Section III-D).
@@ -281,23 +279,16 @@ class FairwosTrainer:
         pairs (:func:`fair_representation_loss`, or its batch estimate when
         sampled); ``on_epoch_end`` runs the closed-form λ update.
 
-        The counterfactual index is refreshed every ``cf_refresh_epochs``
-        epochs from the engine's exact eval-mode embedding by an
-        :class:`~repro.training.IndexMaintainer` registered as the engine's
-        ``on_epoch_start`` callback (it also invalidates the sampling
-        cache, so cached seed sets never point at stale targets; with
+        The engine's ``on_epoch_start`` callback refreshes the
+        counterfactual index from the engine's exact eval-mode embedding on
+        epoch 0 and every ``cf_refresh_epochs``-th epoch after (with
         ``cf_update="incremental"`` each refresh maintains the ANN forest in
-        place instead of rebuilding it).  "Early stop operation to preserve
+        place instead of rebuilding it); both fine-tune paths therefore
+        search on the same epochs.  "Early stop operation to preserve
         competitive utility" is the engine's ``"floor"`` checkpoint: the
         fine-tune aborts once validation accuracy falls more than
         ``finetune_val_tolerance`` below its pre-finetune level, keeping the
         last state above the floor.
-
-        With ``cache_epochs > 1`` a replayed epoch reuses the refresh
-        epoch's recorded structure *including* its ``cf_attrs_per_step``
-        attribute draws (they determine the seed sets the blocks were
-        sampled for); the cache-vs-refresh interaction and its bounds are
-        documented on :class:`~repro.core.config.FairwosConfig`.
         """
         config = self.config
         classifier = self.classifier
@@ -314,7 +305,6 @@ class FairwosTrainer:
             graph.adjacency,
             fanouts=config.resolved_fanouts(),
             batch_size=config.batch_size if sampled else None,
-            cache_epochs=config.cache_epochs,
             optimizer=Adam(
                 classifier.parameters(),
                 lr=config.resolved_finetune_lr(),
@@ -332,23 +322,20 @@ class FairwosTrainer:
         disparity_counts = np.zeros(num_attrs)
         epoch_losses: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-        def refresh_index(epoch: int) -> None:
-            nonlocal cf_index, coverage, running_disparities
-            reps = engine.embed()
-            cf_index = search.search(reps, pseudo_labels, binary_attrs)
-            coverage = cf_index.coverage()
-            if sampled:
-                # Snapshot disparities for every attribute so the λ update
-                # has a current estimate even for attributes a subsampling
-                # epoch never draws (they must not read as "perfectly fair").
-                running_disparities = _snapshot_disparities(reps, cf_index)
-
-        maintainer = IndexMaintainer(refresh_index, config.cf_refresh_epochs, engine=engine)
-
         def on_epoch_start(epoch: int) -> None:
+            nonlocal cf_index, coverage, running_disparities
             nonlocal epoch_utility, epoch_fair, train_seen
             nonlocal disparity_sums, disparity_counts
-            maintainer(epoch)
+            if epoch % config.cf_refresh_epochs == 0:
+                reps = engine.embed()
+                cf_index = search.search(reps, pseudo_labels, binary_attrs)
+                coverage = cf_index.coverage()
+                if sampled:
+                    # Snapshot disparities for every attribute so the λ
+                    # update has a current estimate even for attributes a
+                    # subsampling epoch never draws (they must not read as
+                    # "perfectly fair").
+                    running_disparities = _snapshot_disparities(reps, cf_index)
             epoch_utility = epoch_fair = 0.0
             train_seen = 0
             disparity_sums = np.zeros(num_attrs)

@@ -333,7 +333,6 @@ def run_linkpred_method(
             fanouts=execution.fanouts,
             batch_size=execution.batch_size,
             num_layers=num_layers,
-            cache_epochs=execution.cache_epochs,
             lr=lr,
         )
         val_nodes = np.flatnonzero(graph.val_mask)

@@ -105,8 +105,8 @@ def run_method(
     execution:
         How the method executes, as one
         :class:`~repro.core.config.ExecutionConfig` value: sampled vs
-        full-batch training (``minibatch``/``fanouts``/``batch_size``/
-        ``cache_epochs``), the Fairwos fine-tune scaling knobs
+        full-batch training (``minibatch``/``fanouts``/``batch_size``),
+        the Fairwos fine-tune scaling knobs
         (``finetune_minibatch``/``cf_backend``/``cf_refresh_epochs``/
         ``cf_update`` — ignored by baselines), and precision (``dtype``).
         Every method honours the shared fields: "vanilla"/"remover" train
@@ -148,7 +148,6 @@ def run_method(
             minibatch=execution.minibatch,
             fanouts=execution.fanouts,
             batch_size=execution.batch_size,
-            cache_epochs=execution.cache_epochs,
             num_layers=len(execution.fanouts) if execution.fanouts else 1,
         )
         runner = baseline_classes[key](**kwargs)
@@ -176,8 +175,8 @@ def run_method(
                 f"execution settings ({', '.join(conflicts)}) disagree with "
                 "the explicit fairwos_config; when supplying a full config, "
                 "set its execution fields (minibatch/fanouts/batch_size/"
-                "cache_epochs/cf_backend/cf_refresh_epochs/"
-                "finetune_minibatch/cf_update/dtype) directly"
+                "cf_backend/cf_refresh_epochs/finetune_minibatch/cf_update/"
+                "dtype) directly"
             )
     if fairwos_config is None:
         overrides = FAIRWOS_OVERRIDES.get(graph.name, FAIRWOS_OVERRIDES["default"])
@@ -190,7 +189,6 @@ def run_method(
             minibatch=execution.minibatch,
             fanouts=execution.fanouts,
             batch_size=execution.batch_size,
-            cache_epochs=execution.cache_epochs,
             num_layers=len(execution.fanouts) if execution.fanouts else 1,
             cf_backend=execution.cf_backend,
             cf_refresh_epochs=execution.cf_refresh_epochs,

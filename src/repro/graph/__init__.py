@@ -9,7 +9,6 @@ from repro.graph.normalize import (
 )
 from repro.graph.sampling import (
     Block,
-    EpochBlockCache,
     NeighborSampler,
     block_gcn_matrix,
     block_mean_matrix,
@@ -30,7 +29,6 @@ from repro.graph.utils import (
 __all__ = [
     "Graph",
     "Block",
-    "EpochBlockCache",
     "NeighborSampler",
     "block_gcn_matrix",
     "block_mean_matrix",

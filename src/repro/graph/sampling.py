@@ -23,7 +23,9 @@ Building a block is too: each sampler owns an N-entry position map from
 global to local ids (DGL's ``to_block`` relabelling), so local columns are
 one gather, the new source nodes are one sort of the unmatched neighbours,
 and the CSR is assembled directly from the row counts — no sort of the
-edge list and no COO round trip.
+edge list and no COO round trip.  Every sampled training epoch draws fresh
+blocks; a block memoises its normalised operators, so a block chain folded
+repeatedly (the engine's per-fit validation blocks) normalises once.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from repro.graph.utils import (
 
 __all__ = [
     "Block",
-    "EpochBlockCache",
     "NeighborSampler",
     "is_block_sequence",
     "block_gcn_matrix",
@@ -104,10 +105,10 @@ class Block:
             )
         if not np.array_equal(self.src_nodes[: self.num_dst], self.dst_nodes):
             raise ValueError("src_nodes must start with dst_nodes")
-        # Lazily filled by the block operators below.  A block used once (the
-        # fresh-sample path) pays one dict lookup; a block replayed across
-        # epochs by :class:`EpochBlockCache` folds its normalised operator
-        # matrix exactly once instead of once per gradient step.
+        # Lazily filled by the block operators below.  A block used once (a
+        # sampled training step) pays one dict lookup; the engine's exact
+        # validation blocks, built once per fit and folded every epoch,
+        # build each normalised operator once instead of once per epoch.
         self._operator_cache: dict[str, sp.csr_matrix] = {}
 
     @property
@@ -370,96 +371,6 @@ class NeighborSampler:
         )
 
 
-class EpochBlockCache:
-    """Epoch-level replay cache for sampled minibatch structure.
-
-    Per-batch neighbour sampling is numpy bookkeeping (edge selection,
-    relabelling and CSR assembly per layer, then the block operators) and
-    a large share of sampled-epoch wall-time once the model is small; the
-    structure it produces, however, is equally valid for several
-    consecutive epochs of SGD.  This cache records every step of a
-    *refresh* epoch — the iterated batch, its (possibly extended) seed set,
-    an arbitrary caller payload, and the sampled block chain — and
-    replays the recorded sequence verbatim for the following
-    ``cache_epochs - 1`` epochs, so sampling cost is paid once per window
-    (and the replayed :class:`Block`\\ s keep their memoised operator
-    matrices warm).
-
-    The trade-off is memory: while a window is live, one whole epoch's
-    batch/block structure stays resident — peak memory grows with the
-    epoch's total sampled receptive field rather than a single batch's.
-    ``cache_epochs == 1`` (the default) keeps the engine's original
-    batch-bounded memory profile.
-
-    RNG-stream contract
-    -------------------
-    * ``cache_epochs == 1`` (the default) never replays: every epoch
-      shuffles and samples freshly, consuming the generator exactly as the
-      pre-cache loops did — behaviour is bit-identical.
-    * ``cache_epochs == R > 1``: epochs ``0, R, 2R, ...`` (counted from the
-      last :meth:`invalidate`) are refresh epochs and consume the stream
-      exactly like a fresh epoch; the epochs in between consume **no**
-      generator state for shuffling, seed extension or block sampling — the
-      recorded structure repeats exactly.  Draws made by loss closures
-      outside the recorded structure still advance the stream normally.
-    * Covering configurations (``batch_size >= |nodes|`` with exhaustive
-      ``None`` fanouts) stay bit-identical to full-batch training for every
-      ``cache_epochs`` setting: the covering batch is the whole node set and
-      exhaustive blocks are deterministic, so a replayed epoch is exactly
-      the epoch a fresh sample would have produced.
-
-    :meth:`invalidate` forces the next epoch to refresh regardless of the
-    window position — the engine calls it when the structure a consumer
-    bakes into its seeds goes stale (e.g. Fairwos refreshing its
-    counterfactual index mid-window).
-    """
-
-    def __init__(self, cache_epochs: int = 1) -> None:
-        if cache_epochs < 1:
-            raise ValueError(f"cache_epochs must be >= 1, got {cache_epochs}")
-        self.cache_epochs = int(cache_epochs)
-        self._steps: list[tuple] = []
-        self._since_refresh = -1
-
-    @property
-    def enabled(self) -> bool:
-        """Whether this cache ever replays (``cache_epochs > 1``)."""
-        return self.cache_epochs > 1
-
-    def invalidate(self) -> None:
-        """Drop the recorded epoch; the next :meth:`start_epoch` refreshes."""
-        self._steps = []
-        self._since_refresh = -1
-
-    def start_epoch(self) -> bool:
-        """Advance one epoch; return True when this epoch replays the cache."""
-        self._since_refresh += 1
-        if (
-            self.enabled
-            and self._steps
-            and self._since_refresh % self.cache_epochs != 0
-        ):
-            return True
-        self._steps = []
-        self._since_refresh = 0
-        return False
-
-    def record(
-        self,
-        batch: np.ndarray,
-        seeds: np.ndarray,
-        payload,
-        blocks: list[Block],
-    ) -> None:
-        """Store one fresh step for replay (no-op when caching is off)."""
-        if self.enabled:
-            self._steps.append((batch, seeds, payload, blocks))
-
-    def steps(self) -> list[tuple]:
-        """The recorded ``(batch, seeds, payload, blocks)`` sequence."""
-        return self._steps
-
-
 # --------------------------------------------------------------------- #
 # block-level aggregation operators (mirror repro.graph.normalize)
 # --------------------------------------------------------------------- #
@@ -476,7 +387,7 @@ def _self_loops(block: Block) -> sp.csr_matrix:
 
 
 def _memoized_operator(block: Block, key: str, build) -> sp.csr_matrix:
-    """Build a block's normalised operator once; replayed blocks reuse it."""
+    """Build a block's normalised operator once; a reused block keeps it."""
     cached = block._operator_cache.get(key)
     if cached is None:
         cached = build(block)
@@ -490,7 +401,8 @@ def block_gcn_matrix(block: Block) -> sp.csr_matrix:
     Degrees are the *full-graph* degrees carried by the block, so under
     exhaustive fanout this is exactly the corresponding row/column slice of
     :func:`repro.graph.normalize.gcn_normalize`'s output.  Memoised on the
-    block: epoch-cached replays pay the normalisation once per window.
+    block: the engine's validation blocks, folded every epoch of a fit, pay
+    the normalisation once.
     """
 
     def build(block: Block) -> sp.csr_matrix:

@@ -60,7 +60,7 @@ __all__ = ["ArtifactError", "ModelArtifact", "save_artifact", "load_artifact"]
 
 #: Manifest schema version.  Bumped on any incompatible layout change;
 #: :func:`load_artifact` refuses other versions with a clear error.
-ARTIFACT_VERSION = 2
+ARTIFACT_VERSION = 3
 
 _MANIFEST = "manifest.json"
 _MODEL = "model.npz"
@@ -309,7 +309,6 @@ def _save_baseline(method: BaselineMethod, graph: Graph, path: Path) -> dict:
         "minibatch": bool(getattr(method, "minibatch", False)),
         "fanouts": getattr(method, "fanouts", None),
         "batch_size": int(getattr(method, "batch_size", 512)),
-        "cache_epochs": int(getattr(method, "cache_epochs", 1)),
         "in_dim": int(
             graph.num_features if columns is None else np.asarray(columns).size
         ),
@@ -565,7 +564,6 @@ class ModelArtifact:
                 tuple(config["fanouts"]) if config.get("fanouts") else None
             ),
             batch_size=int(config.get("batch_size", 512)),
-            cache_epochs=int(config.get("cache_epochs", 1)),
             **kwargs,
         )
         model = make_backbone(

@@ -11,7 +11,6 @@ instead of writing a loop.
 
 from repro.training.engine import MinibatchEngine, TrainStep
 from repro.training.loop import FitHistory, fit_binary_classifier, predict_logits
-from repro.training.maintenance import IndexMaintainer
 from repro.training.minibatch import (
     DEFAULT_FANOUT,
     embed_batched,
@@ -23,7 +22,6 @@ from repro.training.minibatch import (
 __all__ = [
     "DEFAULT_FANOUT",
     "FitHistory",
-    "IndexMaintainer",
     "MinibatchEngine",
     "TrainStep",
     "embed_batched",

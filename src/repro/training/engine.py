@@ -20,8 +20,8 @@ which owns the loop skeleton once:
   :class:`TrainStep` (batch, seeds, blocks, model output) to a loss
   ``Tensor``; the engine handles zero_grad/forward/backward/step;
 * **per-epoch callbacks** — ``on_epoch_start`` (λ refreshes,
-  counterfactual-index rebuilds, cache invalidation, adversary steps) and
-  ``on_epoch_end`` (closed-form weight updates, history logging);
+  counterfactual-index rebuilds, adversary steps) and ``on_epoch_end``
+  (closed-form weight updates, history logging);
 * **the checkpoint contract** — ``checkpoint="best"`` restores the
   best-validation-accuracy state with optional patience (the paper's
   early-stopping recipe), and ``checkpoint="floor"`` aborts when validation
@@ -29,15 +29,10 @@ which owns the loop skeleton once:
   restoring the last state above the floor (the Fairwos fine-tune recipe);
 * **a per-fit eval-block cache** — the sampled mode's exact validation pass
   folds full (un-sampled) neighbourhoods that depend only on the fixed
-  graph and val split, so their block chains are built once per
-  :meth:`MinibatchEngine.run` and replayed every epoch (bit-identical
-  metrics, the per-epoch sampling constant gone);
-* **epoch-cached sampling** — with ``cache_epochs=R`` the engine records
-  one epoch's batches/seeds/blocks through
-  :class:`~repro.graph.sampling.EpochBlockCache` and replays them for the
-  next ``R - 1`` epochs, eliminating the per-batch numpy sampling overhead
-  that dominates sampled-epoch wall-time (see the cache's RNG-stream
-  contract; the default ``R=1`` is bit-identical to uncached training).
+  graph and val split, so their block chains (and each block's memoised
+  aggregation operator) are built once per :meth:`MinibatchEngine.run` and
+  reused every epoch (bit-identical metrics, the per-epoch sampling
+  constant gone).  Training batches are sampled fresh every epoch.
 
 The module also hosts :class:`FitHistory`, the shared inference helpers
 (:func:`predict_logits_batched`, :func:`embed_batched`; ``batch_size=None``
@@ -56,7 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.fairness.metrics import accuracy
-from repro.graph.sampling import Block, EpochBlockCache, NeighborSampler
+from repro.graph.sampling import Block, NeighborSampler
 from repro.nn.module import Module
 from repro.optim import Adam
 from repro.tensor import Tensor, get_default_dtype, no_grad
@@ -84,7 +79,7 @@ class FitHistory:
     the batch-size-weighted mean of the step losses when sampled).
     ``epoch_train_seconds`` has one entry per epoch, covering sampling and
     the forward/backward steps but not the validation pass — the quantity
-    the sampler-cache benchmarks gate on.
+    the sampled-epoch benchmark gates on.
     """
 
     train_loss: list[float] = field(default_factory=list)
@@ -355,29 +350,19 @@ class MinibatchEngine:
         Seed nodes per training step, or ``None`` for one full-graph step
         per epoch.  The full-batch step builds no sampler and no blocks,
         draws nothing from the RNG and keeps the iterated nodes in their
-        given order; ``fanouts``, ``num_layers``, ``replace``,
-        ``cache_epochs`` and ``eval_batch_size`` only shape sampled runs,
+        given order; ``fanouts`` and ``num_layers`` only shape sampled runs,
         and validation, :meth:`predict` and :meth:`embed` run one eval-mode
-        full-graph forward.  A covering integer batch still samples blocks.
+        full-graph forward.  Sampled runs fold the exact validation and
+        prediction passes in batches of ``batch_size`` too.  A covering
+        integer batch still samples blocks.
     num_layers:
         Message-passing depth (default: ``model.num_layers``).
-    replace:
-        Sample neighbours with replacement.
-    cache_epochs:
-        Epoch-level sampling cache window (see
-        :class:`~repro.graph.sampling.EpochBlockCache`): sampled structure
-        is refreshed every ``cache_epochs`` epochs and replayed in between.
-        The default ``1`` samples freshly every epoch (bit-identical to the
-        pre-engine loops).
     optimizer:
         Optimiser instance driving the parameter updates (default:
         ``Adam(model.parameters(), lr, weight_decay)``).  Pass one
         explicitly when extra modules train jointly (FairGKD's projection).
     lr, weight_decay:
         Used only to build the default optimiser.
-    eval_batch_size:
-        Batch size for the exact validation/prediction passes (default:
-        ``batch_size``).
 
     Examples
     --------
@@ -406,48 +391,30 @@ class MinibatchEngine:
         fanouts: Sequence[int | None] | None = None,
         batch_size: int | None = 512,
         num_layers: int | None = None,
-        replace: bool = False,
-        cache_epochs: int = 1,
         optimizer=None,
         lr: float = 1e-3,
         weight_decay: float = 0.0,
-        eval_batch_size: int | None = None,
     ) -> None:
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1 or None, got {batch_size}")
-        if eval_batch_size is not None and eval_batch_size < 1:
-            # Explicit is-None resolution: a non-positive eval batch must be
-            # rejected, never silently collapsed into "follow batch_size"
-            # (the falsy-zero bug class).
-            raise ValueError(
-                f"eval_batch_size must be >= 1 or None, got {eval_batch_size}"
-            )
-        self.cache_epochs = int(cache_epochs)
-        if self.cache_epochs < 1:
-            raise ValueError(f"cache_epochs must be >= 1, got {cache_epochs}")
         self.model = model
         self.feature_array = _as_feature_array(features)
         self.adjacency = adjacency
         self.batch_size = batch_size
         self.sampler = self.eval_sampler = None
-        self.eval_batch_size = None
         if batch_size is not None:
             depth = _resolve_num_layers(model, num_layers)
             if fanouts is None:
                 fanouts = (DEFAULT_FANOUT,) * depth
-            self.sampler = NeighborSampler(adjacency, fanouts, replace=replace)
+            self.sampler = NeighborSampler(adjacency, fanouts)
             if self.sampler.num_layers != depth:
                 raise ValueError(
                     f"got {self.sampler.num_layers} fanouts for a {depth}-layer model"
                 )
             self.eval_sampler = NeighborSampler.full_neighborhood(adjacency, depth)
-            self.eval_batch_size = (
-                batch_size if eval_batch_size is None else eval_batch_size
-            )
         self.optimizer = optimizer if optimizer is not None else Adam(
             model.parameters(), lr=lr, weight_decay=weight_decay
         )
-        self._active_cache: EpochBlockCache | None = None
 
     # ------------------------------------------------------------------ #
     def predict(
@@ -455,13 +422,11 @@ class MinibatchEngine:
     ) -> np.ndarray:
         """Exact (full-neighbourhood) logits for ``nodes`` (default: all).
 
-        ``batch_size`` overrides the sampled mode's ``eval_batch_size``; the
-        full-batch mode always runs one full-graph forward.
+        ``batch_size`` overrides the sampled mode's ``batch_size`` for this
+        pass; the full-batch mode always runs one full-graph forward.
         """
-        if self.batch_size is None:
-            batch_size = None
-        elif batch_size is None:
-            batch_size = self.eval_batch_size
+        if self.batch_size is None or batch_size is None:
+            batch_size = self.batch_size
         return predict_logits_batched(
             self.model,
             self.feature_array,
@@ -482,20 +447,9 @@ class MinibatchEngine:
             self.model,
             self.feature_array,
             self.adjacency,
-            batch_size=self.eval_batch_size,
+            batch_size=self.batch_size,
             sampler=self.eval_sampler,
         )
-
-    def invalidate_cache(self) -> None:
-        """Force the next epoch to resample even inside a cache window.
-
-        Consumers whose seed extensions bake external state into the cached
-        structure call this when that state changes (Fairwos invalidates on
-        every counterfactual-index refresh so cached seed sets never point
-        at stale counterfactual targets).
-        """
-        if self._active_cache is not None:
-            self._active_cache.invalidate()
 
     # ------------------------------------------------------------------ #
     def run(
@@ -563,9 +517,9 @@ class MinibatchEngine:
             bit-parity by consumers without a sorting seed extension).
         on_epoch_start, on_epoch_end:
             Epoch callbacks: ``on_epoch_start(epoch)`` runs before the
-            epoch's cache/refresh decision (so it may call
-            :meth:`invalidate_cache`); ``on_epoch_end(epoch)`` runs after
-            the training steps, before validation.
+            epoch's batches are drawn (so a ``seed_fn`` sees the state it
+            refreshed); ``on_epoch_end(epoch)`` runs after the training
+            steps, before validation.
         """
         if epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -592,8 +546,6 @@ class MinibatchEngine:
         model = self.model
         history = FitHistory()
         full_batch = self.batch_size is None
-        cache = EpochBlockCache(self.cache_epochs)
-        self._active_cache = cache
         if full_batch:
             inputs = Tensor(self.feature_array)
             full_step = (nodes, np.arange(self.feature_array.shape[0]), None, None)
@@ -602,8 +554,7 @@ class MinibatchEngine:
             # neighbourhoods, which depend only on the fixed graph and the
             # fixed val split — build its block chains once per fit and
             # reuse them every epoch.  Trade-off: the val set's receptive
-            # field stays resident for the whole fit (same order as one
-            # cached training epoch's structure).
+            # field stays resident for the whole fit.
             eval_steps = self._build_eval_steps(val_nodes)
 
         def validate() -> float:
@@ -625,79 +576,72 @@ class MinibatchEngine:
         floor = -np.inf
         if checkpoint == "floor":
             floor = validate() - (np.inf if val_tolerance is None else val_tolerance)
-        try:
-            for epoch in range(epochs):
-                if on_epoch_start is not None:
-                    on_epoch_start(epoch)
+        for epoch in range(epochs):
+            if on_epoch_start is not None:
+                on_epoch_start(epoch)
+            if full_batch:
+                steps = [full_step]
+            else:
+                steps = self._sampled_steps(nodes, rng, seed_fn, sort_batches)
+            model.train()
+            epoch_loss = 0.0
+            started = time.perf_counter()
+            for batch, seeds, payload, blocks in steps:
+                self.optimizer.zero_grad()
                 if full_batch:
-                    steps = [full_step]
-                elif cache.start_epoch():
-                    steps = cache.steps()
+                    step_inputs, support = inputs, self.adjacency
+                    embed = model.embed
                 else:
-                    steps = self._fresh_steps(
-                        nodes, rng, seed_fn, sort_batches, cache
-                    )
-                model.train()
-                epoch_loss = 0.0
-                started = time.perf_counter()
-                for batch, seeds, payload, blocks in steps:
-                    self.optimizer.zero_grad()
-                    if full_batch:
-                        step_inputs, support = inputs, self.adjacency
-                        embed = model.embed
-                    else:
-                        step_inputs, support = self._block_inputs(blocks), blocks
-                        embed = model.embed_blocks
-                    output = (model if forward == "logits" else embed)(
-                        step_inputs, support
-                    )
-                    loss = loss_fn(
-                        TrainStep(
-                            epoch=epoch,
-                            batch=batch,
-                            seeds=seeds,
-                            blocks=blocks,
-                            output=output,
-                            payload=payload,
-                        )
-                    )
-                    loss.backward()
-                    self.optimizer.step()
-                    epoch_loss += float(loss.data) * batch.size
-                history.epoch_train_seconds.append(time.perf_counter() - started)
-
-                if on_epoch_end is not None:
-                    on_epoch_end(epoch)
-                val_acc = validate()
-                # One full-batch step's loss is the epoch's, unscaled.
-                history.train_loss.append(
-                    float(loss.data) if full_batch else epoch_loss / nodes.size
+                    step_inputs, support = self._block_inputs(blocks), blocks
+                    embed = model.embed_blocks
+                output = (model if forward == "logits" else embed)(
+                    step_inputs, support
                 )
-                history.val_accuracy.append(val_acc)
+                loss = loss_fn(
+                    TrainStep(
+                        epoch=epoch,
+                        batch=batch,
+                        seeds=seeds,
+                        blocks=blocks,
+                        output=output,
+                        payload=payload,
+                    )
+                )
+                loss.backward()
+                self.optimizer.step()
+                epoch_loss += float(loss.data) * batch.size
+            history.epoch_train_seconds.append(time.perf_counter() - started)
 
-                if checkpoint == "best":
+            if on_epoch_end is not None:
+                on_epoch_end(epoch)
+            val_acc = validate()
+            # One full-batch step's loss is the epoch's, unscaled.
+            history.train_loss.append(
+                float(loss.data) if full_batch else epoch_loss / nodes.size
+            )
+            history.val_accuracy.append(val_acc)
+
+            if checkpoint == "best":
+                if val_acc > history.best_val_accuracy:
+                    history.best_val_accuracy = val_acc
+                    history.best_epoch = epoch
+                    best_state = model.state_dict()
+                    since_best = 0
+                else:
+                    since_best += 1
+                    if patience is not None and since_best > patience:
+                        history.stopped_early = True
+                        break
+            else:  # floor
+                if val_acc >= floor:
                     if val_acc > history.best_val_accuracy:
                         history.best_val_accuracy = val_acc
                         history.best_epoch = epoch
-                        best_state = model.state_dict()
-                        since_best = 0
-                    else:
-                        since_best += 1
-                        if patience is not None and since_best > patience:
-                            history.stopped_early = True
-                            break
-                else:  # floor
-                    if val_acc >= floor:
-                        if val_acc > history.best_val_accuracy:
-                            history.best_val_accuracy = val_acc
-                            history.best_epoch = epoch
-                        best_state = model.state_dict()
-                    elif val_tolerance is not None:
-                        model.load_state_dict(best_state)
-                        history.stopped_early = True
-                        break
-        finally:
-            self._active_cache = None
+                    best_state = model.state_dict()
+                elif val_tolerance is not None:
+                    model.load_state_dict(best_state)
+                    history.stopped_early = True
+                    break
         if checkpoint == "best":
             model.load_state_dict(best_state)
         return history
@@ -707,8 +651,8 @@ class MinibatchEngine:
         """Input-layer feature rows of a block chain."""
         return Tensor(self.feature_array[blocks[0].src_nodes])
 
-    def _fresh_steps(self, nodes, rng, seed_fn, sort_batches, cache):
-        """Sample one epoch's steps, recording them for cache replay."""
+    def _sampled_steps(self, nodes, rng, seed_fn, sort_batches):
+        """Sample one epoch's ``(batch, seeds, payload, blocks)`` steps."""
         for batch in iter_minibatches(nodes, self.batch_size, rng):
             if sort_batches:
                 batch = np.sort(batch)
@@ -717,7 +661,6 @@ class MinibatchEngine:
             else:
                 seeds, payload = batch, None
             blocks = self.sampler.sample_blocks(seeds, rng)
-            cache.record(batch, seeds, payload, blocks)
             yield batch, seeds, payload, blocks
 
     def _build_eval_steps(self, nodes: np.ndarray) -> list[list[Block]]:
@@ -731,5 +674,5 @@ class MinibatchEngine:
         rng = np.random.default_rng(0)  # never consumed by exhaustive fanout
         return [
             self.eval_sampler.sample_blocks(batch, rng)
-            for batch in iter_minibatches(nodes, self.eval_batch_size)
+            for batch in iter_minibatches(nodes, self.batch_size)
         ]

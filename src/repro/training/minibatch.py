@@ -10,14 +10,9 @@ of one seed batch, so peak memory is independent of the number of nodes —
 no dense ``(N, N)`` operator and no full-graph ``(N, hidden)`` activation
 is ever materialised during training.  ``batch_size=None`` is the paper's
 full-batch recipe (one full-graph step per epoch), which
-:func:`~repro.training.loop.fit_binary_classifier` names.
-
-The optional epoch-level sampling cache (``cache_epochs``) trades the
-memory bound for sampling speed: with ``cache_epochs > 1`` one whole
-epoch's batch/block structure stays resident between refreshes, so peak
-memory grows with the epoch's total receptive field (roughly the sampled
-edge set over all batches) instead of a single batch's — keep the default
-of 1 when memory, not sampling wall-time, is the binding constraint.
+:func:`~repro.training.loop.fit_binary_classifier` names.  Every sampled
+epoch draws fresh blocks, so training holds one batch's structure at a
+time.
 
 :func:`predict_logits_batched` is the matching memory-bounded inference path:
 it folds the *full* (un-sampled) L-hop neighbourhood of each batch, so its
@@ -66,11 +61,8 @@ def fit_minibatch(
     lr: float = 1e-3,
     weight_decay: float = 0.0,
     patience: int | None = None,
-    replace: bool = False,
-    eval_batch_size: int | None = None,
     rng: np.random.Generator | int | None = None,
     extra_loss=None,
-    cache_epochs: int = 1,
 ) -> FitHistory:
     """Train ``model`` on the engine; restore its best-validation weights.
 
@@ -97,29 +89,19 @@ def fit_minibatch(
         ``DEFAULT_FANOUT`` per layer).  Entries may be ``None`` to keep
         full neighbourhoods.
     batch_size:
-        Seed nodes per training step; ``None`` trains full-batch (the
-        sampling knobs are then unused).
+        Seed nodes per training step and per exact validation batch;
+        ``None`` trains full-batch (``fanouts`` is then unused).
     lr, weight_decay:
         Adam hyper-parameters (paper defaults: 0.001, 0).
     patience:
         Stop after this many epochs without a validation improvement
         (None disables early stopping).
-    replace:
-        Sample neighbours with replacement.
-    eval_batch_size:
-        Batch size for the exact validation pass (default: ``batch_size``).
     rng:
         Generator (or seed) driving shuffling and neighbour sampling.
     extra_loss:
         Optional callable ``(logits, nodes) -> Tensor`` added to the BCE
         objective, where ``logits[i]`` belongs to node ``nodes[i]``: the
         step's batch when sampled, every node in full-batch mode.
-    cache_epochs:
-        Epoch-level sampling cache window: batch composition and sampled
-        blocks are refreshed every ``cache_epochs`` epochs and replayed in
-        between (see :class:`~repro.graph.sampling.EpochBlockCache` for the
-        RNG-stream contract).  The default ``1`` samples freshly every
-        epoch.
     """
     labels = np.asarray(labels)
     train_mask = np.asarray(train_mask, dtype=bool)
@@ -133,11 +115,8 @@ def fit_minibatch(
         adjacency,
         fanouts=fanouts,
         batch_size=batch_size,
-        replace=replace,
-        cache_epochs=cache_epochs,
         lr=lr,
         weight_decay=weight_decay,
-        eval_batch_size=eval_batch_size,
     )
     val_indices = np.where(val_mask)[0]
 

@@ -321,19 +321,29 @@ class TestManifestValidation:
         with pytest.raises(ArtifactError, match="unsupported artifact version"):
             load_artifact(copy)
 
-    def test_v1_artifact_rejected(self, fairwos_artifact, tmp_path):
-        """Version 1 manifests recorded the removed ``backend`` setting; the
-        version check turns them away before the config is read."""
+    @pytest.mark.parametrize(
+        "version, field, value",
+        [(1, "backend", "numpy"), (2, "cache_epochs", 1)],
+        ids=["v1", "v2"],
+    )
+    def test_older_version_artifact_rejected(
+        self, fairwos_artifact, tmp_path, version, field, value
+    ):
+        """Version 1 manifests recorded the removed ``backend`` setting and
+        version 2 manifests the removed ``cache_epochs``; the version check
+        turns them away before the config is read."""
         import shutil
 
-        copy = tmp_path / "v1"
+        copy = tmp_path / f"v{version}"
         shutil.copytree(fairwos_artifact, copy)
         manifest = json.loads((copy / "manifest.json").read_text())
-        assert "backend" not in manifest["config"]
-        manifest["format_version"] = 1
-        manifest["config"]["backend"] = "numpy"
+        assert field not in manifest["config"]
+        manifest["format_version"] = version
+        manifest["config"][field] = value
         (copy / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ArtifactError, match="unsupported artifact version 1"):
+        with pytest.raises(
+            ArtifactError, match=f"unsupported artifact version {version}"
+        ):
             load_artifact(copy)
 
     def test_config_with_removed_field_is_incompatible(self, fairwos_artifact, tmp_path):

@@ -1,20 +1,11 @@
-"""Tests for the unified minibatch engine and the epoch-level sampling cache.
+"""Tests for the unified minibatch engine.
 
-Three layers of evidence that epoch-cached sampling never changes what a
-model *can* compute, only how often the sampling bill is paid:
-
-* **cache level** — a hypothesis harness pins replayed blocks equal to
-  freshly sampled blocks under exhaustive fanout (where sampling is
-  deterministic, replay must be a pure no-op), and checks the refresh
-  cadence / invalidation bookkeeping of ``EpochBlockCache`` directly;
 * **covering level** — covering batches (batch ≥ N, exhaustive fanout)
-  must equal full-batch training to 1e-9 for *every* ``cache_epochs``
-  setting, through both ``fit_minibatch`` and a baseline with an epoch
-  callback (FairRF);
-* **determinism** — a sampled run is a deterministic function of
-  ``(seed, cache_epochs)``, and the default ``cache_epochs=1`` is
-  bit-identical to pre-cache behaviour by construction (the cache never
-  replays).
+  must equal full-batch training to 1e-9, through both ``fit_minibatch``
+  and a baseline with an epoch callback (FairRF);
+* **determinism** — a sampled run is a deterministic function of its seed;
+* **eval blocks** — the exact validation blocks and their GCN operators
+  are built once per fit, without moving a validation metric.
 
 Plus contract tests for the engine itself: checkpoint policies, validation
 of bad arguments, and the ``forward="embed"`` path.
@@ -24,14 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.datasets import BiasSpec, generate_biased_graph
 from repro.baselines import FairRF
 from repro.fairness import evaluate_predictions
-from repro.graph.sampling import EpochBlockCache, NeighborSampler
+from repro.graph import sampling
 from repro.gnnzoo import make_backbone
 from repro.nn import binary_cross_entropy_with_logits
 from repro.tensor import Tensor
@@ -39,7 +27,6 @@ from repro.training import (
     MinibatchEngine,
     fit_binary_classifier,
     fit_minibatch,
-    iter_minibatches,
     predict_logits,
     predict_logits_batched,
 )
@@ -63,108 +50,10 @@ def causal_graph():
     ).standardized()
 
 
-def _random_adjacency(seed: int, num_nodes: int) -> sp.csr_matrix:
-    rng = np.random.default_rng(seed)
-    dense = (rng.random((num_nodes, num_nodes)) < 0.25).astype(float)
-    dense = np.triu(dense, 1)
-    return sp.csr_matrix(dense + dense.T)
+class TestCoveringBatchParity:
+    """Covering batches must equal full-batch training to 1e-9."""
 
-
-def _blocks_equal(left, right) -> bool:
-    if len(left) != len(right):
-        return False
-    for a, b in zip(left, right):
-        if not (
-            np.array_equal(a.src_nodes, b.src_nodes)
-            and np.array_equal(a.dst_nodes, b.dst_nodes)
-            and (a.adjacency != b.adjacency).nnz == 0
-        ):
-            return False
-    return True
-
-
-class TestEpochBlockCacheUnit:
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError, match="cache_epochs"):
-            EpochBlockCache(cache_epochs=0)
-
-    def test_default_never_replays(self):
-        cache = EpochBlockCache(cache_epochs=1)
-        for _ in range(5):
-            assert cache.start_epoch() is False
-            cache.record(np.arange(3), np.arange(3), None, [])
-            assert cache.steps() == []  # disabled caches record nothing
-
-    def test_refresh_cadence(self):
-        cache = EpochBlockCache(cache_epochs=3)
-        pattern = []
-        for _ in range(7):
-            replay = cache.start_epoch()
-            pattern.append(replay)
-            if not replay:
-                cache.record(np.arange(3), np.arange(3), "payload", ["blocks"])
-        # refresh, replay, replay, refresh, replay, replay, refresh
-        assert pattern == [False, True, True, False, True, True, False]
-
-    def test_replay_returns_recorded_steps(self):
-        cache = EpochBlockCache(cache_epochs=2)
-        assert cache.start_epoch() is False
-        batch = np.array([1, 2])
-        cache.record(batch, batch, ("attrs",), ["chain"])
-        assert cache.start_epoch() is True
-        [(replayed_batch, seeds, payload, blocks)] = cache.steps()
-        assert replayed_batch is batch
-        assert payload == ("attrs",)
-        assert blocks == ["chain"]
-
-    def test_invalidate_forces_refresh(self):
-        cache = EpochBlockCache(cache_epochs=4)
-        assert cache.start_epoch() is False
-        cache.record(np.arange(2), np.arange(2), None, [])
-        cache.invalidate()
-        assert cache.steps() == []
-        # The epoch right after an invalidation must refresh, and the
-        # cadence restarts from it.
-        assert cache.start_epoch() is False
-        cache.record(np.arange(2), np.arange(2), None, [])
-        assert cache.start_epoch() is True
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 200),
-        num_nodes=st.integers(6, 24),
-        batch_size=st.integers(2, 8),
-        num_layers=st.integers(1, 3),
-    )
-    def test_property_replay_equals_fresh_under_exhaustive_fanout(
-        self, seed, num_nodes, batch_size, num_layers
-    ):
-        """Exhaustive sampling is deterministic, so a replayed epoch must
-        produce exactly the blocks a fresh epoch over the same batches
-        would — the cache can only ever remove sampling *work*, never
-        change sampling *results*."""
-        adjacency = _random_adjacency(seed, num_nodes)
-        sampler = NeighborSampler(adjacency, fanouts=(None,) * num_layers)
-        cache = EpochBlockCache(cache_epochs=2)
-        rng = np.random.default_rng(seed)
-        assert cache.start_epoch() is False
-        batches = list(iter_minibatches(np.arange(num_nodes), batch_size, rng))
-        for batch in batches:
-            cache.record(batch, batch, None, sampler.sample_blocks(batch, rng))
-        assert cache.start_epoch() is True
-        for (batch, _, _, blocks), original in zip(cache.steps(), batches):
-            np.testing.assert_array_equal(batch, original)
-            assert _blocks_equal(blocks, sampler.sample_blocks(original, rng))
-
-
-class TestCoveringBatchParityAcrossCacheSettings:
-    """Covering batches must equal full-batch training to 1e-9 for every
-    cache window — the explicit RNG-stream contract of the cache."""
-
-    @pytest.mark.parametrize("cache_epochs", [1, 3, 7])
-    def test_fit_minibatch_covering_matches_fullbatch(
-        self, causal_graph, cache_epochs
-    ):
+    def test_fit_minibatch_covering_matches_fullbatch(self, causal_graph):
         graph = causal_graph
 
         def train(minibatch: bool):
@@ -183,7 +72,6 @@ class TestCoveringBatchParityAcrossCacheSettings:
                     fanouts=(None,),
                     batch_size=graph.num_nodes,
                     rng=0,
-                    cache_epochs=cache_epochs,
                 )
                 return predict_logits_batched(
                     model, graph.features, graph.adjacency
@@ -201,8 +89,7 @@ class TestCoveringBatchParityAcrossCacheSettings:
 
         np.testing.assert_allclose(train(True), train(False), atol=1e-9)
 
-    @pytest.mark.parametrize("cache_epochs", [1, 4])
-    def test_fairrf_covering_matches_fullbatch(self, causal_graph, cache_epochs):
+    def test_fairrf_covering_matches_fullbatch(self, causal_graph):
         graph = causal_graph
 
         def run(**extra):
@@ -217,18 +104,13 @@ class TestCoveringBatchParityAcrossCacheSettings:
             )
 
         full = run()
-        covering = run(
-            minibatch=True,
-            batch_size=2048,
-            fanouts=(None,),
-            cache_epochs=cache_epochs,
-        )
+        covering = run(minibatch=True, batch_size=2048, fanouts=(None,))
         assert abs(full.accuracy - covering.accuracy) < 1e-9
         assert abs(full.delta_sp - covering.delta_sp) < 1e-9
 
 
-class TestSampledCacheDeterminism:
-    def _run(self, graph, cache_epochs, seed):
+class TestSampledDeterminism:
+    def _run(self, graph, seed):
         model = make_backbone(
             "sage", graph.num_features, 16, np.random.default_rng(seed),
             num_layers=2,
@@ -244,29 +126,18 @@ class TestSampledCacheDeterminism:
             fanouts=(5, 5),
             batch_size=64,
             rng=seed,
-            cache_epochs=cache_epochs,
         )
         return history, predict_logits_batched(
             model, graph.features, graph.adjacency
         )
 
-    @pytest.mark.parametrize("cache_epochs", [1, 2, 5])
-    def test_deterministic_given_seed_and_window(self, causal_graph, cache_epochs):
-        _, first = self._run(causal_graph, cache_epochs, seed=1)
-        _, second = self._run(causal_graph, cache_epochs, seed=1)
+    def test_deterministic_given_seed(self, causal_graph):
+        _, first = self._run(causal_graph, seed=1)
+        _, second = self._run(causal_graph, seed=1)
         np.testing.assert_array_equal(first, second)
 
-    def test_cached_run_stays_competitive(self, causal_graph):
-        graph = causal_graph
-        test = graph.test_mask
-        _, fresh = self._run(graph, cache_epochs=1, seed=0)
-        _, cached = self._run(graph, cache_epochs=5, seed=0)
-        fresh_acc = ((fresh[test] > 0).astype(int) == graph.labels[test]).mean()
-        cached_acc = ((cached[test] > 0).astype(int) == graph.labels[test]).mean()
-        assert cached_acc >= fresh_acc - 0.1
-
     def test_history_records_epoch_seconds(self, causal_graph):
-        history, _ = self._run(causal_graph, cache_epochs=2, seed=0)
+        history, _ = self._run(causal_graph, seed=0)
         assert len(history.epoch_train_seconds) == len(history.train_loss)
         assert all(seconds >= 0 for seconds in history.epoch_train_seconds)
 
@@ -288,7 +159,7 @@ class TestEvalBlockCache:
 
     def test_eval_blocks_sampled_once_per_fit(self, causal_graph):
         graph = causal_graph
-        model, engine = self._engine(graph, eval_batch_size=32)
+        model, engine = self._engine(graph, batch_size=32)
         val = np.where(graph.val_mask)[0]
         calls = []
         original = engine.eval_sampler.sample_blocks
@@ -315,6 +186,37 @@ class TestEvalBlockCache:
             f"should sample exactly {expected_batches} (one per val batch), "
             f"not once per epoch"
         )
+
+    def test_eval_operators_built_once_per_fit(self, causal_graph, monkeypatch):
+        """Every sampled training block is new, so its GCN operator is
+        built once per step; the validation blocks are reused every epoch
+        and their memoised operators must not be rebuilt."""
+        graph = causal_graph
+        model, engine = self._engine(graph, batch_size=32)
+        builds = []
+        original = sampling._self_loops
+
+        def counting(block):
+            builds.append(block.num_dst)
+            return original(block)
+
+        monkeypatch.setattr(sampling, "_self_loops", counting)
+        train = np.where(graph.train_mask)[0]
+        val = np.where(graph.val_mask)[0]
+        epochs = 4
+        engine.run(
+            train,
+            epochs,
+            lambda step: binary_cross_entropy_with_logits(
+                step.output, graph.labels[step.batch].astype(np.float64)
+            ),
+            0,
+            val_nodes=val,
+            val_labels=graph.labels[val],
+        )
+        steps = -(-train.size // 32)
+        eval_batches = -(-val.size // 32)
+        assert len(builds) == steps * epochs + eval_batches
 
     def test_val_metrics_bit_identical_to_fresh_blocks(self, causal_graph):
         """Per-epoch validation accuracy through the cached blocks equals a
@@ -346,41 +248,13 @@ class TestEvalBlockCache:
 
 
 class TestFalsyFallbackRegressions:
-    """`or`-style config fallbacks collapse explicit zeros into defaults;
-    these pin the explicit is-None resolutions plus rejection of
-    non-positive sizes (the bug class that bit finetune_val_tolerance)."""
+    """`or`-style fallbacks collapse explicit zeros into defaults; a zero
+    size must be rejected (the bug class that bit finetune_val_tolerance)."""
 
     def _model(self, graph):
         return make_backbone(
             "gcn", graph.num_features, 8, np.random.default_rng(0)
         )
-
-    def test_zero_eval_batch_size_rejected(self, causal_graph):
-        graph = causal_graph
-        with pytest.raises(ValueError, match="eval_batch_size"):
-            MinibatchEngine(
-                self._model(graph), graph.features, graph.adjacency,
-                fanouts=(5,), batch_size=64, eval_batch_size=0,
-            )
-        with pytest.raises(ValueError, match="eval_batch_size"):
-            fit_minibatch(
-                self._model(graph), graph.features, graph.adjacency,
-                graph.labels, graph.train_mask, graph.val_mask,
-                epochs=1, fanouts=(5,), eval_batch_size=0,
-            )
-
-    def test_explicit_eval_batch_size_honoured(self, causal_graph):
-        graph = causal_graph
-        engine = MinibatchEngine(
-            self._model(graph), graph.features, graph.adjacency,
-            fanouts=(5,), batch_size=64, eval_batch_size=17,
-        )
-        assert engine.eval_batch_size == 17
-        engine = MinibatchEngine(
-            self._model(graph), graph.features, graph.adjacency,
-            fanouts=(5,), batch_size=64,
-        )
-        assert engine.eval_batch_size == 64  # None follows batch_size
 
     def test_predict_zero_batch_size_rejected(self, causal_graph):
         graph = causal_graph
@@ -430,8 +304,6 @@ class TestEngineContracts:
             engine.run(train, 1, forward="bogus", **run)
         with pytest.raises(ValueError, match="nodes"):
             engine.run(np.array([], dtype=np.int64), 1, **run)
-        with pytest.raises(ValueError, match="cache_epochs"):
-            self._engine(graph, cache_epochs=0)
         with pytest.raises(ValueError, match="fanouts"):
             self._engine(graph, fanouts=(5, 5))  # 1-layer model
 

@@ -16,7 +16,7 @@ class TestValidation:
         "kwargs, match",
         [
             ({"batch_size": 0}, "batch_size"),
-            ({"cache_epochs": 0}, "cache_epochs"),
+            ({"fanouts": (5, 0)}, "fanouts"),
             ({"cf_backend": "faiss"}, "cf_backend"),
             ({"cf_refresh_epochs": 0}, "cf_refresh_epochs"),
             ({"cf_update": "lazy"}, "cf_update"),
@@ -87,7 +87,6 @@ class TestFairwosConfigConflicts:
             ("minibatch", True),
             ("fanouts", (7,)),
             ("batch_size", 64),
-            ("cache_epochs", 2),
             ("finetune_minibatch", True),
             ("cf_backend", "ann"),
             ("cf_refresh_epochs", 3),

@@ -1,9 +1,8 @@
-"""Tests for the IndexMaintainer refresh schedule.
+"""Tests for the fine-tune's counterfactual-index refresh schedule.
 
-The refresh cadence of the counterfactual index lives in one place, the
-engine-callback :class:`~repro.training.IndexMaintainer`; these tests pin
-its schedule and — at the trainer level — that the full-batch and the
-sampled fine-tune refresh on exactly the same epochs.
+The fine-tune refreshes the index on epoch 0 and every
+``cf_refresh_epochs``-th epoch after; these tests pin that the full-batch
+and the sampled fine-tune search on exactly the same epochs.
 """
 
 from __future__ import annotations
@@ -12,59 +11,6 @@ import pytest
 
 from repro.core import CounterfactualSearch, FairwosConfig, FairwosTrainer
 from repro.datasets import BiasSpec, generate_biased_graph
-from repro.training import IndexMaintainer
-
-
-class _FakeEngine:
-    def __init__(self):
-        self.invalidations = 0
-
-    def invalidate_cache(self):
-        self.invalidations += 1
-
-
-class TestIndexMaintainer:
-    def test_rejects_bad_period(self):
-        with pytest.raises(ValueError, match="period"):
-            IndexMaintainer(lambda epoch: None, 0)
-
-    def test_period_one_refreshes_every_epoch(self):
-        maintainer = IndexMaintainer(lambda epoch: None, 1)
-        assert all(maintainer(epoch) for epoch in range(5))
-
-    def test_periodic_pattern(self):
-        maintainer = IndexMaintainer(lambda epoch: None, 3)
-        assert [maintainer(e) for e in range(7)] == [
-            True, False, False, True, False, False, True,
-        ]
-
-    def test_uninitialized_always_due(self):
-        """An index that has never been built refreshes regardless of the
-        epoch; once built, only the cadence decides."""
-        maintainer = IndexMaintainer(lambda epoch: None, 4)
-        assert maintainer(1) is True
-        assert maintainer(1) is False
-
-    def test_refreshes_on_schedule_and_invalidates_cache(self):
-        refreshed = []
-        engine = _FakeEngine()
-        maintainer = IndexMaintainer(refreshed.append, 2, engine=engine)
-        ran = [maintainer(epoch) for epoch in range(5)]
-        assert refreshed == [0, 2, 4]
-        assert ran == [True, False, True, False, True]
-        assert engine.invalidations == 3
-        assert maintainer.refreshes == 3
-
-    def test_first_call_refreshes_even_off_cadence(self):
-        refreshed = []
-        maintainer = IndexMaintainer(refreshed.append, 4)
-        assert not maintainer.initialized
-        maintainer(3)  # not a multiple of 4, but nothing is built yet
-        assert refreshed == [3] and maintainer.initialized
-
-    def test_engine_optional(self):
-        maintainer = IndexMaintainer(lambda epoch: None, 1)
-        assert maintainer(0) is True  # no engine — nothing to invalidate
 
 
 @pytest.fixture(scope="module")
