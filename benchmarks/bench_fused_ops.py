@@ -2,7 +2,7 @@
 
 Three chains were collapsed into single graph nodes with analytic adjoints:
 BCE-with-logits (7 op nodes → 1), the fair-loss pair-disparity kernel
-(13 nodes + a gather/scatter round-trip → 1, with a cached selection CSR),
+(13 nodes + a gather/scatter round-trip → 1),
 and the Adam update (a chain of full-size temporaries → one in-place
 kernel).  All three are bit-identical to the composed forms (pinned by
 ``tests/test_fused_ops.py``); this bench pins the *speed* side: the fused

@@ -30,16 +30,14 @@ Two implementations coexist:
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.counterfactual import CounterfactualIndex
 from repro.tensor import Tensor
 from repro.tensor import ops
-from repro.tensor.backend import get_backend
 from repro.tensor.dtype import get_default_dtype
+from repro.tensor.ops import _scatter_rows, _sparse_operand
 
 __all__ = [
     "fair_representation_loss",
@@ -70,48 +68,24 @@ def _masked_mean_scale(valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return counts, valid * inverse[:, None]
 
 
-# Selection-CSR cache for the fused pair-disparity kernel.  Keyed by the
-# identity of the ``indices`` array (validated through a weakref — ids are
-# recycled after GC): the full-batch fine-tune passes the same
-# ``CounterfactualIndex.indices`` array every epoch between refreshes, so the
-# O(M·B·K) CSR construction and its per-dtype backend preparation happen once
-# per refresh instead of once per step.  Refreshes build a fresh index object
-# (fresh arrays), which simply misses the cache.  Bounded FIFO.
-_GATHER_CSR_CACHE: dict[int, tuple] = {}
-_GATHER_CSR_CACHE_MAX = 8
+def _gather_sum_matrix(indices: np.ndarray, num_rows: int) -> sp.csr_matrix:
+    """The float64 ``(M·B, num_rows)`` CSR that sums each row's K targets.
 
-
-def _gather_csr_handle(indices: np.ndarray, num_rows: int, dtype) -> object:
-    """Backend spmm handle for the ``(M·B, N)`` gather-sum selection CSR."""
-    backend = get_backend()
-    variant = (backend.name, np.dtype(dtype).name, num_rows)
-    key = id(indices)
-    entry = _GATHER_CSR_CACHE.get(key)
-    if entry is not None and entry[0]() is indices:
-        base, variants = entry[1], entry[2]
-    else:
-        if entry is not None:
-            del _GATHER_CSR_CACHE[key]
-        for stale_key in [k for k, e in _GATHER_CSR_CACHE.items() if e[0]() is None]:
-            del _GATHER_CSR_CACHE[stale_key]
-        while len(_GATHER_CSR_CACHE) >= _GATHER_CSR_CACHE_MAX:
-            del _GATHER_CSR_CACHE[next(iter(_GATHER_CSR_CACHE))]
-        top_k = indices.shape[-1]
-        base = sp.csr_matrix(
-            (
-                np.ones(indices.size),
-                indices.reshape(-1),
-                np.arange(0, indices.size + 1, top_k),
-            ),
-            shape=(indices.size // top_k, num_rows),
-        )
-        variants = {}
-        _GATHER_CSR_CACHE[key] = (weakref.ref(indices), base, variants)
-    handle = variants.get(variant)
-    if handle is None:
-        handle = backend.prepare_spmm(base, np.dtype(dtype))
-        variants[variant] = handle
-    return handle
+    Row ``m·B + v`` holds a one at every ``indices[m, v, k]``.  Callers
+    cast it with :func:`repro.tensor.ops._sparse_operand`, as
+    :func:`repro.tensor.ops.spmm` casts its operand: the cast merges
+    repeated targets, so a matrix built directly in float32 would sum in a
+    different order and break the kernel's float32 bit-parity.
+    """
+    top_k = indices.shape[-1]
+    return sp.csr_matrix(
+        (
+            np.ones(indices.size),
+            indices.reshape(-1),
+            np.arange(0, indices.size + 1, top_k),
+        ),
+        shape=(indices.size // top_k, num_rows),
+    )
 
 
 def _fused_pair_disparities(
@@ -130,8 +104,8 @@ def _fused_pair_disparities(
     Instead of materialising the ``(M, B, K, d)`` difference tensor, the
     squared distances are expanded as ``n_v + n_cf − 2 h_v·h_cf`` with
     ``n = ||h||²`` row norms, and the over-K sums ``Σ_k n_cf`` /
-    ``Σ_k h_cf`` are taken by one constant CSR gather-sum matrix (cached
-    across steps, see :func:`_gather_csr_handle`) — every intermediate is
+    ``Σ_k h_cf`` are taken by one constant CSR gather-sum matrix, built per
+    call (see :func:`_gather_sum_matrix`) — every intermediate is
     O(M·B·K + M·B·d) and the whole loss is a fixed handful of array kernels
     regardless of M and K.
 
@@ -143,50 +117,44 @@ def _fused_pair_disparities(
     (same float ops, same accumulation association; pinned by the
     test-suite against :func:`_composed_pair_disparities`).
     """
-    backend = get_backend()
-    xp = backend.xp
     h = representations.data
     num_pairs, batch, top_k = indices.shape
-    handle = _gather_csr_handle(
-        indices, representations.shape[0], backend.np_dtype(h)
-    )
+    gather_sum = _sparse_operand(_gather_sum_matrix(indices, h.shape[0]), h.dtype)
     tiled_anchor = np.tile(anchor_rows, num_pairs)
 
     default = get_default_dtype()
-    k_arr = backend.asarray(float(top_k), dtype=default)
-    two_arr = backend.asarray(2.0, dtype=default)
-    sc_arr = backend.asarray(scale.reshape(-1), dtype=default)
+    k_arr = np.asarray(float(top_k), dtype=default)
+    two_arr = np.asarray(2.0, dtype=default)
+    sc_arr = np.asarray(scale.reshape(-1), dtype=default)
 
-    norms = xp.sum(h * h, axis=1)  # (N,)
-    cf_sum = backend.spmm_apply(handle, h)  # (M·B, d) = Σ_k h_cf
-    cf_norm_sum = backend.spmm_apply(handle, norms.reshape(-1, 1)).reshape(-1)
+    norms = np.sum(h * h, axis=1)  # (N,)
+    cf_sum = gather_sum @ h  # (M·B, d) = Σ_k h_cf
+    cf_norm_sum = (gather_sum @ norms.reshape(-1, 1)).reshape(-1)
     anchor_h = h[tiled_anchor]
     anchor_n = norms[tiled_anchor]
-    cross = xp.sum(cf_sum * anchor_h, axis=1)  # Σ_k h_v·h_cf
+    cross = np.sum(cf_sum * anchor_h, axis=1)  # Σ_k h_v·h_cf
     sq_sums = (anchor_n * k_arr - cross * two_arr) + cf_norm_sum
-    value = xp.sum((sq_sums * sc_arr).reshape(num_pairs, batch), axis=1)
+    value = np.sum((sq_sums * sc_arr).reshape(num_pairs, batch), axis=1)
 
     def backward(grad):
         # Mirrors the composed graph's reverse-topological order exactly —
         # contribution and association order are pinned bit-identical.
-        g = xp.expand_dims(xp.asarray(grad), (1,))
-        gsq = backend.copy(xp.broadcast_to(g, (num_pairs, batch)))
+        g = np.expand_dims(np.asarray(grad), (1,))
+        gsq = np.broadcast_to(g, (num_pairs, batch)).copy()
         gsq = gsq.reshape(num_pairs * batch) * sc_arr
         # norms ← anchor gather, rep ← spmm + anchor gather.
-        g_norms = backend.scatter_rows(tiled_anchor, gsq * k_arr, norms.shape)
-        gs1 = xp.expand_dims(xp.asarray((-gsq) * two_arr), (1,))
-        gm2 = backend.copy(xp.broadcast_to(gs1, cf_sum.shape))
-        g_rep = backend.spmm_adjoint(handle, gm2 * anchor_h)
-        g_rep = g_rep + backend.scatter_rows(
-            tiled_anchor, gm2 * cf_sum, h.shape
-        )
+        g_norms = _scatter_rows(tiled_anchor, gsq * k_arr, norms.shape)
+        gs1 = np.expand_dims(np.asarray((-gsq) * two_arr), (1,))
+        gm2 = np.broadcast_to(gs1, cf_sum.shape).copy()
+        g_rep = gather_sum.T @ (gm2 * anchor_h)
+        g_rep = g_rep + _scatter_rows(tiled_anchor, gm2 * cf_sum, h.shape)
         # norms ← cf_norm_sum spmm; rep ← the two h·h product terms.
-        g_norms = g_norms + backend.spmm_adjoint(
-            handle, gsq.reshape(-1, 1)
-        ).reshape(norms.shape)
-        gm1 = backend.copy(
-            xp.broadcast_to(xp.expand_dims(xp.asarray(g_norms), (1,)), h.shape)
+        g_norms = g_norms + (gather_sum.T @ gsq.reshape(-1, 1)).reshape(
+            norms.shape
         )
+        gm1 = np.broadcast_to(
+            np.expand_dims(np.asarray(g_norms), (1,)), h.shape
+        ).copy()
         term = gm1 * h
         g_rep = (g_rep + term) + term
         return (g_rep,)
@@ -203,14 +171,7 @@ def _composed_pair_disparities(
     """Composed-op form of :func:`_fused_pair_disparities` — the oracle the
     fused kernel is pinned bit-identical to (value and gradient)."""
     num_pairs, batch, top_k = indices.shape
-    gather_sum = sp.csr_matrix(
-        (
-            np.ones(indices.size),
-            indices.reshape(-1),
-            np.arange(0, indices.size + 1, top_k),
-        ),
-        shape=(num_pairs * batch, representations.shape[0]),
-    )
+    gather_sum = _gather_sum_matrix(indices, representations.shape[0])
     tiled_anchor = np.tile(anchor_rows, num_pairs)
     norms = ops.sum(ops.mul(representations, representations), axis=1)
     cf_sum = ops.spmm(gather_sum, representations)  # (M·B, d) = Σ_k h_cf
@@ -270,7 +231,7 @@ def fair_representation_loss(
         scale,
     )
     loss = ops.sum(ops.mul(disparity_t, Tensor(weights)))
-    return loss, get_backend().to_numpy(disparity_t.data).copy()
+    return loss, disparity_t.data.copy()
 
 
 def fair_representation_loss_minibatch(
@@ -360,7 +321,7 @@ def fair_representation_loss_minibatch(
         representations, local_idx, local(batch_nodes), scale
     )
     loss = ops.sum(ops.mul(disparity_t, Tensor(weights[attr_list])))
-    disparities[attr_list] = get_backend().to_numpy(disparity_t.data)
+    disparities[attr_list] = disparity_t.data
     valid_counts[attr_list] = counts
     return loss, disparities, valid_counts
 

@@ -38,6 +38,7 @@ from repro.analysis import kmeans
 from repro.baselines.base import MethodResult
 from repro.core import ExecutionConfig
 from repro.core.counterfactual import CounterfactualSearch
+from repro.experiments.methods import METHOD_ORDER, display_name
 from repro.fairness import evaluate_predictions
 from repro.gnnzoo import make_backbone
 from repro.graph import Graph
@@ -221,16 +222,8 @@ def run_linkpred_method(
         Optional pre-built edge split shared across methods of one cell.
     """
     key = method.lower()
-    display = {
-        "vanilla": "Vanilla\\S",
-        "remover": "RemoveR",
-        "ksmote": "KSMOTE",
-        "fairrf": "FairRF",
-        "fairgkd": "FairGKD\\S",
-        "fairwos": "Fairwos",
-    }
-    if key not in display:
-        raise ValueError(f"unknown method {method!r}; choose from {sorted(display)}")
+    if key not in METHOD_ORDER:
+        raise ValueError(f"unknown method {method!r}; choose from {METHOD_ORDER}")
     if execution is None:
         execution = ExecutionConfig()
     execution.validate()
@@ -365,7 +358,7 @@ def run_linkpred_method(
         edge_dyad_groups(graph.sensitive, split.val),
     )
     return MethodResult(
-        method=display[key],
+        method=display_name(key),
         test=test_eval,
         validation=val_eval,
         seconds=seconds,

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.tensor import Tensor
 from repro.tensor import ops
-from repro.tensor.backend import get_backend
 from repro.tensor.dtype import get_default_dtype
 from repro.tensor.tensor import as_tensor
 
@@ -42,23 +41,22 @@ def _bce_constants(logits: Tensor, targets, weights):
     entering the graph) to the scope default; weights additionally validate
     against the silent-NaN case of an all-zero weight vector.
     """
-    backend = get_backend()
     targets = np.asarray(
         targets.data if isinstance(targets, Tensor) else targets,
-        dtype=backend.np_dtype(logits.data),
+        dtype=logits.data.dtype,
     )
-    y = backend.asarray(targets, dtype=get_default_dtype())
+    y = np.asarray(targets, dtype=get_default_dtype())
     if weights is None:
         return y, None, None
-    w = np.asarray(weights, dtype=backend.np_dtype(logits.data))
+    w = np.asarray(weights, dtype=logits.data.dtype)
     wsum = float(w.sum())
     if wsum == 0.0:
         raise ValueError(
             "binary_cross_entropy_with_logits: weights sum to zero — the "
             "weighted mean is undefined (all-zero weight vector?)"
         )
-    w_arr = backend.asarray(w, dtype=get_default_dtype())
-    c_arr = backend.asarray(wsum, dtype=get_default_dtype())
+    w_arr = np.asarray(w, dtype=get_default_dtype())
+    c_arr = np.asarray(wsum, dtype=get_default_dtype())
     return y, w_arr, c_arr
 
 
@@ -81,30 +79,28 @@ def binary_cross_entropy_with_logits(
         to zero (previously a silent NaN loss).
     """
     logits = as_tensor(logits)
-    backend = get_backend()
-    xp = backend.xp
     y, w_arr, c_arr = _bce_constants(logits, targets, weights)
 
     # loss = max(z, 0) - z*y + log(1 + exp(-|z|)), fused into one node.
     z = logits.data
-    zeros = xp.zeros_like(z)
+    zeros = np.zeros_like(z)
     take = z >= zeros
-    relu_part = xp.where(take, z, zeros)
+    relu_part = np.where(take, z, zeros)
     linear_part = z * y
-    e = xp.exp(-xp.abs(z))
-    one = backend.asarray(1.0, dtype=get_default_dtype())
+    e = np.exp(-np.abs(z))
+    one = np.asarray(1.0, dtype=get_default_dtype())
     denom = one + e
     # In-place accumulation into the relu_part buffer; the association
     # order (relu - linear) + log(denom) is unchanged, so the value stays
     # bit-identical to the composed graph while skipping two temporaries.
     per_element = relu_part
     per_element -= linear_part
-    per_element += xp.log(denom)
+    per_element += np.log(denom)
     if weights is None:
         count = int(np.prod(z.shape, dtype=np.int64))
-        value = xp.mean(per_element)
+        value = np.mean(per_element)
     else:
-        value = xp.sum(per_element * w_arr) / c_arr
+        value = np.sum(per_element * w_arr) / c_arr
 
     def backward(grad):
         # Upstream-gradient spreading, then the three contributions to z in
@@ -112,10 +108,10 @@ def binary_cross_entropy_with_logits(
         # softplus chain.  Association order matters — float addition is not
         # associative and this backward is pinned bit-identical.
         if weights is None:
-            g = xp.asarray(grad) / count
+            g = np.asarray(grad) / count
         else:
-            g = xp.asarray(grad / c_arr)
-        g = backend.copy(xp.broadcast_to(g, z.shape))
+            g = np.asarray(grad / c_arr)
+        g = np.broadcast_to(g, z.shape).copy()
         if weights is not None:
             g *= w_arr
         # The composed accumulation is gz + (-g)·y + (-(g/denom)·e)·sign(z);
@@ -126,7 +122,7 @@ def binary_cross_entropy_with_logits(
         gz -= g * y
         chain = g / denom
         chain *= e
-        chain *= xp.sign(z)
+        chain *= np.sign(z)
         gz -= chain
         return (gz,)
 
@@ -143,7 +139,7 @@ def binary_cross_entropy_with_logits_reference(
     logits = as_tensor(logits)
     targets = np.asarray(
         targets.data if isinstance(targets, Tensor) else targets,
-        dtype=get_backend().np_dtype(logits.data),
+        dtype=logits.data.dtype,
     )
     zero = Tensor(np.zeros(logits.shape))
     relu_part = ops.maximum(logits, zero)
@@ -151,7 +147,7 @@ def binary_cross_entropy_with_logits_reference(
     softplus_part = ops.log(ops.add(1.0, ops.exp(ops.neg(ops.absolute(logits)))))
     per_element = ops.add(ops.sub(relu_part, linear_part), softplus_part)
     if weights is not None:
-        w = np.asarray(weights, dtype=get_backend().np_dtype(logits.data))
+        w = np.asarray(weights, dtype=logits.data.dtype)
         if float(w.sum()) == 0.0:
             raise ValueError(
                 "binary_cross_entropy_with_logits: weights sum to zero — "

@@ -3,22 +3,22 @@
 The paper optimises all models with Adam ("ADM optimizer", lr 0.001), so this
 is the default optimiser across the reproduction.
 
-The update itself is a single fused, in-place kernel on the backend seam
-(:meth:`repro.tensor.backend.ArrayBackend.adam_step`): the composed
+The update itself is a single fused, in-place kernel: the composed
 ``p - lr * m̂ / (sqrt(v̂) + eps)`` expression allocated five full-size
 temporaries per parameter per step and rebound ``param.data``; the fused
 form mutates the parameter and reuses two scratch buffers, bit-identical to
-the composed arithmetic (pinned by the golden baseline fixtures, which run
-entire trainings through it).
+the composed arithmetic (pinned by ``tests/test_fused_ops.py`` and by the
+golden baseline fixtures, which run entire trainings through it).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.nn.module import Parameter
 from repro.optim.optimizer import Optimizer
-from repro.tensor.backend import get_backend
 
 __all__ = ["Adam"]
 
@@ -44,12 +44,17 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
-        xp = get_backend().xp
-        self._m = [xp.zeros_like(p.data) for p in self.parameters]
-        self._v = [xp.zeros_like(p.data) for p in self.parameters]
+        self._m = [np.zeros_like(p.data) for p in self.parameters]
+        self._v = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
-        backend = get_backend()
+        """One in-place update of every parameter that has a gradient.
+
+        Bit-identical to the composed update
+        ``p -= lr * (m/bias1) / (sqrt(v/bias2) + eps)`` with
+        ``m = β₁m + (1-β₁)g`` and ``v = β₂v + (1-β₂)g²``, but without the
+        chain of full-size temporaries the composed spelling allocates.
+        """
         self._step_count += 1
         t = self._step_count
         bias1 = 1.0 - self.beta1**t
@@ -57,16 +62,16 @@ class Adam(Optimizer):
         for param, m, v in zip(self.parameters, self._m, self._v):
             if param.grad is None:
                 continue
-            backend.adam_step(
-                param.data,
-                param.grad,
-                m,
-                v,
-                lr=self.lr,
-                beta1=self.beta1,
-                beta2=self.beta2,
-                eps=self.eps,
-                bias1=bias1,
-                bias2=bias2,
-                weight_decay=self.weight_decay,
-            )
+            p, grad = param.data, param.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * p
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (grad * grad)
+            denom = np.sqrt(v / bias2)
+            denom += self.eps
+            update = m / bias1
+            update *= self.lr
+            update /= denom
+            p -= update

@@ -7,7 +7,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.nn.module import Parameter
-from repro.tensor.backend import get_backend
 
 __all__ = ["Optimizer", "clip_grad_norm"]
 
@@ -35,11 +34,10 @@ def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
 
     Returns the pre-clipping norm (useful for logging divergence).
     """
-    xp = get_backend().xp
     total = 0.0
     for param in parameters:
         if param.grad is not None:
-            total += float(xp.sum(param.grad**2))
+            total += float(np.sum(param.grad**2))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.nn.module import Parameter
 from repro.optim.optimizer import Optimizer
-from repro.tensor.backend import get_backend
 
 __all__ = ["SGD"]
 
@@ -36,7 +37,7 @@ class SGD(Optimizer):
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity = [get_backend().xp.zeros_like(p.data) for p in self.parameters]
+        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
         for param, velocity in zip(self.parameters, self._velocity):

@@ -17,7 +17,6 @@ The public entry point is :class:`Tensor`; free functions mirror the method
 API for a functional style.
 """
 
-from repro.tensor.backend import get_backend
 from repro.tensor.dtype import (
     dtype_scope,
     get_default_dtype,
@@ -54,7 +53,6 @@ __all__ = [
     "Tensor",
     "no_grad",
     "is_grad_enabled",
-    "get_backend",
     "dtype_scope",
     "get_default_dtype",
     "resolve_dtype",

@@ -1,15 +1,9 @@
 """Differentiable operations for :class:`repro.tensor.Tensor`.
 
 Every function takes tensors (or array-likes, which are promoted to constant
-tensors), computes the forward value against the array namespace of
-:func:`repro.tensor.backend.get_backend` (``xp`` below is literally the
-``numpy`` module, so every call is the direct-numpy one), and registers a
-closure that maps the output gradient to per-parent gradients.  Broadcasting
-ops reduce gradients back to parent shapes with
-:func:`repro.tensor.tensor.unbroadcast`.
-
-Index bookkeeping (axis permutations, concat offsets, integer index arrays)
-is plain numpy; only the floating-point math routes through the seam.
+tensors), computes the forward value with numpy, and registers a closure that
+maps the output gradient to per-parent gradients.  Broadcasting ops reduce
+gradients back to parent shapes with :func:`repro.tensor.tensor.unbroadcast`.
 
 The sparse-dense product :func:`spmm` accepts a *constant* ``scipy.sparse``
 matrix on the left (graph adjacency matrices never require gradients in this
@@ -21,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.tensor.backend import _SCATTER_SPMM_THRESHOLD, get_backend
 from repro.tensor.dtype import get_default_dtype
 from repro.tensor.tensor import Tensor, as_tensor, unbroadcast
 
@@ -59,6 +52,12 @@ __all__ = [
     "logsumexp",
     "dropout_mask",
 ]
+
+# Above this many gathered rows the scatter adjoint routes through a sparse
+# matmul (one CSR selection matrix transposed against the gradient), which is
+# ~8x faster than ``np.add.at``'s unbuffered loop; below it the construction
+# overhead is not worth it.
+_SCATTER_SPMM_THRESHOLD = 4096
 
 
 # --------------------------------------------------------------------- #
@@ -137,20 +136,26 @@ def power(a, exponent: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Dense matrix product (2-D @ 2-D, or 2-D @ 1-D)."""
+    """Dense matrix product of 1-D or 2-D operands.
+
+    Covers matrix @ matrix, matrix @ vector, vector @ matrix and
+    vector @ vector (a dot product).  The matrix partner of a 1-D operand
+    gets an outer-product gradient; in the dot product each vector's
+    gradient is the other vector scaled by the upstream gradient.
+    """
     a, b = as_tensor(a), as_tensor(b)
     out = a.data @ b.data
 
     def backward(grad):
-        backend = get_backend()
-        if b.data.ndim == 1:
-            grad_a = (
-                backend.xp.outer(grad, b.data) if a.data.ndim == 2 else grad * b.data
-            )
-            grad_b = backend.transpose(a.data) @ grad
+        x, y = a.data, b.data
+        if y.ndim == 1:
+            grad_a = np.outer(grad, y) if x.ndim == 2 else grad * y
         else:
-            grad_a = grad @ backend.transpose(b.data)
-            grad_b = backend.transpose(a.data) @ grad
+            grad_a = grad @ y.T
+        if x.ndim == 1:
+            grad_b = np.outer(x, grad) if y.ndim == 2 else grad * x
+        else:
+            grad_b = x.T @ grad
         return grad_a, grad_b
 
     return Tensor.from_op(out, (a, b), backward)
@@ -164,13 +169,27 @@ def spmm(matrix: sp.spmatrix, dense) -> Tensor:
     normalised adjacencies, but we do not assume symmetry).
     """
     dense = as_tensor(dense)
-    backend = get_backend()
-    out, cast_matrix = backend.spmm(matrix, dense.data)
+    matrix = _sparse_operand(matrix, dense.data.dtype)
+    out = matrix @ dense.data
 
     def backward(grad):
-        return (backend.spmm_adjoint(cast_matrix, grad),)
+        return (matrix.T @ grad,)
 
     return Tensor.from_op(out, (dense,), backward)
+
+
+def _sparse_operand(matrix: sp.spmatrix, dtype) -> sp.csr_matrix:
+    """A constant sparse matrix as CSR in the dense operand's ``dtype``.
+
+    Block/adjacency matrices are float64 constants; casting them keeps
+    float32 activations float32 instead of silently upcasting every
+    message-passing product.  scipy's cast also sums duplicate entries, so
+    every product that must match :func:`spmm` bit for bit casts here too.
+    """
+    matrix = matrix.tocsr()
+    if matrix.dtype != dtype:
+        matrix = matrix.astype(dtype)
+    return matrix
 
 
 # --------------------------------------------------------------------- #
@@ -191,14 +210,10 @@ def relu(a) -> Tensor:
 def leaky_relu(a, negative_slope: float = 0.2) -> Tensor:
     """Leaky ReLU with the given slope for negative inputs."""
     a = as_tensor(a)
-    backend = get_backend()
     mask = a.data > 0
-    # Cast the gate to the input dtype: xp.where on python scalars yields
+    # Cast the gate to the input dtype: np.where on python scalars yields
     # float64, which would silently upcast a float32 graph.
-    scale = backend.asarray(
-        backend.xp.where(mask, 1.0, negative_slope),
-        dtype=backend.np_dtype(a.data),
-    )
+    scale = np.asarray(np.where(mask, 1.0, negative_slope), dtype=a.data.dtype)
     out = a.data * scale
 
     def backward(grad):
@@ -210,9 +225,8 @@ def leaky_relu(a, negative_slope: float = 0.2) -> Tensor:
 def sigmoid(a) -> Tensor:
     """Numerically stable logistic sigmoid."""
     a = as_tensor(a)
-    xp = get_backend().xp
     x = a.data
-    out = xp.where(x >= 0, 1.0 / (1.0 + xp.exp(-xp.abs(x))), xp.exp(-xp.abs(x)) / (1.0 + xp.exp(-xp.abs(x))))
+    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
     def backward(grad):
         return (grad * out * (1.0 - out),)
@@ -223,7 +237,7 @@ def sigmoid(a) -> Tensor:
 def tanh(a) -> Tensor:
     """Hyperbolic tangent."""
     a = as_tensor(a)
-    out = get_backend().xp.tanh(a.data)
+    out = np.tanh(a.data)
 
     def backward(grad):
         return (grad * (1.0 - out**2),)
@@ -234,7 +248,7 @@ def tanh(a) -> Tensor:
 def exp(a) -> Tensor:
     """Elementwise exponential."""
     a = as_tensor(a)
-    out = get_backend().xp.exp(a.data)
+    out = np.exp(a.data)
 
     def backward(grad):
         return (grad * out,)
@@ -245,7 +259,7 @@ def exp(a) -> Tensor:
 def log(a) -> Tensor:
     """Elementwise natural logarithm."""
     a = as_tensor(a)
-    out = get_backend().xp.log(a.data)
+    out = np.log(a.data)
 
     def backward(grad):
         return (grad / a.data,)
@@ -256,7 +270,7 @@ def log(a) -> Tensor:
 def sqrt(a) -> Tensor:
     """Elementwise square root."""
     a = as_tensor(a)
-    out = get_backend().xp.sqrt(a.data)
+    out = np.sqrt(a.data)
 
     def backward(grad):
         return (grad * 0.5 / out,)
@@ -267,11 +281,10 @@ def sqrt(a) -> Tensor:
 def absolute(a) -> Tensor:
     """Elementwise absolute value (subgradient 0 at 0)."""
     a = as_tensor(a)
-    xp = get_backend().xp
-    out = xp.abs(a.data)
+    out = np.abs(a.data)
 
     def backward(grad):
-        return (grad * xp.sign(a.data),)
+        return (grad * np.sign(a.data),)
 
     return Tensor.from_op(out, (a,), backward)
 
@@ -280,7 +293,7 @@ def maximum(a, b) -> Tensor:
     """Elementwise maximum; ties send the gradient to the first argument."""
     a, b = as_tensor(a), as_tensor(b)
     take_a = a.data >= b.data
-    out = get_backend().xp.where(take_a, a.data, b.data)
+    out = np.where(take_a, a.data, b.data)
 
     def backward(grad):
         return (
@@ -294,9 +307,8 @@ def maximum(a, b) -> Tensor:
 def where(condition, a, b) -> Tensor:
     """Select ``a`` where ``condition`` else ``b``; condition is constant."""
     a, b = as_tensor(a), as_tensor(b)
-    xp = get_backend().xp
-    condition = xp.asarray(condition, dtype=bool)
-    out = xp.where(condition, a.data, b.data)
+    condition = np.asarray(condition, dtype=bool)
+    out = np.where(condition, a.data, b.data)
 
     def backward(grad):
         return (
@@ -319,12 +331,11 @@ def squared_distance(a, b) -> Tensor:
     unbroadcast to each operand's shape.
     """
     a, b = as_tensor(a), as_tensor(b)
-    xp = get_backend().xp
     diff = a.data - b.data
-    out = xp.sum(diff**2, axis=-1)
+    out = np.sum(diff**2, axis=-1)
 
     def backward(grad):
-        g = 2.0 * xp.expand_dims(xp.asarray(grad), -1) * diff
+        g = 2.0 * np.expand_dims(np.asarray(grad), -1) * diff
         return unbroadcast(g, a.shape), unbroadcast(-g, b.shape)
 
     return Tensor.from_op(out, (a, b), backward)
@@ -336,15 +347,14 @@ def squared_distance(a, b) -> Tensor:
 def sum(a, axis=None, keepdims: bool = False) -> Tensor:
     """Sum over ``axis`` (all axes when None)."""
     a = as_tensor(a)
-    xp = get_backend().xp
-    out = xp.sum(a.data, axis=axis, keepdims=keepdims)
+    out = np.sum(a.data, axis=axis, keepdims=keepdims)
 
     def backward(grad):
-        g = xp.asarray(grad)
+        g = np.asarray(grad)
         if axis is not None and not keepdims:
             axes = axis if isinstance(axis, tuple) else (axis,)
-            g = xp.expand_dims(g, tuple(ax % a.data.ndim for ax in axes))
-        return (get_backend().copy(xp.broadcast_to(g, a.shape)),)
+            g = np.expand_dims(g, tuple(ax % a.data.ndim for ax in axes))
+        return (np.broadcast_to(g, a.shape).copy(),)
 
     return Tensor.from_op(out, (a,), backward)
 
@@ -352,8 +362,7 @@ def sum(a, axis=None, keepdims: bool = False) -> Tensor:
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     """Arithmetic mean over ``axis`` (all axes when None)."""
     a = as_tensor(a)
-    xp = get_backend().xp
-    out = xp.mean(a.data, axis=axis, keepdims=keepdims)
+    out = np.mean(a.data, axis=axis, keepdims=keepdims)
     if axis is None:
         count = a.size
     else:
@@ -361,11 +370,11 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
         count = int(np.prod([a.data.shape[ax] for ax in axes]))
 
     def backward(grad):
-        g = xp.asarray(grad) / count
+        g = np.asarray(grad) / count
         if axis is not None and not keepdims:
             axes = axis if isinstance(axis, tuple) else (axis,)
-            g = xp.expand_dims(g, tuple(ax % a.data.ndim for ax in axes))
-        return (get_backend().copy(xp.broadcast_to(g, a.shape)),)
+            g = np.expand_dims(g, tuple(ax % a.data.ndim for ax in axes))
+        return (np.broadcast_to(g, a.shape).copy(),)
 
     return Tensor.from_op(out, (a,), backward)
 
@@ -387,7 +396,7 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
 def expand_dims(a, axis) -> Tensor:
     """Insert length-1 axes (``np.expand_dims``); the gradient is squeezed back."""
     a = as_tensor(a)
-    out = get_backend().xp.expand_dims(a.data, axis)
+    out = np.expand_dims(a.data, axis)
 
     def backward(grad):
         return (grad.reshape(a.shape),)
@@ -398,14 +407,12 @@ def expand_dims(a, axis) -> Tensor:
 def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
     """Permute axes (reverse when ``axes`` is None)."""
     a = as_tensor(a)
-    backend = get_backend()
-    out = backend.transpose(a.data, axes)
+    out = a.data.transpose(axes)
 
     def backward(grad):
         if axes is None:
-            return (backend.transpose(grad),)
-        inverse = np.argsort(axes)
-        return (backend.transpose(grad, inverse),)
+            return (grad.transpose(),)
+        return (grad.transpose(np.argsort(axes)),)
 
     return Tensor.from_op(out, (a,), backward)
 
@@ -420,9 +427,8 @@ def index(a, idx) -> Tensor:
     out = a.data[idx]
 
     def backward(grad):
-        backend = get_backend()
-        full = backend.xp.zeros_like(a.data)
-        backend.index_add(full, idx, grad)
+        full = np.zeros_like(a.data)
+        np.add.at(full, idx, grad)
         return (full,)
 
     return Tensor.from_op(out, (a,), backward)
@@ -432,11 +438,25 @@ def _scatter_rows(indices: np.ndarray, grad, out_shape):
     """Sum gradient rows into their source rows (the adjoint of a row gather).
 
     ``indices`` has any shape; ``grad`` has shape ``indices.shape + rest``.
-    Large scatters use ``Sᵀ @ grad`` with a constant CSR selection matrix
-    (see :data:`repro.tensor.backend._SCATTER_SPMM_THRESHOLD`); the routing
-    lives on the backend, behind the seam.
+    Scatters of at least :data:`_SCATTER_SPMM_THRESHOLD` rows use
+    ``Sᵀ @ grad`` with a constant CSR selection matrix; smaller ones
+    ``np.add.at``.
     """
-    return get_backend().scatter_rows(indices, grad, out_shape)
+    flat_idx = indices.reshape(-1)
+    if flat_idx.size < _SCATTER_SPMM_THRESHOLD:
+        full = np.zeros(out_shape, dtype=grad.dtype)
+        np.add.at(full, indices, grad)
+        return full
+    flat_grad = np.ascontiguousarray(grad).reshape(flat_idx.size, -1)
+    selection = sp.csr_matrix(
+        (
+            np.ones(flat_idx.size, dtype=grad.dtype),
+            flat_idx,
+            np.arange(flat_idx.size + 1),
+        ),
+        shape=(flat_idx.size, out_shape[0]),
+    )
+    return (selection.T @ flat_grad).reshape(out_shape)
 
 
 def gather(a, row_indices) -> Tensor:
@@ -452,7 +472,7 @@ def gather(a, row_indices) -> Tensor:
     out = a.data[row_indices]
 
     def backward(grad):
-        return (get_backend().scatter_rows(row_indices, grad, a.shape),)
+        return (_scatter_rows(row_indices, grad, a.shape),)
 
     return Tensor.from_op(out, (a,), backward)
 
@@ -464,11 +484,10 @@ def scatter_add(a, row_indices, num_rows: int) -> Tensor:
     Used for edge-to-node aggregation in attention layers.
     """
     a = as_tensor(a)
-    backend = get_backend()
     row_indices = np.asarray(row_indices, dtype=np.int64)
     out_shape = (num_rows,) + a.shape[1:]
-    out = backend.xp.zeros(out_shape, dtype=a.data.dtype)
-    backend.index_add(out, row_indices, a.data)
+    out = np.zeros(out_shape, dtype=a.data.dtype)
+    np.add.at(out, row_indices, a.data)
 
     def backward(grad):
         return (grad[row_indices],)
@@ -479,7 +498,7 @@ def scatter_add(a, row_indices, num_rows: int) -> Tensor:
 def concat(tensors, axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis``."""
     tensors = [as_tensor(t) for t in tensors]
-    out = get_backend().xp.concatenate([t.data for t in tensors], axis=axis)
+    out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -500,20 +519,19 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     """Stable ``log(sum(exp(a)))`` along ``axis``."""
     a = as_tensor(a)
-    xp = get_backend().xp
     x = a.data
-    xmax = xp.max(x, axis=axis, keepdims=True)
-    shifted = xp.exp(x - xmax)
-    total = xp.sum(shifted, axis=axis, keepdims=True)
-    out = xp.log(total) + xmax
+    xmax = np.max(x, axis=axis, keepdims=True)
+    shifted = np.exp(x - xmax)
+    total = np.sum(shifted, axis=axis, keepdims=True)
+    out = np.log(total) + xmax
     softmax_vals = shifted / total
     if not keepdims:
-        out = xp.squeeze(out, axis=axis)
+        out = np.squeeze(out, axis=axis)
 
     def backward(grad):
-        g = xp.asarray(grad)
+        g = np.asarray(grad)
         if not keepdims:
-            g = xp.expand_dims(g, axis)
+            g = np.expand_dims(g, axis)
         return (g * softmax_vals,)
 
     return Tensor.from_op(out, (a,), backward)
@@ -522,13 +540,12 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
 def softmax(a, axis: int = -1) -> Tensor:
     """Stable softmax along ``axis``."""
     a = as_tensor(a)
-    xp = get_backend().xp
     x = a.data
-    shifted = xp.exp(x - xp.max(x, axis=axis, keepdims=True))
-    out = shifted / xp.sum(shifted, axis=axis, keepdims=True)
+    shifted = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    out = shifted / np.sum(shifted, axis=axis, keepdims=True)
 
     def backward(grad):
-        inner = xp.sum(grad * out, axis=axis, keepdims=True)
+        inner = np.sum(grad * out, axis=axis, keepdims=True)
         return (out * (grad - inner),)
 
     return Tensor.from_op(out, (a,), backward)
@@ -537,27 +554,22 @@ def softmax(a, axis: int = -1) -> Tensor:
 def log_softmax(a, axis: int = -1) -> Tensor:
     """Stable log-softmax along ``axis``."""
     a = as_tensor(a)
-    xp = get_backend().xp
     x = a.data
-    xmax = xp.max(x, axis=axis, keepdims=True)
+    xmax = np.max(x, axis=axis, keepdims=True)
     shifted = x - xmax
-    lse = xp.log(xp.sum(xp.exp(shifted), axis=axis, keepdims=True))
+    lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
     out = shifted - lse
-    softmax_vals = xp.exp(out)
+    softmax_vals = np.exp(out)
 
     def backward(grad):
-        return (grad - softmax_vals * xp.sum(grad, axis=axis, keepdims=True),)
+        return (grad - softmax_vals * np.sum(grad, axis=axis, keepdims=True),)
 
     return Tensor.from_op(out, (a,), backward)
 
 
 def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator):
-    """Sample an inverted-dropout mask (scaled keep mask) as a constant array.
-
-    The mask is sampled from the numpy ``rng`` and handed to the backend.
-    """
+    """Sample an inverted-dropout mask (scaled keep mask) from the numpy ``rng``."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     keep = 1.0 - rate
-    mask = (rng.random(shape) < keep).astype(get_default_dtype()) / keep
-    return get_backend().asarray(mask)
+    return (rng.random(shape) < keep).astype(get_default_dtype()) / keep

@@ -7,8 +7,7 @@ closure computing the local vector-Jacobian product.  Calling
 graph and accumulates gradients into every reachable tensor that has
 ``requires_grad=True``.
 
-Data lives in numpy arrays, created through the array seam of
-:mod:`repro.tensor.backend` and coerced at construction to the process
+Data lives in numpy arrays, coerced at construction to the process
 default dtype (see :mod:`repro.tensor.dtype`); ``float64`` unless a trainer
 opted into a ``float32`` scope; float64 keeps the finite-difference gradient
 checks in the test-suite tight.
@@ -17,11 +16,10 @@ checks in the test-suite tight.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.tensor.backend import get_backend
 from repro.tensor.dtype import get_default_dtype
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
@@ -48,7 +46,7 @@ def is_grad_enabled() -> bool:
 
 def _as_array(value):
     """Coerce python scalars / lists / arrays to a default-dtype array."""
-    return get_backend().asarray(value, dtype=get_default_dtype())
+    return np.asarray(value, dtype=get_default_dtype())
 
 
 def unbroadcast(grad, shape: tuple[int, ...]):
@@ -59,15 +57,14 @@ def unbroadcast(grad, shape: tuple[int, ...]):
     """
     if grad.shape == shape:
         return grad
-    xp = get_backend().xp
     # Sum over prepended axes.
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = xp.sum(grad, axis=tuple(range(extra)))
+        grad = np.sum(grad, axis=tuple(range(extra)))
     # Sum over stretched size-1 axes.
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
-        grad = xp.sum(grad, axis=axes, keepdims=True)
+        grad = np.sum(grad, axis=axes, keepdims=True)
     return grad.reshape(shape)
 
 
@@ -129,7 +126,7 @@ class Tensor:
         parents: Sequence["Tensor"] = (),
         backward_fn: Callable[[np.ndarray], tuple] | None = None,
     ) -> "Tensor":
-        """Wrap an existing backend array *without* the default-dtype recast.
+        """Wrap an existing array *without* the default-dtype recast.
 
         ``__init__`` deliberately coerces to :func:`get_default_dtype` so
         user-facing construction is predictable; internal paths that already
@@ -158,7 +155,7 @@ class Tensor:
         inputs); only scalar outputs of reductions are normalised from numpy
         scalars to 0-d arrays.
         """
-        data = get_backend().asarray(data)
+        data = np.asarray(data)
         if _GRAD_ENABLED and any(p.requires_grad for p in parents):
             return Tensor._wrap(
                 data, requires_grad=True, parents=parents, backward_fn=backward_fn
@@ -223,7 +220,7 @@ class Tensor:
 
     def copy(self) -> "Tensor":
         """Return a graph-detached deep copy (dtype preserved, see detach)."""
-        return Tensor._wrap(get_backend().copy(self.data))
+        return Tensor._wrap(self.data.copy())
 
     # ------------------------------------------------------------------ #
     # autodiff driver
@@ -241,19 +238,18 @@ class Tensor:
             Seed gradient.  Defaults to 1.0, which requires this tensor to be
             a scalar.
         """
-        backend = get_backend()
         if grad is None:
             if self.size != 1:
                 raise ValueError(
                     "backward() without an explicit gradient requires a scalar "
                     f"output, got shape {self.shape}"
                 )
-            grad = backend.xp.ones_like(self.data)
+            grad = np.ones_like(self.data)
         # Seed in the *output's* dtype, not the scope default: a float32
         # graph differentiated outside its dtype_scope must stay float32.
-        grad = backend.asarray(grad, dtype=self.data.dtype)
+        grad = np.asarray(grad, dtype=self.data.dtype)
         if grad.shape != self.data.shape:
-            grad = backend.copy(backend.xp.broadcast_to(grad, self.data.shape))
+            grad = np.broadcast_to(grad, self.data.shape).copy()
 
         order = self._topological_order()
         grads: dict[int, np.ndarray] = {id(self): grad}
@@ -264,7 +260,7 @@ class Tensor:
             if node.requires_grad and node._backward_fn is None:
                 # Leaf tensor: accumulate.
                 if node.grad is None:
-                    node.grad = backend.copy(node_grad)
+                    node.grad = np.asarray(node_grad).copy()
                 else:
                     node.grad = node.grad + node_grad
                 continue
@@ -424,7 +420,3 @@ def as_tensor(value) -> Tensor:
         return value
     return Tensor(value)
 
-
-def collect_parameters(tensors: Iterable[Tensor]) -> list[Tensor]:
-    """Filter an iterable down to tensors that require gradients."""
-    return [t for t in tensors if isinstance(t, Tensor) and t.requires_grad]

@@ -8,16 +8,12 @@ and additionally gradcheck the analytic adjoints against finite differences.
 The autograd-core bugfix regressions from the same sweep live here too.
 """
 
-import gc
-
 import numpy as np
 import pytest
 
-from repro.core import fairloss
 from repro.core.fairloss import (
     _composed_pair_disparities,
     _fused_pair_disparities,
-    _gather_csr_handle,
 )
 from repro.nn.losses import (
     binary_cross_entropy_with_logits,
@@ -129,44 +125,6 @@ class TestFusedFairLoss:
             lambda t: ops.sum(_fused_pair_disparities(t, idx, anchors, scale)),
             [Tensor(h, requires_grad=True)],
         )
-
-    def test_csr_handle_cached_per_indices_array(self):
-        rng = np.random.default_rng(4)
-        idx = rng.integers(0, 30, size=(2, 30, 3))
-        first = _gather_csr_handle(idx, 30, np.dtype("float64"))
-        assert _gather_csr_handle(idx, 30, np.dtype("float64")) is first
-        # A different dtype gets its own prepared variant of the same base.
-        assert _gather_csr_handle(idx, 30, np.dtype("float32")) is not first
-        # A fresh indices array (as every counterfactual refresh builds)
-        # yields a fresh handle even if the old id was recycled.
-        other = _gather_csr_handle(idx.copy(), 30, np.dtype("float64"))
-        assert other is not first
-
-    def test_csr_cache_is_bounded(self):
-        keep = [
-            np.random.default_rng(i).integers(0, 10, size=(1, 10, 2))
-            for i in range(fairloss._GATHER_CSR_CACHE_MAX + 4)
-        ]
-        for idx in keep:
-            _gather_csr_handle(idx, 10, np.dtype("float64"))
-        assert len(fairloss._GATHER_CSR_CACHE) <= fairloss._GATHER_CSR_CACHE_MAX
-
-    def test_csr_cache_drops_dead_arrays(self):
-        idx = np.random.default_rng(9).integers(0, 10, size=(1, 10, 2))
-        _gather_csr_handle(idx, 10, np.dtype("float64"))
-        key = id(idx)
-        assert key in fairloss._GATHER_CSR_CACHE
-        del idx
-        gc.collect()
-        # The next miss sweeps dead entries.
-        fresh = np.random.default_rng(10).integers(0, 10, size=(1, 10, 2))
-        _gather_csr_handle(fresh, 10, np.dtype("float64"))
-        live = [
-            k
-            for k, e in fairloss._GATHER_CSR_CACHE.items()
-            if e[0]() is None
-        ]
-        assert key not in fairloss._GATHER_CSR_CACHE or not live
 
 
 def _composed_adam_step(param, grad, m, v, t, lr, beta1, beta2, eps, wd):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.tensor import Tensor, gradcheck
+from repro.nn import Linear
+from repro.tensor import Tensor, dtype_scope, gradcheck
 from repro.tensor import ops
 
 
@@ -74,6 +75,28 @@ class TestArithmeticGradients:
         a, b = _t(rng, 3, 4), _t(rng, 4)
         assert gradcheck(lambda a, b: ops.sum(ops.matmul(a, b)), [a, b])
 
+    def test_matmul_vector_vector(self, rng):
+        # A dot product; squaring it makes the upstream gradient non-unit.
+        a, b = _t(rng, 4), _t(rng, 4)
+        assert gradcheck(
+            lambda a, b: ops.mul(ops.matmul(a, b), ops.matmul(a, b)), [a, b]
+        )
+
+    @pytest.mark.parametrize("cols", [4, 3], ids=["square", "non_square"])
+    def test_matmul_vector_matrix(self, rng, cols):
+        a, b = _t(rng, 4), _t(rng, 4, cols)
+        w = rng.standard_normal(cols)
+        assert gradcheck(lambda a, b: ops.sum(ops.mul(ops.matmul(a, b), w)), [a, b])
+
+    def test_linear_on_one_feature_vector(self, rng):
+        layer = Linear(4, 3, rng)
+        x = _t(rng, 4)
+        w = rng.standard_normal(3)
+        assert gradcheck(
+            lambda x, *_: ops.sum(ops.mul(layer(x), w)),
+            [x, layer.weight, layer.bias],
+        )
+
     def test_spmm(self, rng):
         matrix = sp.random(5, 5, density=0.5, random_state=1, format="csr")
         h = _t(rng, 5, 3)
@@ -86,6 +109,34 @@ class TestArithmeticGradients:
         out = ops.sum(ops.spmm(matrix, h))
         out.backward()
         np.testing.assert_allclose(h.grad, np.array([[0.0], [2.0]]))
+
+    def test_spmm_coo_non_square_round_trip(self, rng):
+        # A non-square COO constant: forward is A @ H, adjoint is A.T @ grad.
+        matrix = sp.random(6, 5, density=0.5, random_state=2, format="coo")
+        dense = rng.standard_normal((5, 3))
+        upstream = rng.standard_normal((6, 3))
+        h = Tensor(dense, requires_grad=True)
+        out = ops.spmm(matrix, h)
+        out.backward(upstream)
+        dense_matrix = matrix.toarray()
+        np.testing.assert_allclose(out.data, dense_matrix @ dense)
+        np.testing.assert_allclose(h.grad, dense_matrix.T @ upstream)
+
+    def test_spmm_casts_constant_to_operand_dtype(self, rng):
+        # A float64 COO constant against a float32 operand: the product and
+        # its adjoint stay float32 and match the dense computation.
+        matrix = sp.random(6, 5, density=0.5, random_state=2, format="coo")
+        dense = rng.standard_normal((5, 3))
+        upstream = rng.standard_normal((6, 3))
+        with dtype_scope("float32"):
+            h = Tensor(dense, requires_grad=True)
+            out = ops.spmm(matrix, h)
+            out.backward(upstream)
+        assert out.data.dtype == np.float32
+        assert h.grad.dtype == np.float32
+        dense_matrix = matrix.toarray()
+        np.testing.assert_allclose(out.data, dense_matrix @ dense, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(h.grad, dense_matrix.T @ upstream, rtol=1e-5, atol=1e-5)
 
 
 # --------------------------------------------------------------------- #
@@ -228,6 +279,16 @@ class TestReductionsAndShapes:
         assert gradcheck(
             lambda a: ops.sum(ops.power(ops.gather(a, idx), 2.0)), [a]
         )
+
+    @pytest.mark.parametrize("rows", [16, 8192])  # add.at and CSR branches
+    def test_scatter_rows_matches_add_at(self, rng, rows):
+        from repro.tensor.ops import _scatter_rows
+
+        idx = rng.integers(0, 10, size=rows)
+        grad = rng.standard_normal((rows, 4))
+        expected = np.zeros((10, 4))
+        np.add.at(expected, idx, grad)
+        np.testing.assert_allclose(_scatter_rows(idx, grad, (10, 4)), expected, atol=1e-12)
 
     def test_gather_large_scatter_path_matches_add_at(self, rng):
         # Above the threshold the adjoint routes through a sparse matmul;
