@@ -442,20 +442,22 @@ def _parse_probes(text):
 
 
 def _render_counterfactuals(artifact, node_ids, top_k, probes) -> str:
-    """Per-node counterfactual twins from the persisted index."""
+    """Per-node counterfactual twins from the persisted index.
+
+    Without ``node_ids`` the first five indexed nodes are shown, and only
+    they are queried: a search over every node is O(N²) on an exact index.
+    """
+    if node_ids is None:
+        num_points = artifact.manifest["index"].get("num_points", 0)
+        node_ids = np.arange(min(5, num_points), dtype=np.int64)
     cf = artifact.counterfactuals(
         nodes=node_ids, top_k=top_k, probes=_parse_probes(probes)
-    )
-    show = (
-        node_ids
-        if node_ids is not None
-        else np.arange(min(5, cf.indices.shape[1]), dtype=np.int64)
     )
     lines = [
         f"  counterfactual twins (K={cf.top_k}, {cf.num_attributes} "
         f"pseudo-attributes, persisted index):"
     ]
-    for node in show[:10]:
+    for node in node_ids[:10]:
         per_attr = []
         for attr in range(min(cf.num_attributes, 3)):
             if cf.valid[attr, node]:

@@ -23,12 +23,17 @@ Design notes
 ------------
 Each tree splits its points on a random unit direction at the projection
 median (split by rank, so trees are exactly balanced and build is
-O(N log N) per tree).  A query descends to one leaf per tree; ``probes > 1``
-additionally flips the lowest-margin split decisions along the root path
-(multi-probe, as in Annoy/LSH multi-probe) and descends the alternative
-subtrees, trading work for recall.  Candidates from all (tree, probe)
-leaves are gathered into one row per query, deduplicated, and ranked by
-true L2 distance, with ties broken by ascending point id for determinism.
+O(N log N) per tree).  The split planes of all trees are stacked into one
+set of arrays, and a chunk of queries descends every tree at once: each
+(tree, query) pair is one row of a single recorded descent, so a chunk
+takes about two numpy passes per level of the deepest tree, however many
+trees there are.  ``probes > 1`` additionally flips the lowest-margin
+split decisions along each root path (multi-probe, as in Annoy/LSH
+multi-probe) and descends the alternative subtrees greedily over the same
+stacked arrays, trading work for recall.  Candidates from all (tree,
+probe) leaves are gathered into one row per query, deduplicated, and
+ranked by true L2 distance, with ties broken by ascending point id for
+determinism.
 The top ``k`` come from ``argpartition`` plus a tie repair: rows where
 entries tied at the ``k``-th distance straddle the cut are re-ranked by a
 full stable sort, so the result is exactly the first ``k`` of a stable
@@ -172,9 +177,12 @@ class _Tree:
     ``point_leaf`` maps each indexed point to its current leaf id — the
     routing table incremental updates edit in place; ``leaf_indptr`` /
     ``leaf_items`` are its CSR view, repacked after every update.  ``depth``
-    is an upper bound on the root-to-leaf path length (exact after a build,
-    conservatively widened by subtree splices) sizing the recorded-descent
-    arrays of multi-probe queries.
+    is the longest root-to-leaf path (kept exact across subtree splices);
+    the forest's deepest tree sets the width of the stacked recorded
+    descent and how many probe flips a query can make.
+
+    Once a build, update or restore has finished, ``directions`` and
+    ``thresholds`` are views into the forest's stacked :class:`_Planes`.
     """
 
     directions: np.ndarray  # (num_internal, d)
@@ -190,6 +198,25 @@ class _Tree:
     @property
     def num_leaves(self) -> int:
         return self.leaf_indptr.shape[0] - 1
+
+
+@dataclass
+class _Planes:
+    """Every tree's split planes stacked for the forest-wide descent.
+
+    The trees' internal nodes follow one another in tree order, and
+    ``children`` shifts each tree's internal refs by the internal-node
+    count of the trees before it.  Leaf refs keep their per-tree encoding
+    ``-(leaf_id + 1)``, since a descent row knows its tree.  ``roots``
+    holds each tree's root in the same encoding, and ``depth`` is the
+    deepest tree's.
+    """
+
+    directions: np.ndarray  # (total_internal, d)
+    thresholds: np.ndarray  # (total_internal,)
+    children: np.ndarray  # (total_internal, 2)
+    roots: np.ndarray  # (num_trees,)
+    depth: int
 
 
 class RPForestIndex:
@@ -275,6 +302,7 @@ class RPForestIndex:
         self._points: np.ndarray | None = None
         self._norms: np.ndarray | None = None
         self._trees: list[_Tree] = []
+        self._planes: _Planes | None = None
         self._update_count = 0
 
     # ------------------------------------------------------------------ #
@@ -313,10 +341,21 @@ class RPForestIndex:
         self._points = X
         self._norms = (X**2).sum(axis=1)
         self._update_count = 0
+        # Every tree of a build has the same number of splits, so each writes
+        # its directions straight into its rows of the stacked planes.
+        # Per-tree arrays copied into the stack and freed stayed resident:
+        # about 4 MiB more max RSS on a 100k-point, 8-tree, 16-d search.
+        splits = _num_splits(X.shape[0], self.leaf_size)
+        directions = np.empty((self.num_trees * splits, X.shape[1]))
         self._trees = [
-            self._build_tree(X, np.random.default_rng([self.seed, t]))
+            self._build_tree(
+                X,
+                np.random.default_rng([self.seed, t]),
+                out=directions[t * splits : (t + 1) * splits],
+            )
             for t in range(self.num_trees)
         ]
+        self._stack_planes(directions)
         return self
 
     # ------------------------------------------------------------------ #
@@ -417,10 +456,11 @@ class RPForestIndex:
                 meta = np.asarray(arrays[prefix + "meta"], dtype=np.int64)
                 trees.append(
                     _Tree(
-                        directions=np.array(
+                        # Copied into the stacked planes by _stack_planes.
+                        directions=np.asarray(
                             arrays[prefix + "directions"], dtype=np.float64
                         ),
-                        thresholds=np.array(
+                        thresholds=np.asarray(
                             arrays[prefix + "thresholds"], dtype=np.float64
                         ),
                         children=np.array(
@@ -446,6 +486,7 @@ class RPForestIndex:
                     f"(expected {index.num_trees} trees)"
                 ) from exc
         index._trees = trees
+        index._stack_planes()
         return index
 
     # ------------------------------------------------------------------ #
@@ -454,12 +495,15 @@ class RPForestIndex:
         X: np.ndarray,
         rng: np.random.Generator,
         members: np.ndarray | None = None,
+        out: np.ndarray | None = None,
     ) -> _Tree:
         """Build one tree over ``members`` (default: every row of ``X``).
 
         ``point_leaf`` is sized for the whole point set regardless, so a
         subtree built over a leaf's members (the lazy-split path) can be
-        spliced into a full tree without reindexing.
+        spliced into a full tree without reindexing.  ``out``, when given,
+        receives the split directions: ``(_num_splits(len(members),
+        leaf_size), d)`` rows of the forest's stacked planes.
         """
         n, dim = X.shape
         if members is None:
@@ -510,10 +554,12 @@ class RPForestIndex:
         point_leaf[leaf_items] = np.repeat(
             np.arange(leaf_sizes.size, dtype=np.int64), leaf_sizes
         )
+        if out is None:
+            out = np.empty((len(directions), dim))
+        if directions:
+            np.stack(directions, out=out)
         return _Tree(
-            directions=(
-                np.array(directions) if directions else np.empty((0, dim))
-            ),
+            directions=out,
             thresholds=np.array(thresholds, dtype=np.float64),
             children=(
                 np.array(children, dtype=np.int64)
@@ -637,6 +683,7 @@ class RPForestIndex:
                 compacted += self._compact_leaves(tree)
                 orphans = 0
             orphaned += orphans
+        self._stack_planes()
         return UpdateReport(
             num_points=self.num_points,
             num_moved=int(moved.size),
@@ -656,7 +703,9 @@ class RPForestIndex:
     ) -> int:
         """Re-descend ``moved`` points in one tree; returns leaves split."""
         start = np.full(moved.size, tree.root, dtype=np.int64)
-        new_leaf = self._greedy_descent(tree, queries, start)
+        new_leaf = _greedy_descent(
+            tree.directions, tree.thresholds, tree.children, queries, start
+        )
         changed = new_leaf != tree.point_leaf[moved]
         if not changed.any():
             return 0
@@ -726,9 +775,10 @@ class RPForestIndex:
         exceeds its parent's, both in the original build (stack order) and
         after splices (subtree nodes are appended) — so one forward pass
         yields every internal node's level.  Keeping the bound exact
-        matters: multi-probe queries allocate their recorded-descent
-        arrays at ``(chunk, depth)``, so a merely conservative bound would
-        inflate every query's work a little more with each split.
+        matters: the stacked descent allocates its recorded-descent arrays
+        at ``(trees × chunk, deepest depth)``, so a merely conservative
+        bound would inflate every query's work a little more with each
+        split.
         """
         num_internal = tree.directions.shape[0]
         if tree.root < 0 or num_internal == 0:
@@ -827,64 +877,98 @@ class RPForestIndex:
         return orphans
 
     # ------------------------------------------------------------------ #
-    def _greedy_descent(self, tree: _Tree, Q: np.ndarray, start: np.ndarray) -> np.ndarray:
-        """Follow splits greedily from ``start`` nodes; returns leaf ids (-1 for inactive)."""
-        cur = start.copy()
-        active = cur >= 0
-        while active.any():
-            nodes = cur[active]
-            proj = np.einsum("qd,qd->q", Q[active], tree.directions[nodes])
-            side = (proj >= tree.thresholds[nodes]).astype(np.int64)
-            cur[active] = tree.children[nodes, side]
-            active = cur >= 0
-        leaves = -(cur + 1)
-        leaves[start == _INACTIVE] = -1
-        return leaves
+    def _stack_planes(self, directions: np.ndarray | None = None) -> None:
+        """Stack every tree's split planes into :class:`_Planes`.
 
-    def _tree_leaves(self, tree: _Tree, Q: np.ndarray, probes: int) -> np.ndarray:
-        """Leaf id per (query, probe); -1 where a probe is unavailable."""
-        m = Q.shape[0]
-        out = np.full((m, probes), -1, dtype=np.int64)
-        if tree.root < 0:  # single-leaf tree
-            out[:, 0] = -(tree.root + 1)
-            return out
-        # Recorded descent: path nodes, margins and the side taken per level.
-        path_nodes = np.full((m, tree.depth), -1, dtype=np.int64)
-        margins = np.full((m, tree.depth), np.inf)
-        sides = np.zeros((m, tree.depth), dtype=np.int64)
-        cur = np.full(m, tree.root, dtype=np.int64)
+        Runs whenever the trees change (at the end of :meth:`build`,
+        :meth:`update` and :meth:`from_arrays`), so a query never meets a
+        stale stack.  Each tree's ``directions`` and ``thresholds`` become
+        views into the stacked arrays, so the planes are stored once; the
+        routing tables stay per tree.  ``directions`` is the stack a build
+        wrote the trees' directions into; otherwise they are copied into a
+        new one.
+        """
+        trees = self._trees
+        offsets = np.cumsum([0] + [tree.thresholds.shape[0] for tree in trees])
+        if directions is None:
+            directions = np.concatenate([tree.directions for tree in trees])
+        thresholds = np.concatenate([tree.thresholds for tree in trees])
+        children = np.concatenate(
+            [
+                np.where(tree.children >= 0, tree.children + offset, tree.children)
+                for tree, offset in zip(trees, offsets)
+            ]
+        )
+        roots = np.array(
+            [
+                tree.root + offset if tree.root >= 0 else tree.root
+                for tree, offset in zip(trees, offsets)
+            ],
+            dtype=np.int64,
+        )
+        for tree, lo, hi in zip(trees, offsets[:-1], offsets[1:]):
+            tree.directions = directions[lo:hi]
+            tree.thresholds = thresholds[lo:hi]
+        self._planes = _Planes(
+            directions=directions,
+            thresholds=thresholds,
+            children=children,
+            roots=roots,
+            depth=max(tree.depth for tree in trees),
+        )
+
+    def _forest_leaves(self, Q: np.ndarray, probes: int) -> np.ndarray:
+        """Leaf id per (tree, query, probe); -1 where a probe is unavailable.
+
+        One recorded descent over the stacked planes, in which row
+        ``t * len(Q) + q`` walks tree ``t`` for query ``q`` and records the
+        node, margin and side of every decision.  Probe ``p`` flips the
+        ``p``-th smallest-margin decision of a row's root path and descends
+        greedily below the flip.  Levels past a row's leaf keep an infinite
+        margin, so a row of a shallower tree orders its decisions as a
+        descent of that tree alone would, and its flips past the tree's
+        depth find no node.
+        """
+        planes = self._planes
+        num_trees, m = len(self._trees), Q.shape[0]
+        num_rows = num_trees * m
+        out = np.full((num_rows, probes), -1, dtype=np.int64)
+        Q = np.tile(Q, (num_trees, 1))
+        cur = np.repeat(planes.roots, m)
+        path_nodes = np.full((num_rows, planes.depth), -1, dtype=np.int64)
+        margins = np.full((num_rows, planes.depth), np.inf)
+        sides = np.zeros((num_rows, planes.depth), dtype=np.int8)
+        rows = np.flatnonzero(cur >= 0)
         level = 0
-        active = cur >= 0
-        while active.any():
-            nodes = cur[active]
-            proj = np.einsum("qd,qd->q", Q[active], tree.directions[nodes])
-            thr = tree.thresholds[nodes]
-            side = (proj >= thr).astype(np.int64)
-            path_nodes[active, level] = nodes
-            margins[active, level] = np.abs(proj - thr)
-            sides[active, level] = side
-            cur[active] = tree.children[nodes, side]
-            active = cur >= 0
+        while rows.size:
+            nodes = cur[rows]
+            proj = np.einsum("qd,qd->q", Q[rows], planes.directions[nodes])
+            thr = planes.thresholds[nodes]
+            side = (proj >= thr).view(np.int8)
+            path_nodes[rows, level] = nodes
+            margins[rows, level] = np.abs(proj - thr)
+            sides[rows, level] = side
+            nxt = planes.children[nodes, side]
+            cur[rows] = nxt
+            rows = rows[nxt >= 0]
             level += 1
         out[:, 0] = -(cur + 1)
-        if probes == 1:
-            return out
-        # Probe p flips the p-th smallest-margin decision of the root path
-        # and descends greedily below the flip.
-        margin_order = np.argsort(margins, axis=1, kind="stable")
-        rows = np.arange(m)
-        for probe in range(1, probes):
-            if probe - 1 >= tree.depth:
-                break
-            pos = margin_order[:, probe - 1]
-            nodes = path_nodes[rows, pos]
-            usable = nodes >= 0
-            start = np.full(m, _INACTIVE, dtype=np.int64)
-            start[usable] = tree.children[
-                nodes[usable], 1 - sides[rows[usable], pos[usable]]
-            ]
-            out[:, probe] = self._greedy_descent(tree, Q, start)
-        return out
+        flips = min(probes - 1, planes.depth)
+        if flips:
+            margin_order = np.argsort(margins, axis=1, kind="stable")
+            every = np.arange(num_rows)
+            for probe in range(1, flips + 1):
+                pos = margin_order[:, probe - 1]
+                nodes = path_nodes[every, pos]
+                usable = nodes >= 0
+                start = np.full(num_rows, _INACTIVE, dtype=np.int64)
+                start[usable] = planes.children[
+                    nodes[usable], 1 - sides[every[usable], pos[usable]]
+                ]
+                out[:, probe] = _greedy_descent(
+                    planes.directions, planes.thresholds, planes.children, Q, start
+                )
+        return out.reshape(num_trees, m, probes)
 
     # ------------------------------------------------------------------ #
     def query(
@@ -1061,25 +1145,27 @@ class RPForestIndex:
         m = Q.shape[0]
         width = sum(tree.max_leaf for tree in self._trees) * probes
         cands = np.full((m, width), -1, dtype=np.int64)
+        flat = cands.reshape(-1)
+        row_base = np.arange(m, dtype=np.int64) * width
         col = 0
-        rows_all = np.arange(m)
-        for tree in self._trees:
-            leaves = self._tree_leaves(tree, Q, probes)
-            for probe in range(probes):
-                leaf = leaves[:, probe]
-                ok = leaf >= 0
-                lengths = np.zeros(m, dtype=np.int64)
-                lengths[ok] = (
-                    tree.leaf_indptr[leaf[ok] + 1] - tree.leaf_indptr[leaf[ok]]
+        for tree, leaves in zip(self._trees, self._forest_leaves(Q, probes)):
+            # A row's probe leaves fill its block of the tree's
+            # ``probes * max_leaf`` columns back to back.
+            ok = leaves >= 0
+            leaf = np.where(ok, leaves, 0)
+            starts = tree.leaf_indptr[leaf]
+            lengths = np.where(ok, tree.leaf_indptr[leaf + 1] - starts, 0)
+            counts = lengths.reshape(-1)
+            total = int(counts.sum())
+            if total:
+                first = np.cumsum(counts) - counts
+                pos = np.arange(total)
+                src = pos + np.repeat(starts.reshape(-1) - first, counts)
+                dst = pos + np.repeat(
+                    row_base + col - first[::probes], lengths.sum(axis=1)
                 )
-                total = int(lengths.sum())
-                if total:
-                    rows = np.repeat(rows_all, lengths)
-                    row_starts = np.concatenate(([0], np.cumsum(lengths)))[:-1]
-                    within = np.arange(total) - np.repeat(row_starts, lengths)
-                    starts = np.repeat(tree.leaf_indptr[np.maximum(leaf, 0)], lengths)
-                    cands[rows, col + within] = tree.leaf_items[starts + within]
-                col += tree.max_leaf
+                flat[dst] = tree.leaf_items[src]
+            col += tree.max_leaf * probes
         # Dedupe across trees/probes: sort ids per row (pads sort first) and
         # blank repeats so a point can enter the ranking only once.
         cands.sort(axis=1)
@@ -1110,6 +1196,46 @@ _INACTIVE = np.iinfo(np.int64).min  # "no start node" marker for greedy descent
 _GATHER_BYTES = 4 << 20  # per-block candidate-coordinate gather of _distances
 
 
+def _num_splits(size: int, leaf_size: int) -> int:
+    """Internal nodes of a tree over ``size`` points.
+
+    A split halves its members by rank, whatever their coordinates, so the
+    count depends on ``size`` alone.
+    """
+    if size <= leaf_size:
+        return 0
+    half = size // 2
+    return 1 + _num_splits(half, leaf_size) + _num_splits(size - half, leaf_size)
+
+
+def _greedy_descent(
+    directions: np.ndarray,
+    thresholds: np.ndarray,
+    children: np.ndarray,
+    Q: np.ndarray,
+    start: np.ndarray,
+) -> np.ndarray:
+    """Follow split planes greedily from ``start`` nodes, one per row of
+    ``Q``; returns the leaf ids reached (-1 where ``start`` is
+    ``_INACTIVE``).
+
+    The planes are one tree's (re-routing an update) or the stacked
+    forest's (probe descents), whose leaf refs stay per tree.
+    """
+    cur = start.copy()
+    rows = np.flatnonzero(cur >= 0)
+    while rows.size:
+        nodes = cur[rows]
+        proj = np.einsum("qd,qd->q", Q[rows], directions[nodes])
+        side = (proj >= thresholds[nodes]).view(np.int8)
+        nxt = children[nodes, side]
+        cur[rows] = nxt
+        rows = rows[nxt >= 0]
+    leaves = -(cur + 1)
+    leaves[start == _INACTIVE] = -1
+    return leaves
+
+
 def _select_topk(dist: np.ndarray, k: int) -> np.ndarray:
     """Columns of each row's ``k`` smallest entries, in (distance, column)
     order: the first ``k`` columns of a stable argsort, except that
@@ -1122,11 +1248,11 @@ def _select_topk(dist: np.ndarray, k: int) -> np.ndarray:
     """
     if k >= dist.shape[1]:
         return np.argsort(dist, axis=1, kind="stable")
+    rows = np.arange(dist.shape[0])[:, None]
     top = np.argpartition(dist, k - 1, axis=1)[:, :k]
     top.sort(axis=1)
-    order = np.argsort(np.take_along_axis(dist, top, axis=1), axis=1, kind="stable")
-    top = np.take_along_axis(top, order, axis=1)
-    kth = np.take_along_axis(dist, top[:, -1:], axis=1)
+    top = top[rows, np.argsort(dist[rows, top], axis=1, kind="stable")]
+    kth = dist[rows, top[:, -1:]]
     crossed = np.isfinite(kth[:, 0]) & ((dist <= kth).sum(axis=1) > k)
     if crossed.any():
         top[crossed] = np.argsort(dist[crossed], axis=1, kind="stable")[:, :k]
@@ -1141,8 +1267,9 @@ def _pick(cands: np.ndarray, dist: np.ndarray, k: int) -> np.ndarray:
     breaks them by ascending id — deterministic output.
     """
     top = _select_topk(dist, k)
-    picked = np.take_along_axis(cands, top, axis=1)
-    picked[~np.isfinite(np.take_along_axis(dist, top, axis=1))] = -1
+    rows = np.arange(dist.shape[0])[:, None]
+    picked = cands[rows, top]
+    picked[~np.isfinite(dist[rows, top])] = -1
     missing = k - picked.shape[1]
     if missing > 0:
         padding = np.full((picked.shape[0], missing), -1, dtype=np.int64)

@@ -412,6 +412,10 @@ class TestIncrementalUpdate:
         reclaimed = sum(
             RPForestIndex._compact_leaves(tree) for tree in index._trees
         )
+        # Compacting by hand bypasses update(), so re-derive the stacked
+        # planes as update() does: the queries below then descend the
+        # compacted trees.
+        index._stack_planes()
         assert reclaimed == total_splits
         for tree in index._trees:
             reachable = RPForestIndex._reachable_leaves(tree)

@@ -216,6 +216,32 @@ class TestScoreCommand:
         assert "counterfactual twins" in output
         assert np.load(out).shape == (3,)
 
+    def test_counterfactuals_without_node_ids_query_only_shown_nodes(
+        self, cli_artifact, monkeypatch
+    ):
+        """Without --node-ids the first five nodes are printed; only they
+        may be searched, and the text must match a full search's."""
+        from repro.io.artifact import ModelArtifact
+
+        search = ModelArtifact.counterfactuals
+        queried = []
+
+        def spy(self, nodes=None, top_k=None, probes=None):
+            queried.append(nodes)
+            return search(self, nodes=nodes, top_k=top_k, probes=probes)
+
+        def full_search(self, nodes=None, top_k=None, probes=None):
+            return search(self, nodes=None, top_k=top_k, probes=probes)
+
+        command = ["score", "--artifact", str(cli_artifact), "--counterfactuals", "2"]
+        monkeypatch.setattr(ModelArtifact, "counterfactuals", spy)
+        output = main(command)
+        assert len(queried) == 1
+        assert queried[0] is not None and 0 < len(queried[0]) <= 5
+        monkeypatch.setattr(ModelArtifact, "counterfactuals", full_search)
+        assert main(command) == output
+        assert output.count("    node ") == 5
+
     def test_score_missing_artifact_raises(self, tmp_path):
         from repro.io import ArtifactError
 

@@ -10,6 +10,11 @@ full stable argsort.  ``indices`` and ``valid`` must be equal — ties at the
 K-th distance included — on duplicated points, for 1–3 probes, for
 ``nodes=`` subsets, after updates that split leaves, and through a saved
 and reloaded artifact.
+
+The references build their candidate rows from a per-tree recorded
+descent, each tree walked on its own; the index descends every tree at
+once over stacked split planes, and its candidate rows must match the
+per-tree ones exactly.
 """
 
 from __future__ import annotations
@@ -28,26 +33,95 @@ from repro.io import load_artifact, save_artifact
 # --------------------------------------------------------------------- #
 # References
 # --------------------------------------------------------------------- #
+_INACTIVE = np.iinfo(np.int64).min
+
+
+def _reference_greedy_descent(tree, Q, start):
+    """Follow one tree's splits greedily from ``start`` nodes; returns leaf
+    ids (-1 where ``start`` is ``_INACTIVE``)."""
+    cur = start.copy()
+    active = cur >= 0
+    while active.any():
+        nodes = cur[active]
+        proj = np.einsum("qd,qd->q", Q[active], tree.directions[nodes])
+        side = (proj >= tree.thresholds[nodes]).astype(np.int64)
+        cur[active] = tree.children[nodes, side]
+        active = cur >= 0
+    leaves = -(cur + 1)
+    leaves[start == _INACTIVE] = -1
+    return leaves
+
+
+def _reference_tree_leaves(tree, Q, probes):
+    """Leaf id per (query, probe) of one tree, descended on its own; -1
+    where a probe is unavailable."""
+    m = Q.shape[0]
+    out = np.full((m, probes), -1, dtype=np.int64)
+    if tree.root < 0:  # single-leaf tree
+        out[:, 0] = -(tree.root + 1)
+        return out
+    # Recorded descent: path nodes, margins and the side taken per level.
+    path_nodes = np.full((m, tree.depth), -1, dtype=np.int64)
+    margins = np.full((m, tree.depth), np.inf)
+    sides = np.zeros((m, tree.depth), dtype=np.int64)
+    cur = np.full(m, tree.root, dtype=np.int64)
+    level = 0
+    active = cur >= 0
+    while active.any():
+        nodes = cur[active]
+        proj = np.einsum("qd,qd->q", Q[active], tree.directions[nodes])
+        thr = tree.thresholds[nodes]
+        side = (proj >= thr).astype(np.int64)
+        path_nodes[active, level] = nodes
+        margins[active, level] = np.abs(proj - thr)
+        sides[active, level] = side
+        cur[active] = tree.children[nodes, side]
+        active = cur >= 0
+        level += 1
+    out[:, 0] = -(cur + 1)
+    # Probe p flips the p-th smallest-margin decision of the root path and
+    # descends greedily below the flip.
+    margin_order = np.argsort(margins, axis=1, kind="stable")
+    rows = np.arange(m)
+    for probe in range(1, min(probes, tree.depth + 1)):
+        pos = margin_order[:, probe - 1]
+        nodes = path_nodes[rows, pos]
+        usable = nodes >= 0
+        start = np.full(m, _INACTIVE, dtype=np.int64)
+        start[usable] = tree.children[
+            nodes[usable], 1 - sides[rows[usable], pos[usable]]
+        ]
+        out[:, probe] = _reference_greedy_descent(tree, Q, start)
+    return out
+
+
+def _reference_candidates(index, Q, probes):
+    """``RPForestIndex._candidates`` from per-tree descents, one
+    (tree, probe) block of ``max_leaf`` columns at a time."""
+    width = sum(tree.max_leaf for tree in index._trees) * probes
+    cands = np.full((Q.shape[0], width), -1, dtype=np.int64)
+    col = 0
+    for tree in index._trees:
+        leaves = _reference_tree_leaves(tree, Q, probes)
+        for probe in range(probes):
+            for row, leaf in enumerate(leaves[:, probe]):
+                if leaf >= 0:
+                    lo, hi = tree.leaf_indptr[leaf], tree.leaf_indptr[leaf + 1]
+                    cands[row, col : col + hi - lo] = tree.leaf_items[lo:hi]
+            col += tree.max_leaf
+    cands.sort(axis=1)
+    cands[:, 1:][cands[:, 1:] == cands[:, :-1]] = -1
+    return cands
+
+
 def _reference_query(index, Q, k, mask=None, probes=None):
     """``RPForestIndex.query`` ranked by a full stable argsort per row."""
     probes = index.probes if probes is None else probes
     Q = np.asarray(Q, dtype=np.float64)
-    width = sum(tree.max_leaf for tree in index._trees) * probes
     out = np.full((Q.shape[0], k), -1, dtype=np.int64)
     for start in range(0, Q.shape[0], index.chunk_size):
         chunk = Q[start : start + index.chunk_size]
-        cands = np.full((chunk.shape[0], width), -1, dtype=np.int64)
-        col = 0
-        for tree in index._trees:
-            leaves = index._tree_leaves(tree, chunk, probes)
-            for probe in range(probes):
-                for row, leaf in enumerate(leaves[:, probe]):
-                    if leaf >= 0:
-                        lo, hi = tree.leaf_indptr[leaf], tree.leaf_indptr[leaf + 1]
-                        cands[row, col : col + hi - lo] = tree.leaf_items[lo:hi]
-                col += tree.max_leaf
-        cands.sort(axis=1)
-        cands[:, 1:][cands[:, 1:] == cands[:, :-1]] = -1
+        cands = _reference_candidates(index, chunk, probes)
         safe = np.maximum(cands, 0)
         dots = np.einsum("qd,qwd->qw", chunk, index._points[safe])
         dist = (chunk**2).sum(axis=1)[:, None] - 2.0 * dots + index._norms[safe]
@@ -151,6 +225,101 @@ class TestSelection:
                 index.query(reps, k, mask=query_mask, probes=probes),
                 _reference_query(index, reps, k, mask=query_mask, probes=probes),
             )
+
+
+# --------------------------------------------------------------------- #
+# The descent
+# --------------------------------------------------------------------- #
+def _crowd(reps, rng, size=40):
+    """Move a block of points onto one spot: the leaves it lands in
+    overflow, so the next update splits them."""
+    start = int(rng.integers(0, reps.shape[0] - size))
+    reps = reps.copy()
+    reps[start : start + size] = reps[start] + 0.01 * rng.normal(
+        size=(size, reps.shape[1])
+    )
+    return reps
+
+
+class TestDescentOracle:
+    """``_candidates`` descends every tree at once over the stacked planes;
+    the oracle descends each tree on its own.  Rows must match exactly."""
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        num_trees=st.integers(1, 5),
+        probes=st.integers(1, 8),
+        updates=st.integers(0, 3),
+        single_leaf=st.booleans(),
+        round_trip=st.booleans(),
+    )
+    def test_candidates_match_per_tree_descent(
+        self, seed, num_trees, probes, updates, single_leaf, round_trip
+    ):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(60, 240))
+        reps, _, _ = _tied_data(seed, n)
+        index = RPForestIndex(
+            num_trees=num_trees,
+            leaf_size=n if single_leaf else int(rng.integers(3, 12)),
+            seed=seed,
+            overflow_factor=2.0,
+        ).build(reps)
+        for _ in range(updates):
+            reps = _crowd(reps, rng)
+            index.update(reps, rebuild_frac=1.0)
+        if round_trip:
+            index = RPForestIndex.from_arrays(index.to_arrays())
+        queries = np.concatenate(
+            [reps[rng.integers(0, n, size=20)], rng.normal(size=(5, 3))]
+        )
+        np.testing.assert_array_equal(
+            index._candidates(queries, probes),
+            _reference_candidates(index, queries, probes),
+        )
+
+    def test_mixed_depths_single_leaves_and_deep_probes(self):
+        rng = np.random.default_rng(1)
+        reps = rng.normal(size=(400, 4))
+        index = RPForestIndex(
+            num_trees=3, leaf_size=8, seed=0, overflow_factor=2.0
+        ).build(reps)
+        reps[100:250] = reps[0] + 0.01 * rng.normal(size=(150, 4))
+        assert index.update(reps, rebuild_frac=1.0).splits > 0
+        depths = [tree.depth for tree in index._trees]
+        assert len(set(depths)) > 1
+        single = RPForestIndex(num_trees=2, leaf_size=400, seed=0).build(reps)
+        assert all(tree.root < 0 for tree in single._trees)
+        restored = RPForestIndex.from_arrays(index.to_arrays())
+        for forest in (index, single, restored):
+            probes = max(tree.depth for tree in forest._trees) + 2
+            np.testing.assert_array_equal(
+                forest._candidates(reps, probes),
+                _reference_candidates(forest, reps, probes),
+            )
+
+    def test_tree_planes_are_views_of_the_stack(self):
+        """Each tree reads its own planes out of the one stacked copy, after
+        a build and after an update that re-stacks spliced trees."""
+        rng = np.random.default_rng(2)
+        reps = rng.normal(size=(300, 4))
+        index = RPForestIndex(
+            num_trees=3, leaf_size=8, seed=4, overflow_factor=2.0
+        ).build(reps)
+        for t, tree in enumerate(index._trees):
+            own = index._build_tree(reps, np.random.default_rng([4, t]))
+            np.testing.assert_array_equal(tree.directions, own.directions)
+            np.testing.assert_array_equal(tree.thresholds, own.thresholds)
+        reps[50:150] = reps[0] + 0.01 * rng.normal(size=(100, 4))
+        assert index.update(reps, rebuild_frac=1.0).splits > 0
+        planes = index._planes
+        assert planes.directions.shape[0] == sum(
+            tree.directions.shape[0] for tree in index._trees
+        )
+        for tree in index._trees:
+            assert np.shares_memory(tree.directions, planes.directions)
+            assert np.shares_memory(tree.thresholds, planes.thresholds)
 
 
 # --------------------------------------------------------------------- #
