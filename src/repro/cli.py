@@ -173,10 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     score_parser.add_argument(
         "--probes",
+        type=_parse_probes_flag,
         default=None,
         metavar="P",
         help="ANN probes override for counterfactual retrieval "
-        "(an integer, or 'exhaustive' for brute-force ranking)",
+        "(a positive integer, or 'exhaustive' for the exact search)",
     )
 
     serve_parser = sub.add_parser(
@@ -275,6 +276,21 @@ def _parse_node_ids(text: str) -> np.ndarray:
             f"node ids must be non-negative integers, got {text!r}"
         )
     return ids
+
+
+def _parse_probes_flag(text: str) -> int | str:
+    """Parse ``--probes``: a positive integer or ``exhaustive`` (any case)."""
+    if text.lower() == "exhaustive":
+        return "exhaustive"
+    try:
+        probes = int(text)
+    except ValueError:
+        probes = 0
+    if probes < 1:
+        raise argparse.ArgumentTypeError(
+            f"probes must be a positive integer or 'exhaustive', got {text!r}"
+        )
+    return probes
 
 
 def _parse_fanouts(text: str) -> tuple[int, ...]:
@@ -432,15 +448,6 @@ def _cmd_score(args) -> str:
     return "\n".join(lines)
 
 
-def _parse_probes(text):
-    """Probes override: int, 'exhaustive', or None."""
-    if text is None or text == "":
-        return None
-    if str(text).lower() == "exhaustive":
-        return "exhaustive"
-    return int(text)
-
-
 def _render_counterfactuals(artifact, node_ids, top_k, probes) -> str:
     """Per-node counterfactual twins from the persisted index.
 
@@ -451,7 +458,7 @@ def _render_counterfactuals(artifact, node_ids, top_k, probes) -> str:
         num_points = artifact.manifest["index"].get("num_points", 0)
         node_ids = np.arange(min(5, num_points), dtype=np.int64)
     cf = artifact.counterfactuals(
-        nodes=node_ids, top_k=top_k, probes=_parse_probes(probes)
+        nodes=node_ids, top_k=top_k, probes=probes
     )
     lines = [
         f"  counterfactual twins (K={cf.top_k}, {cf.num_attributes} "

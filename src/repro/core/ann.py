@@ -1,11 +1,12 @@
 """Approximate nearest-neighbour search for the counterfactual index.
 
 The exact counterfactual search (Eq. 12) is an O(N²·I) distance scan — fine
-up to ~10k nodes, prohibitive beyond.  This module provides the pluggable
-replacement:
+up to ~10k nodes, prohibitive beyond.  This module provides its two
+backends:
 
 * :func:`exact_topk` — the brute-force oracle, shared verbatim by the exact
-  backend and by exhaustive-probe ANN queries so the two are bit-identical;
+  backend and by exhaustive-probe forest queries so the two are
+  bit-identical;
 * :class:`RPForestIndex` — a numpy random-projection-tree forest (Dasgupta
   & Freund, "Random projection trees and low dimensional manifolds", STOC
   2008) with ``build(X)`` / ``query(Q, k, mask=...)``, where the boolean
@@ -13,11 +14,11 @@ replacement:
   ``query_counterfactuals(ids, k, labels, attributes)``, which answers the
   counterfactual search's every label-consistent, opposite-attribute
   bucket in one pass;
-* :func:`bucket_topk` — the same search one (label, attribute, side)
-  bucket at a time through a backend's ``topk``: the exact backend's and
-  exhaustive probing's route;
-* :class:`ExactBackend` / :class:`AnnBackend` — the strategy objects
-  :class:`~repro.core.counterfactual.CounterfactualSearch` dispatches to.
+* :class:`ExactBackend` / :class:`AnnBackend` — the two backends
+  :class:`~repro.core.counterfactual.CounterfactualSearch` calls through
+  ``prepare(points)`` and ``topk_counterfactuals(...)``: the exact one
+  ranks one (label, attribute, side) bucket at a time, the ANN one makes
+  one ``query_counterfactuals`` pass.
 
 Design notes
 ------------
@@ -46,25 +47,26 @@ query's own side and picks the top ``k``.  Row for row this equals one
 masked :meth:`~RPForestIndex.query` per bucket, without descending and
 ranking every node once per attribute.
 
-``probes="exhaustive"`` bypasses the trees and ranks *every* masked
-candidate through :func:`exact_topk` — the property-test harness uses this
-to prove the ANN plumbing (masking, padding, cycling) exactly reproduces
-the oracle.
+``query(..., probes="exhaustive")`` bypasses the trees and ranks *every*
+masked candidate through :func:`exact_topk` — the property tests use this
+to prove the forest's plumbing (masking, padding, refreshed coordinates)
+exactly reproduces the oracle.  A search that wants exact answers runs
+the exact backend over the index's points.
 
 Incremental maintenance
 -----------------------
 Fine-tune embeddings drift slowly between adjacent refreshes, so rebuilding
 the whole forest every ``cf_refresh_epochs`` wastes most of its work.
 :meth:`RPForestIndex.update` amortises it: *every* point's coordinates are
-refreshed (distance ranking — and therefore exhaustive probing — is always
-exact over the new matrix), but only points whose embedding moved more than
-``drift_threshold`` are re-routed through the existing split planes
-(leaf-level removal + greedy re-descent).  A leaf that collects more than
-``leaf_size * overflow_factor`` points is lazily rebuilt as a local subtree
-spliced into the tree arrays, keeping per-query candidate counts bounded.
-When the drifted fraction exceeds ``rebuild_frac`` the update escapes to a
-full :meth:`~RPForestIndex.build` — re-routing most of the index through
-stale split planes would cost nearly as much and erode recall.
+refreshed (distance ranking is always exact over the new matrix), but only
+points whose embedding moved more than ``drift_threshold`` are re-routed
+through the unchanged split planes (leaf-level removal + greedy
+re-descent).  The update escapes to a full :meth:`~RPForestIndex.build`
+when more than ``rebuild_frac`` of the points drifted — re-routing most of
+the index through stale split planes would cost nearly as much and erode
+recall — or when a re-route leaves a leaf with more than
+``leaf_size * overflow_factor`` points, which would inflate every query's
+candidate row.
 :class:`AnnBackend` exposes the policy as ``update="rebuild"|"incremental"``;
 each :meth:`~AnnBackend.prepare` then either rebuilds the forest or applies
 an in-place update (falling back to a build when the point-set shape
@@ -81,7 +83,6 @@ __all__ = [
     "EXHAUSTIVE",
     "RPForestIndex",
     "UpdateReport",
-    "bucket_topk",
     "exact_topk",
     "ExactBackend",
     "AnnBackend",
@@ -145,25 +146,15 @@ class UpdateReport:
     """What one :meth:`RPForestIndex.update` call did.
 
     ``num_moved`` counts points whose drift exceeded the threshold;
-    ``rebuilt`` is True when the drifted fraction tripped the
-    ``rebuild_frac`` escape hatch and the whole forest was rebuilt instead;
-    ``splits`` counts overflowing leaves lazily rebuilt as subtrees.
-
-    ``orphaned`` is the number of unreachable leaf slots left standing
-    across all trees *after* this call (each ``_split_leaf`` orphans the
-    slot it replaced), and ``compacted`` the number of slots reclaimed by
-    the compaction pass this call triggered — together they make the
-    ``compact_frac`` trigger observable.  A rebuild (escape hatch or
-    fresh ``build``) starts from zero orphans by construction.
+    ``rebuilt`` is True when the update escaped to a full rebuild: the
+    drifted fraction exceeded ``rebuild_frac``, or a re-route overflowed a
+    leaf.
     """
 
     num_points: int
     num_moved: int
     moved_fraction: float
     rebuilt: bool
-    splits: int = 0
-    orphaned: int = 0
-    compacted: int = 0
 
 
 @dataclass
@@ -177,12 +168,13 @@ class _Tree:
     ``point_leaf`` maps each indexed point to its current leaf id — the
     routing table incremental updates edit in place; ``leaf_indptr`` /
     ``leaf_items`` are its CSR view, repacked after every update.  ``depth``
-    is the longest root-to-leaf path (kept exact across subtree splices);
-    the forest's deepest tree sets the width of the stacked recorded
-    descent and how many probe flips a query can make.
+    is the longest root-to-leaf path; the forest's deepest tree sets the
+    width of the stacked recorded descent and how many probe flips a query
+    can make.
 
-    Once a build, update or restore has finished, ``directions`` and
-    ``thresholds`` are views into the forest's stacked :class:`_Planes`.
+    Once a build or restore has finished, ``directions`` and ``thresholds``
+    are views into the forest's stacked :class:`_Planes`; updates never
+    change them.
     """
 
     directions: np.ndarray  # (num_internal, d)
@@ -239,21 +231,16 @@ class RPForestIndex:
         ``num_trees × probes × leaf_size`` ids each; their coordinates are
         gathered in sub-blocks of about 4 MiB).
     drift_threshold:
-        Default drift detector of :meth:`update`: a point is re-routed when
-        its embedding moved more than this L2 distance since the last
+        Drift detector of :meth:`update`: a point is re-routed when its
+        embedding moved more than this L2 distance since the last
         build/update (0 = any movement counts).
     rebuild_frac:
-        Default escape hatch of :meth:`update`: when more than this fraction
-        of points drifted, fall back to a full rebuild.
+        Escape hatch of :meth:`update`: when more than this fraction of
+        points drifted, rebuild the forest instead.
     overflow_factor:
-        A leaf collecting more than ``leaf_size * overflow_factor`` points
-        during updates is lazily rebuilt as a local subtree.
-    compact_frac:
-        Every ``_split_leaf`` orphans one leaf slot; when orphaned slots
-        exceed this fraction of a tree's leaf count the tree is compacted
-        (slots renumbered away).  ``1.0`` disables compaction — orphans can
-        never reach 100% because the root path keeps at least one leaf
-        reachable.
+        Second escape hatch of :meth:`update`: when a re-route leaves a leaf
+        with more than ``leaf_size * overflow_factor`` points, rebuild the
+        forest instead.
     """
 
     def __init__(
@@ -266,14 +253,13 @@ class RPForestIndex:
         drift_threshold: float = 0.0,
         rebuild_frac: float = 0.5,
         overflow_factor: float = 4.0,
-        compact_frac: float = 0.25,
     ) -> None:
         if num_trees < 1:
             raise ValueError(f"num_trees must be >= 1, got {num_trees}")
         if leaf_size < 1:
             raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
-        if probes != EXHAUSTIVE and probes < 1:
-            raise ValueError(f"probes must be >= 1 or 'exhaustive', got {probes}")
+        if probes < 1:
+            raise ValueError(f"probes must be >= 1, got {probes}")
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if drift_threshold < 0:
@@ -286,10 +272,6 @@ class RPForestIndex:
             raise ValueError(
                 f"overflow_factor must be >= 1, got {overflow_factor}"
             )
-        if not 0.0 < compact_frac <= 1.0:
-            raise ValueError(
-                f"compact_frac must be in (0, 1], got {compact_frac}"
-            )
         self.num_trees = num_trees
         self.leaf_size = leaf_size
         self.probes = probes
@@ -298,29 +280,16 @@ class RPForestIndex:
         self.drift_threshold = drift_threshold
         self.rebuild_frac = rebuild_frac
         self.overflow_factor = overflow_factor
-        self.compact_frac = compact_frac
         self._points: np.ndarray | None = None
         self._norms: np.ndarray | None = None
         self._trees: list[_Tree] = []
         self._planes: _Planes | None = None
-        self._update_count = 0
 
     # ------------------------------------------------------------------ #
     @property
     def num_points(self) -> int:
         """Number of indexed points (0 before :meth:`build`)."""
         return 0 if self._points is None else self._points.shape[0]
-
-    @property
-    def update_count(self) -> int:
-        """Incremental updates applied since the last :meth:`build`.
-
-        Part of the index's deterministic state: subtree splits seed their
-        generator from ``(seed, update_count, tree, leaf)``, so a restored
-        index must carry the counter to stay bit-identical under further
-        updates.
-        """
-        return self._update_count
 
     @property
     def points(self) -> np.ndarray:
@@ -340,7 +309,6 @@ class RPForestIndex:
             raise ValueError(f"expected a non-empty (N, d) matrix, got {X.shape}")
         self._points = X
         self._norms = (X**2).sum(axis=1)
-        self._update_count = 0
         # Every tree of a build has the same number of splits, so each writes
         # its directions straight into its rows of the stacked planes.
         # Per-tree arrays copied into the stack and freed stayed resident:
@@ -364,11 +332,10 @@ class RPForestIndex:
 
         The mapping is ``np.savez``-compatible and captures *all* state
         needed to answer queries and continue incremental maintenance:
-        constructor parameters, the point matrix, the per-tree split planes
-        and routing tables, and the update counter that seeds future
-        subtree splits.  :meth:`from_arrays` inverts it bit-identically —
-        a restored forest answers every ``query`` (including
-        ``probes="exhaustive"``) exactly like the live one.
+        constructor parameters, the point matrix, and the per-tree split
+        planes and routing tables.  :meth:`from_arrays` inverts it
+        bit-identically — a restored forest answers every ``query``
+        (including ``probes="exhaustive"``) exactly like the live one.
         """
         if self._points is None:
             raise RuntimeError("call build() before to_arrays()")
@@ -377,20 +344,14 @@ class RPForestIndex:
                 [
                     self.num_trees,
                     self.leaf_size,
-                    -1 if self.probes == EXHAUSTIVE else int(self.probes),
+                    self.probes,
                     self.seed,
                     self.chunk_size,
-                    self._update_count,
                 ],
                 dtype=np.int64,
             ),
             "float_params": np.array(
-                [
-                    self.drift_threshold,
-                    self.rebuild_frac,
-                    self.overflow_factor,
-                    self.compact_frac,
-                ],
+                [self.drift_threshold, self.rebuild_frac, self.overflow_factor],
                 dtype=np.float64,
             ),
             "points": self._points,
@@ -414,9 +375,9 @@ class RPForestIndex:
 
         Accepts any mapping of name → array (a dict or an open
         ``np.load`` handle).  The restored index is bit-identical to the
-        saved one: same points, same split planes, same routing tables and
-        the same ``update_count``, so both queries and subsequent
-        :meth:`update` calls reproduce the live index exactly.
+        saved one: same points, same split planes and same routing tables,
+        so both queries and subsequent :meth:`update` calls reproduce the
+        live index exactly.
         """
         try:
             params = np.asarray(arrays["params"], dtype=np.int64)
@@ -426,19 +387,15 @@ class RPForestIndex:
             raise ValueError(
                 f"serialized forest is missing required array {exc}"
             ) from exc
-        probes_raw = int(params[2])
         index = cls(
             num_trees=int(params[0]),
             leaf_size=int(params[1]),
-            probes=EXHAUSTIVE if probes_raw < 0 else probes_raw,
+            probes=int(params[2]),
             seed=int(params[3]),
             chunk_size=int(params[4]),
             drift_threshold=float(floats[0]),
             rebuild_frac=float(floats[1]),
             overflow_factor=float(floats[2]),
-            # Forests serialized before compaction existed carry 3 floats;
-            # restore them with compaction off so behaviour is unchanged.
-            compact_frac=float(floats[3]) if floats.size > 3 else 1.0,
         )
         points = np.array(points_raw, dtype=np.float64, copy=True)
         if points.ndim != 2 or points.shape[0] == 0:
@@ -448,7 +405,6 @@ class RPForestIndex:
             )
         index._points = points
         index._norms = (points**2).sum(axis=1)
-        index._update_count = int(params[5])
         trees: list[_Tree] = []
         for t in range(index.num_trees):
             prefix = f"tree{t}_"
@@ -491,23 +447,14 @@ class RPForestIndex:
 
     # ------------------------------------------------------------------ #
     def _build_tree(
-        self,
-        X: np.ndarray,
-        rng: np.random.Generator,
-        members: np.ndarray | None = None,
-        out: np.ndarray | None = None,
+        self, X: np.ndarray, rng: np.random.Generator, out: np.ndarray
     ) -> _Tree:
-        """Build one tree over ``members`` (default: every row of ``X``).
+        """Build one tree over every row of ``X``.
 
-        ``point_leaf`` is sized for the whole point set regardless, so a
-        subtree built over a leaf's members (the lazy-split path) can be
-        spliced into a full tree without reindexing.  ``out``, when given,
-        receives the split directions: ``(_num_splits(len(members),
+        ``out`` receives the split directions: ``(_num_splits(N,
         leaf_size), d)`` rows of the forest's stacked planes.
         """
         n, dim = X.shape
-        if members is None:
-            members = np.arange(n, dtype=np.int64)
         directions: list[np.ndarray] = []
         thresholds: list[float] = []
         children: list[list[int]] = []
@@ -516,7 +463,7 @@ class RPForestIndex:
         # Stack entries: (members, parent node, side, level).  LIFO order is
         # deterministic, so rng consumption (one direction per split) is too.
         stack: list[tuple[np.ndarray, int, int, int]] = [
-            (members, -1, 0, 0)
+            (np.arange(n, dtype=np.int64), -1, 0, 0)
         ]
         root = 0
         while stack:
@@ -547,15 +494,11 @@ class RPForestIndex:
             else:
                 root = ref
         leaf_sizes = np.array([leaf.size for leaf in leaves], dtype=np.int64)
-        leaf_items = (
-            np.concatenate(leaves) if leaves else np.empty(0, dtype=np.int64)
-        )
-        point_leaf = np.full(n, -1, dtype=np.int64)
+        leaf_items = np.concatenate(leaves)
+        point_leaf = np.empty(n, dtype=np.int64)
         point_leaf[leaf_items] = np.repeat(
             np.arange(leaf_sizes.size, dtype=np.int64), leaf_sizes
         )
-        if out is None:
-            out = np.empty((len(directions), dim))
         if directions:
             np.stack(directions, out=out)
         return _Tree(
@@ -575,45 +518,22 @@ class RPForestIndex:
         )
 
     # ------------------------------------------------------------------ #
-    def update(
-        self,
-        X: np.ndarray,
-        moved: np.ndarray | None = None,
-        drift_threshold: float | None = None,
-        rebuild_frac: float | None = None,
-    ) -> UpdateReport:
+    def update(self, X: np.ndarray) -> UpdateReport:
         """In-place maintenance over a drifted point matrix; returns a report.
 
         Every point's coordinates (and norms) are refreshed, so distance
         ranking — and therefore ``probes="exhaustive"`` — is always exact
-        over the new matrix.  Only points that *drifted* are re-routed:
+        over the new matrix.  Only points that moved more than
+        ``drift_threshold`` since the last build/update are re-routed:
         removed from their current leaf and greedily re-descended through
-        the existing split planes of every tree.  Leaves that collect more
-        than ``leaf_size * overflow_factor`` points are lazily rebuilt as
-        local subtrees.  When the drifted fraction exceeds ``rebuild_frac``
-        the whole forest is rebuilt instead (``report.rebuilt``), identical
-        to a fresh :meth:`build` over ``X``.  Each subtree split orphans
-        one leaf slot; a tree whose orphaned slots exceed ``compact_frac``
-        of its leaf count is compacted in place (query results unchanged),
-        and the report carries the remaining/reclaimed slot counts.
+        every tree's unchanged split planes.  The forest is rebuilt instead
+        (``report.rebuilt``), identical to a fresh :meth:`build` over
+        ``X``, when more than ``rebuild_frac`` of the points drifted or
+        when a re-route leaves a leaf with more than
+        ``leaf_size * overflow_factor`` points.
 
-        Parameters
-        ----------
-        X:
-            ``(N, d)`` new point matrix; must match the built shape (a
-            changed point *set* needs a rebuild, not an update).
-        moved:
-            Optional explicit drifted set — int ids or an ``(N,)`` boolean
-            mask.  Default: detect via per-point L2 deltas against the
-            stored matrix, using ``drift_threshold``.  Mutually exclusive
-            with ``drift_threshold``: an explicit set is re-routed as
-            given, never re-filtered by the detector.
-        drift_threshold, rebuild_frac:
-            Per-call overrides of the constructor defaults.
-
-        Updates are deterministic: the same index state and the same
-        arguments always produce the same forest (subtree splits draw from
-        a generator seeded by ``(seed, update counter, tree, leaf)``).
+        ``X`` must match the built shape: a changed point *set* needs a
+        rebuild, not an update.
         """
         if self._points is None:
             raise RuntimeError("call build() before update()")
@@ -623,185 +543,52 @@ class RPForestIndex:
                 f"update() requires the built shape {self._points.shape}, got "
                 f"{X.shape}; use build() when the point set changes"
             )
-        if moved is None:
-            threshold = (
-                self.drift_threshold if drift_threshold is None else drift_threshold
-            )
-            if threshold < 0:
-                raise ValueError(
-                    f"drift_threshold must be non-negative, got {threshold}"
-                )
-            deltas = np.sqrt(((X - self._points) ** 2).sum(axis=1))
-            moved = np.flatnonzero(deltas > threshold)
-        else:
-            if drift_threshold is not None:
-                raise ValueError(
-                    "pass either moved or drift_threshold, not both — an "
-                    "explicit moved set is re-routed as given, never "
-                    "re-filtered by the drift detector"
-                )
-            moved = np.asarray(moved)
-            if moved.dtype == bool:
-                if moved.shape != (self.num_points,):
-                    raise ValueError(
-                        f"boolean moved mask must have {self.num_points} "
-                        f"entries, got {moved.shape}"
-                    )
-                moved = np.flatnonzero(moved)
-            else:
-                moved = np.unique(moved.astype(np.int64))
-                if moved.size and (
-                    moved[0] < 0 or moved[-1] >= self.num_points
-                ):
-                    raise ValueError("moved ids out of range")
+        deltas = np.sqrt(((X - self._points) ** 2).sum(axis=1))
+        moved = np.flatnonzero(deltas > self.drift_threshold)
         fraction = moved.size / self.num_points
-        limit = self.rebuild_frac if rebuild_frac is None else rebuild_frac
-        if not 0.0 < limit <= 1.0:
-            raise ValueError(f"rebuild_frac must be in (0, 1], got {limit}")
-        if fraction > limit:
-            self.build(X)
-            return UpdateReport(
-                num_points=self.num_points,
-                num_moved=int(moved.size),
-                moved_fraction=fraction,
-                rebuilt=True,
-            )
-
-        self._update_count += 1
-        self._points = np.array(X, copy=True)
-        self._norms = (self._points**2).sum(axis=1)
-        splits = 0
-        if moved.size:
+        rebuilt = fraction > self.rebuild_frac
+        if not rebuilt:
+            self._points = np.array(X, copy=True)
+            self._norms = (self._points**2).sum(axis=1)
             queries = self._points[moved]
-            for tree_id, tree in enumerate(self._trees):
-                splits += self._reroute(tree, tree_id, moved, queries)
-        orphaned = 0
-        compacted = 0
-        for tree in self._trees:
-            orphans = int(tree.num_leaves - self._reachable_leaves(tree).sum())
-            if orphans > self.compact_frac * tree.num_leaves:
-                compacted += self._compact_leaves(tree)
-                orphans = 0
-            orphaned += orphans
-        self._stack_planes()
+            rebuilt = any(
+                self._reroute(tree, moved, queries) for tree in self._trees
+            )
+        if rebuilt:
+            self.build(X)
         return UpdateReport(
             num_points=self.num_points,
             num_moved=int(moved.size),
             moved_fraction=fraction,
-            rebuilt=False,
-            splits=splits,
-            orphaned=orphaned,
-            compacted=compacted,
+            rebuilt=rebuilt,
         )
 
     def _reroute(
-        self,
-        tree: _Tree,
-        tree_id: int,
-        moved: np.ndarray,
-        queries: np.ndarray,
-    ) -> int:
-        """Re-descend ``moved`` points in one tree; returns leaves split."""
+        self, tree: _Tree, moved: np.ndarray, queries: np.ndarray
+    ) -> bool:
+        """Re-descend ``moved`` points in one tree and repack its leaves;
+        returns whether a leaf now overflows."""
         start = np.full(moved.size, tree.root, dtype=np.int64)
         new_leaf = _greedy_descent(
             tree.directions, tree.thresholds, tree.children, queries, start
         )
         changed = new_leaf != tree.point_leaf[moved]
         if not changed.any():
-            return 0
+            return False
         old_point_leaf = tree.point_leaf.copy()
         tree.point_leaf[moved[changed]] = new_leaf[changed]
-        # Lazy subtree rebuild of overflowing leaves: only leaves that just
-        # gained points can newly overflow.
-        overflow = int(self.leaf_size * self.overflow_factor)
-        counts = np.bincount(tree.point_leaf, minlength=tree.num_leaves)
-        splits = 0
-        for leaf_id in np.unique(new_leaf[changed]):
-            if counts[leaf_id] > overflow:
-                self._split_leaf(tree, tree_id, int(leaf_id))
-                splits += 1
         self._repack_leaves_delta(tree, old_point_leaf)
-        return splits
-
-    def _split_leaf(self, tree: _Tree, tree_id: int, leaf_id: int) -> None:
-        """Rebuild an overflowing leaf as a subtree spliced into ``tree``.
-
-        The old leaf id is left orphaned (no path reaches it after the
-        splice); new leaves are appended, so leaf ids stay stable for every
-        other point.
-        """
-        members = np.flatnonzero(tree.point_leaf == leaf_id)
-        rng = np.random.default_rng(
-            [self.seed, self._update_count, tree_id, leaf_id]
-        )
-        sub = self._build_tree(self._points, rng, members=members)
-        num_internal = tree.directions.shape[0]
-        num_leaves = tree.num_leaves
-        # Remap subtree refs into the host arrays: internal nodes shift by
-        # the host's internal count, leaves by its leaf count (the negative
-        # encoding -(leaf_id + 1) shifts by subtracting).
-        children = sub.children.copy()
-        children[children >= 0] += num_internal
-        children[children < 0] -= num_leaves
-        sub_root = (
-            sub.root + num_internal if sub.root >= 0 else sub.root - num_leaves
-        )
-        tree.directions = np.concatenate([tree.directions, sub.directions])
-        tree.thresholds = np.concatenate([tree.thresholds, sub.thresholds])
-        tree.children = np.concatenate([tree.children, children])
-        old_ref = -(leaf_id + 1)
-        if tree.root == old_ref:
-            tree.root = sub_root
-        else:
-            where = np.argwhere(tree.children[:num_internal] == old_ref)
-            tree.children[where[0, 0], where[0, 1]] = sub_root
-        sub_sizes = np.diff(sub.leaf_indptr)
-        tree.point_leaf[sub.leaf_items] = num_leaves + np.repeat(
-            np.arange(sub_sizes.size, dtype=np.int64), sub_sizes
-        )
-        # Extend the CSR leaf view with empty slots for the new leaf ids
-        # (the caller repacks from point_leaf right after).
-        tree.leaf_indptr = np.concatenate(
-            [tree.leaf_indptr,
-             np.full(sub_sizes.size, tree.leaf_indptr[-1], dtype=np.int64)]
-        )
-        self._recompute_depth(tree)
-
-    @staticmethod
-    def _recompute_depth(tree: _Tree) -> None:
-        """Exact max root-to-leaf decision count after a splice.
-
-        Node indices are topologically ordered — a child's index always
-        exceeds its parent's, both in the original build (stack order) and
-        after splices (subtree nodes are appended) — so one forward pass
-        yields every internal node's level.  Keeping the bound exact
-        matters: the stacked descent allocates its recorded-descent arrays
-        at ``(trees × chunk, deepest depth)``, so a merely conservative
-        bound would inflate every query's work a little more with each
-        split.
-        """
-        num_internal = tree.directions.shape[0]
-        if tree.root < 0 or num_internal == 0:
-            tree.depth = 0
-            return
-        levels = np.zeros(num_internal, dtype=np.int64)
-        for node in range(num_internal):
-            for child in tree.children[node]:
-                if child >= 0:
-                    levels[child] = levels[node] + 1
-        # The deepest internal node's children are leaves, one level down.
-        tree.depth = int(levels.max()) + 1
+        return tree.max_leaf > self.leaf_size * self.overflow_factor
 
     @staticmethod
     def _repack_leaves_delta(tree: _Tree, old_point_leaf: np.ndarray) -> None:
         """Delta-edit the CSR leaf view after re-routing (no full sort).
 
         ``tree.point_leaf`` holds the new assignment; ``old_point_leaf`` is
-        the one the standing ``leaf_indptr``/``leaf_items`` packing reflects
-        (``_split_leaf`` already extended ``leaf_indptr`` with empty slots
-        for appended leaves).  Surviving points keep their relative order —
-        their segments shift as a whole — while the ``M`` re-routed points
-        are deleted from their old segment and appended to their new one in
+        the one the standing ``leaf_indptr``/``leaf_items`` packing
+        reflects.  Surviving points keep their relative order — their
+        segments shift as a whole — while the ``M`` re-routed points are
+        deleted from their old segment and appended to their new one in
         ascending-id order.  O(N + M log M) total, replacing the previous
         full ``argsort(point_leaf)`` repack whose O(N log N) dominated every
         incremental refresh at the 1M tier.
@@ -835,54 +622,13 @@ class RPForestIndex:
         tree.leaf_indptr = new_indptr
         tree.max_leaf = int(new_counts.max())
 
-    @staticmethod
-    def _reachable_leaves(tree: _Tree) -> np.ndarray:
-        """Boolean mask of leaf slots some root path still reaches.
-
-        Splices only ever replace a *leaf* ref with a subtree root, so every
-        internal node stays reachable and the reachable leaves are exactly
-        the negative refs in ``children`` (plus a single-leaf root).
-        """
-        reachable = np.zeros(tree.num_leaves, dtype=bool)
-        refs = tree.children[tree.children < 0]
-        reachable[-(refs + 1)] = True
-        if tree.root < 0:
-            reachable[-(tree.root + 1)] = True
-        return reachable
-
-    @staticmethod
-    def _compact_leaves(tree: _Tree) -> int:
-        """Renumber away orphaned leaf slots; returns slots reclaimed.
-
-        Orphaned slots are always empty: ``_split_leaf`` reassigns every
-        member of the leaf it orphans, and re-routing can only reach leaves
-        through the split planes.  Dropping their zero-width CSR segments
-        therefore leaves ``leaf_items`` (and every query) untouched — only
-        ids shift.
-        """
-        reachable = RPForestIndex._reachable_leaves(tree)
-        orphans = int(reachable.size - reachable.sum())
-        if orphans == 0:
-            return 0
-        new_id = np.cumsum(reachable) - 1
-        neg = tree.children < 0
-        tree.children[neg] = -(new_id[-(tree.children[neg] + 1)] + 1)
-        if tree.root < 0:
-            tree.root = -(new_id[-(tree.root + 1)] + 1)
-        tree.point_leaf = new_id[tree.point_leaf]
-        counts = np.diff(tree.leaf_indptr)[reachable]
-        tree.leaf_indptr = np.concatenate(
-            ([0], np.cumsum(counts))
-        ).astype(np.int64)
-        return orphans
-
     # ------------------------------------------------------------------ #
     def _stack_planes(self, directions: np.ndarray | None = None) -> None:
         """Stack every tree's split planes into :class:`_Planes`.
 
-        Runs whenever the trees change (at the end of :meth:`build`,
-        :meth:`update` and :meth:`from_arrays`), so a query never meets a
-        stale stack.  Each tree's ``directions`` and ``thresholds`` become
+        Runs whenever the trees are made (at the end of :meth:`build` and
+        :meth:`from_arrays`); an update re-routes points but never changes
+        a plane.  Each tree's ``directions`` and ``thresholds`` become
         views into the stacked arrays, so the planes are stored once; the
         routing tables stay per tree.  ``directions`` is the stack a build
         wrote the trees' directions into; otherwise they are copied into a
@@ -925,9 +671,9 @@ class RPForestIndex:
         node, margin and side of every decision.  Probe ``p`` flips the
         ``p``-th smallest-margin decision of a row's root path and descends
         greedily below the flip.  Levels past a row's leaf keep an infinite
-        margin, so a row of a shallower tree orders its decisions as a
-        descent of that tree alone would, and its flips past the tree's
-        depth find no node.
+        margin, so a row whose leaf sits above the deepest level orders its
+        decisions as its own descent would, and its flips past its leaf
+        find no node.
         """
         planes = self._planes
         num_trees, m = len(self._trees), Q.shape[0]
@@ -988,12 +734,11 @@ class RPForestIndex:
             Neighbours requested per query.
         mask:
             Optional ``(N,)`` boolean; only points with ``mask[id]`` True may
-            be returned.  One counterfactual bucket as a mask is
-            :func:`bucket_topk`'s route; :meth:`query_counterfactuals`
-            serves every bucket in one pass.
+            be returned.  :meth:`query_counterfactuals` serves every
+            counterfactual bucket's mask in one pass.
         probes:
             Override the index default; ``"exhaustive"`` ranks every masked
-            candidate by brute force (bit-identical to the exact backend).
+            candidate by brute force (bit-identical to :func:`exact_topk`).
 
         Returns
         -------
@@ -1077,9 +822,8 @@ class RPForestIndex:
             ``(N, I)`` attribute matrix; a point's side of attribute ``i``
             is ``attributes[:, i] == 1``.
         probes:
-            Override the index default (``"exhaustive"`` is rejected: the
-            brute-force oracle ranks one bucket at a time through
-            :meth:`query`).
+            Override the index default (an int: exact answers are the
+            exact backend's search).
 
         Returns
         -------
@@ -1090,16 +834,9 @@ class RPForestIndex:
             raise RuntimeError("call build() before query_counterfactuals()")
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if probes is None:
-            probes = self.probes
-        if probes == EXHAUSTIVE:
-            raise ValueError(
-                "exhaustive probing ranks one bucket at a time; use "
-                "query(..., mask=bucket, probes='exhaustive')"
-            )
-        probes = int(probes)
+        probes = self.probes if probes is None else int(probes)
         if probes < 1:
-            raise ValueError(f"probes must be >= 1 or 'exhaustive', got {probes}")
+            raise ValueError(f"probes must be >= 1, got {probes}")
         n = self.num_points
         ids = np.asarray(ids, dtype=np.int64).reshape(-1)
         if ids.size and (ids.min() < 0 or ids.max() >= n):
@@ -1280,43 +1017,6 @@ def _pick(cands: np.ndarray, dist: np.ndarray, k: int) -> np.ndarray:
 # --------------------------------------------------------------------- #
 # Counterfactual-search backends
 # --------------------------------------------------------------------- #
-def bucket_topk(
-    topk,
-    query_ids: np.ndarray,
-    labels: np.ndarray,
-    attributes: np.ndarray,
-    k: int,
-) -> np.ndarray:
-    """Counterfactual top-``k`` through one ``topk`` call per bucket.
-
-    A bucket is one (label, attribute, side): its members query the
-    same-label members on the other side of ``attributes[:, i] == 1``,
-    through ``topk(queries, candidates, k)``.  Buckets with an empty side
-    are skipped, and members outside ``query_ids`` are not queried.  This
-    is the search of the exact backend, of exhaustive probing, and of any
-    backend object that only offers ``prepare``/``topk``.
-
-    Returns ``(I, len(query_ids), k)`` int64 hits, ``-1``-padded.
-    """
-    num_points, num_attrs = attributes.shape
-    found = np.full((num_attrs, query_ids.size, k), -1, dtype=np.int64)
-    position = np.full(num_points, -1, dtype=np.int64)
-    position[query_ids] = np.arange(query_ids.size)
-    for label in np.unique(labels):
-        members = np.flatnonzero(labels == label)
-        for attr in range(num_attrs):
-            side1 = attributes[members, attr] == 1
-            group_a, group_b = members[~side1], members[side1]
-            if group_a.size == 0 or group_b.size == 0:
-                continue
-            for queries, candidates in ((group_a, group_b), (group_b, group_a)):
-                queries = queries[position[queries] >= 0]
-                if queries.size:
-                    hits = np.asarray(topk(queries, candidates, k))
-                    found[attr, position[queries], : hits.shape[1]] = hits
-    return found
-
-
 class ExactBackend:
     """Brute-force oracle backend (the original O(N²) scan)."""
 
@@ -1339,23 +1039,56 @@ class ExactBackend:
             self._points, self._points[query_ids], candidate_ids, k
         )
 
+    def topk_counterfactuals(
+        self,
+        query_ids: np.ndarray,
+        labels: np.ndarray,
+        attributes: np.ndarray,
+        k: int,
+    ) -> np.ndarray:
+        """Counterfactual top-``k`` through one :meth:`topk` call per bucket.
+
+        A bucket is one (label, attribute, side): its members query the
+        same-label members on the other side of ``attributes[:, i] == 1``,
+        listed by ascending id (the distance tie-break).  Buckets with an
+        empty side are skipped, and members outside ``query_ids`` are not
+        queried.
+
+        Returns ``(I, len(query_ids), k)`` int64 hits, ``-1``-padded.
+        """
+        num_points, num_attrs = attributes.shape
+        found = np.full((num_attrs, query_ids.size, k), -1, dtype=np.int64)
+        position = np.full(num_points, -1, dtype=np.int64)
+        position[query_ids] = np.arange(query_ids.size)
+        for label in np.unique(labels):
+            members = np.flatnonzero(labels == label)
+            for attr in range(num_attrs):
+                side1 = attributes[members, attr] == 1
+                group_a, group_b = members[~side1], members[side1]
+                if group_a.size == 0 or group_b.size == 0:
+                    continue
+                for queries, candidates in ((group_a, group_b), (group_b, group_a)):
+                    queries = queries[position[queries] >= 0]
+                    if queries.size:
+                        hits = self.topk(queries, candidates, k)
+                        found[attr, position[queries], : hits.shape[1]] = hits
+        return found
+
 
 class AnnBackend:
     """Approximate backend over a :class:`RPForestIndex`.
 
     :meth:`topk_counterfactuals` answers a whole counterfactual search with
     one :meth:`RPForestIndex.query_counterfactuals` pass.
-    ``exhaustive=True`` keeps the index but routes every query through
-    brute-force ranking, one bucket at a time — the bridge used to prove
-    the ANN plumbing exact.
 
     ``update`` selects the refresh policy of :meth:`prepare`:
     ``"rebuild"`` (default) reconstructs the forest from scratch every
     call; ``"incremental"`` applies :meth:`RPForestIndex.update` instead —
     re-routing only drifted points per ``drift_threshold``, escaping to a
-    full rebuild past ``rebuild_frac`` — whenever a forest over the same
-    point-set shape is already standing.  ``last_report`` carries the most
-    recent :class:`UpdateReport` (None after a from-scratch build).
+    full rebuild past ``rebuild_frac`` or on an overflowing leaf — whenever
+    a forest over the same point-set shape is already standing.
+    ``last_report`` carries the most recent :class:`UpdateReport` (None
+    after a from-scratch build).
     """
 
     name = "ann"
@@ -1367,12 +1100,10 @@ class AnnBackend:
         probes: int = 2,
         seed: int = 0,
         chunk_size: int = 512,
-        exhaustive: bool = False,
         update: str = "rebuild",
         drift_threshold: float = 0.0,
         rebuild_frac: float = 0.5,
         overflow_factor: float = 4.0,
-        compact_frac: float = 0.25,
     ) -> None:
         if update not in ("rebuild", "incremental"):
             raise ValueError(
@@ -1387,10 +1118,7 @@ class AnnBackend:
             drift_threshold=drift_threshold,
             rebuild_frac=rebuild_frac,
             overflow_factor=overflow_factor,
-            compact_frac=compact_frac,
         )
-        # Per-query override of the forest's default probes.
-        self.query_probes = EXHAUSTIVE if exhaustive else None
         self.update_mode = update
         self.last_report: UpdateReport | None = None
 
@@ -1412,16 +1140,6 @@ class AnnBackend:
             self._index.build(points)
             self.last_report = None
 
-    def topk(
-        self, query_ids: np.ndarray, candidate_ids: np.ndarray, k: int
-    ) -> np.ndarray:
-        """Approximate top-``k`` (``-1``-padded) candidate ids per query node."""
-        mask = np.zeros(self._index.num_points, dtype=bool)
-        mask[candidate_ids] = True
-        return self._index.query(
-            self._index.points[query_ids], k, mask=mask, probes=self.query_probes
-        )
-
     def topk_counterfactuals(
         self,
         query_ids: np.ndarray,
@@ -1429,40 +1147,30 @@ class AnnBackend:
         attributes: np.ndarray,
         k: int,
     ) -> np.ndarray:
-        """Counterfactual top-``k`` of every query node for every attribute.
-
-        One forest pass (:meth:`RPForestIndex.query_counterfactuals`);
-        exhaustive probing goes bucket by bucket through :meth:`topk`
-        (:func:`bucket_topk`).  Returns ``(I, len(query_ids), k)`` int64
-        hits, ``-1``-padded.
-        """
-        probes = self.query_probes
-        if probes is None:
-            probes = self._index.probes
-        if probes == EXHAUSTIVE:
-            return bucket_topk(self.topk, query_ids, labels, attributes, k)
-        return self._index.query_counterfactuals(
-            query_ids, k, labels, attributes, probes=probes
-        )
+        """Counterfactual top-``k`` of every query node for every attribute,
+        in one forest pass at the forest's default probes.  Returns
+        ``(I, len(query_ids), k)`` int64 hits, ``-1``-padded."""
+        return self._index.query_counterfactuals(query_ids, k, labels, attributes)
 
 
 def make_backend(spec, **options):
-    """Resolve a backend spec: ``"exact"``, ``"ann"`` or a strategy object."""
-    if isinstance(spec, str):
-        key = spec.lower()
-        if key == "exact":
-            if options:
-                raise ValueError(
-                    f"the exact backend takes no options, got {sorted(options)}"
-                )
-            return ExactBackend()
-        if key == "ann":
-            return AnnBackend(**options)
-        raise ValueError(f"unknown backend {spec!r}; choose 'exact' or 'ann'")
-    if hasattr(spec, "prepare") and hasattr(spec, "topk"):
+    """Resolve a backend spec: ``"exact"``, ``"ann"`` or an instance of
+    :class:`ExactBackend` / :class:`AnnBackend`."""
+    if isinstance(spec, (ExactBackend, AnnBackend)):
         if options:
             raise ValueError("backend options only apply to string specs")
         return spec
-    raise TypeError(
-        f"backend must be 'exact', 'ann' or a prepare/topk object, got {spec!r}"
-    )
+    if not isinstance(spec, str):
+        raise TypeError(
+            f"backend must be 'exact', 'ann' or a backend instance, got {spec!r}"
+        )
+    key = spec.lower()
+    if key == "exact":
+        if options:
+            raise ValueError(
+                f"the exact backend takes no options, got {sorted(options)}"
+            )
+        return ExactBackend()
+    if key == "ann":
+        return AnnBackend(**options)
+    raise ValueError(f"unknown backend {spec!r}; choose 'exact' or 'ann'")

@@ -39,20 +39,18 @@ class FairwosConfig:
     the batch's counterfactual pairs); ``None`` (the default) follows
     ``minibatch`` so ``minibatch=True`` makes all three phases sampled.
     ``cf_backend`` selects the counterfactual search backend — ``"exact"``
-    (the O(N²) oracle) or ``"ann"`` (random-projection forest; options via
-    ``cf_backend_options``).  ``cf_refresh_epochs`` refreshes the
-    counterfactual index (and the ANN forest) every R fine-tune epochs
-    (default 1: every epoch).
+    (the O(N²) oracle) or ``"ann"`` (random-projection forest).
+    ``cf_refresh_epochs`` refreshes the counterfactual index (and the ANN
+    forest) every R fine-tune epochs (default 1: every epoch).
 
     ``cf_update`` selects how an ANN refresh maintains the forest:
     ``"rebuild"`` (default) reconstructs it from scratch every refresh;
     ``"incremental"`` re-routes only points whose embedding moved more than
-    ``cf_drift_threshold`` (L2) since the last refresh, escaping to a full
-    rebuild when the drifted fraction exceeds ``cf_rebuild_frac`` — the
-    distance ranking always uses the fresh embeddings either way, only the
-    tree routing is maintained lazily (see
-    :meth:`repro.core.ann.RPForestIndex.update`).  Requires the ``"ann"``
-    backend.
+    1e-2 (L2) since the last refresh, escaping to a full rebuild when more
+    than half of them moved or a leaf overflows — the distance ranking
+    always uses the fresh embeddings either way, only the tree routing is
+    maintained lazily (see :meth:`repro.core.ann.RPForestIndex.update`).
+    Requires the ``"ann"`` backend.
     ``cf_attrs_per_step`` bounds the sampled fine-tune's per-step receptive
     field: each optimizer step draws that many pseudo-sensitive attributes
     uniformly and rescales the fair loss by I/M (an unbiased per-step
@@ -100,12 +98,9 @@ class FairwosConfig:
     batch_size: int = 512
     finetune_minibatch: bool | None = None
     cf_backend: str = "exact"
-    cf_backend_options: dict | None = None
     cf_refresh_epochs: int = 1
     cf_attrs_per_step: int | None = None
     cf_update: str = "rebuild"
-    cf_drift_threshold: float = 1e-2
-    cf_rebuild_frac: float = 0.5
     dtype: str = "float64"
     num_workers: int = 0
 
@@ -157,15 +152,6 @@ class FairwosConfig:
             raise ValueError("max_pseudo_attributes must be >= 1 or None")
         if self.cf_attrs_per_step is not None and self.cf_attrs_per_step < 1:
             raise ValueError("cf_attrs_per_step must be >= 1 or None")
-        if self.cf_drift_threshold < 0:
-            raise ValueError(
-                f"cf_drift_threshold must be non-negative, got "
-                f"{self.cf_drift_threshold}"
-            )
-        if not 0.0 < self.cf_rebuild_frac <= 1.0:
-            raise ValueError(
-                f"cf_rebuild_frac must be in (0, 1], got {self.cf_rebuild_frac}"
-            )
         if self.num_workers != 0:
             raise ValueError(
                 f"num_workers must be 0 (training runs in one process), "
@@ -313,10 +299,7 @@ class ExecutionConfig:
         resolve_dtype(self.dtype)  # raises on anything but float32/float64
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if isinstance(self.cf_backend, str) and self.cf_backend.lower() not in (
-            "exact",
-            "ann",
-        ):
+        if str(self.cf_backend).lower() not in ("exact", "ann"):
             raise ValueError(
                 f"cf_backend must be 'exact' or 'ann', got {self.cf_backend!r}"
             )
@@ -329,16 +312,11 @@ class ExecutionConfig:
                 f"cf_update must be 'rebuild' or 'incremental', got "
                 f"{self.cf_update!r}"
             )
-        if self.cf_update == "incremental" and not (
-            isinstance(self.cf_backend, str)
-            and self.cf_backend.lower() == "ann"
-        ):
+        if self.cf_update == "incremental" and self.cf_backend.lower() != "ann":
             raise ValueError(
                 "cf_update='incremental' maintains the ANN forest in place; "
                 "it requires cf_backend='ann' (the exact backend has no "
-                "index to maintain, and a custom backend instance must "
-                "carry its own update policy — e.g. AnnBackend("
-                "update='incremental'))"
+                "index to maintain)"
             )
         if self.fanouts is not None:
             if len(self.fanouts) == 0:

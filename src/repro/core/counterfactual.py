@@ -12,7 +12,7 @@ Searching *real* nodes instead of perturbing features sidesteps the
 non-realistic counterfactual problem the paper raises against NIFTY/GEAR:
 every counterfactual returned here is an observed, plausible configuration.
 
-The nearest-neighbour ranking is delegated to a pluggable backend
+The nearest-neighbour ranking is delegated to one of two backends
 (:mod:`repro.core.ann`), which fills an ``(I, Q, K)`` array of hits; one
 vectorised step then cycles short rows and self-points empty ones.
 ``backend="exact"`` is the original O(N²) scan and stays the oracle: it
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.ann import bucket_topk, make_backend
+from repro.core.ann import make_backend
 
 __all__ = ["CounterfactualIndex", "CounterfactualSearch"]
 
@@ -81,12 +81,11 @@ class CounterfactualSearch:
         Number of counterfactuals per (node, attribute) pair — the paper's K.
     backend:
         ``"exact"`` (default, the brute-force oracle), ``"ann"`` (random-
-        projection forest, approximate) or any object exposing
-        ``prepare(points)`` / ``topk(query_ids, candidate_ids, k)``.  A
-        backend that also offers ``topk_counterfactuals(query_ids, labels,
-        attributes, k)`` answers the whole search in that one call;
-        otherwise :func:`repro.core.ann.bucket_topk` calls ``topk`` once per
-        (label, attribute, side) bucket.
+        projection forest, approximate) or an instance of
+        :class:`~repro.core.ann.ExactBackend` /
+        :class:`~repro.core.ann.AnnBackend`.  Each search calls its
+        ``prepare(points)`` and then ``topk_counterfactuals(query_ids,
+        labels, attributes, k)`` once.
     backend_options:
         Keyword options forwarded to the backend constructor (e.g.
         ``{"num_trees": 12, "probes": 4, "seed": 0}`` for ``"ann"``).
@@ -94,7 +93,6 @@ class CounterfactualSearch:
         ``{"update": "incremental", "drift_threshold": ..., "rebuild_frac":
         ...}`` makes every :meth:`search` *maintain* the standing forest
         (re-routing only drifted points) instead of rebuilding it; see
-        :class:`repro.core.ann.AnnBackend` and
         :meth:`repro.core.ann.RPForestIndex.update`.
     """
 
@@ -151,16 +149,9 @@ class CounterfactualSearch:
                 raise ValueError("nodes ids out of range")
 
         self.backend.prepare(representations)
-        single_pass = getattr(self.backend, "topk_counterfactuals", None)
-        if single_pass is None:
-            found = bucket_topk(
-                self.backend.topk, query_ids, pseudo_labels, binary_attributes,
-                self.top_k,
-            )
-        else:
-            found = single_pass(
-                query_ids, pseudo_labels, binary_attributes, self.top_k
-            )
+        found = self.backend.topk_counterfactuals(
+            query_ids, pseudo_labels, binary_attributes, self.top_k
+        )
         hit = _fill_rows(found, query_ids)
         if nodes is None:
             return CounterfactualIndex(indices=found, valid=hit)

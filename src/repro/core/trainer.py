@@ -46,6 +46,12 @@ from repro.training import (
 
 __all__ = ["FairwosTrainer", "FairwosResult"]
 
+# The incremental ANN refresh's policy (``cf_update="incremental"``): points
+# whose embedding moved more than _DRIFT_THRESHOLD (L2) are re-routed, and
+# when more than _REBUILD_FRAC of them moved the forest is rebuilt instead.
+_DRIFT_THRESHOLD = 1e-2
+_REBUILD_FRAC = 0.5
+
 
 @dataclass
 class FairwosResult:
@@ -239,20 +245,21 @@ class FairwosTrainer:
         """Counterfactual search with the configured backend.
 
         The ANN forest's construction seed is drawn from ``rng`` so runs stay
-        reproducible per trainer seed (unless the caller pinned one in
-        ``cf_backend_options``).  ``cf_update="incremental"`` threads the
-        maintenance policy (drift threshold, rebuild escape hatch) into the
-        backend, whose ``prepare`` then updates the standing forest in place
-        instead of rebuilding it at every refresh.
+        reproducible per trainer seed.  ``cf_update="incremental"`` threads
+        the maintenance policy (drift threshold, rebuild escape hatch) into
+        the backend, whose ``prepare`` then updates the standing forest in
+        place instead of rebuilding it at every refresh.
         """
         config = self.config
-        options = dict(config.cf_backend_options or {})
-        if isinstance(config.cf_backend, str) and config.cf_backend.lower() == "ann":
-            options.setdefault("seed", int(rng.integers(2**31)))
+        options = {}
+        if config.cf_backend.lower() == "ann":
+            options["seed"] = int(rng.integers(2**31))
             if config.cf_update != "rebuild":
-                options.setdefault("update", config.cf_update)
-                options.setdefault("drift_threshold", config.cf_drift_threshold)
-                options.setdefault("rebuild_frac", config.cf_rebuild_frac)
+                options.update(
+                    update=config.cf_update,
+                    drift_threshold=_DRIFT_THRESHOLD,
+                    rebuild_frac=_REBUILD_FRAC,
+                )
         return CounterfactualSearch(
             config.top_k, backend=config.cf_backend, backend_options=options
         )

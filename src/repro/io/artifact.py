@@ -12,9 +12,8 @@ model) is persisted as a *directory bundle*::
                         matrix, binarized attributes, pseudo-labels,
                         standardization moments, column selections
         index.npz       the standing counterfactual index — RP-forest
-                        tree arrays + routing tables + update counter
-                        (kind "ann") or the exact point matrix (kind
-                        "exact")
+                        tree arrays + routing tables (kind "ann") or the
+                        exact point matrix (kind "exact")
         graph.npz       optional bundled training graph (save_graph),
                         so `repro score --artifact PATH` is
                         self-contained
@@ -60,7 +59,7 @@ __all__ = ["ArtifactError", "ModelArtifact", "save_artifact", "load_artifact"]
 
 #: Manifest schema version.  Bumped on any incompatible layout change;
 #: :func:`load_artifact` refuses other versions with a clear error.
-ARTIFACT_VERSION = 3
+ARTIFACT_VERSION = 4
 
 _MANIFEST = "manifest.json"
 _MODEL = "model.npz"
@@ -208,20 +207,6 @@ def _save_fairwos(trainer: FairwosTrainer, graph: Graph, path: Path) -> dict:
             "trainer predates the serving-state contract; re-run fit() with "
             "this library version before saving"
         )
-    config = trainer.config
-    if not isinstance(config.cf_backend, str):
-        raise ArtifactError(
-            "cf_backend is a custom object; only 'exact'/'ann' string "
-            "backends are persistable"
-        )
-    try:
-        config_dict = _jsonify(asdict(config))
-        json.dumps(config_dict)
-    except TypeError as exc:
-        raise ArtifactError(
-            f"config is not JSON-serializable ({exc}); drop non-primitive "
-            f"cf_backend_options before saving"
-        ) from exc
 
     model_arrays = pack_state(trainer.classifier, "classifier/")
     if trainer.encoder is not None:
@@ -244,7 +229,7 @@ def _save_fairwos(trainer: FairwosTrainer, graph: Graph, path: Path) -> dict:
     return {
         "kind": "fairwos",
         "method": "Fairwos",
-        "config": config_dict,
+        "config": _jsonify(asdict(trainer.config)),
         "has_encoder": trainer.encoder is not None,
         "index": index_meta,
     }
@@ -254,8 +239,8 @@ def _save_index(trainer: FairwosTrainer, graph: Graph, path: Path) -> dict:
     """Persist the standing counterfactual index (or a fresh exact one).
 
     The live backend is saved verbatim — an ANN forest keeps its tree
-    arrays, routing tables, seed and update counter, so restored retrieval
-    is bit-identical without a rebuild.  A trainer that never built an
+    arrays, routing tables and seed, so restored retrieval is
+    bit-identical without a rebuild.  A trainer that never built an
     index (``use_fairness=False``) gets an exact index over freshly
     embedded representations so counterfactual retrieval still works.
     """
@@ -267,7 +252,6 @@ def _save_index(trainer: FairwosTrainer, graph: Graph, path: Path) -> dict:
             "kind": "ann",
             "num_points": int(index.num_points),
             "num_trees": int(index.num_trees),
-            "update_count": int(index.update_count),
         }
     points = getattr(backend, "_points", None)
     if points is None:
@@ -385,21 +369,24 @@ class _FrozenForestBackend(AnnBackend):
 
     ``prepare`` is a no-op — the index is frozen at its saved state, which
     is exactly what serving wants: retrieval reflects the representations
-    the model was trained (and audited) with.  ``probes`` overrides the
-    saved default per query pass (``"exhaustive"`` routes through the
-    shared brute-force oracle, bit-identical to the live index under the
-    same override).
+    the model was trained (and audited) with.  ``probes`` (an int)
+    overrides the saved default per query pass.
     """
 
     name = "frozen-ann"
 
-    def __init__(self, index: RPForestIndex, probes=None) -> None:
+    def __init__(self, index: RPForestIndex, probes: int | None = None) -> None:
         super().__init__()
         self._index = index
-        self.query_probes = probes
+        self.probes = probes
 
     def prepare(self, points: np.ndarray) -> None:  # noqa: ARG002
         return None
+
+    def topk_counterfactuals(self, query_ids, labels, attributes, k):
+        return self._index.query_counterfactuals(
+            query_ids, k, labels, attributes, probes=self.probes
+        )
 
 
 def _override(name: str, value: int | None, saved: int) -> int:
@@ -709,12 +696,13 @@ class ModelArtifact:
         """Retrieve counterfactual twins from the persisted index.
 
         Queries the standing index exactly as the trainer's last refresh
-        left it — tree arrays, routing tables and update counter included —
-        so no rebuild happens at serving time.  Retrieval covers the
-        *indexed* (training-graph) nodes; pass ``nodes`` to restrict the
-        query set to a served batch, ``probes`` (int or ``"exhaustive"``)
-        to trade recall for work per query.  ``top_k`` overrides the saved
-        K; values below 1 raise.
+        left it — tree arrays and routing tables included — so no rebuild
+        happens at serving time.  Retrieval covers the *indexed*
+        (training-graph) nodes; pass ``nodes`` to restrict the query set to
+        a served batch, ``probes`` (an int) to trade recall for work per
+        query.  ``probes="exhaustive"`` runs the exact search over the
+        persisted points instead, the answer an exact index gives.
+        ``top_k`` overrides the saved K; values below 1 raise.
 
         Only Fairwos artifacts carry an index; baselines raise.
         """
@@ -723,7 +711,7 @@ class ModelArtifact:
                 f"{self.method_name} artifacts carry no counterfactual "
                 f"index; only Fairwos does"
             )
-        if self._index is not None:
+        if self._index is not None and probes != EXHAUSTIVE:
             backend = _FrozenForestBackend(self._index, probes=probes)
         elif probes in (None, EXHAUSTIVE):
             # search() prepares the exact backend with the persisted points.

@@ -11,8 +11,9 @@ The contract under test: "approximate" must never silently mean "wrong".
 * exhaustive probing reproduces the exact oracle bit-for-bit;
 * incremental maintenance (``update``) preserves all of the above: updates
   are deterministic, exhaustive probing stays bit-identical to the oracle
-  over the *new* matrix, recall survives repeated small drifts, and the
-  rebuild escape hatch produces exactly a fresh build.
+  over the *new* matrix, recall survives repeated small drifts, and both
+  escape hatches (too many drifted points, an overflowing leaf) produce
+  exactly a fresh build.
 """
 
 from __future__ import annotations
@@ -88,16 +89,14 @@ class TestMasking:
         n = int(rng.integers(30, 200))
         X = rng.normal(size=(n, 4))
         labels = rng.integers(0, 2, size=n)
-        attrs = rng.integers(0, 2, size=n)
+        attrs = rng.integers(0, 2, size=(n, 1))
         backend = AnnBackend(**FOREST, seed=seed)
         backend.prepare(X)
-        queries = np.flatnonzero((labels == 1) & (attrs == 0))
-        candidates = np.flatnonzero((labels == 1) & (attrs == 1))
-        if queries.size == 0 or candidates.size == 0:
-            return
-        found = backend.topk(queries, candidates, 3)
-        hits = found[found >= 0]
-        assert np.isin(hits, candidates).all()
+        found = backend.topk_counterfactuals(np.arange(n), labels, attrs, 3)[0]
+        for node, row in enumerate(found):
+            hits = row[row >= 0]
+            assert (labels[hits] == labels[node]).all()
+            assert (attrs[hits, 0] != attrs[node, 0]).all()
 
     def test_empty_mask_returns_all_padding(self):
         X = np.random.default_rng(0).normal(size=(50, 3))
@@ -176,6 +175,15 @@ class TestDeterminism:
         np.testing.assert_array_equal(index.query(X1[:8], 3), first)
 
 
+def _bucket_query(index, query_ids, candidate_ids, k):
+    """Exhaustive probing of indexed points, masked to one bucket."""
+    mask = np.zeros(index.num_points, dtype=bool)
+    mask[candidate_ids] = True
+    return index.query(
+        index.points[query_ids], k, mask=mask, probes=EXHAUSTIVE
+    )
+
+
 class TestExhaustiveOracle:
     @settings(deadline=None)
     @given(seed=st.integers(0, 10_000), k=st.integers(1, 8))
@@ -190,16 +198,18 @@ class TestExhaustiveOracle:
         assert (out[:, expected.shape[1]:] == -1).all()
 
     def test_exhaustive_backend_matches_exact_backend(self):
+        """One bucket as a mask, ranked by exhaustive probing, is the exact
+        backend's answer for that bucket."""
         rng = np.random.default_rng(5)
         X = rng.normal(size=(150, 6))
         queries = np.arange(0, 150, 3)
         candidates = np.arange(1, 150, 2)
         exact = ExactBackend()
         exact.prepare(X)
-        ann = AnnBackend(**FOREST, seed=0, exhaustive=True)
-        ann.prepare(X)
+        index = RPForestIndex(**FOREST, seed=0).build(X)
         np.testing.assert_array_equal(
-            exact.topk(queries, candidates, 4), ann.topk(queries, candidates, 4)
+            exact.topk(queries, candidates, 4),
+            _bucket_query(index, queries, candidates, 4),
         )
 
 
@@ -221,15 +231,16 @@ class TestIncrementalUpdate:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(int(rng.integers(40, 250)), 5))
         make = lambda: RPForestIndex(  # noqa: E731
-            num_trees=4, leaf_size=8, probes=2, seed=7, overflow_factor=2.0
+            num_trees=4, leaf_size=8, probes=2, seed=7, rebuild_frac=1.0,
+            overflow_factor=2.0,
         ).build(X)
         a, b = make(), make()
         current = X
         for _ in range(rounds):
             current = _drift(current, rng, fraction=0.3, scale=0.5)
-            ra = a.update(current, rebuild_frac=1.0)
-            rb = b.update(current, rebuild_frac=1.0)
-            assert (ra.num_moved, ra.splits) == (rb.num_moved, rb.splits)
+            ra = a.update(current)
+            rb = b.update(current)
+            assert ra == rb
         np.testing.assert_array_equal(
             a.query(current[:32], 5), b.query(current[:32], 5)
         )
@@ -242,10 +253,10 @@ class TestIncrementalUpdate:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(30, 200))
         X = rng.normal(size=(n, 4))
-        index = RPForestIndex(**FOREST, seed=seed).build(X)
+        index = RPForestIndex(**FOREST, seed=seed, rebuild_frac=1.0).build(X)
         for _ in range(3):
             X = _drift(X, rng, fraction=0.25, scale=0.3)
-            index.update(X, rebuild_frac=1.0)
+            index.update(X)
         out = index.query(X[:32], k, probes=EXHAUSTIVE)
         expected = exact_topk(X, X[:32], np.arange(n), k)
         np.testing.assert_array_equal(out[:, : expected.shape[1]], expected)
@@ -258,9 +269,9 @@ class TestIncrementalUpdate:
         n = int(rng.integers(30, 200))
         X = rng.normal(size=(n, 4))
         mask = rng.random(n) < rng.uniform(0.1, 0.9)
-        index = RPForestIndex(**FOREST, seed=seed).build(X)
+        index = RPForestIndex(**FOREST, seed=seed, rebuild_frac=1.0).build(X)
         X = _drift(X, rng, fraction=0.4, scale=0.5)
-        index.update(X, rebuild_frac=1.0)
+        index.update(X)
         for probes in (1, FOREST["probes"], EXHAUSTIVE):
             out = index.query(X[:24], 4, mask=mask, probes=probes)
             returned = out[out >= 0]
@@ -275,39 +286,27 @@ class TestIncrementalUpdate:
         n = int(rng.integers(100, 400))
         centers = rng.normal(scale=8.0, size=(5, 4))
         X = centers[rng.integers(0, 5, size=n)] + rng.normal(size=(n, 4))
-        index = RPForestIndex(**FOREST, seed=seed).build(X)
+        index = RPForestIndex(**FOREST, seed=seed, rebuild_frac=1.0).build(X)
         for _ in range(4):
             X = _drift(X, rng, fraction=0.2, scale=0.1)
-            report = index.update(X, rebuild_frac=1.0)
+            report = index.update(X)
             assert not report.rebuilt
         assert _recall(index, X, X[: min(n, 64)], 5) >= 0.9
 
     def test_unmoved_points_are_not_rerouted_but_refreshed(self):
-        """moved=[] skips all re-routing, yet the coordinates still refresh
-        (exhaustive ranking sees the new matrix)."""
+        """An infinite drift threshold skips all re-routing, yet the
+        coordinates still refresh (exhaustive ranking sees the new
+        matrix)."""
         rng = np.random.default_rng(0)
         X = rng.normal(size=(80, 4))
-        index = RPForestIndex(**FOREST, seed=0).build(X)
+        index = RPForestIndex(**FOREST, seed=0, drift_threshold=np.inf).build(X)
         X2 = X + 0.5 * rng.normal(size=X.shape)
-        report = index.update(X2, moved=np.array([], dtype=np.int64))
+        report = index.update(X2)
         assert report.num_moved == 0 and not report.rebuilt
         out = index.query(X2[:16], 3, probes=EXHAUSTIVE)
         np.testing.assert_array_equal(
             out, exact_topk(X2, X2[:16], np.arange(80), 3)
         )
-
-    def test_boolean_moved_mask_equals_id_list(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(120, 4))
-        X2 = _drift(X, rng, fraction=0.3, scale=0.5)
-        ids = rng.choice(120, size=30, replace=False)
-        mask = np.zeros(120, dtype=bool)
-        mask[ids] = True
-        a = RPForestIndex(**FOREST, seed=3).build(X)
-        b = RPForestIndex(**FOREST, seed=3).build(X)
-        a.update(X2, moved=ids, rebuild_frac=1.0)
-        b.update(X2, moved=mask, rebuild_frac=1.0)
-        np.testing.assert_array_equal(a.query(X2[:24], 5), b.query(X2[:24], 5))
 
     def test_drift_threshold_gates_rerouting(self):
         """Points moving under the threshold are not counted as drifted."""
@@ -317,8 +316,7 @@ class TestIncrementalUpdate:
         X2 = X + 0.01  # L2 delta 0.02 per point, far below the threshold
         report = index.update(X2)
         assert report.num_moved == 0
-        report = index.update(X2, drift_threshold=0.0)
-        assert report.num_moved == 0  # already the stored matrix
+        np.testing.assert_array_equal(index.points, X2)
 
     def test_rebuild_escape_hatch_equals_fresh_build(self):
         """Past rebuild_frac, update() is exactly a fresh seeded build."""
@@ -333,172 +331,25 @@ class TestIncrementalUpdate:
             index.query(X2[:32], 5), fresh.query(X2[:32], 5)
         )
 
-    def test_overflow_triggers_lazy_subtree_split(self):
-        """Cramming many points into one region must split the receiving
-        leaf (bounding per-query candidate work) and keep queries sound."""
+    def test_overflow_escapes_to_full_rebuild(self):
+        """Cramming many points into one region overflows the leaves they
+        re-route to; the update must then rebuild the whole forest, exactly
+        as a fresh build over the new matrix would."""
         rng = np.random.default_rng(5)
         X = rng.normal(size=(400, 4))
-        index = RPForestIndex(
+        params = dict(
             num_trees=3, leaf_size=8, probes=2, seed=0, overflow_factor=2.0
-        ).build(X)
+        )
+        index = RPForestIndex(**params, rebuild_frac=1.0).build(X)
         X2 = X.copy()
         X2[100:250] = X[0] + 0.01 * rng.normal(size=(150, 4))
-        report = index.update(X2, rebuild_frac=1.0)
-        assert report.splits > 0 and not report.rebuilt
-        for tree in index._trees:
-            sizes = np.diff(tree.leaf_indptr)
-            assert sizes.sum() == 400  # every point still in exactly one leaf
-            assert tree.max_leaf == sizes.max()
-        out = index.query(X2[:32], 5)
-        assert out.shape == (32, 5) and out.max() < 400
-        # The crowded region is its own nearest-neighbour cluster.
-        hits = index.query(X2[150][None, :], 5)[0]
-        assert ((hits >= 100) & (hits < 250)).sum() >= 4
-
-    def test_depth_bound_stays_exact_across_splits(self):
-        """Repeated overflow splits must not inflate the recorded depth
-        bound (it sizes every multi-probe query's descent arrays)."""
-
-        def reference_depth(tree):
-            if tree.root < 0:
-                return 0
-            best, stack = 0, [(tree.root, 0)]
-            while stack:
-                node, level = stack.pop()
-                if node < 0:
-                    best = max(best, level)
-                else:
-                    stack += [(c, level + 1) for c in tree.children[node]]
-            return best
-
-        rng = np.random.default_rng(8)
-        X = rng.normal(size=(400, 4))
-        index = RPForestIndex(
-            num_trees=3, leaf_size=8, probes=2, seed=0, overflow_factor=2.0
-        ).build(X)
-        total_splits = 0
-        for round_id in range(3):  # collapse a different region each round
-            X = X.copy()
-            lo = 50 + 100 * round_id
-            X[lo : lo + 80] = X[round_id] + 0.01 * rng.normal(size=(80, 4))
-            total_splits += index.update(X, rebuild_frac=1.0).splits
-        assert total_splits > 0
-        for tree in index._trees:
-            assert tree.depth == reference_depth(tree)
-
-    def test_orphan_slots_are_reported_and_compaction_is_invisible(self):
-        """Every subtree split orphans one leaf slot; the report must expose
-        the standing count, and compacting the slots away must not change a
-        single query."""
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(400, 4))
-        index = RPForestIndex(
-            num_trees=3, leaf_size=8, probes=2, seed=0,
-            overflow_factor=2.0, compact_frac=1.0,  # compaction disabled
-        ).build(X)
-        total_splits = 0
-        report = None
-        for round_id in range(3):
-            X = X.copy()
-            lo = 50 + 100 * round_id
-            X[lo : lo + 80] = X[round_id] + 0.01 * rng.normal(size=(80, 4))
-            report = index.update(X, rebuild_frac=1.0)
-            total_splits += report.splits
-        assert total_splits > 0
-        # One orphaned slot per split, none reclaimed (compaction disabled).
-        assert report.orphaned == total_splits and report.compacted == 0
-        before_multi = index.query(X[:64], 5)
-        before_exh = index.query(X[:64], 5, probes=EXHAUSTIVE)
-        reclaimed = sum(
-            RPForestIndex._compact_leaves(tree) for tree in index._trees
-        )
-        # Compacting by hand bypasses update(), so re-derive the stacked
-        # planes as update() does: the queries below then descend the
-        # compacted trees.
-        index._stack_planes()
-        assert reclaimed == total_splits
-        for tree in index._trees:
-            reachable = RPForestIndex._reachable_leaves(tree)
-            assert reachable.all()  # no orphans left
-            assert np.diff(tree.leaf_indptr).sum() == 400
-        np.testing.assert_array_equal(index.query(X[:64], 5), before_multi)
-        np.testing.assert_array_equal(
-            index.query(X[:64], 5, probes=EXHAUSTIVE), before_exh
-        )
-        # Post-compaction, the oracle paths still match a fresh build().
-        fresh = RPForestIndex(
-            num_trees=3, leaf_size=8, probes=2, seed=0,
-            overflow_factor=2.0,
-        ).build(X)
-        np.testing.assert_array_equal(
-            index.query(X[:64], 5, probes=EXHAUSTIVE),
-            fresh.query(X[:64], 5, probes=EXHAUSTIVE),
-        )
-
-    def test_compact_frac_triggers_compaction_in_update(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(400, 4))
-        make = lambda: RPForestIndex(  # noqa: E731
-            num_trees=3, leaf_size=8, probes=2, seed=0,
-            overflow_factor=2.0, compact_frac=0.01,
-        ).build(X)
-        a, b = make(), make()
-        total_splits = 0
-        total_compacted = 0
-        ra = None
-        for round_id in range(3):
-            X = X.copy()
-            lo = 50 + 100 * round_id
-            X[lo : lo + 80] = X[round_id] + 0.01 * rng.normal(size=(80, 4))
-            ra = a.update(X, rebuild_frac=1.0)
-            rb = b.update(X, rebuild_frac=1.0)
-            assert (ra.splits, ra.orphaned, ra.compacted) == (
-                rb.splits, rb.orphaned, rb.compacted
-            )
-            total_splits += ra.splits
-            total_compacted += ra.compacted
-        assert total_splits > 0 and total_compacted > 0
-        # Slot conservation: every split's orphan is either still standing
-        # (reported) or was reclaimed by some round's compaction.
-        assert ra.orphaned == total_splits - total_compacted
-        # Compaction is part of the deterministic update contract.
-        np.testing.assert_array_equal(a.query(X[:32], 5), b.query(X[:32], 5))
-        np.testing.assert_array_equal(
-            a.query(X[:32], 5, probes=EXHAUSTIVE),
-            exact_topk(X, X[:32], np.arange(400), 5),
-        )
-
-    def test_rebuild_escape_hatch_reports_zero_orphans(self):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(150, 4))
-        index = RPForestIndex(**FOREST, seed=9, rebuild_frac=0.1).build(X)
-        report = index.update(X + 1.0)
-        assert report.rebuilt
-        assert report.orphaned == 0 and report.compacted == 0
-
-    def test_compact_frac_validation_and_round_trip(self):
-        with pytest.raises(ValueError, match="compact_frac"):
-            RPForestIndex(compact_frac=0.0)
-        with pytest.raises(ValueError, match="compact_frac"):
-            RPForestIndex(compact_frac=1.5)
-        X = np.random.default_rng(0).normal(size=(60, 3))
-        index = RPForestIndex(**FOREST, seed=0, compact_frac=0.5).build(X)
-        restored = RPForestIndex.from_arrays(index.to_arrays())
-        assert restored.compact_frac == 0.5
-        # Pre-compaction serializations carried 3 floats: compaction off.
+        report = index.update(X2)
+        assert report.rebuilt and report.num_moved == 150
+        fresh = RPForestIndex(**params, rebuild_frac=1.0).build(X2).to_arrays()
         arrays = index.to_arrays()
-        arrays["float_params"] = arrays["float_params"][:3]
-        legacy = RPForestIndex.from_arrays(arrays)
-        assert legacy.compact_frac == 1.0
-
-    def test_explicit_moved_conflicts_with_threshold(self):
-        index = RPForestIndex(**FOREST, seed=0).build(
-            np.random.default_rng(0).normal(size=(50, 3))
-        )
-        with pytest.raises(ValueError, match="not both"):
-            index.update(
-                np.zeros((50, 3)), moved=np.array([1]), drift_threshold=0.5
-            )
+        assert arrays.keys() == fresh.keys()
+        for name, array in arrays.items():
+            np.testing.assert_array_equal(array, fresh[name], err_msg=name)
 
     def test_update_validation(self):
         index = RPForestIndex(**FOREST, seed=0)
@@ -509,16 +360,12 @@ class TestIncrementalUpdate:
             index.update(np.zeros((60, 3)))
         with pytest.raises(ValueError, match="built shape"):
             index.update(np.zeros((50, 4)))
-        with pytest.raises(ValueError, match="moved ids"):
-            index.update(np.zeros((50, 3)), moved=np.array([60]))
-        with pytest.raises(ValueError, match="drift_threshold"):
-            index.update(np.zeros((50, 3)), drift_threshold=-1.0)
-        with pytest.raises(ValueError, match="rebuild_frac"):
-            index.update(np.zeros((50, 3)), rebuild_frac=0.0)
         with pytest.raises(ValueError, match="drift_threshold"):
             RPForestIndex(drift_threshold=-0.5)
         with pytest.raises(ValueError, match="rebuild_frac"):
             RPForestIndex(rebuild_frac=1.5)
+        with pytest.raises(ValueError, match="rebuild_frac"):
+            RPForestIndex(rebuild_frac=0.0)
         with pytest.raises(ValueError, match="overflow_factor"):
             RPForestIndex(overflow_factor=0.5)
 
@@ -545,19 +392,18 @@ class TestIncrementalBackend:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(120, 5))
         exact = ExactBackend()
-        ann = AnnBackend(
-            **FOREST, seed=0, exhaustive=True, update="incremental",
-            rebuild_frac=1.0,
-        )
+        ann = AnnBackend(**FOREST, seed=0, update="incremental", rebuild_frac=1.0)
+        ann.prepare(X)
         queries = np.arange(0, 120, 3)
         candidates = np.arange(1, 120, 2)
         for _ in range(3):
             X = _drift(X, rng, fraction=0.3, scale=0.2)
             exact.prepare(X)
             ann.prepare(X)
+            assert not ann.last_report.rebuilt
             np.testing.assert_array_equal(
                 exact.topk(queries, candidates, 4),
-                ann.topk(queries, candidates, 4),
+                _bucket_query(ann.index, queries, candidates, 4),
             )
 
     def test_bad_update_mode_rejected(self):
@@ -641,23 +487,20 @@ class TestSerialization:
             restored.query(X[:8], 2, mask=mask), index.query(X[:8], 2, mask=mask)
         )
 
-    def test_update_count_survives(self):
+    def test_restored_index_updates_like_the_live_one(self):
         rng = np.random.default_rng(5)
         X, index = self._build(seed=5)
         moved = X.copy()
         moved[:10] += 0.5 * rng.normal(size=(10, X.shape[1]))
-        index.update(moved)
-        assert index.update_count == 1
+        assert not index.update(moved).rebuilt
         restored = RPForestIndex.from_arrays(index.to_arrays())
-        assert restored.update_count == 1
-        # determinism of *future* updates depends on the restored counter:
         moved2 = moved.copy()
         moved2[:5] += 0.5 * rng.normal(size=(5, X.shape[1]))
-        index.update(moved2)
-        restored.update(moved2)
-        np.testing.assert_array_equal(
-            restored.query(moved2[:12], 3), index.query(moved2[:12], 3)
-        )
+        assert index.update(moved2) == restored.update(moved2)
+        for name, array in index.to_arrays().items():
+            np.testing.assert_array_equal(
+                restored.to_arrays()[name], array, err_msg=name
+            )
 
     def test_from_arrays_accepts_npz_handle(self, tmp_path):
         X, index = self._build()
@@ -675,4 +518,4 @@ class TestSerialization:
         with pytest.raises(ValueError):
             RPForestIndex.from_arrays(arrays)
         with pytest.raises(ValueError):
-            RPForestIndex.from_arrays({"params": np.zeros(6, dtype=np.int64)})
+            RPForestIndex.from_arrays({"params": np.zeros(5, dtype=np.int64)})

@@ -218,15 +218,18 @@ class TestPersistedIndex:
         self, fairwos_run, fairwos_artifact
     ):
         art = load_artifact(fairwos_artifact)
-        persisted = art.counterfactuals(probes="exhaustive")
         search = CounterfactualSearch(fairwos_run.config.top_k)  # exact backend
-        live = search.search(
-            art._index_points,
-            fairwos_run._pseudo_labels,
-            fairwos_run._binary_attrs,
-        )
-        np.testing.assert_array_equal(persisted.indices, live.indices)
-        np.testing.assert_array_equal(persisted.valid, live.valid)
+        nodes = np.array([23, 5, 9, 5])
+        for subset in (None, nodes):
+            persisted = art.counterfactuals(nodes=subset, probes="exhaustive")
+            live = search.search(
+                art._index_points,
+                fairwos_run._pseudo_labels,
+                fairwos_run._binary_attrs,
+                nodes=subset,
+            )
+            np.testing.assert_array_equal(persisted.indices, live.indices)
+            np.testing.assert_array_equal(persisted.valid, live.valid)
 
     def test_persisted_forest_matches_live_forest(self, fairwos_run, fairwos_artifact):
         # Same forest, same routing tables: default-probes queries agree
@@ -234,7 +237,6 @@ class TestPersistedIndex:
         live_index = fairwos_run._search.backend._index
         art = load_artifact(fairwos_artifact)
         assert art._index is not None
-        assert art._index.update_count == live_index.update_count
         queries = live_index.points[:16]
         np.testing.assert_array_equal(
             art._index.query(queries, 3), live_index.query(queries, 3)

@@ -96,7 +96,7 @@ class TestCLI:
         ])
         assert "Table II" in output
 
-    def test_parser_cf_backend_options(self):
+    def test_parser_cf_backend_flags(self):
         args = build_parser().parse_args([
             "run", "--method", "fairwos", "--cf-backend", "ann",
             "--cf-refresh", "3",
@@ -255,6 +255,20 @@ class TestScoreCommand:
         ])
         assert args.command == "score"
         assert args.probes == "exhaustive"
+
+    def test_probes_flag_is_parsed_before_loading(self, tmp_path, capsys):
+        """A bad --probes exits with the usage status before the artifact
+        is read (tmp_path is not an artifact); good values parse."""
+        for bad in ("abc", "0", "-3"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["score", "--artifact", str(tmp_path), "--probes", bad])
+            assert exit_info.value.code == 2
+            assert "probes must be a positive integer" in capsys.readouterr().err
+        parse = lambda value: build_parser().parse_args(  # noqa: E731
+            ["score", "--artifact", "a", "--probes", value]
+        ).probes
+        assert parse("3") == 3
+        assert parse("EXHAUSTIVE") == "exhaustive"
 
 
 class TestServeCommand:

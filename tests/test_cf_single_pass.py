@@ -8,8 +8,8 @@ the per-bucket search this must reproduce, written out independently: one
 masked forest query per (label, attribute, side) bucket, each ranked by a
 full stable argsort.  ``indices`` and ``valid`` must be equal — ties at the
 K-th distance included — on duplicated points, for 1–3 probes, for
-``nodes=`` subsets, after updates that split leaves, and through a saved
-and reloaded artifact.
+``nodes=`` subsets, after incremental updates, and through a saved and
+reloaded artifact.
 
 The references build their candidate rows from a per-tree recorded
 descent, each tree walked on its own; the index descends every tree at
@@ -178,6 +178,18 @@ def _tied_data(seed, n, dim=3, num_attrs=3):
     return reps, rng.integers(0, 2, size=n), rng.integers(0, 2, size=(n, num_attrs))
 
 
+def _leaf_paths(tree):
+    """Root-to-leaf node paths of one tree."""
+    paths, stack = [], [(tree.root, [])]
+    while stack:
+        node, path = stack.pop()
+        if node < 0:
+            paths.append(path)
+        else:
+            stack += [(child, path + [node]) for child in tree.children[node]]
+    return paths
+
+
 def _assert_same(index, reference):
     np.testing.assert_array_equal(index.indices, reference[0])
     np.testing.assert_array_equal(index.valid, reference[1])
@@ -230,14 +242,12 @@ class TestSelection:
 # --------------------------------------------------------------------- #
 # The descent
 # --------------------------------------------------------------------- #
-def _crowd(reps, rng, size=40):
-    """Move a block of points onto one spot: the leaves it lands in
-    overflow, so the next update splits them."""
-    start = int(rng.integers(0, reps.shape[0] - size))
+def _nudge(reps, rng, fraction=0.2, scale=0.3):
+    """Move a random share of the points a little: the next update
+    re-routes them through the standing split planes."""
+    moved = rng.random(reps.shape[0]) < fraction
     reps = reps.copy()
-    reps[start : start + size] = reps[start] + 0.01 * rng.normal(
-        size=(size, reps.shape[1])
-    )
+    reps[moved] += scale * rng.normal(size=(int(moved.sum()), reps.shape[1]))
     return reps
 
 
@@ -264,11 +274,11 @@ class TestDescentOracle:
             num_trees=num_trees,
             leaf_size=n if single_leaf else int(rng.integers(3, 12)),
             seed=seed,
-            overflow_factor=2.0,
+            rebuild_frac=1.0,
         ).build(reps)
         for _ in range(updates):
-            reps = _crowd(reps, rng)
-            index.update(reps, rebuild_frac=1.0)
+            reps = _nudge(reps, rng)
+            index.update(reps)
         if round_trip:
             index = RPForestIndex.from_arrays(index.to_arrays())
         queries = np.concatenate(
@@ -280,15 +290,15 @@ class TestDescentOracle:
         )
 
     def test_mixed_depths_single_leaves_and_deep_probes(self):
+        """Leaves at two depths, single-leaf trees and more probes than
+        levels, live and restored."""
         rng = np.random.default_rng(1)
         reps = rng.normal(size=(400, 4))
-        index = RPForestIndex(
-            num_trees=3, leaf_size=8, seed=0, overflow_factor=2.0
-        ).build(reps)
-        reps[100:250] = reps[0] + 0.01 * rng.normal(size=(150, 4))
-        assert index.update(reps, rebuild_frac=1.0).splits > 0
-        depths = [tree.depth for tree in index._trees]
-        assert len(set(depths)) > 1
+        # 400 points halve to blocks of 25, which split into a 12-point
+        # leaf and a 13-point node: root paths of two lengths in each tree.
+        index = RPForestIndex(num_trees=3, leaf_size=12, seed=0).build(reps)
+        leaf_levels = {len(path) for path in _leaf_paths(index._trees[0])}
+        assert leaf_levels == {5, 6}
         single = RPForestIndex(num_trees=2, leaf_size=400, seed=0).build(reps)
         assert all(tree.root < 0 for tree in single._trees)
         restored = RPForestIndex.from_arrays(index.to_arrays())
@@ -301,25 +311,29 @@ class TestDescentOracle:
 
     def test_tree_planes_are_views_of_the_stack(self):
         """Each tree reads its own planes out of the one stacked copy, after
-        a build and after an update that re-stacks spliced trees."""
+        a build, after an update (which leaves the planes alone) and after
+        a restore."""
         rng = np.random.default_rng(2)
         reps = rng.normal(size=(300, 4))
-        index = RPForestIndex(
-            num_trees=3, leaf_size=8, seed=4, overflow_factor=2.0
-        ).build(reps)
+        index = RPForestIndex(num_trees=3, leaf_size=8, seed=4).build(reps)
         for t, tree in enumerate(index._trees):
-            own = index._build_tree(reps, np.random.default_rng([4, t]))
+            own = index._build_tree(
+                reps, np.random.default_rng([4, t]),
+                out=np.empty_like(tree.directions),
+            )
             np.testing.assert_array_equal(tree.directions, own.directions)
             np.testing.assert_array_equal(tree.thresholds, own.thresholds)
-        reps[50:150] = reps[0] + 0.01 * rng.normal(size=(100, 4))
-        assert index.update(reps, rebuild_frac=1.0).splits > 0
         planes = index._planes
-        assert planes.directions.shape[0] == sum(
-            tree.directions.shape[0] for tree in index._trees
-        )
-        for tree in index._trees:
-            assert np.shares_memory(tree.directions, planes.directions)
-            assert np.shares_memory(tree.thresholds, planes.thresholds)
+        assert not index.update(_nudge(reps, rng)).rebuilt
+        assert index._planes is planes
+        for forest in (index, RPForestIndex.from_arrays(index.to_arrays())):
+            planes = forest._planes
+            assert planes.directions.shape[0] == sum(
+                tree.directions.shape[0] for tree in forest._trees
+            )
+            for tree in forest._trees:
+                assert np.shares_memory(tree.directions, planes.directions)
+                assert np.shares_memory(tree.thresholds, planes.thresholds)
 
 
 # --------------------------------------------------------------------- #
@@ -378,7 +392,7 @@ class TestSearchParity:
 
     @settings(deadline=None)
     @given(seed=st.integers(0, 10_000), probes=st.integers(1, 3))
-    def test_matches_after_splitting_updates(self, seed, probes):
+    def test_matches_after_incremental_updates(self, seed, probes):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(120, 300))
         reps, labels, attrs = _tied_data(seed, n)
@@ -387,41 +401,17 @@ class TestSearchParity:
             backend="ann",
             backend_options={
                 "num_trees": 3, "leaf_size": 8, "probes": probes, "seed": seed,
-                "update": "incremental", "overflow_factor": 2.0,
-                "rebuild_frac": 1.0,
+                "update": "incremental", "rebuild_frac": 1.0,
             },
         )
         search.search(reps, labels, attrs)
         for _ in range(2):
-            # Crowd a block of points onto one spot: its leaves overflow.
-            start = int(rng.integers(0, n - 40))
-            reps = reps.copy()
-            reps[start : start + 40] = reps[start] + 0.01 * rng.normal(size=(40, 3))
+            reps = _nudge(reps, rng)
             result = search.search(reps, labels, attrs)
-            assert not search.backend.last_report.rebuilt
+            assert search.backend.last_report.num_moved > 0
             _assert_same(
                 result, _reference_search(search.backend.index, labels, attrs, 4)
             )
-
-    def test_updates_do_split_leaves(self):
-        rng = np.random.default_rng(5)
-        reps = rng.normal(size=(400, 4))
-        labels = rng.integers(0, 2, size=400)
-        attrs = rng.integers(0, 2, size=(400, 2))
-        search = CounterfactualSearch(
-            top_k=5,
-            backend="ann",
-            backend_options={
-                "num_trees": 3, "leaf_size": 8, "seed": 0,
-                "update": "incremental", "overflow_factor": 2.0,
-                "rebuild_frac": 1.0,
-            },
-        )
-        search.search(reps, labels, attrs)
-        reps[100:250] = reps[0] + 0.01 * rng.normal(size=(150, 4))
-        result = search.search(reps, labels, attrs)
-        assert search.backend.last_report.splits > 0
-        _assert_same(result, _reference_search(search.backend.index, labels, attrs, 5))
 
 
 # --------------------------------------------------------------------- #

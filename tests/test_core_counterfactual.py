@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CounterfactualSearch
+from repro.core import CounterfactualSearch, ExactBackend, RPForestIndex
+from repro.core.ann import EXHAUSTIVE
 
 
 class TestSearchBasics:
@@ -137,10 +138,29 @@ class TestValidationAndOptions:
         np.testing.assert_array_equal(a.valid, b.valid)
 
 
+class _ExhaustiveForest(ExactBackend):
+    """The exact backend's per-bucket search, each bucket answered by
+    exhaustive probing of a random-projection forest."""
+
+    def __init__(self, seed):
+        super().__init__()
+        self.seed = seed
+
+    def prepare(self, points):
+        self.index = RPForestIndex(seed=self.seed).build(points)
+
+    def topk(self, query_ids, candidate_ids, k):
+        mask = np.zeros(self.index.num_points, dtype=bool)
+        mask[candidate_ids] = True
+        return self.index.query(
+            self.index.points[query_ids], k, mask=mask, probes=EXHAUSTIVE
+        )
+
+
 class TestBackends:
     """The exact path stays the oracle; the ANN path must never violate the
-    counterfactual constraints and reproduces the oracle bit-for-bit under
-    exhaustive probing."""
+    counterfactual constraints, and its forest reproduces the oracle
+    bit-for-bit under exhaustive probing."""
 
     @staticmethod
     def _data(seed, n=120, dim=5, num_attrs=3):
@@ -157,7 +177,7 @@ class TestBackends:
         reps, labels, attrs = self._data(seed)
         exact = CounterfactualSearch(top_k=k).search(reps, labels, attrs)
         ann = CounterfactualSearch(
-            top_k=k, backend="ann", backend_options={"exhaustive": True, "seed": seed}
+            top_k=k, backend=_ExhaustiveForest(seed)
         ).search(reps, labels, attrs)
         np.testing.assert_array_equal(exact.indices, ann.indices)
         np.testing.assert_array_equal(exact.valid, ann.valid)
@@ -217,8 +237,6 @@ class TestBackends:
                     assert attrs[cf, attr] != attrs[node, attr]
 
     def test_backend_object_passthrough(self):
-        from repro.core.ann import ExactBackend
-
         reps, labels, attrs = self._data(19, n=60)
         via_str = CounterfactualSearch(top_k=2).search(reps, labels, attrs)
         via_obj = CounterfactualSearch(top_k=2, backend=ExactBackend()).search(

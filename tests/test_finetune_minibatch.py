@@ -278,12 +278,11 @@ class TestTrainerAgreement:
     def test_incremental_update_covering_matches_rebuild(self, causal_graph):
         """cf_update='incremental' vs 'rebuild' through the whole trainer.
 
-        With exhaustive probing the index's *answers* depend only on the
-        point matrix — which incremental maintenance refreshes in full —
-        so the two policies must produce identical runs to float precision
-        (the covering batch removes sampling noise).  This pins the
-        in-place update path as a pure amortisation, never a semantic
-        change."""
+        Between two fine-tune refreshes of a covering batch more than half
+        of the embeddings move, so every incremental update escapes to a
+        full rebuild — identical to a fresh build — and the two policies
+        must produce bit-identical runs.  In training, incremental
+        maintenance is a rebuild plus a drift check."""
 
         def run(cf_update):
             config = _base_config(
@@ -291,29 +290,26 @@ class TestTrainerAgreement:
                 batch_size=512,
                 fanouts=(None,),
                 cf_backend="ann",
-                cf_backend_options={"exhaustive": True},
                 cf_refresh_epochs=2,  # several refreshes → update() exercised
                 cf_update=cf_update,
-                cf_drift_threshold=0.0,
-                cf_rebuild_frac=1.0,  # never escape: pure incremental path
             )
-            return FairwosTrainer(config).fit(causal_graph, seed=0)
+            trainer = FairwosTrainer(config)
+            return trainer, trainer.fit(causal_graph, seed=0)
 
-        rebuild = run("rebuild")
-        incremental = run("incremental")
-        assert abs(rebuild.test.accuracy - incremental.test.accuracy) < 1e-9
-        assert abs(rebuild.test.delta_sp - incremental.test.delta_sp) < 1e-9
-        np.testing.assert_allclose(
-            rebuild.lambda_weights, incremental.lambda_weights, atol=1e-9
+        _, rebuild = run("rebuild")
+        trainer, incremental = run("incremental")
+        assert trainer._search.backend.last_report.rebuilt
+        assert rebuild.test.accuracy == incremental.test.accuracy
+        assert rebuild.test.delta_sp == incremental.test.delta_sp
+        np.testing.assert_array_equal(
+            rebuild.lambda_weights, incremental.lambda_weights
         )
         assert (
             rebuild.counterfactual_coverage
             == incremental.counterfactual_coverage
         )
-        np.testing.assert_allclose(
-            rebuild.history["finetune_loss"],
-            incremental.history["finetune_loss"],
-            atol=1e-9,
+        np.testing.assert_array_equal(
+            rebuild.history["finetune_loss"], incremental.history["finetune_loss"]
         )
 
     def test_incremental_update_through_trainer_sampled(self, causal_graph):
@@ -326,8 +322,6 @@ class TestTrainerAgreement:
             cf_backend="ann",
             cf_refresh_epochs=2,
             cf_update="incremental",
-            cf_drift_threshold=1e-3,
-            cf_rebuild_frac=0.9,
         )
         result = FairwosTrainer(config).fit(causal_graph, seed=0)
         assert result.counterfactual_coverage > 0.9
@@ -367,33 +361,20 @@ class TestTrainerAgreement:
     def test_cf_config_validation(self):
         with pytest.raises(ValueError):
             FairwosConfig(cf_backend="bogus").validate()
+        # A backend instance is not a setting: the search builds its own.
+        from repro.core.ann import ExactBackend
+
+        with pytest.raises(ValueError, match="cf_backend must be"):
+            FairwosConfig(cf_backend=ExactBackend()).validate()
         with pytest.raises(ValueError):
             FairwosConfig(cf_refresh_epochs=0).validate()
         with pytest.raises(ValueError):
             FairwosConfig(cf_attrs_per_step=0).validate()
         with pytest.raises(ValueError, match="cf_update"):
             FairwosConfig(cf_update="sometimes").validate()
-        with pytest.raises(ValueError, match="cf_drift_threshold"):
-            FairwosConfig(
-                cf_backend="ann", cf_update="incremental",
-                cf_drift_threshold=-1.0,
-            ).validate()
-        with pytest.raises(ValueError, match="cf_rebuild_frac"):
-            FairwosConfig(
-                cf_backend="ann", cf_update="incremental", cf_rebuild_frac=0.0
-            ).validate()
-        # Incremental maintenance needs an index to maintain — and a custom
-        # backend instance must carry its own update policy, so pairing one
-        # with cf_update='incremental' is rejected rather than silently
-        # rebuilding every refresh.
+        # Incremental maintenance needs an index to maintain.
         with pytest.raises(ValueError, match="requires cf_backend='ann'"):
             FairwosConfig(cf_update="incremental").validate()
-        from repro.core.ann import AnnBackend
-
-        with pytest.raises(ValueError, match="update policy"):
-            FairwosConfig(
-                cf_backend=AnnBackend(), cf_update="incremental"
-            ).validate()
         FairwosConfig(cf_backend="ann", cf_update="incremental").validate()
 
     def test_finetune_lr_zero_rejected_not_collapsed(self):
