@@ -134,8 +134,8 @@ class CounterfactualSearch:
             every node.
         """
         representations = np.asarray(representations, dtype=np.float64)
-        pseudo_labels = np.asarray(pseudo_labels).astype(np.int64)
-        binary_attributes = np.asarray(binary_attributes).astype(np.int64)
+        pseudo_labels = np.asarray(pseudo_labels, dtype=np.int64)
+        binary_attributes = np.asarray(binary_attributes, dtype=np.int64)
         n, _ = representations.shape
         if pseudo_labels.shape != (n,):
             raise ValueError("pseudo_labels shape mismatch")
@@ -156,9 +156,8 @@ class CounterfactualSearch:
         if nodes is None:
             return CounterfactualIndex(indices=found, valid=hit)
         num_attrs = binary_attributes.shape[1]
-        indices = np.broadcast_to(
-            np.arange(n, dtype=np.int64)[None, :, None], (num_attrs, n, self.top_k)
-        ).copy()
+        self_rows = np.repeat(np.arange(n, dtype=np.int64), self.top_k).reshape(n, -1)
+        indices = np.tile(self_rows, (num_attrs, 1, 1))
         indices[:, query_ids] = found
         valid = np.zeros((num_attrs, n), dtype=bool)
         valid[:, query_ids] = hit

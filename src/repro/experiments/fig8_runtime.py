@@ -57,13 +57,18 @@ def run_fig8(
     scale: Scale | None = None,
     entries: list[str] | None = None,
 ) -> Fig8Result:
-    """Time every method/variant over ``scale.seeds`` runs."""
+    """Time every method/variant over ``scale.seeds`` runs.
+
+    The runs are interleaved seed by seed (every entry at seed 0, then
+    every entry at seed 1, ...), so a slow phase of the host is spread
+    over all entries instead of landing on one.
+    """
     scale = scale or Scale.quick()
     entries = entries or list(RUNTIME_ENTRIES)
     result = Fig8Result(dataset=dataset, backbone=backbone)
-    for entry in entries:
-        times = []
-        for seed in range(scale.seeds):
+    times: dict[str, list[float]] = {entry: [] for entry in entries}
+    for seed in range(scale.seeds):
+        for entry in entries:
             if entry in _VARIANTS:
                 run = run_variant(entry, dataset, backbone, seed, scale)
             elif entry == "fairwos":
@@ -79,9 +84,10 @@ def run_fig8(
                     finetune_epochs=scale.finetune_epochs,
                     patience=scale.patience,
                 )
-            times.append(run.seconds)
-        result.seconds_mean[entry] = float(np.mean(times))
-        result.seconds_std[entry] = float(np.std(times))
+            times[entry].append(run.seconds)
+    for entry in entries:
+        result.seconds_mean[entry] = float(np.mean(times[entry]))
+        result.seconds_std[entry] = float(np.std(times[entry]))
     return result
 
 

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from repro.graph.sampling import Block, is_block_sequence
 from repro.nn import Linear, Module
 from repro.tensor import Tensor
+from repro.tensor import ops
 
 __all__ = ["GNNBackbone", "make_backbone"]
 
@@ -43,7 +44,10 @@ class GNNBackbone(Module):
     (Eq. 9, ``ŷ_v = σ(h_v · w)``) lives here so every backbone exposes
     identical logits semantics.  Normalised adjacencies are cached per input
     matrix (graphs are static within an experiment) by object identity (see
-    :func:`identity_cached`); blocks are ephemeral and never cached.
+    :func:`identity_cached`); blocks are ephemeral and never cached.  The
+    full-graph aggregation of a constant input is memoised too (see
+    :meth:`_propagate`).  Both caches assume that no input array is
+    mutated in place while a model uses it.
     """
 
     def __init__(self, hidden_dim: int, rng: np.random.Generator) -> None:
@@ -52,6 +56,7 @@ class GNNBackbone(Module):
         self.num_layers = 1  # overwritten by subclasses
         self.head = Linear(hidden_dim, 1, rng)
         self._prop_cache: dict[int, tuple] = {}
+        self._propagated: tuple | None = None
 
     # -- subclass API ---------------------------------------------------- #
     def embed(self, features: Tensor, adjacency: sp.spmatrix) -> Tensor:
@@ -98,6 +103,28 @@ class GNNBackbone(Module):
 
     def _cached_propagation(self, adjacency: sp.spmatrix) -> sp.csr_matrix:
         return identity_cached(self._prop_cache, adjacency, self._propagation_matrix)
+
+    def _propagate(self, matrix: sp.spmatrix, h: Tensor) -> Tensor:
+        """``ops.spmm(matrix, h)``, memoised in one slot for a constant ``h``.
+
+        A full-batch fit feeds the same feature array through the same
+        operator on every training step and every validation pass, so the
+        first layer's product is a constant of the fit.  The slot holds weak
+        references to ``matrix`` and ``h.data`` (a recycled ``id`` can never
+        hit) and the product itself.  An ``h`` that requires gradients
+        bypasses it.  Only a training-mode forward stores; an eval-mode one
+        reuses a matching entry but never stores, so one-shot inference
+        leaves nothing behind.
+        """
+        if h.requires_grad:
+            return ops.spmm(matrix, h)
+        entry = self._propagated
+        if entry is not None and entry[0]() is matrix and entry[1]() is h.data:
+            return entry[2]
+        out = ops.spmm(matrix, h)
+        if self.training:
+            self._propagated = (weakref.ref(matrix), weakref.ref(h.data), out)
+        return out
 
 
 def make_backbone(

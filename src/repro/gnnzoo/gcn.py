@@ -49,7 +49,7 @@ class GCN(GNNBackbone):
         for layer in self.layers:
             if self.dropout is not None:
                 h = self.dropout(h)
-            h = ops.relu(layer(ops.spmm(a_hat, h)))
+            h = ops.relu(layer(self._propagate(a_hat, h)))
         return h
 
     def embed_blocks(self, features: Tensor, blocks: list[Block]) -> Tensor:

@@ -54,7 +54,7 @@ class GIN(GNNBackbone):
             if self.dropout is not None:
                 h = self.dropout(h)
             self_term = ops.mul(h, ops.add(1.0, eps))
-            neighbor_term = ops.spmm(matrix, h)
+            neighbor_term = self._propagate(matrix, h)
             h = ops.relu(mlp(ops.add(self_term, neighbor_term)))
         return h
 

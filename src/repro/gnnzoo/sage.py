@@ -49,7 +49,7 @@ class GraphSAGE(GNNBackbone):
             if self.dropout is not None:
                 h = self.dropout(h)
             h = ops.relu(
-                ops.add(self_layer(h), neighbor_layer(ops.spmm(mean_op, h)))
+                ops.add(self_layer(h), neighbor_layer(self._propagate(mean_op, h)))
             )
         return h
 

@@ -16,10 +16,30 @@ __all__ = ["add_self_loops", "gcn_normalize", "row_normalize", "to_symmetric"]
 
 
 def add_self_loops(adjacency: sp.spmatrix) -> sp.csr_matrix:
-    """Return ``A + I`` (existing diagonal entries are overwritten to 1)."""
-    adjacency = adjacency.tolil(copy=True)
-    adjacency.setdiag(1.0)
-    return adjacency.tocsr()
+    """Return ``A + I`` (existing diagonal entries are overwritten to 1).
+
+    Duplicate entries are summed first and off-diagonal explicit zeros
+    are kept; the result has sorted indices and the input is not modified.
+    Built in one vectorised COO pass: drop the diagonal, append
+    ``(i, i, 1)``, convert.
+    """
+    matrix = sp.csr_matrix(adjacency, copy=True)
+    matrix.sum_duplicates()
+    entries = matrix.tocoo(copy=False)
+    off = entries.row != entries.col
+    diagonal = np.arange(min(matrix.shape), dtype=entries.row.dtype)
+    looped = sp.csr_matrix(
+        (
+            np.concatenate([entries.data[off], np.ones(diagonal.size, matrix.dtype)]),
+            (
+                np.concatenate([entries.row[off], diagonal]),
+                np.concatenate([entries.col[off], diagonal]),
+            ),
+        ),
+        shape=matrix.shape,
+    )
+    looped.sort_indices()
+    return looped
 
 
 def gcn_normalize(adjacency: sp.spmatrix, add_loops: bool = True) -> sp.csr_matrix:

@@ -60,8 +60,6 @@ class Module:
     def modules(self) -> Iterator["Module"]:
         """Yield this module and every descendant module."""
         yield self
-        for value in vars(self).items():
-            pass
         for value in vars(self).values():
             if isinstance(value, Module):
                 yield from value.modules()

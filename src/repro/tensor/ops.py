@@ -141,21 +141,26 @@ def matmul(a, b) -> Tensor:
     Covers matrix @ matrix, matrix @ vector, vector @ matrix and
     vector @ vector (a dot product).  The matrix partner of a 1-D operand
     gets an outer-product gradient; in the dot product each vector's
-    gradient is the other vector scaled by the upstream gradient.
+    gradient is the other vector scaled by the upstream gradient.  Only an
+    operand that requires gradients gets one: a layer applied to constant
+    features skips the ``(N, F_in)`` product nothing would read.
     """
     a, b = as_tensor(a), as_tensor(b)
     out = a.data @ b.data
 
     def backward(grad):
         x, y = a.data, b.data
-        if y.ndim == 1:
-            grad_a = np.outer(grad, y) if x.ndim == 2 else grad * y
-        else:
-            grad_a = grad @ y.T
-        if x.ndim == 1:
-            grad_b = np.outer(x, grad) if y.ndim == 2 else grad * x
-        else:
-            grad_b = x.T @ grad
+        grad_a = grad_b = None
+        if a.requires_grad:
+            if y.ndim == 1:
+                grad_a = np.outer(grad, y) if x.ndim == 2 else grad * y
+            else:
+                grad_a = grad @ y.T
+        if b.requires_grad:
+            if x.ndim == 1:
+                grad_b = np.outer(x, grad) if y.ndim == 2 else grad * x
+            else:
+                grad_b = x.T @ grad
         return grad_a, grad_b
 
     return Tensor.from_op(out, (a, b), backward)

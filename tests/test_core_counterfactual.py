@@ -269,14 +269,24 @@ class TestQueryNodeSubset:
     def test_unqueried_rows_invalid_and_self_pointing(self):
         reps, labels, attrs = self._data(seed=1)
         nodes = np.array([2, 3])
-        result = CounterfactualSearch(top_k=2).search(
-            reps, labels, attrs, nodes=nodes
-        )
+        search = CounterfactualSearch(top_k=2)
+        result = search.search(reps, labels, attrs, nodes=nodes)
         others = np.setdiff1d(np.arange(reps.shape[0]), nodes)
         assert not result.valid[:, others].any()
-        # unqueried rows keep the self-pointing convention
-        for v in others[:5]:
-            assert (result.indices[:, v] == v).all()
+        # unqueried rows keep the self-pointing convention, in the global
+        # (I, N, K) layout
+        assert result.indices.shape == (3, reps.shape[0], 2)
+        assert result.indices.dtype == np.int64
+        np.testing.assert_array_equal(
+            result.indices[:, others],
+            np.broadcast_to(others[None, :, None], (3, others.size, 2)),
+        )
+        # narrower integer and bool inputs give the same result
+        narrow = search.search(
+            reps, labels.astype(np.int32), attrs.astype(bool), nodes=nodes
+        )
+        np.testing.assert_array_equal(narrow.indices, result.indices)
+        np.testing.assert_array_equal(narrow.valid, result.valid)
 
     def test_candidates_stay_full_set(self):
         # A queried node's counterfactual may be an *unqueried* node.

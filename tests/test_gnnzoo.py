@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.core import EncoderModule, FairwosConfig, FairwosTrainer
 from repro.gnnzoo import GAT, GCN, GIN, GraphSAGE, make_backbone
-from repro.tensor import Tensor
+from repro.gnnzoo.base import GNNBackbone
+from repro.tensor import Tensor, dtype_scope
 from repro.tensor import ops
+from repro.training import embed_batched, fit_minibatch, predict_logits_batched
 
 BACKBONES = ["gcn", "gin", "gat", "sage"]
 
@@ -147,3 +152,171 @@ class TestMessagePassingSemantics:
         np.testing.assert_allclose(
             logits.data, model(feats, tiny_graph.adjacency).data
         )
+
+
+def _spmm_every_call(self, matrix, h):
+    """The un-memoised aggregation: a fresh ``ops.spmm`` on every call."""
+    return ops.spmm(matrix, h)
+
+
+@pytest.fixture
+def count_spmm(monkeypatch):
+    """Count every ``ops.spmm`` call made after the fixture is requested."""
+    calls = []
+    spmm = ops.spmm
+
+    def counting(matrix, dense):
+        calls.append(None)
+        return spmm(matrix, dense)
+
+    monkeypatch.setattr(ops, "spmm", counting)
+    return calls
+
+
+def _fit_fullbatch(name, dtype, graph, epochs=6):
+    """A multi-epoch full-batch fit; returns everything it produced."""
+    with dtype_scope(dtype):
+        model = make_backbone(name, graph.num_features, 8, np.random.default_rng(0))
+        history = fit_minibatch(
+            model,
+            graph.features,
+            graph.adjacency,
+            graph.labels,
+            graph.train_mask,
+            graph.val_mask,
+            epochs=epochs,
+            batch_size=None,
+            lr=0.05,
+            rng=0,
+        )
+        logits = predict_logits_batched(
+            model, graph.features, graph.adjacency, batch_size=None
+        )
+    return model.state_dict(), history, logits
+
+
+class TestPropagationMemo:
+    """The one-slot memo of the first layer's full-graph aggregation."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("name", ["gcn", "sage", "gin"])
+    def test_fullbatch_fit_bit_identical_to_fresh_products(
+        self, name, dtype, small_graph, monkeypatch
+    ):
+        memo_state, memo_history, memo_logits = _fit_fullbatch(name, dtype, small_graph)
+        monkeypatch.setattr(GNNBackbone, "_propagate", _spmm_every_call)
+        state, history, logits = _fit_fullbatch(name, dtype, small_graph)
+        assert memo_state.keys() == state.keys()
+        for key, value in state.items():
+            assert memo_state[key].dtype == value.dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(memo_state[key], value, err_msg=key)
+        assert memo_history.train_loss == history.train_loss
+        assert memo_history.val_accuracy == history.val_accuracy
+        assert memo_logits.dtype == logits.dtype
+        np.testing.assert_array_equal(memo_logits, logits)
+
+    def test_fullbatch_fairwos_fit_bit_identical(self, small_graph, monkeypatch):
+        config = FairwosConfig(
+            encoder_epochs=8,
+            classifier_epochs=8,
+            finetune_epochs=3,
+            patience=None,
+            top_k=2,
+            encoder_dim=4,
+        )
+
+        def fit():
+            trainer = FairwosTrainer(config)
+            result = trainer.fit(small_graph, seed=0)
+            return result, trainer.classifier.state_dict(), trainer.predict(small_graph)
+
+        memo_result, memo_state, memo_logits = fit()
+        monkeypatch.setattr(GNNBackbone, "_propagate", _spmm_every_call)
+        result, state, logits = fit()
+        np.testing.assert_array_equal(memo_logits, logits)
+        for key, value in state.items():
+            np.testing.assert_array_equal(memo_state[key], value, err_msg=key)
+        np.testing.assert_array_equal(
+            memo_result.pseudo_attributes, result.pseudo_attributes
+        )
+        np.testing.assert_array_equal(
+            memo_result.lambda_weights, result.lambda_weights
+        )
+        assert memo_result.history == result.history
+        assert memo_result.counterfactual_coverage == result.counterfactual_coverage
+
+    def test_fullbatch_fit_aggregates_input_at_most_twice(
+        self, small_graph, count_spmm
+    ):
+        """Ten training steps and ten validation passes share one product."""
+        model = GCN(small_graph.num_features, 8, np.random.default_rng(0))
+        fit_minibatch(
+            model,
+            small_graph.features,
+            small_graph.adjacency,
+            small_graph.labels,
+            small_graph.train_mask,
+            small_graph.val_mask,
+            epochs=10,
+            batch_size=None,
+            rng=0,
+        )
+        assert 1 <= len(count_spmm) <= 2
+
+    def test_grad_input_gets_fresh_product_every_step(self, tiny_graph, count_spmm):
+        model = GCN(4, 8, np.random.default_rng(0))
+        features = Tensor(tiny_graph.features, requires_grad=True)
+        for _ in range(3):
+            model(features, tiny_graph.adjacency)
+        assert len(count_spmm) == 3
+        assert model._propagated is None
+
+    def test_dropout_step_gets_fresh_product_every_step(self, tiny_graph, count_spmm):
+        model = GCN(4, 8, np.random.default_rng(0), dropout=0.5)
+        features = Tensor(tiny_graph.features)
+        outputs = [model(features, tiny_graph.adjacency).data for _ in range(3)]
+        assert len(count_spmm) == 3
+        # Each step aggregated its own dropped-out input.
+        assert not np.array_equal(outputs[0], outputs[1])
+
+    @pytest.mark.parametrize("infer", [predict_logits_batched, embed_batched])
+    def test_one_shot_inference_leaves_memo_empty(self, small_graph, infer):
+        model = GCN(small_graph.num_features, 8, np.random.default_rng(0))
+        infer(model, small_graph.features, small_graph.adjacency, batch_size=None)
+        assert model._propagated is None
+
+    def test_sampled_pretrain_and_extract_leave_memo_empty(self, small_graph):
+        encoder = EncoderModule(small_graph.num_features, 4, np.random.default_rng(0))
+        features = Tensor(small_graph.features)
+        encoder.pretrain(
+            features,
+            small_graph.adjacency,
+            small_graph.labels,
+            small_graph.train_mask,
+            small_graph.val_mask,
+            epochs=2,
+            minibatch=True,
+            batch_size=64,
+            rng=np.random.default_rng(0),
+        )
+        assert encoder.network._propagated is None
+        encoder.extract(features, small_graph.adjacency)
+        assert encoder.network._propagated is None
+
+    def test_memo_ignores_recycled_arrays(self, tiny_graph):
+        """A new input array must never be served a dead array's product,
+        even if it reuses the dead array's ``id``."""
+        model = GCN(4, 8, np.random.default_rng(0))
+        a_hat = model._cached_propagation(tiny_graph.adjacency)
+        stale = np.ones((6, 4))
+        stale_product = ops.spmm(a_hat, Tensor(stale))
+        # Plant the stale entry, then free its array, as if ``fresh`` were
+        # about to be allocated where ``stale`` lived.
+        model._propagated = (weakref.ref(a_hat), weakref.ref(stale), stale_product)
+        del stale
+        assert model._propagated[1]() is None
+        fresh = Tensor(np.full((6, 4), 2.0))
+        got = model._propagate(a_hat, fresh)
+        assert got is not stale_product
+        np.testing.assert_array_equal(got.data, ops.spmm(a_hat, fresh).data)
+        assert model._propagated[1]() is fresh.data

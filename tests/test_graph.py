@@ -108,11 +108,68 @@ class TestGraphContainer:
         assert "tiny" in tiny_graph.summary()
 
 
+def _add_self_loops_lil(adjacency: sp.spmatrix) -> sp.csr_matrix:
+    """The LIL oracle: ``setdiag`` on a list-of-lists copy, one row at a time."""
+    adjacency = adjacency.tolil(copy=True)
+    adjacency.setdiag(1.0)
+    return adjacency.tocsr()
+
+
+@st.composite
+def _raw_csr(draw):
+    """A square CSR as stored, not canonicalised: rows may be empty,
+    unsorted, repeat a column or hold an explicit zero, and the diagonal
+    may already be present."""
+    n = draw(st.integers(0, 8))
+    counts = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    nnz = int(sum(counts))
+    indices = draw(
+        st.lists(st.integers(0, max(n - 1, 0)), min_size=nnz, max_size=nnz)
+    )
+    data = draw(
+        st.lists(st.sampled_from([0.0, 1.0, 2.5, -1.0]), min_size=nnz, max_size=nnz)
+    )
+    indptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    return sp.csr_matrix(
+        (np.asarray(data, dtype=dtype), np.asarray(indices, dtype=np.int32), indptr),
+        shape=(n, n),
+    )
+
+
 class TestNormalization:
     def test_add_self_loops(self, tiny_adjacency):
         looped = add_self_loops(tiny_adjacency)
         np.testing.assert_allclose(looped.diagonal(), 1.0)
         assert looped.nnz == tiny_adjacency.nnz + 6
+
+    @settings(deadline=None)
+    @given(adjacency=_raw_csr())
+    def test_add_self_loops_matches_lil_oracle(self, adjacency):
+        """Byte-identical to the LIL build: sorted indices, the input's
+        dtype, duplicates summed, off-diagonal explicit zeros kept and every
+        diagonal entry (present, zero or duplicated) set to exactly 1."""
+        expected = _add_self_loops_lil(adjacency.copy())
+        got = add_self_loops(adjacency.copy())
+        assert type(got) is type(expected)
+        assert got.shape == expected.shape
+        assert got.has_sorted_indices
+        for name in ("indptr", "indices", "data"):
+            got_array, expected_array = getattr(got, name), getattr(expected, name)
+            assert got_array.dtype == expected_array.dtype, name
+            np.testing.assert_array_equal(got_array, expected_array, err_msg=name)
+
+    def test_add_self_loops_leaves_input_untouched(self):
+        adjacency = sp.csr_matrix(
+            (np.array([1.0, 2.0, 3.0]), np.array([2, 0, 2]), np.array([0, 3, 3, 3])),
+            shape=(3, 3),
+        )
+        stored = [adjacency.indptr.copy(), adjacency.indices.copy(), adjacency.data.copy()]
+        add_self_loops(adjacency)
+        for before, after in zip(
+            stored, (adjacency.indptr, adjacency.indices, adjacency.data)
+        ):
+            np.testing.assert_array_equal(before, after)
 
     def test_gcn_normalize_symmetric(self, tiny_adjacency):
         norm = gcn_normalize(tiny_adjacency)

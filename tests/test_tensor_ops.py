@@ -88,6 +88,38 @@ class TestArithmeticGradients:
         w = rng.standard_normal(cols)
         assert gradcheck(lambda a, b: ops.sum(ops.mul(ops.matmul(a, b), w)), [a, b])
 
+    @pytest.mark.parametrize(
+        "shapes",
+        [((5, 4), (4, 3)), ((5, 4), (4,)), ((4,), (4, 3)), ((4,), (4,))],
+        ids=["matrix_matrix", "matrix_vector", "vector_matrix", "dot"],
+    )
+    @pytest.mark.parametrize("constant", ["a", "b"])
+    def test_matmul_skips_constant_adjoint(self, rng, shapes, constant):
+        """A constant operand gets ``None``; the other adjoint is the exact
+        formula the op computed for both operands before it skipped one."""
+        x, y = rng.standard_normal(shapes[0]), rng.standard_normal(shapes[1])
+        a = Tensor(x, requires_grad=constant != "a")
+        b = Tensor(y, requires_grad=constant != "b")
+        out = ops.matmul(a, b)
+        grad = rng.standard_normal(out.shape)
+        grad_a, grad_b = out._backward_fn(grad)
+        if constant == "a":
+            assert grad_a is None
+            if x.ndim == 1:
+                expected = np.outer(x, grad) if y.ndim == 2 else grad * x
+            else:
+                expected = x.T @ grad
+            got = grad_b
+        else:
+            assert grad_b is None
+            if y.ndim == 1:
+                expected = np.outer(grad, y) if x.ndim == 2 else grad * y
+            else:
+                expected = grad @ y.T
+            got = grad_a
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
     def test_linear_on_one_feature_vector(self, rng):
         layer = Linear(4, 3, rng)
         x = _t(rng, 4)
