@@ -4,9 +4,9 @@ The exact counterfactual search (Eq. 12) is an O(N²·I) distance scan — fine
 up to ~10k nodes, prohibitive beyond.  This module provides its two
 backends:
 
-* :func:`exact_topk` — the brute-force oracle, shared verbatim by the exact
-  backend and by exhaustive-probe forest queries so the two are
-  bit-identical;
+* :func:`exact_topk` — brute-force top-``k`` over one candidate list, ranked
+  by (distance, candidate position); exhaustive-probe forest queries and
+  :meth:`ExactBackend.topk` rank through it;
 * :class:`RPForestIndex` — a numpy random-projection-tree forest (Dasgupta
   & Freund, "Random projection trees and low dimensional manifolds", STOC
   2008) with ``build(X)`` / ``query(Q, k, mask=...)``, where the boolean
@@ -17,8 +17,12 @@ backends:
 * :class:`ExactBackend` / :class:`AnnBackend` — the two backends
   :class:`~repro.core.counterfactual.CounterfactualSearch` calls through
   ``prepare(points)`` and ``topk_counterfactuals(...)``: the exact one
-  ranks one (label, attribute, side) bucket at a time, the ANN one makes
-  one ``query_counterfactuals`` pass.
+  ranks each query node's nearest same-label members once and filters
+  that ranking per attribute, the ANN one makes one
+  ``query_counterfactuals`` pass.
+
+Every ranking path breaks distance ties the same way: a bucket's hits are
+the first ``k`` of a stable argsort by (squared L2 distance, ascending id).
 
 Design notes
 ------------
@@ -50,8 +54,22 @@ ranking every node once per attribute.
 ``query(..., probes="exhaustive")`` bypasses the trees and ranks *every*
 masked candidate through :func:`exact_topk` — the property tests use this
 to prove the forest's plumbing (masking, padding, refreshed coordinates)
-exactly reproduces the oracle.  A search that wants exact answers runs
-the exact backend over the index's points.
+reproduces the exact answer.  It equals the exact backend's search by
+ranking, not by distance bits: the two compute their distances in GEMMs
+of different shapes, which may round the last bit differently.  A search
+that wants exact answers runs the exact backend over the index's points.
+
+The exact search
+----------------
+:meth:`ExactBackend.topk_counterfactuals` answers a whole search in one
+pass per label.  It computes one distance block between the label's query
+rows and all of its members (``‖q‖² − 2·q·mᵀ + ‖m‖²``, a few rows at a
+time within :data:`_GATHER_BYTES`).  Each row's :data:`_EXACT_PREFIX`
+nearest members are ranked once by (distance, id), and each attribute
+keeps the first ``k`` opposite-side members of that prefix.  The prefix
+cannot settle a (row, attribute) pair that holds fewer than ``k`` of them
+while its bucket has more; only those pairs pick over the bucket's columns
+of the same block.
 
 Incremental maintenance
 -----------------------
@@ -79,6 +97,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.graph.utils import sorted_unique
+
 __all__ = [
     "EXHAUSTIVE",
     "RPForestIndex",
@@ -90,7 +110,7 @@ __all__ = [
 ]
 
 #: Sentinel for :meth:`RPForestIndex.query`'s ``probes`` — rank every masked
-#: candidate by brute force (bit-identical to :class:`ExactBackend`).
+#: candidate by brute force (the exact answer, like :class:`ExactBackend`).
 EXHAUSTIVE = "exhaustive"
 
 
@@ -116,9 +136,11 @@ def exact_topk(
 
     Returns
     -------
-    ``(Q, min(k, len(candidate_ids)))`` int64 array of candidate ids, each
-    row ordered by ascending squared L2 distance.
+    ``(Q, min(k, len(candidate_ids)))`` int64 array of candidate ids: the
+    first ``k`` of a stable argsort of each row by squared L2 distance.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     queries = np.asarray(queries, dtype=np.float64)
     candidate_ids = np.asarray(candidate_ids, dtype=np.int64).reshape(-1)
     candidate_reprs = points[candidate_ids]
@@ -128,17 +150,7 @@ def exact_topk(
         - 2.0 * queries @ candidate_reprs.T
         + (candidate_reprs**2).sum(axis=1)[None, :]
     )
-    k_eff = min(k, candidate_ids.size)
-    if k_eff < candidate_ids.size:
-        top = np.argpartition(distances, k_eff - 1, axis=1)[:, :k_eff]
-        # Order the selected k by distance for determinism.
-        row_order = np.take_along_axis(distances, top, axis=1).argsort(axis=1)
-        top = np.take_along_axis(top, row_order, axis=1)
-    else:
-        # Stable, like every other ranking path: duplicate distances break
-        # ties by candidate position (ascending id for sorted candidates).
-        top = distances.argsort(axis=1, kind="stable")
-    return candidate_ids[top]
+    return candidate_ids[_select_topk(distances, k)]
 
 
 @dataclass(frozen=True)
@@ -930,7 +942,15 @@ class RPForestIndex:
 
 
 _INACTIVE = np.iinfo(np.int64).min  # "no start node" marker for greedy descent
-_GATHER_BYTES = 4 << 20  # per-block candidate-coordinate gather of _distances
+# Per-block budget of _distances' candidate-coordinate gather and of the
+# exact search's distance block, which bounds peak memory however many rows
+# a search queries.
+_GATHER_BYTES = 4 << 20
+# Nearest same-label members the exact search ranks per row before its
+# per-attribute filter (raised to K when K is larger).  64 ran fastest of
+# 32/64/128/256 on the Table I graphs; at 256 the search is slower than one
+# scan per bucket.
+_EXACT_PREFIX = 64
 
 
 def _num_splits(size: int, leaf_size: int) -> int:
@@ -1018,7 +1038,12 @@ def _pick(cands: np.ndarray, dist: np.ndarray, k: int) -> np.ndarray:
 # Counterfactual-search backends
 # --------------------------------------------------------------------- #
 class ExactBackend:
-    """Brute-force oracle backend (the original O(N²) scan)."""
+    """Exact backend: brute-force distances, ranked by (distance, id).
+
+    :meth:`topk_counterfactuals` answers a whole counterfactual search in
+    one pass per label (see the module notes); :meth:`topk` ranks one
+    candidate list through :func:`exact_topk`.
+    """
 
     name = "exact"
 
@@ -1046,32 +1071,74 @@ class ExactBackend:
         attributes: np.ndarray,
         k: int,
     ) -> np.ndarray:
-        """Counterfactual top-``k`` through one :meth:`topk` call per bucket.
+        """Counterfactual top-``k`` of every query node for every attribute,
+        in one pass per label.
 
-        A bucket is one (label, attribute, side): its members query the
-        same-label members on the other side of ``attributes[:, i] == 1``,
-        listed by ascending id (the distance tie-break).  Buckets with an
-        empty side are skipped, and members outside ``query_ids`` are not
-        queried.
+        Row ``[i, j]`` holds the first ``k`` of node ``query_ids[j]``'s
+        bucket for attribute ``i`` — the members of its label on the other
+        side of ``attributes[:, i] == 1`` — in a stable argsort by (squared
+        L2 distance, ascending id).  A row whose bucket is smaller than
+        ``k`` keeps what the bucket has.
 
         Returns ``(I, len(query_ids), k)`` int64 hits, ``-1``-padded.
         """
-        num_points, num_attrs = attributes.shape
+        if self._points is None:
+            raise RuntimeError("call prepare() before topk_counterfactuals()")
+        points = self._points
+        num_attrs = attributes.shape[1]
         found = np.full((num_attrs, query_ids.size, k), -1, dtype=np.int64)
-        position = np.full(num_points, -1, dtype=np.int64)
-        position[query_ids] = np.arange(query_ids.size)
-        for label in np.unique(labels):
+        norms = (points**2).sum(axis=1)
+        sides = attributes == 1
+        query_labels = labels[query_ids]
+        width = max(_EXACT_PREFIX, k)
+        for label in sorted_unique(query_labels):
             members = np.flatnonzero(labels == label)
-            for attr in range(num_attrs):
-                side1 = attributes[members, attr] == 1
-                group_a, group_b = members[~side1], members[side1]
-                if group_a.size == 0 or group_b.size == 0:
-                    continue
-                for queries, candidates in ((group_a, group_b), (group_b, group_a)):
-                    queries = queries[position[queries] >= 0]
-                    if queries.size:
-                        hits = self.topk(queries, candidates, k)
-                        found[attr, position[queries], : hits.shape[1]] = hits
+            member_points, member_norms = points[members], norms[members]
+            member_sides = np.ascontiguousarray(sides[members].T)  # (I, M)
+            ones = member_sides.sum(axis=1)[:, None]
+            positions = np.flatnonzero(query_labels == label)
+            # The (rows, M) distance block and the (I, rows, width) ranks
+            # both stay within the budget.
+            rows = max(
+                1, _GATHER_BYTES // (8 * max(members.size, num_attrs * width))
+            )
+            for start in range(0, positions.size, rows):
+                pos = positions[start : start + rows]
+                ids = query_ids[pos]
+                # ‖q‖² − 2·q·mᵀ + ‖m‖² as exact_topk computes it,
+                # assembled in place.
+                dist = points[ids] @ member_points.T
+                dist *= -2.0
+                dist += norms[ids][:, None]
+                dist += member_norms
+                prefix = _select_topk(dist, width)
+                row_sides = sides[ids].T  # (I, rows)
+                opposite = member_sides[:, prefix] != row_sides[:, :, None]
+                # Per (attribute, row): the prefix positions of the first k
+                # opposite-side members, in prefix order.
+                first = np.argsort(~opposite, axis=2, kind="stable")[:, :, :k]
+                hits = np.take_along_axis(members[prefix][None], first, axis=2)
+                count = opposite.sum(axis=2)
+                hits[np.arange(hits.shape[2]) >= count[:, :, None]] = -1
+                found[:, pos, : hits.shape[2]] = hits
+                # The prefix settles a pair once it holds k opposite-side
+                # members or the whole bucket; the rest rank the bucket's
+                # columns of the block.
+                bucket = np.where(row_sides, members.size - ones, ones)
+                unsettled = count < np.minimum(bucket, k)
+                for attr in np.flatnonzero(unsettled.any(axis=1)):
+                    for side in (False, True):
+                        rest = np.flatnonzero(
+                            unsettled[attr] & (row_sides[attr] == side)
+                        )
+                        if rest.size:
+                            cols = np.flatnonzero(member_sides[attr] != side)
+                            block = dist[rest[:, None], cols]
+                            found[attr, pos[rest]] = _pick(
+                                np.broadcast_to(members[cols], block.shape),
+                                block,
+                                k,
+                            )
         return found
 
 

@@ -14,9 +14,14 @@ every counterfactual returned here is an observed, plausible configuration.
 
 The nearest-neighbour ranking is delegated to one of two backends
 (:mod:`repro.core.ann`), which fills an ``(I, Q, K)`` array of hits; one
-vectorised step then cycles short rows and self-points empty ones.
-``backend="exact"`` is the original O(N²) scan and stays the oracle: it
-ranks one (label, attribute, side) bucket at a time.  ``backend="ann"``
+vectorised step then cycles short rows and self-points empty ones.  Both
+rank a bucket by (squared L2 distance, ascending id).
+``backend="exact"`` is an O(N²) scan and stays the oracle.  It answers
+the whole search in one pass per label: one distance block between the
+label's query nodes and all of its members, each node's nearest members
+ranked once, and each attribute keeping the first K opposite-side members
+of that ranking; only a (node, attribute) pair the ranked prefix cannot
+settle picks over its whole bucket.  ``backend="ann"``
 answers the whole search in one pass over a random-projection forest —
 each node's candidate row (descent, leaf gather, dedupe, distances) is
 built once, blanked to the node's label, and then per attribute blanked to

@@ -4,6 +4,9 @@ Every function takes tensors (or array-likes, which are promoted to constant
 tensors), computes the forward value with numpy, and registers a closure that
 maps the output gradient to per-parent gradients.  Broadcasting ops reduce
 gradients back to parent shapes with :func:`repro.tensor.tensor.unbroadcast`.
+A two-operand op returns ``None`` for an operand that does not require
+gradients (checked when the closure runs), so a constant operand such as a
+dropout mask or the input features costs no adjoint product.
 
 The sparse-dense product :func:`spmm` accepts a *constant* ``scipy.sparse``
 matrix on the left (graph adjacency matrices never require gradients in this
@@ -69,7 +72,10 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def backward(grad):
-        return unbroadcast(grad, a.shape), unbroadcast(grad, b.shape)
+        return (
+            unbroadcast(grad, a.shape) if a.requires_grad else None,
+            unbroadcast(grad, b.shape) if b.requires_grad else None,
+        )
 
     return Tensor.from_op(out, (a, b), backward)
 
@@ -90,7 +96,10 @@ def sub(a, b) -> Tensor:
     out = a.data - b.data
 
     def backward(grad):
-        return unbroadcast(grad, a.shape), unbroadcast(-grad, b.shape)
+        return (
+            unbroadcast(grad, a.shape) if a.requires_grad else None,
+            unbroadcast(-grad, b.shape) if b.requires_grad else None,
+        )
 
     return Tensor.from_op(out, (a, b), backward)
 
@@ -102,8 +111,8 @@ def mul(a, b) -> Tensor:
 
     def backward(grad):
         return (
-            unbroadcast(grad * b.data, a.shape),
-            unbroadcast(grad * a.data, b.shape),
+            unbroadcast(grad * b.data, a.shape) if a.requires_grad else None,
+            unbroadcast(grad * a.data, b.shape) if b.requires_grad else None,
         )
 
     return Tensor.from_op(out, (a, b), backward)
@@ -116,8 +125,10 @@ def div(a, b) -> Tensor:
 
     def backward(grad):
         return (
-            unbroadcast(grad / b.data, a.shape),
-            unbroadcast(-grad * a.data / (b.data**2), b.shape),
+            unbroadcast(grad / b.data, a.shape) if a.requires_grad else None,
+            unbroadcast(-grad * a.data / (b.data**2), b.shape)
+            if b.requires_grad
+            else None,
         )
 
     return Tensor.from_op(out, (a, b), backward)
@@ -302,8 +313,8 @@ def maximum(a, b) -> Tensor:
 
     def backward(grad):
         return (
-            unbroadcast(grad * take_a, a.shape),
-            unbroadcast(grad * ~take_a, b.shape),
+            unbroadcast(grad * take_a, a.shape) if a.requires_grad else None,
+            unbroadcast(grad * ~take_a, b.shape) if b.requires_grad else None,
         )
 
     return Tensor.from_op(out, (a, b), backward)
@@ -317,8 +328,8 @@ def where(condition, a, b) -> Tensor:
 
     def backward(grad):
         return (
-            unbroadcast(grad * condition, a.shape),
-            unbroadcast(grad * ~condition, b.shape),
+            unbroadcast(grad * condition, a.shape) if a.requires_grad else None,
+            unbroadcast(grad * ~condition, b.shape) if b.requires_grad else None,
         )
 
     return Tensor.from_op(out, (a, b), backward)
@@ -341,7 +352,10 @@ def squared_distance(a, b) -> Tensor:
 
     def backward(grad):
         g = 2.0 * np.expand_dims(np.asarray(grad), -1) * diff
-        return unbroadcast(g, a.shape), unbroadcast(-g, b.shape)
+        return (
+            unbroadcast(g, a.shape) if a.requires_grad else None,
+            unbroadcast(-g, b.shape) if b.requires_grad else None,
+        )
 
     return Tensor.from_op(out, (a, b), backward)
 

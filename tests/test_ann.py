@@ -129,6 +129,37 @@ class TestDuplicateDistanceTies:
         out = exact_topk(X, query, np.array([2, 1, 4, 3]), k=4)
         np.testing.assert_array_equal(out[0], [2, 1, 4, 3])
 
+    def test_partial_pick_breaks_ties_by_candidate_position(self):
+        """``k`` below the candidate count cuts through tied distances: the
+        earliest candidates of the tie are kept, in candidate order."""
+        X = np.array(
+            [[9, 9], [-1, -1], [-1, -1], [-1, -1], [1, 0], [1, 0], [0, 1],
+             [1, 0], [0, 0], [1, -1]],
+            dtype=np.float64,
+        )
+        out = exact_topk(X, np.zeros((1, 2)), np.arange(1, 10), k=7)
+        np.testing.assert_array_equal(out[0], [8, 4, 5, 6, 7, 1, 2])
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 12))
+    def test_grid_ties_follow_stable_argsort(self, seed, k):
+        """Integer-grid points make distances exact and often equal; any
+        candidate order is the tie-break."""
+        rng = np.random.default_rng(seed)
+        X = rng.integers(-2, 3, size=(40, 2)).astype(np.float64)
+        candidates = rng.permutation(40)[: int(rng.integers(1, 40))]
+        queries = X[rng.integers(0, 40, size=5)]
+        dist = ((queries[:, None, :] - X[candidates][None, :, :]) ** 2).sum(axis=2)
+        expected = candidates[np.argsort(dist, axis=1, kind="stable")[:, :k]]
+        np.testing.assert_array_equal(
+            exact_topk(X, queries, candidates, k), expected
+        )
+
+    def test_rejects_k_below_one(self):
+        X = np.random.default_rng(2).normal(size=(5, 2))
+        with pytest.raises(ValueError, match="k must be"):
+            exact_topk(X, X[:1], np.arange(5), 0)
+
     def test_many_duplicate_distances_stay_deterministic(self):
         rng = np.random.default_rng(0)
         base = rng.normal(size=(8, 3))

@@ -1,4 +1,4 @@
-"""Parity harness for the single-pass ANN counterfactual search.
+"""Parity harness for the single-pass counterfactual searches.
 
 The ANN backend answers a whole search in one forest pass: each query node
 gets one candidate row (descent, leaf gather, dedupe, distances), blanked
@@ -15,6 +15,12 @@ The references build their candidate rows from a per-tree recorded
 descent, each tree walked on its own; the index descends every tree at
 once over stacked split planes, and its candidate rows must match the
 per-tree ones exactly.
+
+The exact backend answers a search in one pass per label: one distance
+block per label, each row's nearest members ranked once, each attribute
+filtering that prefix, and a per-bucket pick only where the prefix cannot
+settle a (row, attribute) pair.  Its oracle, ``_reference_exact_search``,
+is the per-bucket search: one ``exact_topk`` per bucket.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CounterfactualSearch, ExecutionConfig
-from repro.core.ann import RPForestIndex, _select_topk
+from repro.core import ann
+from repro.core.ann import RPForestIndex, _select_topk, exact_topk
 from repro.experiments.methods import run_method
 from repro.io import load_artifact, save_artifact
 
@@ -136,8 +143,15 @@ def _reference_query(index, Q, k, mask=None, probes=None):
     return out
 
 
-def _reference_search(index, labels, attrs, k, nodes=None, probes=None):
-    """One masked reference query per (label, attribute, side) bucket."""
+def _bucket_search(labels, attrs, k, answer, nodes=None):
+    """The search one (label, attribute, side) bucket at a time.
+
+    ``answer(queries, candidates)`` ranks a bucket's candidates (ascending
+    ids) for its queried members: hits left-aligned, ``-1``-padded or cut
+    short.  Returns ``(indices, valid)`` laid out as a
+    :class:`~repro.core.CounterfactualIndex`: short rows cycle, empty and
+    unqueried rows self-point.
+    """
     n, num_attrs = attrs.shape
     indices = np.tile(np.arange(n)[:, None], (num_attrs, 1, k))
     valid = np.zeros((num_attrs, n), dtype=bool)
@@ -156,17 +170,41 @@ def _reference_search(index, labels, attrs, k, nodes=None, probes=None):
                 queries = queries[queried[queries]]
                 if queries.size == 0:
                     continue
-                mask = np.zeros(n, dtype=bool)
-                mask[candidates] = True
-                found = _reference_query(
-                    index, index.points[queries], k, mask=mask, probes=probes
-                )
+                found = answer(queries, candidates)
                 counts = (found >= 0).sum(axis=1)
                 rows = np.flatnonzero(counts)
                 cols = np.arange(k)[None, :] % counts[rows][:, None]
                 indices[attr, queries[rows]] = found[rows[:, None], cols]
                 valid[attr, queries[rows]] = True
     return indices, valid
+
+
+def _reference_search(index, labels, attrs, k, nodes=None, probes=None):
+    """One masked reference query per (label, attribute, side) bucket."""
+
+    def answer(queries, candidates):
+        mask = np.zeros(index.num_points, dtype=bool)
+        mask[candidates] = True
+        return _reference_query(
+            index, index.points[queries], k, mask=mask, probes=probes
+        )
+
+    return _bucket_search(labels, attrs, k, answer, nodes)
+
+
+def _reference_exact_search(points, labels, attrs, k, nodes=None, topk=exact_topk):
+    """The exact search one bucket at a time: one
+    ``topk(points, queries, candidate_ids, k)`` per (label, attribute, side)
+    bucket, its candidates in ascending id (:func:`exact_topk` by
+    default)."""
+    points = np.asarray(points, dtype=np.float64)
+    return _bucket_search(
+        labels,
+        attrs,
+        k,
+        lambda queries, candidates: topk(points, points[queries], candidates, k),
+        nodes,
+    )
 
 
 def _tied_data(seed, n, dim=3, num_attrs=3):
@@ -412,6 +450,89 @@ class TestSearchParity:
             _assert_same(
                 result, _reference_search(search.backend.index, labels, attrs, 4)
             )
+
+
+# --------------------------------------------------------------------- #
+# The exact search
+# --------------------------------------------------------------------- #
+def _exact_case(seed, n, num_attrs, tied, num_labels):
+    """Integer-grid copies (``_tied_data``) or normal floats, with about a
+    fifth of the attribute columns one-sided: their buckets are empty."""
+    rng = np.random.default_rng(seed)
+    if tied:
+        reps, _, attrs = _tied_data(seed, n, num_attrs=num_attrs)
+    else:
+        reps = rng.normal(size=(n, 4))
+        attrs = rng.integers(0, 2, size=(n, num_attrs))
+    one_sided = rng.random(num_attrs) < 0.2
+    attrs[:, one_sided] = rng.integers(0, 2, size=int(one_sided.sum()))
+    return reps, rng.integers(0, num_labels, size=n), attrs
+
+
+class TestExactSearchParity:
+    """The exact backend ranks each node's nearest same-label members once
+    and filters that ranking per attribute; the oracle runs one
+    ``exact_topk`` per bucket.  ``indices`` and ``valid`` must be equal.
+    On ``_tied_data`` every distance is a small integer, exact in any GEMM
+    order, so ties are compared bit for bit."""
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 12),
+        num_attrs=st.integers(1, 70),
+        num_labels=st.integers(1, 3),
+        tied=st.booleans(),
+        subset=st.booleans(),
+        float32=st.booleans(),
+    )
+    def test_matches_bucket_search(
+        self, seed, k, num_attrs, num_labels, tied, subset, float32
+    ):
+        """Small buckets (K often exceeds them), empty sides, one to three
+        labels, unsorted ``nodes=`` with repeats and float32 inputs."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 160))
+        reps, labels, attrs = _exact_case(seed, n, num_attrs, tied, num_labels)
+        if float32:
+            reps = reps.astype(np.float32)
+        nodes = rng.integers(0, n, size=int(rng.integers(0, 2 * n))) if subset else None
+        result = CounterfactualSearch(top_k=k).search(reps, labels, attrs, nodes=nodes)
+        _assert_same(result, _reference_exact_search(reps, labels, attrs, k, nodes))
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 6),
+        budget=st.sampled_from([1, 2_000, 4 << 20]),
+        whole_label=st.booleans(),
+        tied=st.booleans(),
+    )
+    def test_forced_paths(self, seed, k, budget, whole_label, tied):
+        """A prefix of K members, one of them the node itself, leaves nearly
+        every pair to the fallback pick; a prefix as long as the label
+        leaves none.  The small row budgets split each label into several
+        chunks."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(40, 160))
+        reps, labels, attrs = _exact_case(seed, n, int(rng.integers(1, 8)), tied, 2)
+        picked = []
+        pick = ann._pick
+
+        def spy(cands, dist, k):
+            picked.append(dist.shape[0])
+            return pick(cands, dist, k)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ann, "_GATHER_BYTES", budget)
+            patch.setattr(ann, "_EXACT_PREFIX", n if whole_label else 1)
+            patch.setattr(ann, "_pick", spy)
+            result = CounterfactualSearch(top_k=k).search(reps, labels, attrs)
+        _assert_same(result, _reference_exact_search(reps, labels, attrs, k))
+        if whole_label:
+            assert not picked
+        else:
+            assert sum(picked) >= result.valid.sum() / 2
 
 
 # --------------------------------------------------------------------- #

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import CounterfactualSearch, ExactBackend, RPForestIndex
 from repro.core.ann import EXHAUSTIVE
+from test_cf_single_pass import _reference_exact_search
 
 
 class TestSearchBasics:
@@ -138,29 +139,10 @@ class TestValidationAndOptions:
         np.testing.assert_array_equal(a.valid, b.valid)
 
 
-class _ExhaustiveForest(ExactBackend):
-    """The exact backend's per-bucket search, each bucket answered by
-    exhaustive probing of a random-projection forest."""
-
-    def __init__(self, seed):
-        super().__init__()
-        self.seed = seed
-
-    def prepare(self, points):
-        self.index = RPForestIndex(seed=self.seed).build(points)
-
-    def topk(self, query_ids, candidate_ids, k):
-        mask = np.zeros(self.index.num_points, dtype=bool)
-        mask[candidate_ids] = True
-        return self.index.query(
-            self.index.points[query_ids], k, mask=mask, probes=EXHAUSTIVE
-        )
-
-
 class TestBackends:
     """The exact path stays the oracle; the ANN path must never violate the
-    counterfactual constraints, and its forest reproduces the oracle
-    bit-for-bit under exhaustive probing."""
+    counterfactual constraints, and its forest reproduces the exact answer
+    under exhaustive probing."""
 
     @staticmethod
     def _data(seed, n=120, dim=5, num_attrs=3):
@@ -174,13 +156,21 @@ class TestBackends:
     @settings(deadline=None)
     @given(seed=st.integers(0, 5000), k=st.integers(1, 6))
     def test_ann_exhaustive_bit_for_bit(self, seed, k):
+        """The per-bucket oracle with every bucket answered by exhaustive
+        probing of a forest gives the exact backend's indices, bit for
+        bit."""
         reps, labels, attrs = self._data(seed)
         exact = CounterfactualSearch(top_k=k).search(reps, labels, attrs)
-        ann = CounterfactualSearch(
-            top_k=k, backend=_ExhaustiveForest(seed)
-        ).search(reps, labels, attrs)
-        np.testing.assert_array_equal(exact.indices, ann.indices)
-        np.testing.assert_array_equal(exact.valid, ann.valid)
+        index = RPForestIndex(seed=seed).build(reps)
+
+        def probe(points, queries, candidate_ids, k):
+            mask = np.zeros(index.num_points, dtype=bool)
+            mask[candidate_ids] = True
+            return index.query(queries, k, mask=mask, probes=EXHAUSTIVE)
+
+        ann = _reference_exact_search(reps, labels, attrs, k, topk=probe)
+        np.testing.assert_array_equal(exact.indices, ann[0])
+        np.testing.assert_array_equal(exact.valid, ann[1])
 
     @settings(deadline=None)
     @given(seed=st.integers(0, 5000))

@@ -9,6 +9,52 @@ import scipy.sparse as sp
 from repro.nn import Linear
 from repro.tensor import Tensor, dtype_scope, gradcheck
 from repro.tensor import ops
+from repro.tensor.tensor import unbroadcast
+
+
+def _squared_distance_adjoint(grad, x, y):
+    return 2.0 * np.expand_dims(np.asarray(grad), -1) * (x - y)
+
+
+#: op -> (forward(a, b, condition), adjoint of a, adjoint of b), each adjoint
+#: written as ``(grad, x, y, condition)`` before its unbroadcast.
+_ELEMENTWISE_ADJOINTS = {
+    "add": (
+        lambda a, b, c: ops.add(a, b),
+        lambda g, x, y, c: g,
+        lambda g, x, y, c: g,
+    ),
+    "sub": (
+        lambda a, b, c: ops.sub(a, b),
+        lambda g, x, y, c: g,
+        lambda g, x, y, c: -g,
+    ),
+    "mul": (
+        lambda a, b, c: ops.mul(a, b),
+        lambda g, x, y, c: g * y,
+        lambda g, x, y, c: g * x,
+    ),
+    "div": (
+        lambda a, b, c: ops.div(a, b),
+        lambda g, x, y, c: g / y,
+        lambda g, x, y, c: -g * x / (y**2),
+    ),
+    "maximum": (
+        lambda a, b, c: ops.maximum(a, b),
+        lambda g, x, y, c: g * (x >= y),
+        lambda g, x, y, c: g * ~(x >= y),
+    ),
+    "where": (
+        lambda a, b, c: ops.where(c, a, b),
+        lambda g, x, y, c: g * c,
+        lambda g, x, y, c: g * ~c,
+    ),
+    "squared_distance": (
+        lambda a, b, c: ops.squared_distance(a, b),
+        lambda g, x, y, c: _squared_distance_adjoint(g, x, y),
+        lambda g, x, y, c: -_squared_distance_adjoint(g, x, y),
+    ),
+}
 
 
 def _t(rng, *shape, shift=0.0):
@@ -118,6 +164,40 @@ class TestArithmeticGradients:
                 expected = grad @ y.T
             got = grad_a
         assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("op", sorted(_ELEMENTWISE_ADJOINTS))
+    @pytest.mark.parametrize(
+        "shapes",
+        [((3, 4), (3, 4)), ((3, 4), (4,)), ((3, 1), (3, 4)), ((2, 3, 4), (1, 4))],
+        ids=["same", "row", "column", "batched"],
+    )
+    @pytest.mark.parametrize("constant", ["a", "b"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_elementwise_skips_constant_adjoint(
+        self, rng, op, shapes, constant, dtype
+    ):
+        """A constant operand gets ``None``; the other adjoint is bit-equal
+        to the formula the op computed for both operands before it skipped
+        one."""
+        forward, adjoint_a, adjoint_b = _ELEMENTWISE_ADJOINTS[op]
+        x = rng.uniform(0.5, 2.0, size=shapes[0])
+        y = rng.uniform(0.5, 2.0, size=shapes[1]) * rng.choice([-1.0, 1.0], shapes[1])
+        condition = rng.random(np.broadcast_shapes(x.shape, y.shape)) < 0.5
+        with dtype_scope(dtype):
+            a = Tensor(x, requires_grad=constant != "a")
+            b = Tensor(y, requires_grad=constant != "b")
+            out = forward(a, b, condition)
+            grad = rng.standard_normal(out.shape).astype(dtype)
+            grad_a, grad_b = out._backward_fn(grad)
+        x, y = a.data, b.data
+        if constant == "a":
+            assert grad_a is None
+            got, expected = grad_b, unbroadcast(adjoint_b(grad, x, y, condition), y.shape)
+        else:
+            assert grad_b is None
+            got, expected = grad_a, unbroadcast(adjoint_a(grad, x, y, condition), x.shape)
+        assert got.dtype == expected.dtype == np.dtype(dtype)
         np.testing.assert_array_equal(got, expected)
 
     def test_linear_on_one_feature_vector(self, rng):
