@@ -14,12 +14,10 @@ import time
 
 import numpy as np
 from conftest import record_output
+from oracles import fair_representation_loss_reference
 
 from repro.core.counterfactual import CounterfactualIndex
-from repro.core.fairloss import (
-    fair_representation_loss,
-    fair_representation_loss_reference,
-)
+from repro.core.fairloss import fair_representation_loss
 from repro.tensor import Tensor
 
 NUM_ATTRS, TOP_K, NUM_NODES, DIM = 8, 10, 5000, 16

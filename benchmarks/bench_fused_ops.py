@@ -22,15 +22,13 @@ import time
 
 import numpy as np
 from conftest import record_json, record_output
-
-from repro.core.fairloss import (
+from oracles import (
     _composed_pair_disparities,
-    _fused_pair_disparities,
-)
-from repro.nn.losses import (
-    binary_cross_entropy_with_logits,
     binary_cross_entropy_with_logits_reference,
 )
+
+from repro.core.fairloss import _fused_pair_disparities
+from repro.nn.losses import binary_cross_entropy_with_logits
 from repro.nn.module import Parameter
 from repro.optim import Adam
 from repro.tensor import Tensor

@@ -12,11 +12,12 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-fairwos",
-    version="0.2.0",
+    version="1.0.0",
     description=(
-        "Reproduction of 'Fairness without Sensitive Attributes via "
-        "Knowledge Sharing' (ICDE) on a from-scratch numpy GNN substrate, "
-        "with a neighbour-sampled minibatch training engine for large graphs"
+        "Reproduction of 'Towards Fair Graph Neural Networks via Graph "
+        "Counterfactual Without Sensitive Attributes' (Wang et al., ICDE "
+        "2025) on a from-scratch numpy GNN substrate, with a "
+        "neighbour-sampled minibatch training engine for large graphs"
     ),
     author="paper-repo-growth",
     license="MIT",

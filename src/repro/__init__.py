@@ -11,7 +11,7 @@ Quickstart
 Package map
 -----------
 * :mod:`repro.tensor` — numpy autograd engine (the PyTorch substitute)
-* :mod:`repro.nn`, :mod:`repro.optim` — layers and optimisers
+* :mod:`repro.nn`, :mod:`repro.optim` — layers and the Adam optimiser
 * :mod:`repro.graph`, :mod:`repro.gnnzoo` — graph container and GNN backbones
 * :mod:`repro.datasets` — synthetic equivalents of the six paper datasets
 * :mod:`repro.core` — **Fairwos**, the paper's contribution

@@ -1,4 +1,4 @@
-"""Analysis utilities: PCA, k-means(++), exact t-SNE, correlation tools.
+"""Analysis utilities: PCA, k-means(++), exact t-SNE, correlation.
 
 These replace the scikit-learn calls the paper's pipeline relies on (t-SNE
 for Fig. 7, k-means for the KSMOTE baseline) — scikit-learn is unavailable
@@ -11,9 +11,7 @@ from repro.analysis.tsne import tsne
 from repro.analysis.correlation import (
     StreamingCorrelation,
     correlation_with_vector,
-    pearson_correlation,
 )
-from repro.analysis.embeddings import deepwalk_embeddings
 
 __all__ = [
     "pca",
@@ -22,7 +20,5 @@ __all__ = [
     "assign_to_centers",
     "tsne",
     "StreamingCorrelation",
-    "pearson_correlation",
     "correlation_with_vector",
-    "deepwalk_embeddings",
 ]

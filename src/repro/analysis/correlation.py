@@ -6,7 +6,6 @@ import numpy as np
 
 __all__ = [
     "StreamingCorrelation",
-    "pearson_correlation",
     "correlation_with_vector",
 ]
 
@@ -94,22 +93,6 @@ class StreamingCorrelation:
         )
         out[varying] = corr**2
         return out
-
-
-def pearson_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson r between two 1-D arrays; 0 if either is constant."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.size < 2:
-        raise ValueError("need at least two observations")
-    a_centered = a - a.mean()
-    b_centered = b - b.mean()
-    denom = np.sqrt((a_centered**2).sum() * (b_centered**2).sum())
-    if denom == 0:
-        return 0.0
-    return float(np.clip((a_centered * b_centered).sum() / denom, -1.0, 1.0))
 
 
 def correlation_with_vector(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:

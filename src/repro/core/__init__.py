@@ -24,8 +24,6 @@ from repro.core.counterfactual import CounterfactualSearch, CounterfactualIndex
 from repro.core.fairloss import (
     fair_representation_loss,
     fair_representation_loss_minibatch,
-    fair_representation_loss_minibatch_reference,
-    fair_representation_loss_reference,
 )
 from repro.core.weights import WeightUpdater, project_to_simplex, solve_kkt_eq24
 from repro.core.trainer import FairwosTrainer, FairwosResult
@@ -47,8 +45,6 @@ __all__ = [
     "CounterfactualIndex",
     "fair_representation_loss",
     "fair_representation_loss_minibatch",
-    "fair_representation_loss_minibatch_reference",
-    "fair_representation_loss_reference",
     "WeightUpdater",
     "project_to_simplex",
     "solve_kkt_eq24",

@@ -13,19 +13,15 @@ every node's embedding towards the embeddings of its top-K counterfactuals:
 analysis).  The per-attribute disparities ``D_i`` are also returned as
 detached numpy values — they feed the λ update (Eq. 24).
 
-Two implementations coexist:
-
-* :func:`fair_representation_loss` / :func:`fair_representation_loss_minibatch`
-  are **fused**: one constant CSR gather-sum over all ``(I·K, N)``
-  counterfactual pairs, one squared-distance expansion
-  (``n_v + n_cf − 2 h_v·h_cf``) and one masked per-attribute mean — a fixed
-  handful of tensor ops regardless of I and K, which is what the fine-tune
-  phase's wall-time scales with (≥5x over the loop at I=8, K=10, N=5000;
-  see ``benchmarks/bench_fairloss.py``).
-* :func:`fair_representation_loss_reference` /
-  :func:`fair_representation_loss_minibatch_reference` are the original
-  ``I × K`` python loops, kept as the oracle the hypothesis parity harness
-  checks the fused path against (value and gradient to 1e-9).
+:func:`fair_representation_loss` / :func:`fair_representation_loss_minibatch`
+are **fused**: one constant CSR gather-sum over all ``(I·K, N)``
+counterfactual pairs, one squared-distance expansion
+(``n_v + n_cf − 2 h_v·h_cf``) and one masked per-attribute mean — a fixed
+handful of tensor ops regardless of I and K, which is what the fine-tune
+phase's wall-time scales with (≥5x over the loop at I=8, K=10, N=5000;
+see ``benchmarks/bench_fairloss.py``).  The original ``I × K`` python loops
+live in ``tests/oracles.py`` as the oracle the hypothesis parity harness
+checks the fused path against (value and gradient to 1e-9).
 """
 
 from __future__ import annotations
@@ -42,8 +38,6 @@ from repro.tensor.ops import _scatter_rows, _sparse_operand
 __all__ = [
     "fair_representation_loss",
     "fair_representation_loss_minibatch",
-    "fair_representation_loss_reference",
-    "fair_representation_loss_minibatch_reference",
 ]
 
 
@@ -115,7 +109,7 @@ def _fused_pair_disparities(
     gradient buffer per edge (including full reductions for constant
     parents).  Value and gradient are bit-identical to the composed graph
     (same float ops, same accumulation association; pinned by the
-    test-suite against :func:`_composed_pair_disparities`).
+    test-suite against ``_composed_pair_disparities`` in ``tests/oracles.py``).
     """
     h = representations.data
     num_pairs, batch, top_k = indices.shape
@@ -160,33 +154,6 @@ def _fused_pair_disparities(
         return (g_rep,)
 
     return Tensor.from_op(value, (representations,), backward)
-
-
-def _composed_pair_disparities(
-    representations: Tensor,
-    indices: np.ndarray,
-    anchor_rows: np.ndarray,
-    scale: np.ndarray,
-) -> Tensor:
-    """Composed-op form of :func:`_fused_pair_disparities` — the oracle the
-    fused kernel is pinned bit-identical to (value and gradient)."""
-    num_pairs, batch, top_k = indices.shape
-    gather_sum = _gather_sum_matrix(indices, representations.shape[0])
-    tiled_anchor = np.tile(anchor_rows, num_pairs)
-    norms = ops.sum(ops.mul(representations, representations), axis=1)
-    cf_sum = ops.spmm(gather_sum, representations)  # (M·B, d) = Σ_k h_cf
-    cf_norm_sum = ops.reshape(
-        ops.spmm(gather_sum, ops.reshape(norms, (-1, 1))), (-1,)
-    )  # (M·B,) = Σ_k n_cf
-    anchor_h = ops.gather(representations, tiled_anchor)
-    anchor_n = ops.gather(norms, tiled_anchor)
-    cross = ops.sum(ops.mul(cf_sum, anchor_h), axis=1)  # Σ_k h_v·h_cf
-    sq_sums = ops.add(
-        ops.sub(ops.mul(anchor_n, float(top_k)), ops.mul(cross, 2.0)),
-        cf_norm_sum,
-    )
-    masked = ops.mul(sq_sums, Tensor(scale.reshape(-1)))
-    return ops.sum(ops.reshape(masked, (num_pairs, batch)), axis=1)
 
 
 def fair_representation_loss(
@@ -323,107 +290,4 @@ def fair_representation_loss_minibatch(
     loss = ops.sum(ops.mul(disparity_t, Tensor(weights[attr_list])))
     disparities[attr_list] = disparity_t.data
     valid_counts[attr_list] = counts
-    return loss, disparities, valid_counts
-
-
-# --------------------------------------------------------------------- #
-# reference (loop) oracles
-# --------------------------------------------------------------------- #
-def fair_representation_loss_reference(
-    representations: Tensor,
-    counterfactuals: CounterfactualIndex,
-    weights: np.ndarray,
-) -> tuple[Tensor, np.ndarray]:
-    """Original ``I × K`` loop implementation of
-    :func:`fair_representation_loss` — the parity harness's oracle."""
-    num_attrs, num_nodes, top_k = counterfactuals.indices.shape
-    weights = _check_weights(weights, num_attrs)
-    if representations.shape[0] != num_nodes:
-        raise ValueError(
-            f"representations rows {representations.shape[0]} != index nodes {num_nodes}"
-        )
-
-    disparities = np.zeros(num_attrs)
-    loss: Tensor | None = None
-    for attr in range(num_attrs):
-        valid_mask = counterfactuals.valid[attr].astype(np.float64)
-        valid_count = float(valid_mask.sum())
-        if valid_count == 0:
-            continue
-        attr_term: Tensor | None = None
-        for k in range(top_k):
-            cf_rows = ops.gather(representations, counterfactuals.indices[attr, :, k])
-            sq_dist = ops.sum(
-                ops.power(ops.sub(representations, cf_rows), 2.0), axis=1
-            )
-            masked = ops.mul(sq_dist, Tensor(valid_mask))
-            term = ops.div(ops.sum(masked), valid_count)
-            attr_term = term if attr_term is None else ops.add(attr_term, term)
-        disparities[attr] = float(attr_term.data)
-        if weights[attr] != 0.0:
-            weighted = ops.mul(attr_term, float(weights[attr]))
-            loss = weighted if loss is None else ops.add(loss, weighted)
-    if loss is None:
-        loss = Tensor(np.zeros(()))
-    return loss, disparities
-
-
-def fair_representation_loss_minibatch_reference(
-    representations: Tensor,
-    counterfactuals: CounterfactualIndex,
-    weights: np.ndarray,
-    batch_nodes: np.ndarray,
-    seed_nodes: np.ndarray,
-    attrs: np.ndarray | None = None,
-) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Original loop implementation of
-    :func:`fair_representation_loss_minibatch` — the parity oracle."""
-    num_attrs, _, top_k = counterfactuals.indices.shape
-    weights = _check_weights(weights, num_attrs)
-    seed_nodes = np.asarray(seed_nodes, dtype=np.int64).reshape(-1)
-    batch_nodes = np.asarray(batch_nodes, dtype=np.int64).reshape(-1)
-    if representations.shape[0] != seed_nodes.shape[0]:
-        raise ValueError(
-            f"representations rows {representations.shape[0]} != "
-            f"seed nodes {seed_nodes.shape[0]}"
-        )
-
-    def local(ids: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(seed_nodes, ids)
-        pos = np.minimum(pos, seed_nodes.size - 1)
-        if not np.array_equal(seed_nodes[pos], ids):
-            raise ValueError("node ids missing from seed_nodes")
-        return pos
-
-    batch_local = local(batch_nodes)
-    h_batch = ops.gather(representations, batch_local)
-    disparities = np.zeros(num_attrs)
-    valid_counts = np.zeros(num_attrs)
-    loss: Tensor | None = None
-    attr_list = (
-        range(num_attrs)
-        if attrs is None
-        else np.asarray(attrs, dtype=np.int64).reshape(-1)
-    )
-    for attr in attr_list:
-        valid_mask = counterfactuals.valid[attr, batch_nodes].astype(np.float64)
-        valid_count = float(valid_mask.sum())
-        valid_counts[attr] = valid_count
-        if valid_count == 0:
-            continue
-        attr_term: Tensor | None = None
-        for k in range(top_k):
-            cf_rows = ops.gather(
-                representations, local(counterfactuals.indices[attr, batch_nodes, k])
-            )
-            sq_dist = ops.sum(ops.power(ops.sub(h_batch, cf_rows), 2.0), axis=1)
-            masked = ops.mul(sq_dist, Tensor(valid_mask))
-            term = ops.div(ops.sum(masked), valid_count)
-            attr_term = term if attr_term is None else ops.add(attr_term, term)
-        disparities[attr] = float(attr_term.data)
-        if weights[attr] != 0.0:
-            weighted = ops.mul(attr_term, float(weights[attr]))
-            loss = weighted if loss is None else ops.add(loss, weighted)
-    if loss is None:
-        loss = Tensor(np.zeros(()))
     return loss, disparities, valid_counts

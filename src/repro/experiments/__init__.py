@@ -18,9 +18,7 @@ from repro.experiments.linkpred import make_link_split, run_linkpred_method
 from repro.experiments.scenario import (
     Scenario,
     ScenarioCellResult,
-    format_scenario_matrix,
     run_scenario_cell,
-    run_scenario_matrix,
     run_scenario_method,
 )
 from repro.experiments.fig4_ablation import format_fig4, run_fig4
@@ -30,11 +28,6 @@ from repro.experiments.fig7_tsne import format_fig7, run_fig7
 from repro.experiments.fig8_runtime import format_fig8, run_fig8
 from repro.experiments.ext_backbones import format_ext_backbones, run_ext_backbones
 from repro.experiments.ext_oracle import format_ext_oracle, run_ext_oracle
-from repro.experiments.stats import (
-    bootstrap_mean_ci,
-    dominates,
-    paired_permutation_test,
-)
 from repro.experiments.ext_cf_fairness import (
     format_ext_cf_fairness,
     run_ext_cf_fairness,
@@ -55,8 +48,6 @@ __all__ = [
     "ScenarioCellResult",
     "run_scenario_method",
     "run_scenario_cell",
-    "run_scenario_matrix",
-    "format_scenario_matrix",
     "run_fig4",
     "format_fig4",
     "run_fig5",
@@ -73,7 +64,4 @@ __all__ = [
     "format_ext_oracle",
     "run_ext_cf_fairness",
     "format_ext_cf_fairness",
-    "bootstrap_mean_ci",
-    "paired_permutation_test",
-    "dominates",
 ]

@@ -8,13 +8,13 @@ which sensitive attributes the audit covers, and the generator parameters.
 
 The runner layer is task-generic where :mod:`repro.experiments.table2` was
 node-classification-specific: :func:`run_scenario_method` dispatches one
-(method, seed) run by task kind, :func:`run_scenario_cell` repeats it over
-methods × seeds exactly like a Table-II cell (same loop order, so existing
-Table-II numbers are unchanged), and :func:`run_scenario_matrix` sweeps a
-list of scenarios.  Node-classification scenarios naming more than one
-sensitive attribute additionally get a seed-0 intersectional audit per
-method (:func:`repro.fairness.audit_intersectional` over the test split),
-with extra attributes resolved from ``graph.meta["extra_sensitive"]``.
+(method, seed) run by task kind, and :func:`run_scenario_cell` repeats it
+over methods × seeds exactly like a Table-II cell (same loop order, so
+existing Table-II numbers are unchanged).  Node-classification scenarios
+naming more than one sensitive attribute additionally get a seed-0
+intersectional audit per method (:func:`repro.fairness.audit_intersectional`
+over the test split), with extra attributes resolved from
+``graph.meta["extra_sensitive"]``.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ __all__ = [
     "ScenarioCellResult",
     "run_scenario_method",
     "run_scenario_cell",
-    "run_scenario_matrix",
-    "format_scenario_matrix",
 ]
 
 TASKS = ("node_classification", "link_prediction")
@@ -224,49 +222,3 @@ def run_scenario_cell(
             runs.append(run)
         result.summaries[method] = summarize(runs)
     return result
-
-
-def run_scenario_matrix(
-    scenarios: list[Scenario],
-    methods: list[str] | None = None,
-    backbone: str = "gcn",
-    scale: Scale | None = None,
-    execution: ExecutionConfig | None = None,
-) -> dict[str, ScenarioCellResult]:
-    """Sweep the method comparison over a list of scenario cells."""
-    results: dict[str, ScenarioCellResult] = {}
-    for scenario in scenarios:
-        if scenario.label in results:
-            raise ValueError(f"duplicate scenario label {scenario.label!r}")
-        results[scenario.label] = run_scenario_cell(
-            scenario,
-            methods=methods,
-            backbone=backbone,
-            scale=scale,
-            execution=execution,
-        )
-    return results
-
-
-def format_scenario_matrix(results: dict[str, ScenarioCellResult]) -> str:
-    """Render a scenario sweep as one table per cell."""
-    from repro.experiments.methods import display_name
-
-    lines = ["Scenario matrix: ACC(↑)  ΔSP(↓)  ΔEO(↓), % mean±std"]
-    for label, cell in results.items():
-        attrs = " × ".join(cell.scenario.sensitive_attrs)
-        lines.append(f"\n=== {label} [{cell.backbone.upper()}] ({attrs}) ===")
-        for method in cell.methods:
-            lines.append(
-                f"    {display_name(method):12s} {cell.summaries[method].row()}"
-            )
-            audit = cell.intersectional.get(method)
-            if audit is not None:
-                sp = audit.delta_sp
-                eo = audit.delta_eo
-                lines.append(
-                    f"                  joint ΔSP {100 * sp:.2f}  "
-                    f"joint ΔEO {100 * eo:.2f}  "
-                    f"({audit.num_cells} cells, {audit.num_empty_cells} empty)"
-                )
-    return "\n".join(lines)

@@ -14,13 +14,9 @@ from repro.graph.sampling import (
     block_mean_matrix,
     block_sum_matrix,
     is_block_sequence,
-    random_walks,
-    sample_neighbors,
-    subsample_edges,
 )
 from repro.graph.utils import (
     edge_homophily,
-    k_hop_neighbors,
     edges_from_adjacency,
     adjacency_from_edges,
     degree_vector,
@@ -39,10 +35,6 @@ __all__ = [
     "row_normalize",
     "to_symmetric",
     "edge_homophily",
-    "k_hop_neighbors",
-    "random_walks",
-    "sample_neighbors",
-    "subsample_edges",
     "edges_from_adjacency",
     "adjacency_from_edges",
     "degree_vector",

@@ -1,11 +1,7 @@
-"""Stochastic graph sampling utilities.
+"""Neighbour sampling for minibatch training.
 
-Substrate extensions used by the scalability-oriented parts of the library:
-GraphSAGE-style neighbour sampling, layered bipartite **blocks** for
-minibatch training (:class:`NeighborSampler`), random walks
-(DeepWalk/node2vec-p=q=1), and edge subsampling (the augmentation NIFTY's
-stability view relies on).  All stochastic functions take an explicit
-``numpy.random.Generator``.
+GraphSAGE-style neighbour sampling into layered bipartite **blocks**
+(:class:`NeighborSampler`), drawn from a ``numpy.random.Generator``.
 
 Minibatch blocks
 ----------------
@@ -36,11 +32,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.graph.utils import (
-    adjacency_from_edges,
-    edges_from_adjacency,
-    sorted_unique,
-)
+from repro.graph.utils import sorted_unique
 
 __all__ = [
     "Block",
@@ -49,9 +41,6 @@ __all__ = [
     "block_gcn_matrix",
     "block_mean_matrix",
     "block_sum_matrix",
-    "sample_neighbors",
-    "random_walks",
-    "subsample_edges",
 ]
 
 
@@ -454,94 +443,3 @@ def block_sum_matrix(block: Block) -> sp.csr_matrix:
         return (sp.diags(scale) @ block.adjacency).tocsr()
 
     return _memoized_operator(block, "sum", build)
-
-
-def sample_neighbors(
-    adjacency: sp.spmatrix,
-    nodes: np.ndarray,
-    fanout: int,
-    rng: np.random.Generator,
-    replace: bool = False,
-) -> list[np.ndarray]:
-    """Sample up to ``fanout`` neighbours for each node.
-
-    Parameters
-    ----------
-    adjacency:
-        CSR adjacency.
-    nodes:
-        Query node ids.
-    fanout:
-        Neighbours to draw per node.  Nodes with fewer neighbours return all
-        of them (without ``replace``) or a bootstrap sample (with).
-    rng:
-        Random generator.
-    replace:
-        Sample with replacement (GraphSAGE's original behaviour).
-
-    Returns
-    -------
-    One int64 array of neighbour ids per query node (possibly empty for
-    isolated nodes).
-    """
-    if fanout < 1:
-        raise ValueError(f"fanout must be >= 1, got {fanout}")
-    matrix = sp.csr_matrix(adjacency)
-    result = []
-    for node in np.asarray(nodes, dtype=np.int64):
-        start, stop = matrix.indptr[node], matrix.indptr[node + 1]
-        neighbors = matrix.indices[start:stop]
-        if neighbors.size == 0:
-            result.append(np.empty(0, dtype=np.int64))
-        elif replace:
-            result.append(rng.choice(neighbors, size=fanout, replace=True).astype(np.int64))
-        elif neighbors.size <= fanout:
-            result.append(neighbors.astype(np.int64))
-        else:
-            result.append(
-                rng.choice(neighbors, size=fanout, replace=False).astype(np.int64)
-            )
-    return result
-
-
-def random_walks(
-    adjacency: sp.spmatrix,
-    start_nodes: np.ndarray,
-    length: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Uniform random walks of ``length`` steps from each start node.
-
-    Returns an ``(len(start_nodes), length + 1)`` int64 array whose first
-    column is the start node.  Walks that hit an isolated node stay there
-    (self-absorbing), which keeps the output rectangular.
-    """
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    matrix = sp.csr_matrix(adjacency)
-    starts = np.asarray(start_nodes, dtype=np.int64)
-    walks = np.empty((starts.size, length + 1), dtype=np.int64)
-    walks[:, 0] = starts
-    current = starts.copy()
-    for step in range(1, length + 1):
-        next_nodes = current.copy()
-        for i, node in enumerate(current):
-            begin, end = matrix.indptr[node], matrix.indptr[node + 1]
-            if end > begin:
-                next_nodes[i] = matrix.indices[begin + rng.integers(end - begin)]
-        walks[:, step] = next_nodes
-        current = next_nodes
-    return walks
-
-
-def subsample_edges(
-    adjacency: sp.spmatrix, keep_fraction: float, rng: np.random.Generator
-) -> sp.csr_matrix:
-    """Keep a random fraction of undirected edges (symmetric result)."""
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
-    if keep_fraction == 1.0:
-        return sp.csr_matrix(adjacency)
-    edges = edges_from_adjacency(adjacency)
-    keep = rng.random(len(edges)) < keep_fraction
-    return adjacency_from_edges(edges[keep], adjacency.shape[0])

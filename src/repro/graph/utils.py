@@ -1,4 +1,4 @@
-"""Graph helper functions: edge lists, degrees, k-hop sets, homophily."""
+"""Graph helper functions: edge lists, degrees, homophily."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ __all__ = [
     "edges_from_adjacency",
     "adjacency_from_edges",
     "degree_vector",
-    "k_hop_neighbors",
     "edge_homophily",
     "sorted_unique",
 ]
@@ -65,29 +64,6 @@ def sorted_unique(ids: np.ndarray) -> np.ndarray:
 def degree_vector(adjacency: sp.spmatrix) -> np.ndarray:
     """Node degrees of a binary adjacency."""
     return np.asarray(sp.csr_matrix(adjacency).sum(axis=1)).reshape(-1)
-
-
-def k_hop_neighbors(adjacency: sp.spmatrix, node: int, k: int) -> np.ndarray:
-    """Sorted indices of all nodes within ``k`` hops of ``node`` (inclusive).
-
-    This is the node set of the paper's "subgraph G_i" for node i.
-    """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    matrix = sp.csr_matrix(adjacency)
-    frontier = {int(node)}
-    visited = {int(node)}
-    for _ in range(k):
-        next_frontier: set[int] = set()
-        for u in frontier:
-            start, stop = matrix.indptr[u], matrix.indptr[u + 1]
-            next_frontier.update(int(v) for v in matrix.indices[start:stop])
-        next_frontier -= visited
-        if not next_frontier:
-            break
-        visited |= next_frontier
-        frontier = next_frontier
-    return np.array(sorted(visited), dtype=np.int64)
 
 
 def edge_homophily(adjacency: sp.spmatrix, values: np.ndarray) -> float:

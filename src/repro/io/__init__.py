@@ -1,19 +1,16 @@
-"""Persistence and interoperability.
+"""Persistence: graphs and model artifacts.
 
 * :func:`save_graph` / :func:`load_graph` — single-file ``.npz`` round-trip
   of a :class:`~repro.graph.Graph` (adjacency stored in CSR parts);
   :func:`save_graph_mmap` writes the same format as an uncompressed
   directory that ``load_graph(path, mmap=True)`` memory-maps, keeping
   1M-node adjacency/feature arrays on disk instead of in RAM;
-* :func:`save_state` / :func:`load_state` — model checkpointing via the
-  ``Module.state_dict`` mapping (:func:`pack_state` / :func:`unpack_state`
-  expose the key scheme for multi-model archives);
 * :func:`save_artifact` / :func:`load_artifact` — versioned whole-method
   bundles (weights + config + preprocessing state + the standing
   counterfactual index) powering the ``repro score`` / ``repro serve``
-  path; see :mod:`repro.io.artifact`;
-* :func:`to_networkx` / :func:`from_networkx` — bridge to the networkx
-  ecosystem for visualisation and classic graph algorithms.
+  path; see :mod:`repro.io.artifact`.  Artifacts are the one persistence
+  path for models; :func:`pack_state` / :func:`unpack_state` expose their
+  ``Module.state_dict`` key scheme for multi-model archives.
 """
 
 from repro.io.artifact import (
@@ -23,21 +20,16 @@ from repro.io.artifact import (
     save_artifact,
 )
 from repro.io.graph_io import load_graph, save_graph, save_graph_mmap
-from repro.io.model_io import load_state, pack_state, save_state, unpack_state
-from repro.io.nx_bridge import from_networkx, to_networkx
+from repro.io.model_io import pack_state, unpack_state
 
 __all__ = [
     "save_graph",
     "save_graph_mmap",
     "load_graph",
-    "save_state",
-    "load_state",
     "pack_state",
     "unpack_state",
     "save_artifact",
     "load_artifact",
     "ModelArtifact",
     "ArtifactError",
-    "to_networkx",
-    "from_networkx",
 ]

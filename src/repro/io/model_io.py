@@ -1,22 +1,16 @@
-"""Model checkpointing via ``state_dict`` ``.npz`` files.
+"""The ``state_dict`` key scheme for ``.npz`` archives.
 
-:func:`save_state` / :func:`load_state` are the single-model round-trip;
-:func:`pack_state` / :func:`unpack_state` expose the underlying key mapping
-(``.`` ↔ ``/``, with an optional namespace prefix) so callers bundling
-several models into one archive — the artifact format of
-:mod:`repro.io.artifact` stores encoder and classifier side by side — share
-the exact same naming scheme instead of re-inventing it.
+:func:`pack_state` / :func:`unpack_state` map parameter names to archive
+keys (``.`` ↔ ``/``, with an optional namespace prefix) so several models
+share one archive — the artifact format of :mod:`repro.io.artifact` stores
+encoder and classifier side by side.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
-import numpy as np
-
 from repro.nn.module import Module
 
-__all__ = ["save_state", "load_state", "pack_state", "unpack_state"]
+__all__ = ["pack_state", "unpack_state"]
 
 
 def pack_state(model: Module, prefix: str = "") -> dict:
@@ -45,22 +39,3 @@ def unpack_state(arrays, prefix: str = "") -> dict:
         for key in keys
         if key.startswith(prefix)
     }
-
-
-def save_state(model: Module, path: str | Path) -> Path:
-    """Write ``model.state_dict()`` to a compressed ``.npz`` file."""
-    path = Path(path)
-    np.savez_compressed(path, **pack_state(model))
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def load_state(model: Module, path: str | Path) -> Module:
-    """Load a checkpoint written by :func:`save_state` into ``model``.
-
-    The model must already have the matching architecture — loading is
-    strict (missing/unexpected/mis-shaped parameters raise).
-    """
-    with np.load(Path(path), allow_pickle=False) as data:
-        state = unpack_state(data)
-    model.load_state_dict(state)
-    return model

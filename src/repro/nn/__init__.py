@@ -7,15 +7,9 @@ dropout, activations and classification losses.
 
 from repro.nn.module import Module, Parameter, ModuleList
 from repro.nn.linear import Linear, MLP
-from repro.nn.activations import ReLU, Sigmoid, Tanh, LeakyReLU, Identity
+from repro.nn.activations import ReLU, Identity
 from repro.nn.dropout import Dropout
-from repro.nn.norm import LayerNorm
-from repro.nn.losses import (
-    binary_cross_entropy_with_logits,
-    cross_entropy,
-    mse_loss,
-    l2_distance,
-)
+from repro.nn.losses import binary_cross_entropy_with_logits, mse_loss
 from repro.nn import init
 
 __all__ = [
@@ -25,15 +19,9 @@ __all__ = [
     "Linear",
     "MLP",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
-    "LeakyReLU",
     "Identity",
     "Dropout",
-    "LayerNorm",
     "binary_cross_entropy_with_logits",
-    "cross_entropy",
     "mse_loss",
-    "l2_distance",
     "init",
 ]

@@ -6,7 +6,7 @@ from repro.nn.module import Module
 from repro.tensor import Tensor
 from repro.tensor import ops
 
-__all__ = ["ReLU", "Sigmoid", "Tanh", "LeakyReLU", "Identity"]
+__all__ = ["ReLU", "Identity"]
 
 
 class ReLU(Module):
@@ -14,31 +14,6 @@ class ReLU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return ops.relu(x)
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.sigmoid(x)
-
-
-class Tanh(Module):
-    """Hyperbolic tangent."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.tanh(x)
-
-
-class LeakyReLU(Module):
-    """Leaky ReLU with configurable negative slope (default 0.2, GAT-style)."""
-
-    def __init__(self, negative_slope: float = 0.2) -> None:
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.leaky_relu(x, self.negative_slope)
 
 
 class Identity(Module):

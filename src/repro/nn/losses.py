@@ -1,4 +1,4 @@
-"""Classification and distance losses.
+"""Classification and regression losses.
 
 The binary cross-entropy is computed directly from logits with the
 log-sum-exp trick (``log(1 + e^z) = max(z, 0) + log(1 + e^{-|z|})``) so it is
@@ -12,8 +12,8 @@ the way back — a gradient buffer per edge including full-size products for
 constant parents that were then discarded.  The fused form computes the same
 floating-point operations in the same order (value and gradient are
 bit-identical to the composed graph; pinned by the test-suite), but touches
-each array once.  :func:`binary_cross_entropy_with_logits_reference` keeps
-the composed graph as the oracle for those pins.
+each array once.  ``binary_cross_entropy_with_logits_reference`` in
+``tests/oracles.py`` keeps the composed graph as the oracle for those pins.
 """
 
 from __future__ import annotations
@@ -27,10 +27,7 @@ from repro.tensor.tensor import as_tensor
 
 __all__ = [
     "binary_cross_entropy_with_logits",
-    "binary_cross_entropy_with_logits_reference",
-    "cross_entropy",
     "mse_loss",
-    "l2_distance",
 ]
 
 
@@ -129,59 +126,9 @@ def binary_cross_entropy_with_logits(
     return Tensor.from_op(value, (logits,), backward)
 
 
-def binary_cross_entropy_with_logits_reference(
-    logits: Tensor,
-    targets,
-    weights=None,
-) -> Tensor:
-    """Composed-graph BCE — the oracle :func:`binary_cross_entropy_with_logits`
-    is pinned bit-identical to (value and gradient)."""
-    logits = as_tensor(logits)
-    targets = np.asarray(
-        targets.data if isinstance(targets, Tensor) else targets,
-        dtype=logits.data.dtype,
-    )
-    zero = Tensor(np.zeros(logits.shape))
-    relu_part = ops.maximum(logits, zero)
-    linear_part = ops.mul(logits, Tensor(targets))
-    softplus_part = ops.log(ops.add(1.0, ops.exp(ops.neg(ops.absolute(logits)))))
-    per_element = ops.add(ops.sub(relu_part, linear_part), softplus_part)
-    if weights is not None:
-        w = np.asarray(weights, dtype=logits.data.dtype)
-        if float(w.sum()) == 0.0:
-            raise ValueError(
-                "binary_cross_entropy_with_logits: weights sum to zero — "
-                "the weighted mean is undefined (all examples masked out)"
-            )
-        weighted = ops.mul(per_element, Tensor(w))
-        return ops.div(ops.sum(weighted), float(w.sum()))
-    return ops.mean(per_element)
-
-
-def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean multi-class cross-entropy from raw logits and integer labels."""
-    logits = as_tensor(logits)
-    labels = np.asarray(
-        targets.data if isinstance(targets, Tensor) else targets
-    ).astype(np.int64)
-    log_probs = ops.log_softmax(logits, axis=-1)
-    picked = ops.index(log_probs, (np.arange(len(labels)), labels))
-    return ops.neg(ops.mean(picked))
-
-
 def mse_loss(prediction: Tensor, target) -> Tensor:
     """Mean squared error."""
     prediction = as_tensor(prediction)
     target = as_tensor(target)
     diff = ops.sub(prediction, target)
     return ops.mean(ops.power(diff, 2.0))
-
-
-def l2_distance(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
-    """Row-wise squared L2 distance ``||a - b||²`` (Eq. 33 of the paper).
-
-    Returns a tensor of per-row distances; callers take the mean/sum they
-    need.  Squared distance keeps the objective smooth, matching Eq. (33).
-    """
-    diff = ops.sub(a, b)
-    return ops.sum(ops.power(diff, 2.0), axis=axis)

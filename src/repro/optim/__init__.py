@@ -1,7 +1,6 @@
-"""First-order optimisers (SGD with momentum, Adam) and gradient clipping."""
+"""First-order optimisation: the Adam optimiser."""
 
-from repro.optim.optimizer import Optimizer, clip_grad_norm
-from repro.optim.sgd import SGD
+from repro.optim.optimizer import Optimizer
 from repro.optim.adam import Adam
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Optimizer", "Adam"]

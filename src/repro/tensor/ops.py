@@ -39,20 +39,14 @@ __all__ = [
     "sqrt",
     "absolute",
     "maximum",
-    "where",
     "squared_distance",
     "sum",
     "mean",
     "reshape",
-    "expand_dims",
     "transpose",
     "index",
     "gather",
     "scatter_add",
-    "concat",
-    "softmax",
-    "log_softmax",
-    "logsumexp",
     "dropout_mask",
 ]
 
@@ -320,21 +314,6 @@ def maximum(a, b) -> Tensor:
     return Tensor.from_op(out, (a, b), backward)
 
 
-def where(condition, a, b) -> Tensor:
-    """Select ``a`` where ``condition`` else ``b``; condition is constant."""
-    a, b = as_tensor(a), as_tensor(b)
-    condition = np.asarray(condition, dtype=bool)
-    out = np.where(condition, a.data, b.data)
-
-    def backward(grad):
-        return (
-            unbroadcast(grad * condition, a.shape) if a.requires_grad else None,
-            unbroadcast(grad * ~condition, b.shape) if b.requires_grad else None,
-        )
-
-    return Tensor.from_op(out, (a, b), backward)
-
-
 def squared_distance(a, b) -> Tensor:
     """Fused ``((a - b) ** 2).sum(axis=-1)`` with numpy broadcasting.
 
@@ -405,17 +384,6 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     """Reshape; the gradient is reshaped back."""
     a = as_tensor(a)
     out = a.data.reshape(shape)
-
-    def backward(grad):
-        return (grad.reshape(a.shape),)
-
-    return Tensor.from_op(out, (a,), backward)
-
-
-def expand_dims(a, axis) -> Tensor:
-    """Insert length-1 axes (``np.expand_dims``); the gradient is squeezed back."""
-    a = as_tensor(a)
-    out = np.expand_dims(a.data, axis)
 
     def backward(grad):
         return (grad.reshape(a.shape),)
@@ -510,78 +478,6 @@ def scatter_add(a, row_indices, num_rows: int) -> Tensor:
 
     def backward(grad):
         return (grad[row_indices],)
-
-    return Tensor.from_op(out, (a,), backward)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis``."""
-    tensors = [as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad):
-        pieces = []
-        slicer: list = [slice(None)] * grad.ndim
-        for start, stop in zip(offsets[:-1], offsets[1:]):
-            slicer[axis] = slice(start, stop)
-            pieces.append(grad[tuple(slicer)])
-        return tuple(pieces)
-
-    return Tensor.from_op(out, tuple(tensors), backward)
-
-
-# --------------------------------------------------------------------- #
-# softmax family (numerically stable)
-# --------------------------------------------------------------------- #
-def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Stable ``log(sum(exp(a)))`` along ``axis``."""
-    a = as_tensor(a)
-    x = a.data
-    xmax = np.max(x, axis=axis, keepdims=True)
-    shifted = np.exp(x - xmax)
-    total = np.sum(shifted, axis=axis, keepdims=True)
-    out = np.log(total) + xmax
-    softmax_vals = shifted / total
-    if not keepdims:
-        out = np.squeeze(out, axis=axis)
-
-    def backward(grad):
-        g = np.asarray(grad)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (g * softmax_vals,)
-
-    return Tensor.from_op(out, (a,), backward)
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis``."""
-    a = as_tensor(a)
-    x = a.data
-    shifted = np.exp(x - np.max(x, axis=axis, keepdims=True))
-    out = shifted / np.sum(shifted, axis=axis, keepdims=True)
-
-    def backward(grad):
-        inner = np.sum(grad * out, axis=axis, keepdims=True)
-        return (out * (grad - inner),)
-
-    return Tensor.from_op(out, (a,), backward)
-
-
-def log_softmax(a, axis: int = -1) -> Tensor:
-    """Stable log-softmax along ``axis``."""
-    a = as_tensor(a)
-    x = a.data
-    xmax = np.max(x, axis=axis, keepdims=True)
-    shifted = x - xmax
-    lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-    out = shifted - lse
-    softmax_vals = np.exp(out)
-
-    def backward(grad):
-        return (grad - softmax_vals * np.sum(grad, axis=axis, keepdims=True),)
 
     return Tensor.from_op(out, (a,), backward)
 

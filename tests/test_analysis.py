@@ -13,7 +13,6 @@ from repro.analysis import (
     kmeans,
     minibatch_kmeans,
     pca,
-    pearson_correlation,
     tsne,
 )
 
@@ -59,6 +58,14 @@ class TestPCA:
         with pytest.raises(ValueError):
             pca(rng.normal(size=10), 1)
 
+    def test_integer_input_matches_float(self, rng):
+        counts = rng.integers(0, 5, size=(40, 4))
+        scores, ratios = pca(counts, 2)
+        expected_scores, expected_ratios = pca(counts.astype(np.float64), 2)
+        assert scores.dtype == np.float64
+        np.testing.assert_array_equal(scores, expected_scores)
+        np.testing.assert_array_equal(ratios, expected_ratios)
+
 
 class TestKMeans:
     def test_separates_obvious_clusters(self, rng):
@@ -87,6 +94,19 @@ class TestKMeans:
             kmeans(rng.normal(size=(5, 2)), 6, rng)
         with pytest.raises(ValueError):
             kmeans(rng.normal(size=(5, 2)), 0, rng)
+
+    def test_rejects_1d(self, rng):
+        with pytest.raises(ValueError, match="2-D"):
+            kmeans(rng.normal(size=10), 2, rng)
+
+    def test_more_clusters_than_distinct_points(self, rng):
+        # Three distinct points, k = 5: k-means++ runs out of spread and
+        # seeds the remaining centers on existing points.
+        data = np.repeat(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]), 4, axis=0)
+        assignments, centers, inertia = kmeans(data, 5, rng)
+        assert assignments.min() >= 0 and assignments.max() < 5
+        assert centers.shape == (5, 2)
+        assert inertia == pytest.approx(0.0, abs=1e-12)
 
     def test_inertia_nonincreasing_in_k(self, rng):
         data = rng.normal(size=(100, 3))
@@ -158,6 +178,17 @@ class TestMinibatchKMeans:
         with pytest.raises(ValueError):
             minibatch_kmeans(rng.normal(size=10), 2, rng)
 
+    def test_loose_tolerance_stops_after_one_batch(self, rng):
+        data = rng.normal(size=(300, 3))
+        stopped = minibatch_kmeans(
+            data, 4, np.random.default_rng(2), batch_size=32, tolerance=1e9
+        )
+        one_step = minibatch_kmeans(
+            data, 4, np.random.default_rng(2), batch_size=32, max_iterations=1
+        )
+        np.testing.assert_array_equal(stopped[1], one_step[1])
+        np.testing.assert_array_equal(stopped[0], one_step[0])
+
     def test_assign_to_centers_matches_direct_argmin(self, rng):
         data = rng.normal(size=(100, 3))
         centers = rng.normal(size=(5, 3))
@@ -191,28 +222,19 @@ class TestTSNE:
         out = tsne(rng.normal(size=(20, 5)), rng, iterations=30)
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-9)
 
+    def test_integer_input_matches_float(self, rng):
+        counts = rng.integers(0, 6, size=(15, 4))
+        out = tsne(counts, np.random.default_rng(1), iterations=30)
+        expected = tsne(counts.astype(np.float64), np.random.default_rng(1), iterations=30)
+        np.testing.assert_array_equal(out, expected)
+
+    def test_more_components_than_features(self, rng):
+        out = tsne(rng.normal(size=(20, 2)), rng, num_components=3, iterations=30)
+        assert out.shape == (20, 3)
+        assert np.isfinite(out).all()
+
 
 class TestCorrelation:
-    def test_perfect_correlation(self):
-        a = np.arange(10.0)
-        assert pearson_correlation(a, 2 * a + 1) == pytest.approx(1.0)
-        assert pearson_correlation(a, -a) == pytest.approx(-1.0)
-
-    def test_constant_input_gives_zero(self):
-        assert pearson_correlation(np.ones(5), np.arange(5.0)) == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            pearson_correlation(np.ones(3), np.ones(4))
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            pearson_correlation(np.ones(1), np.ones(1))
-
-    def test_matches_numpy_corrcoef(self, rng):
-        a, b = rng.normal(size=50), rng.normal(size=50)
-        assert pearson_correlation(a, b) == pytest.approx(np.corrcoef(a, b)[0, 1])
-
     def test_columnwise(self, rng):
         v = rng.normal(size=30)
         matrix = np.stack([v, -v, rng.normal(size=30), np.ones(30)], axis=1)
@@ -221,6 +243,17 @@ class TestCorrelation:
         assert corr[1] == pytest.approx(-1.0)
         assert abs(corr[2]) < 0.5
         assert corr[3] == 0.0  # constant column
+
+    def test_float32_matrix_matches_float64(self, rng):
+        # 300 columns: the non-float64 path accumulates two column blocks.
+        v = rng.normal(size=50)
+        matrix = rng.normal(size=(50, 300)) + 0.5 * v[:, None]
+        low = matrix.astype(np.float32)
+        np.testing.assert_allclose(
+            correlation_with_vector(low, v),
+            correlation_with_vector(low.astype(np.float64), v),
+            atol=1e-12,
+        )
 
     def test_columnwise_row_mismatch(self, rng):
         with pytest.raises(ValueError):

@@ -483,6 +483,80 @@ class TestValidationAndFactory:
         assert out[0, 0] == 0
         assert (out[0, 1:] == -1).all()
 
+    def test_rejects_bad_chunk_size(self):
+        with pytest.raises(ValueError, match="chunk_size"):
+            RPForestIndex(chunk_size=0)
+
+    def test_points_before_build(self):
+        index = RPForestIndex()
+        assert index.num_points == 0
+        with pytest.raises(RuntimeError, match="build"):
+            index.points
+
+    @pytest.mark.parametrize(
+        "X", [np.zeros((0, 3)), np.zeros(5)], ids=["empty", "one-dimensional"]
+    )
+    def test_build_rejects_degenerate_input(self, X):
+        with pytest.raises(ValueError, match="non-empty"):
+            RPForestIndex().build(X)
+
+    def test_one_dimensional_query_is_one_row(self):
+        X = np.random.default_rng(0).normal(size=(60, 4))
+        index = RPForestIndex(**FOREST, seed=0).build(X)
+        np.testing.assert_array_equal(index.query(X[7], 3), index.query(X[7:8], 3))
+
+    def test_query_rejects_probes_below_one(self):
+        index = RPForestIndex().build(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="probes"):
+            index.query(np.zeros((1, 2)), 1, probes=0)
+
+    def test_query_counterfactuals_rejects_probes_below_one(self):
+        X = np.random.default_rng(0).normal(size=(20, 3))
+        labels = np.zeros(20, dtype=np.int64)
+        attrs = (np.arange(20) % 2)[:, None]
+        index = RPForestIndex(num_trees=2, leaf_size=4).build(X)
+        with pytest.raises(ValueError, match="probes"):
+            index.query_counterfactuals(np.arange(3), 2, labels, attrs, probes=0)
+
+    def test_chunked_queries_match_one_chunk(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(150, 5))
+        whole = RPForestIndex(**FOREST, seed=4).build(X)
+        chunked = RPForestIndex(**FOREST, seed=4, chunk_size=7).build(X)
+        mask = rng.random(150) < 0.6
+        np.testing.assert_array_equal(chunked.query(X, 4), whole.query(X, 4))
+        np.testing.assert_array_equal(
+            chunked.query(X, 4, mask=mask), whole.query(X, 4, mask=mask)
+        )
+
+    def test_counterfactual_rows_pad_small_buckets(self):
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(12, 3))
+        labels = np.repeat([0, 1], 6)
+        attrs = (np.arange(12) % 2)[:, None]
+        index = RPForestIndex(num_trees=3, leaf_size=4, probes=2, seed=0).build(X)
+        k = 5  # every bucket holds 3 points
+        out = index.query_counterfactuals(np.arange(12), k, labels, attrs)
+        assert out.shape == (1, 12, k)
+        for node in range(12):
+            bucket = (labels == labels[node]) & (attrs[:, 0] != attrs[node, 0])
+            expected = index.query(X[node], k, mask=bucket)[0]
+            np.testing.assert_array_equal(out[0, node], expected)
+            assert (out[0, node, 3:] == -1).all()
+
+    def test_exact_backend_requires_prepare(self):
+        backend = ExactBackend()
+        with pytest.raises(RuntimeError, match="prepare"):
+            backend.topk(np.arange(2), np.arange(4), 1)
+        with pytest.raises(RuntimeError, match="prepare"):
+            backend.topk_counterfactuals(
+                np.arange(2), np.zeros(4, dtype=np.int64), np.zeros((4, 1)), 1
+            )
+
+    def test_make_backend_rejects_options_for_an_instance(self):
+        with pytest.raises(ValueError, match="string specs"):
+            make_backend(AnnBackend(), num_trees=3)
+
 
 class TestSerialization:
     """to_arrays / from_arrays round-trip the forest bit-for-bit."""
@@ -550,3 +624,14 @@ class TestSerialization:
             RPForestIndex.from_arrays(arrays)
         with pytest.raises(ValueError):
             RPForestIndex.from_arrays({"params": np.zeros(5, dtype=np.int64)})
+
+    def test_to_arrays_before_build(self):
+        with pytest.raises(RuntimeError, match="build"):
+            RPForestIndex().to_arrays()
+
+    def test_from_arrays_rejects_empty_points(self):
+        _, index = self._build()
+        arrays = index.to_arrays()
+        arrays["points"] = np.zeros((0, 8))
+        with pytest.raises(ValueError, match="non-empty"):
+            RPForestIndex.from_arrays(arrays)

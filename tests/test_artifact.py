@@ -158,6 +158,13 @@ class TestFloat32RoundTrip:
         art = load_artifact(tmp_path / "vanilla")
         _assert_same_logits(art.score(), result.extra["logits"])
 
+    def test_exact_index_rejects_probes_override(self, small_graph, tmp_path):
+        _, _, art = _float32_fairwos(small_graph, tmp_path, cf_backend="exact")
+        assert art.manifest["index"]["kind"] == "exact"
+        with pytest.raises(ArtifactError, match="only apply to ANN-indexed"):
+            art.counterfactuals(probes=4)
+        assert art.counterfactuals(probes="exhaustive").top_k >= 1
+
     def test_unsearched_trainer_index_is_embedded_in_float32(self, small_graph, tmp_path):
         """A trainer that never searched gets an exact index over its
         embedding, computed in the trained precision."""
@@ -393,6 +400,103 @@ class TestManifestValidation:
     def test_non_model_rejected(self, small_graph, tmp_path):
         with pytest.raises(ArtifactError, match="cannot persist"):
             save_artifact(object(), small_graph, tmp_path / "obj")
+
+    def test_file_in_the_way_rejected(self, fairwos_run, small_graph, tmp_path):
+        target = tmp_path / "taken"
+        target.write_text("not a directory")
+        with pytest.raises(ArtifactError, match="not a directory"):
+            save_artifact(fairwos_run, small_graph, target)
+        assert target.read_text() == "not a directory"
+
+    def test_unfitted_fairwos_rejected(self, small_graph, tmp_path):
+        with pytest.raises(ArtifactError, match="not been fitted"):
+            save_artifact(FairwosTrainer(FairwosConfig()), small_graph, tmp_path / "u")
+
+    def test_corrupt_member_file(self, fairwos_artifact, tmp_path):
+        import shutil
+
+        copy = tmp_path / "scrambled"
+        shutil.copytree(fairwos_artifact, copy)
+        (copy / "arrays.npz").write_bytes(b"this is not a zip archive")
+        with pytest.raises(ArtifactError, match="corrupt artifact member"):
+            load_artifact(copy)
+
+    def test_unknown_index_kind(self, fairwos_artifact, tmp_path):
+        import shutil
+
+        copy = tmp_path / "odd-index"
+        shutil.copytree(fairwos_artifact, copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        manifest["index"]["kind"] = "mystery"
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactError, match="unknown index kind"):
+            load_artifact(copy)
+
+    def test_corrupt_persisted_forest(self, fairwos_artifact, tmp_path):
+        import shutil
+
+        copy = tmp_path / "broken-forest"
+        shutil.copytree(fairwos_artifact, copy)
+        with np.load(copy / "index.npz") as data:
+            arrays = {key: data[key] for key in data.files}
+        del arrays["tree0_directions"]
+        np.savez_compressed(copy / "index.npz", **arrays)
+        with pytest.raises(ArtifactError, match="corrupt persisted index"):
+            load_artifact(copy)
+
+    def test_classifier_weights_must_fit_the_manifest(self, fairwos_artifact, tmp_path):
+        import shutil
+
+        copy = tmp_path / "resized"
+        shutil.copytree(fairwos_artifact, copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        manifest["config"]["hidden_dim"] += 1
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactError, match="classifier weights do not fit"):
+            load_artifact(copy)
+
+
+@pytest.fixture(scope="module")
+def vanilla_artifact(small_graph, tmp_path_factory):
+    """A full-batch Vanilla artifact for the baseline failure modes."""
+    result = run_method("vanilla", small_graph, epochs=2, keep_model=True)
+    path = tmp_path_factory.mktemp("artifacts") / "vanilla"
+    save_artifact(result.extra["model"], small_graph, path)
+    return path
+
+
+class TestBaselineManifestValidation:
+    @staticmethod
+    def _edited(artifact, tmp_path, edit):
+        import shutil
+
+        copy = tmp_path / "edited"
+        shutil.copytree(artifact, copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        edit(manifest["config"])
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        return copy
+
+    def test_unknown_baseline_class(self, vanilla_artifact, tmp_path):
+        copy = self._edited(
+            vanilla_artifact, tmp_path, lambda config: config.update({"class": "Nope"})
+        )
+        with pytest.raises(ArtifactError, match="unknown baseline class 'Nope'"):
+            load_artifact(copy)
+
+    def test_model_weights_must_fit_the_manifest(self, vanilla_artifact, tmp_path):
+        def widen(config):
+            config["hidden_dim"] += 1
+
+        copy = self._edited(vanilla_artifact, tmp_path, widen)
+        with pytest.raises(ArtifactError, match="model weights do not fit"):
+            load_artifact(copy)
+
+    def test_feature_width_checked_at_scoring(self, vanilla_artifact, small_graph):
+        art = load_artifact(vanilla_artifact)
+        narrow = small_graph.features[:, :-1]
+        with pytest.raises(ArtifactError, match="columns but the model expects"):
+            art.score(features=narrow)
 
 
 class TestGraphlessArtifact:

@@ -208,6 +208,20 @@ class TestStreamingCorrelationEstimator:
             atol=1e-12,
         )
 
+    def test_no_data_reports_zero_and_empty_batches_are_no_ops(self):
+        predictions, columns = self._data(seed=3)
+        moments = StreamingCorrelation(columns.shape[1])
+        np.testing.assert_array_equal(moments.squared_correlations(), 0.0)
+        moments.update(predictions[:0], columns[:0])
+        assert moments.count == 0
+        moments.update(predictions, columns)
+        moments.update(predictions[:0], columns[:0])
+        np.testing.assert_allclose(
+            moments.squared_correlations(),
+            _full_squared_correlation(predictions, columns),
+            atol=1e-12,
+        )
+
     def test_constant_column_reports_zero(self):
         predictions, columns = self._data(seed=2)
         columns[:, 1] = 3.5

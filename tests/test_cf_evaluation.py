@@ -80,6 +80,16 @@ class TestCounterfactualFairness:
         assert "flip rate" in text
         assert "x0_0" in text
 
+    def test_render_marks_attributes_without_counterfactuals(self):
+        n = 10
+        rng = np.random.default_rng(5)
+        pseudo = np.ones((n, 1))  # constant → binarises to all-zero
+        report = evaluate_counterfactual_fairness(
+            rng.normal(size=n), rng.normal(size=(n, 2)), pseudo,
+            np.zeros(n, dtype=int),
+        )
+        assert "x0_0   no counterfactuals" in report.render()
+
     def test_end_to_end_with_trainer(self, small_graph):
         from repro.core import FairwosConfig, FairwosTrainer
         from repro.tensor import Tensor, no_grad

@@ -1,8 +1,8 @@
 """Tests for the encoder module, binarisation, and the fair loss.
 
 The fused fair loss (one batched gather-sum over all I·K counterfactual
-pairs) is parity-tested against the original loop implementation — kept and
-exported as ``fair_representation_loss_reference`` — with a hypothesis
+pairs) is parity-tested against the original loop implementation — kept as
+``fair_representation_loss_reference`` in ``tests/oracles.py`` — with a hypothesis
 harness drawing shapes (I, K, N, d), masks (including zero-valid attributes
 and all-invalid indexes) and weights: value, per-attribute disparities and
 gradient must agree to 1e-9.
@@ -22,10 +22,12 @@ from repro.core import (
     binarize_attributes,
     fair_representation_loss,
     fair_representation_loss_minibatch,
+)
+from repro.tensor import Tensor
+from oracles import (
     fair_representation_loss_minibatch_reference,
     fair_representation_loss_reference,
 )
-from repro.tensor import Tensor
 
 
 class TestBinarize:

@@ -47,6 +47,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FairwosConfig(**kwargs).validate()
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"learning_rate": 0.0}, "learning_rate must be positive"),
+            ({"finetune_learning_rate": 0.0}, "finetune_learning_rate"),
+            ({"classifier_epochs": 0}, "classifier_epochs"),
+            ({"cf_attrs_per_step": 0}, "cf_attrs_per_step"),
+            ({"num_workers": 2}, "num_workers must be 0"),
+            ({"fanouts": (5, 5)}, "fanouts has 2 entries"),
+        ],
+    )
+    def test_rejects_invalid_with_reason(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            FairwosConfig(**kwargs).validate()
+
     def test_trainer_validates_at_construction(self):
         with pytest.raises(ValueError):
             FairwosTrainer(FairwosConfig(top_k=0))
@@ -87,6 +102,12 @@ class TestTrainerEndToEnd:
         with pytest.raises(RuntimeError):
             FairwosTrainer(_fast_config()).predict(small_graph)
 
+    def test_transform_features_before_fit_raises(self, small_graph):
+        with pytest.raises(RuntimeError, match="fit"):
+            FairwosTrainer(_fast_config()).transform_features(
+                small_graph.features, small_graph.adjacency
+            )
+
     def test_gin_backbone(self, small_graph):
         result = FairwosTrainer(_fast_config(backbone="gin")).fit(small_graph, seed=0)
         assert result.test.accuracy > 0.0
@@ -105,6 +126,17 @@ class TestAblationFlags:
         ).fit(small_graph, seed=0)
         assert result.pseudo_attributes.shape[1] == 5
         assert result.lambda_weights.shape == (5,)
+
+    def test_without_encoder_transform_reproduces_training_input(self, small_graph):
+        trainer = FairwosTrainer(
+            _fast_config(use_encoder=False, max_pseudo_attributes=5)
+        )
+        result = trainer.fit(small_graph, seed=0)
+        features = small_graph.features.copy()
+        pseudo = trainer.transform_features(features, small_graph.adjacency)
+        np.testing.assert_allclose(pseudo, result.pseudo_attributes, atol=1e-12)
+        # The raw input is copied, never standardized in place.
+        np.testing.assert_array_equal(features, small_graph.features)
 
     def test_without_fairness_skips_finetune(self, small_graph):
         result = FairwosTrainer(_fast_config(use_fairness=False)).fit(

@@ -66,6 +66,10 @@ class TestEq24Solver:
     def test_single_attribute(self):
         np.testing.assert_allclose(solve_kkt_eq24(np.array([3.0])), [1.0])
 
+    def test_empty_raises(self):
+        with pytest.raises(ValueError, match="at least one"):
+            solve_kkt_eq24(np.array([]))
+
     def test_equal_disparities_give_uniform(self):
         out = solve_kkt_eq24(np.array([2.0, 2.0, 2.0]))
         np.testing.assert_allclose(out, 1 / 3)

@@ -307,6 +307,24 @@ class TestEngineContracts:
         with pytest.raises(ValueError, match="fanouts"):
             self._engine(graph, fanouts=(5, 5))  # 1-layer model
 
+    def test_rejects_zero_batch_size(self, causal_graph):
+        with pytest.raises(ValueError, match="batch_size"):
+            self._engine(causal_graph, batch_size=0)
+
+    def test_rejects_empty_validation_nodes(self, causal_graph):
+        graph = causal_graph
+        model, engine = self._engine(graph)
+        train = np.where(graph.train_mask)[0]
+        with pytest.raises(ValueError, match="val_nodes"):
+            engine.run(
+                train,
+                1,
+                loss_fn=self._bce_loss(graph),
+                rng=0,
+                val_nodes=np.array([], dtype=np.int64),
+                val_labels=np.array([], dtype=np.int64),
+            )
+
     @pytest.mark.parametrize("batch_size", [64, None], ids=["sampled", "full"])
     def test_rejects_negative_patience_and_tolerance(self, causal_graph, batch_size):
         """A negative patience used to act like 0 and a negative floor

@@ -11,17 +11,16 @@ The autograd-core bugfix regressions from the same sweep live here too.
 import numpy as np
 import pytest
 
-from repro.core.fairloss import (
-    _composed_pair_disparities,
-    _fused_pair_disparities,
-)
-from repro.nn.losses import (
-    binary_cross_entropy_with_logits,
-    binary_cross_entropy_with_logits_reference,
-)
+from repro.core.fairloss import _fused_pair_disparities
+from repro.nn.losses import binary_cross_entropy_with_logits
 from repro.nn.module import Parameter
 from repro.optim import Adam
-from repro.tensor import Tensor, dtype_scope, gradcheck, ops
+from repro.tensor import Tensor, dtype_scope, ops
+from oracles import (
+    _composed_pair_disparities,
+    binary_cross_entropy_with_logits_reference,
+    gradcheck,
+)
 
 
 class TestFusedBCE:

@@ -35,6 +35,15 @@ class TestFactory:
         with pytest.raises(ValueError, match="unknown backbone"):
             make_backbone("transformer", 4, 8, np.random.default_rng(0))
 
+    def test_base_class_leaves_message_passing_abstract(self, tiny_graph, features):
+        model = GNNBackbone(8, np.random.default_rng(0))
+        with pytest.raises(NotImplementedError):
+            model(features, tiny_graph.adjacency)
+        with pytest.raises(NotImplementedError):
+            model.embed_blocks(features, [])
+        with pytest.raises(NotImplementedError):
+            model._propagation_matrix(tiny_graph.adjacency)
+
 
 @pytest.mark.parametrize("name", BACKBONES)
 class TestBackboneContract:

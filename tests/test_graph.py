@@ -16,7 +16,6 @@ from repro.graph import (
     edge_homophily,
     edges_from_adjacency,
     gcn_normalize,
-    k_hop_neighbors,
     row_normalize,
     to_symmetric,
 )
@@ -57,6 +56,46 @@ class TestGraphContainer:
                 val_mask=tiny_graph.val_mask,
                 test_mask=tiny_graph.test_mask,
             )
+
+    @pytest.mark.parametrize(
+        "attr", ["labels", "sensitive", "train_mask", "val_mask", "test_mask"]
+    )
+    def test_rejects_node_array_of_wrong_length(self, tiny_graph, attr):
+        arrays = {
+            name: getattr(tiny_graph, name)
+            for name in ("labels", "sensitive", "train_mask", "val_mask", "test_mask")
+        }
+        arrays[attr] = arrays[attr][:-1]
+        with pytest.raises(ValueError, match=rf"{attr} must have shape \(6,\)"):
+            Graph(
+                adjacency=tiny_graph.adjacency,
+                features=tiny_graph.features,
+                **arrays,
+            )
+
+    def test_integer_features_become_float64(self, tiny_graph):
+        graph = tiny_graph.with_features(np.arange(12).reshape(6, 2))
+        assert graph.features.dtype == np.float64
+        np.testing.assert_array_equal(graph.features, np.arange(12.0).reshape(6, 2))
+
+    def test_float32_features_kept_without_copy(self, tiny_graph):
+        features = tiny_graph.features.astype(np.float32)
+        graph = tiny_graph.with_features(features)
+        assert graph.features is features
+
+    def test_empty_graph_statistics(self):
+        graph = Graph(
+            adjacency=sp.csr_matrix((0, 0)),
+            features=np.zeros((0, 3)),
+            labels=np.zeros(0),
+            sensitive=np.zeros(0),
+            train_mask=np.zeros(0),
+            val_mask=np.zeros(0),
+            test_mask=np.zeros(0),
+        )
+        assert graph.num_nodes == 0 and graph.num_edges == 0
+        assert graph.average_degree == 0.0
+        assert graph.num_classes == 0
 
     def test_rejects_out_of_range_related(self, tiny_graph):
         with pytest.raises(ValueError, match="related"):
@@ -238,26 +277,6 @@ class TestGraphUtils:
         np.testing.assert_allclose(
             degree_vector(tiny_adjacency), [2, 2, 3, 3, 2, 2]
         )
-
-    def test_k_hop_zero_is_self(self, tiny_adjacency):
-        np.testing.assert_array_equal(k_hop_neighbors(tiny_adjacency, 0, 0), [0])
-
-    def test_k_hop_one(self, tiny_adjacency):
-        np.testing.assert_array_equal(k_hop_neighbors(tiny_adjacency, 0, 1), [0, 1, 2])
-
-    def test_k_hop_two_crosses_bridge(self, tiny_adjacency):
-        np.testing.assert_array_equal(
-            k_hop_neighbors(tiny_adjacency, 0, 2), [0, 1, 2, 3]
-        )
-
-    def test_k_hop_saturates(self, tiny_adjacency):
-        np.testing.assert_array_equal(
-            k_hop_neighbors(tiny_adjacency, 0, 10), np.arange(6)
-        )
-
-    def test_k_hop_negative_raises(self, tiny_adjacency):
-        with pytest.raises(ValueError):
-            k_hop_neighbors(tiny_adjacency, 0, -1)
 
     def test_edge_homophily_extremes(self, tiny_adjacency):
         all_same = np.zeros(6, dtype=int)

@@ -1,4 +1,4 @@
-"""Tests for the stochastic graph sampling utilities.
+"""Tests for the minibatch neighbour sampler.
 
 ``TestBlockConstructionOracle`` checks the sampler's block construction
 (position-map relabel, direct CSR assembly, one-expression GCN operator)
@@ -19,106 +19,7 @@ from repro.graph import (
     block_gcn_matrix,
     block_mean_matrix,
     block_sum_matrix,
-    random_walks,
-    sample_neighbors,
-    subsample_edges,
 )
-
-
-class TestSampleNeighbors:
-    def test_returns_actual_neighbors(self, tiny_adjacency):
-        rng = np.random.default_rng(0)
-        samples = sample_neighbors(tiny_adjacency, np.array([0, 2]), fanout=2, rng=rng)
-        assert set(samples[0]) <= {1, 2}
-        assert set(samples[1]) <= {0, 1, 3}
-
-    def test_fanout_respected(self, tiny_adjacency):
-        rng = np.random.default_rng(0)
-        samples = sample_neighbors(tiny_adjacency, np.array([2]), fanout=2, rng=rng)
-        assert len(samples[0]) == 2
-        assert len(set(samples[0])) == 2  # without replacement
-
-    def test_small_neighborhood_returns_all(self, tiny_adjacency):
-        rng = np.random.default_rng(0)
-        samples = sample_neighbors(tiny_adjacency, np.array([0]), fanout=10, rng=rng)
-        assert set(samples[0]) == {1, 2}
-
-    def test_with_replacement_pads(self, tiny_adjacency):
-        rng = np.random.default_rng(0)
-        samples = sample_neighbors(
-            tiny_adjacency, np.array([0]), fanout=5, rng=rng, replace=True
-        )
-        assert len(samples[0]) == 5
-        assert set(samples[0]) <= {1, 2}
-
-    def test_isolated_node_empty(self):
-        adj = sp.csr_matrix((3, 3))
-        samples = sample_neighbors(adj, np.array([1]), 2, np.random.default_rng(0))
-        assert samples[0].size == 0
-
-    def test_rejects_bad_fanout(self, tiny_adjacency):
-        with pytest.raises(ValueError):
-            sample_neighbors(tiny_adjacency, np.array([0]), 0, np.random.default_rng(0))
-
-
-class TestRandomWalks:
-    def test_shape_and_start_column(self, tiny_adjacency):
-        rng = np.random.default_rng(0)
-        walks = random_walks(tiny_adjacency, np.array([0, 3, 5]), length=4, rng=rng)
-        assert walks.shape == (3, 5)
-        np.testing.assert_array_equal(walks[:, 0], [0, 3, 5])
-
-    def test_steps_follow_edges(self, tiny_adjacency):
-        rng = np.random.default_rng(1)
-        walks = random_walks(tiny_adjacency, np.arange(6), length=6, rng=rng)
-        dense = tiny_adjacency.toarray()
-        for walk in walks:
-            for a, b in zip(walk[:-1], walk[1:]):
-                assert a == b or dense[a, b] == 1
-
-    def test_isolated_node_self_absorbing(self):
-        adj = sp.csr_matrix((2, 2))
-        walks = random_walks(adj, np.array([0]), length=3, rng=np.random.default_rng(0))
-        np.testing.assert_array_equal(walks[0], [0, 0, 0, 0])
-
-    def test_rejects_zero_length(self, tiny_adjacency):
-        with pytest.raises(ValueError):
-            random_walks(tiny_adjacency, np.array([0]), 0, np.random.default_rng(0))
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 100), length=st.integers(1, 8))
-    def test_property_walks_stay_in_graph(self, seed, length):
-        rng = np.random.default_rng(seed)
-        dense = (rng.random((8, 8)) < 0.3).astype(float)
-        dense = np.triu(dense, 1)
-        adj = sp.csr_matrix(dense + dense.T)
-        walks = random_walks(adj, np.arange(8), length, np.random.default_rng(seed))
-        assert walks.min() >= 0
-        assert walks.max() < 8
-
-
-class TestSubsampleEdges:
-    def test_keep_all(self, tiny_adjacency):
-        out = subsample_edges(tiny_adjacency, 1.0, np.random.default_rng(0))
-        assert (out != tiny_adjacency).nnz == 0
-
-    def test_keeps_roughly_fraction(self):
-        rng = np.random.default_rng(0)
-        dense = np.triu(np.ones((40, 40)), 1)
-        adj = sp.csr_matrix(dense + dense.T)
-        out = subsample_edges(adj, 0.5, rng)
-        ratio = out.nnz / adj.nnz
-        assert 0.35 < ratio < 0.65
-
-    def test_result_symmetric(self, tiny_adjacency):
-        out = subsample_edges(tiny_adjacency, 0.5, np.random.default_rng(3))
-        assert (out != out.T).nnz == 0
-
-    def test_rejects_bad_fraction(self, tiny_adjacency):
-        with pytest.raises(ValueError):
-            subsample_edges(tiny_adjacency, 0.0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            subsample_edges(tiny_adjacency, 1.5, np.random.default_rng(0))
 
 
 # --------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Tests for graph/model persistence and networkx interop."""
+"""Tests for graph persistence and the state-dict key scheme."""
 
 from __future__ import annotations
 
@@ -7,13 +7,11 @@ import pytest
 
 from repro.gnnzoo import make_backbone
 from repro.io import (
-    from_networkx,
     load_graph,
-    load_state,
+    pack_state,
     save_graph,
     save_graph_mmap,
-    save_state,
-    to_networkx,
+    unpack_state,
 )
 from repro.tensor import Tensor
 
@@ -137,67 +135,38 @@ class TestGraphMmapIO:
         assert ref.test.delta_sp == mapped.test.delta_sp
 
 
-class TestModelIO:
+class TestStateKeys:
+    """``pack_state`` / ``unpack_state``: the artifacts' state-dict key scheme."""
+
+    @staticmethod
+    def _round_trip(model, path, prefix=""):
+        np.savez_compressed(path, **pack_state(model, prefix))
+        with np.load(path, allow_pickle=False) as data:
+            return unpack_state(data, prefix)
+
     def test_round_trip(self, tmp_path, tiny_graph):
         model = make_backbone("gcn", 4, 8, np.random.default_rng(0))
         feats = Tensor(tiny_graph.features)
         before = model(feats, tiny_graph.adjacency).data.copy()
-        path = save_state(model, tmp_path / "ckpt.npz")
+        state = self._round_trip(model, tmp_path / "ckpt.npz", "model/")
 
         fresh = make_backbone("gcn", 4, 8, np.random.default_rng(99))
-        load_state(fresh, path)
+        fresh.load_state_dict(state)
         after = fresh(feats, tiny_graph.adjacency).data
         np.testing.assert_allclose(after, before)
 
     def test_strict_loading(self, tmp_path):
         model = make_backbone("gcn", 4, 8, np.random.default_rng(0))
-        path = save_state(model, tmp_path / "ckpt.npz")
+        state = self._round_trip(model, tmp_path / "ckpt.npz")
         wrong = make_backbone("gcn", 4, 16, np.random.default_rng(0))
         with pytest.raises((KeyError, ValueError)):
-            load_state(wrong, path)
+            wrong.load_state_dict(state)
 
     def test_nested_names_round_trip(self, tmp_path):
         model = make_backbone("gin", 4, 8, np.random.default_rng(0))
         names = set(model.state_dict())
-        path = save_state(model, tmp_path / "gin.npz")
+        state = self._round_trip(model, tmp_path / "gin.npz")
+        assert set(state) == names
         fresh = make_backbone("gin", 4, 8, np.random.default_rng(1))
-        load_state(fresh, path)
+        fresh.load_state_dict(state)
         assert set(fresh.state_dict()) == names
-
-
-class TestNetworkxBridge:
-    def test_to_networkx_attributes(self, tiny_graph):
-        nx_graph = to_networkx(tiny_graph)
-        assert nx_graph.number_of_nodes() == 6
-        assert nx_graph.number_of_edges() == 7
-        assert nx_graph.nodes[0]["label"] == 0
-        assert nx_graph.nodes[3]["sensitive"] == 1
-        assert nx_graph.nodes[0]["split"] == "train"
-        assert nx_graph.graph["name"] == "tiny"
-
-    def test_round_trip(self, tiny_graph):
-        nx_graph = to_networkx(tiny_graph)
-        back = from_networkx(nx_graph)
-        assert (back.adjacency != tiny_graph.adjacency).nnz == 0
-        np.testing.assert_array_equal(back.labels, tiny_graph.labels)
-        np.testing.assert_array_equal(back.sensitive, tiny_graph.sensitive)
-        np.testing.assert_array_equal(back.train_mask, tiny_graph.train_mask)
-        np.testing.assert_allclose(back.features, tiny_graph.features)
-
-    def test_from_networkx_explicit_arrays(self, tiny_graph):
-        nx_graph = to_networkx(tiny_graph, include_attributes=False)
-        back = from_networkx(
-            nx_graph,
-            features=tiny_graph.features,
-            labels=tiny_graph.labels,
-            sensitive=tiny_graph.sensitive,
-            train_mask=tiny_graph.train_mask,
-            val_mask=tiny_graph.val_mask,
-            test_mask=tiny_graph.test_mask,
-        )
-        assert back.num_nodes == 6
-
-    def test_from_networkx_missing_attrs_raises(self, tiny_graph):
-        nx_graph = to_networkx(tiny_graph, include_attributes=False)
-        with pytest.raises(ValueError, match="missing"):
-            from_networkx(nx_graph)

@@ -224,6 +224,25 @@ class TestNeighborSamplerProperties:
         with pytest.raises(ValueError):
             sampler.sample_blocks(np.array([17]), rng)
 
+    def test_rejects_non_square_adjacency(self):
+        with pytest.raises(ValueError, match="square"):
+            NeighborSampler(sp.csr_matrix((4, 5)), fanouts=(2,))
+
+    def test_full_neighborhood_needs_a_layer(self, tiny_adjacency):
+        with pytest.raises(ValueError, match="num_layers"):
+            NeighborSampler.full_neighborhood(tiny_adjacency, 0)
+
+    def test_sample_blocks_without_rng(self, tiny_adjacency):
+        sampler = NeighborSampler.full_neighborhood(tiny_adjacency, 2)
+        seeds = np.array([4, 1])
+        blocks = sampler.sample_blocks(seeds)
+        np.testing.assert_array_equal(blocks[-1].dst_nodes, seeds)
+        # A full fanout draws nothing, so fresh entropy changes no block.
+        seeded = sampler.sample_blocks(seeds, np.random.default_rng(0))
+        for block, expected in zip(blocks, seeded):
+            np.testing.assert_array_equal(block.src_nodes, expected.src_nodes)
+            assert (block.adjacency != expected.adjacency).nnz == 0
+
     def test_block_validates_prefix(self):
         with pytest.raises(ValueError):
             Block(
@@ -313,6 +332,40 @@ class TestFullBatchAgreement:
         mini = model(Tensor(features[blocks[0].src_nodes]), blocks).data
         np.testing.assert_allclose(mini, full[seeds], atol=1e-10)
 
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    def test_block_dropout_only_in_training(self, backbone):
+        adjacency = random_adjacency(30, 0.2, 2)
+        features = np.random.default_rng(3).normal(size=(30, 6))
+        model = make_backbone(
+            backbone, 6, 8, np.random.default_rng(4), dropout=0.5
+        )
+        sampler = NeighborSampler.full_neighborhood(adjacency, model.num_layers)
+        blocks = sampler.sample_blocks(np.arange(10), np.random.default_rng(0))
+        inputs = Tensor(features[blocks[0].src_nodes])
+        model.eval()
+        first = model(inputs, blocks).data
+        np.testing.assert_array_equal(model(inputs, blocks).data, first)
+        model.train()
+        assert not np.array_equal(model(inputs, blocks).data, first)
+
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    def test_block_chain_is_validated(self, backbone):
+        adjacency = random_adjacency(30, 0.2, 2)
+        features = np.random.default_rng(3).normal(size=(30, 6))
+        model = make_backbone(
+            backbone, 6, 8, np.random.default_rng(4), num_layers=2
+        )
+        sampler = NeighborSampler.full_neighborhood(adjacency, 2)
+        blocks = sampler.sample_blocks(np.arange(5), np.random.default_rng(0))
+        inputs = Tensor(features[blocks[0].src_nodes])
+        with pytest.raises(ValueError, match="2 layers but got 1 blocks"):
+            model(Tensor(features[blocks[1].src_nodes]), blocks[1:])
+        with pytest.raises(ValueError, match="rows"):
+            model(Tensor(features), blocks)
+        other = sampler.sample_blocks(np.arange(20, 25), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="block chain broken"):
+            model(inputs, [blocks[0], other[1]])
+
     def test_predict_logits_batched_matches_full(self, small_graph):
         model = make_backbone(
             "sage", small_graph.num_features, 16, np.random.default_rng(0)
@@ -360,6 +413,31 @@ class TestNodeIds:
         np.testing.assert_array_equal(out, once[[0, 0, 1, 0, 2, 1]])
         every = helper(*args, batch_size=batch_size)
         np.testing.assert_allclose(out, every[nodes], atol=1e-10)
+
+    def test_empty_embedding_request_raises(self, small_graph):
+        args = self._args(small_graph)
+        with pytest.raises(ValueError, match="non-empty"):
+            embed_batched(*args, nodes=np.array([], dtype=np.int64), batch_size=7)
+
+    def test_integer_features_are_promoted(self, small_graph):
+        model, _, adjacency = self._args(small_graph)
+        counts = np.random.default_rng(0).integers(
+            0, 4, size=small_graph.features.shape
+        )
+        from_ints = predict_logits_batched(model, counts, adjacency, batch_size=64)
+        from_floats = predict_logits_batched(
+            model, counts.astype(np.float64), adjacency, batch_size=64
+        )
+        np.testing.assert_array_equal(from_ints, from_floats)
+
+    def test_model_without_num_layers_needs_an_explicit_count(self, small_graph):
+        from repro.nn import Linear
+
+        model = Linear(small_graph.num_features, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="num_layers"):
+            predict_logits_batched(
+                model, small_graph.features, small_graph.adjacency, batch_size=8
+            )
 
     @HELPERS
     @MODES

@@ -1,4 +1,4 @@
-"""Tests for SGD / Adam and gradient clipping."""
+"""Tests for the Adam optimiser and its ``Optimizer`` base class."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Linear, Parameter
-from repro.optim import SGD, Adam, clip_grad_norm
+from repro.optim import Adam, Optimizer
 from repro.tensor import Tensor
 from repro.tensor import ops
 
@@ -15,49 +15,6 @@ def _quadratic_loss(param: Parameter) -> float:
     """One step of minimising ||p - 3||² returns the loss value."""
     loss = ops.sum(ops.power(ops.sub(param, 3.0), 2.0))
     return loss
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        param = Parameter(np.zeros(4))
-        opt = SGD([param], lr=0.1)
-        for _ in range(200):
-            opt.zero_grad()
-            _quadratic_loss(param).backward()
-            opt.step()
-        np.testing.assert_allclose(param.data, 3.0, atol=1e-4)
-
-    def test_momentum_accelerates(self):
-        plain, momentum = Parameter(np.zeros(1)), Parameter(np.zeros(1))
-        opt_plain = SGD([plain], lr=0.01)
-        opt_momentum = SGD([momentum], lr=0.01, momentum=0.9)
-        for _ in range(30):
-            for param, opt in ((plain, opt_plain), (momentum, opt_momentum)):
-                opt.zero_grad()
-                _quadratic_loss(param).backward()
-                opt.step()
-        assert abs(momentum.data[0] - 3.0) < abs(plain.data[0] - 3.0)
-
-    def test_weight_decay_shrinks(self):
-        param = Parameter(np.full(1, 10.0))
-        opt = SGD([param], lr=0.1, weight_decay=1.0)
-        opt.zero_grad()
-        ops.sum(param * 0.0).backward()
-        opt.step()
-        assert param.data[0] == pytest.approx(9.0)
-
-    def test_skips_params_without_grad(self):
-        param = Parameter(np.ones(1))
-        SGD([param], lr=0.1).step()
-        assert param.data[0] == 1.0
-
-    def test_rejects_bad_lr(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.ones(1))], lr=0.0)
-
-    def test_rejects_empty_params(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
 
 
 class TestAdam:
@@ -91,6 +48,33 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([Parameter(np.ones(1))], betas=(1.0, 0.999))
 
+    @pytest.mark.parametrize("lr", [0.0, -0.1])
+    def test_rejects_non_positive_lr(self, lr):
+        with pytest.raises(ValueError, match="learning rate"):
+            Adam([Parameter(np.ones(1))], lr=lr)
+
+    def test_zero_grad_clears_every_parameter(self):
+        a, b = Parameter(np.ones(2)), Parameter(np.ones(3))
+        opt = Adam([a, b], lr=0.1)
+        ops.add(ops.sum(a), ops.sum(b)).backward()
+        assert a.grad is not None and b.grad is not None
+        opt.zero_grad()
+        assert a.grad is None and b.grad is None
+
+    def test_skips_params_without_grad(self):
+        param = Parameter(np.ones(1))
+        Adam([param], lr=0.1).step()
+        assert param.data[0] == 1.0
+
+    def test_rejects_empty_params(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
+
+    def test_base_step_is_abstract(self):
+        opt = Optimizer([Parameter(np.ones(1))])
+        with pytest.raises(NotImplementedError):
+            opt.step()
+
     def test_trains_linear_regression(self):
         rng = np.random.default_rng(0)
         true_w = np.array([[2.0], [-1.0]])
@@ -105,22 +89,3 @@ class TestAdam:
             loss.backward()
             opt.step()
         np.testing.assert_allclose(layer.weight.data, true_w, atol=0.05)
-
-
-class TestClipGradNorm:
-    def test_clips_large_gradients(self):
-        param = Parameter(np.zeros(3))
-        param.grad = np.array([3.0, 4.0, 0.0])  # norm 5
-        norm = clip_grad_norm([param], max_norm=1.0)
-        assert norm == pytest.approx(5.0)
-        assert np.linalg.norm(param.grad) == pytest.approx(1.0)
-
-    def test_leaves_small_gradients(self):
-        param = Parameter(np.zeros(2))
-        param.grad = np.array([0.3, 0.4])
-        clip_grad_norm([param], max_norm=1.0)
-        np.testing.assert_allclose(param.grad, [0.3, 0.4])
-
-    def test_ignores_none_grads(self):
-        param = Parameter(np.zeros(2))
-        assert clip_grad_norm([param], max_norm=1.0) == 0.0

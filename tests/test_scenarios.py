@@ -8,8 +8,11 @@ fixtures in ``test_scenarios_golden.py`` then pin numerically.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.datasets import (
     GRAPH_FAMILIES,
@@ -18,11 +21,13 @@ from repro.datasets import (
     dataset_cli_flags,
     generate_erdos_renyi_graph,
     generate_sbm_graph,
+    generate_scale_free_graph,
     load_dataset,
     load_family,
 )
 from repro.experiments import Scale, Scenario, run_scenario_cell
 from repro.experiments.linkpred import (
+    EdgeSet,
     edge_dyad_groups,
     make_link_split,
     run_linkpred_method,
@@ -54,6 +59,35 @@ class TestErdosRenyi:
         assert edge_homophily(
             high.adjacency, high.sensitive
         ) > edge_homophily(low.adjacency, low.sensitive)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"num_nodes": 9}, "at least 10 nodes"),
+            ({"num_features": 1}, "at least 2 features"),
+            ({"average_degree": 0.0}, "average_degree"),
+            ({"group_homophily": -0.5}, "group_homophily"),
+            ({"extra_sensitive_attrs": -1}, "extra_sensitive_attrs"),
+        ],
+    )
+    def test_rejects_invalid_params(self, kwargs, match):
+        params = {"num_nodes": 100, **kwargs}
+        with pytest.raises(ValueError, match=match):
+            generate_erdos_renyi_graph(**params)
+
+    def test_extra_sensitive_attrs_drawn_last(self):
+        plain = generate_erdos_renyi_graph(200, seed=3)
+        extra = generate_erdos_renyi_graph(200, seed=3, extra_sensitive_attrs=2)
+        assert "extra_sensitive" not in plain.meta
+        attrs = extra.meta["extra_sensitive"]
+        assert sorted(attrs) == ["attr1", "attr2"]
+        for values in attrs.values():
+            assert values.shape == (200,) and values.dtype == np.int64
+            assert set(np.unique(values).tolist()) == {0, 1}
+        # Drawn after every other draw: the rest of the graph is unchanged.
+        assert np.array_equal(plain.features, extra.features)
+        assert np.array_equal(plain.train_mask, extra.train_mask)
+        assert (plain.adjacency != extra.adjacency).nnz == 0
 
 
 class TestSBM:
@@ -91,6 +125,62 @@ class TestSBM:
         assert np.array_equal(a.features, b.features)
         assert (a.adjacency != b.adjacency).nnz == 0
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"num_nodes": 9}, "at least 10 nodes"),
+            ({"num_features": 1}, "at least 2 features"),
+            ({"num_communities": 1}, "at least 2 communities"),
+            ({"community_mixing": 1.5}, "community_mixing"),
+            ({"sensitive_mixing": -0.1}, "sensitive_mixing"),
+            ({"average_degree": -1.0}, "average_degree"),
+            ({"group_homophily": -0.5}, "group_homophily"),
+            ({"extra_sensitive_attrs": -1}, "extra_sensitive_attrs"),
+        ],
+    )
+    def test_rejects_invalid_params(self, kwargs, match):
+        params = {"num_nodes": 100, **kwargs}
+        with pytest.raises(ValueError, match=match):
+            generate_sbm_graph(**params)
+
+    def test_extra_sensitive_attrs_join_community(self):
+        plain = generate_sbm_graph(200, seed=3)
+        extra = generate_sbm_graph(200, seed=3, extra_sensitive_attrs=1)
+        attrs = extra.meta["extra_sensitive"]
+        assert sorted(attrs) == ["attr1", "community"]
+        assert np.array_equal(
+            attrs["community"], plain.meta["extra_sensitive"]["community"]
+        )
+        assert set(np.unique(attrs["attr1"]).tolist()) == {0, 1}
+        assert np.array_equal(plain.features, extra.features)
+        assert (plain.adjacency != extra.adjacency).nnz == 0
+
+
+class TestScaleFree:
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"num_nodes": 9}, "at least 10 nodes"),
+            ({"num_features": 1}, "at least 2 features"),
+            ({"power_law_exponent": 2.0}, "power_law_exponent"),
+            ({"average_degree": 0.0}, "average_degree"),
+            ({"group_homophily": -0.5}, "group_homophily"),
+            ({"extra_sensitive_attrs": -1}, "extra_sensitive_attrs"),
+        ],
+    )
+    def test_rejects_invalid_params(self, kwargs, match):
+        params = {"num_nodes": 100, **kwargs}
+        with pytest.raises(ValueError, match=match):
+            generate_scale_free_graph(**params)
+
+    def test_extra_sensitive_attrs_drawn_last(self):
+        plain = generate_scale_free_graph(200, seed=3)
+        extra = generate_scale_free_graph(200, seed=3, extra_sensitive_attrs=2)
+        assert sorted(extra.meta["extra_sensitive"]) == ["attr1", "attr2"]
+        assert np.array_equal(plain.features, extra.features)
+        assert np.array_equal(plain.labels, extra.labels)
+        assert (plain.adjacency != extra.adjacency).nnz == 0
+
 
 class TestTemporalStream:
     def test_batches_partition_the_edges(self):
@@ -117,6 +207,25 @@ class TestTemporalStream:
         b = TemporalEdgeStream(graph, num_batches=3, seed=5)
         for t in range(3):
             assert np.array_equal(a.batch(t).src, b.batch(t).src)
+
+    def test_num_edges_counts_each_undirected_edge_once(self):
+        graph = generate_sbm_graph(200, seed=1)
+        stream = TemporalEdgeStream(graph, num_batches=3, seed=0)
+        assert stream.num_edges == graph.adjacency.nnz // 2
+        assert stream.num_edges == sum(b.num_edges for b in stream.batches())
+
+    def test_rejects_zero_batches(self):
+        graph = generate_sbm_graph(100, seed=1)
+        with pytest.raises(ValueError, match="at least 1 batch"):
+            TemporalEdgeStream(graph, num_batches=0)
+
+    @pytest.mark.parametrize("method", ["batch", "snapshot"])
+    def test_rejects_timestamp_out_of_range(self, method):
+        graph = generate_sbm_graph(100, seed=1)
+        stream = TemporalEdgeStream(graph, num_batches=3, seed=0)
+        for timestamp in (-1, 3):
+            with pytest.raises(ValueError, match="timestamp"):
+                getattr(stream, method)(timestamp)
 
 
 class TestRegistryResolution:
@@ -201,8 +310,6 @@ class TestLinkSplit:
         assert split.train_adjacency.nnz == 2 * n_train_pos
 
     def test_edge_dyad_groups(self):
-        from repro.experiments.linkpred import EdgeSet
-
         sensitive = np.array([0, 0, 1, 1])
         edges = EdgeSet(
             src=np.array([0, 0, 2]),
@@ -210,6 +317,31 @@ class TestLinkSplit:
             labels=np.ones(3, dtype=np.int64),
         )
         assert edge_dyad_groups(sensitive, edges).tolist() == [1, 0, 1]
+
+    def test_edge_set_counts_positives_and_negatives(self):
+        graph = generate_sbm_graph(300, seed=2)
+        split = make_link_split(graph, seed=0)
+        for part in (split.train, split.val, split.test):
+            assert part.num_edges == part.src.size == part.labels.size
+            assert part.num_edges == 2 * int(part.labels.sum())
+
+    @pytest.mark.parametrize("val, test", [(0.0, 0.0), (0.5, 0.5), (0.7, 0.4)])
+    def test_rejects_fractions_outside_unit_interval(self, val, test):
+        graph = generate_sbm_graph(150, seed=2)
+        with pytest.raises(ValueError, match="val_fraction"):
+            make_link_split(graph, val_fraction=val, test_fraction=test)
+
+    def test_rejects_graph_with_too_few_edges(self):
+        graph = generate_sbm_graph(150, seed=2)
+        # A triangle on nodes 0-2: three undirected edges.
+        rows = np.array([0, 1, 1, 2, 0, 2])
+        cols = np.array([1, 0, 2, 1, 2, 0])
+        triangle = sp.csr_matrix(
+            (np.ones(rows.size), (rows, cols)), shape=graph.adjacency.shape
+        )
+        sparse = dataclasses.replace(graph, adjacency=triangle)
+        with pytest.raises(ValueError, match="at least 10 undirected edges"):
+            make_link_split(sparse)
 
 
 class TestScenarioProtocol:

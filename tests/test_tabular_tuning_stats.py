@@ -1,4 +1,4 @@
-"""Tests for tabular graph construction, grid search and statistics."""
+"""Tests for tabular graph construction and grid search."""
 
 from __future__ import annotations
 
@@ -9,12 +9,6 @@ from hypothesis import strategies as st
 
 from repro import FairwosConfig, grid_search_fairwos
 from repro.datasets import graph_from_table, knn_adjacency
-from repro.experiments import (
-    Scale,
-    bootstrap_mean_ci,
-    dominates,
-    paired_permutation_test,
-)
 
 
 class TestKnnAdjacency:
@@ -147,50 +141,3 @@ class TestGridSearch:
         text = result.render()
         assert "grid search" in text
         assert "◀" in text
-
-
-class TestStats:
-    def test_bootstrap_ci_contains_mean(self):
-        rng = np.random.default_rng(0)
-        values = rng.normal(loc=5.0, size=50)
-        mean, low, high = bootstrap_mean_ci(values)
-        assert low <= mean <= high
-        assert mean == pytest.approx(5.0, abs=0.5)
-
-    def test_bootstrap_ci_narrows_with_more_data(self):
-        rng = np.random.default_rng(1)
-        few = bootstrap_mean_ci(rng.normal(size=10), seed=1)
-        many = bootstrap_mean_ci(rng.normal(size=1000), seed=1)
-        assert (many[2] - many[1]) < (few[2] - few[1])
-
-    def test_bootstrap_validation(self):
-        with pytest.raises(ValueError):
-            bootstrap_mean_ci(np.array([]))
-        with pytest.raises(ValueError):
-            bootstrap_mean_ci(np.ones(3), confidence=1.5)
-
-    def test_permutation_detects_difference(self):
-        a = np.array([1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.02, 0.98])
-        b = a + 2.0
-        assert paired_permutation_test(a, b) < 0.05
-
-    def test_permutation_accepts_identical(self):
-        a = np.array([1.0, 2.0, 3.0, 4.0])
-        assert paired_permutation_test(a, a) == pytest.approx(1.0)
-
-    def test_permutation_monte_carlo_branch(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=30)
-        b = a + 1.0
-        assert paired_permutation_test(a, b) < 0.05
-
-    def test_permutation_validation(self):
-        with pytest.raises(ValueError):
-            paired_permutation_test(np.ones(3), np.ones(4))
-
-    def test_dominates_directions(self):
-        better = np.array([1.0, 1.1, 0.9, 1.0, 1.05, 0.95])
-        worse = better + 3.0
-        assert dominates(better, worse, lower_is_better=True)
-        assert not dominates(worse, better, lower_is_better=True)
-        assert dominates(worse, better, lower_is_better=False)

@@ -68,6 +68,50 @@ class TestTensorBasics:
         out.backward()
         assert a.grad is not None
 
+    def test_numpy_returns_the_shared_array(self):
+        a = Tensor(np.zeros(3))
+        a.numpy()[1] = 7.0
+        assert a.data[1] == 7.0
+        assert a.numpy() is a.data
+
+    def test_T_reverses_all_axes(self):
+        data = np.arange(24.0).reshape(2, 3, 4)
+        a = Tensor(data, requires_grad=True)
+        out = a.T
+        assert out.shape == (4, 3, 2)
+        np.testing.assert_array_equal(out.data, data.transpose())
+        weights = np.arange(24.0).reshape(4, 3, 2)
+        (out * Tensor(weights)).sum().backward()
+        np.testing.assert_array_equal(a.grad, weights.transpose())
+
+    def test_transpose_with_axes_routes_grad_back(self):
+        data = np.arange(24.0).reshape(2, 3, 4)
+        a = Tensor(data, requires_grad=True)
+        out = a.transpose((1, 2, 0))
+        assert out.shape == (3, 4, 2)
+        weights = np.arange(24.0).reshape(3, 4, 2)
+        (out * Tensor(weights)).sum().backward()
+        # The adjoint applies the inverse permutation.
+        np.testing.assert_array_equal(a.grad, weights.transpose(2, 0, 1))
+
+    def test_matmul_operator(self):
+        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
+        w = Tensor(np.array([[1.0], [-1.0]]), requires_grad=True)
+        out = x @ w
+        np.testing.assert_array_equal(out.data, [[-1.0], [-1.0]])
+        out.sum().backward()
+        np.testing.assert_array_equal(x.grad, [[1.0, -1.0], [1.0, -1.0]])
+        np.testing.assert_array_equal(w.grad, [[4.0], [6.0]])
+
+    def test_reshape_accepts_tuple_or_varargs(self):
+        a = Tensor(np.arange(6.0), requires_grad=True)
+        assert a.reshape((2, 3)).shape == (2, 3)
+        assert a.reshape([3, 2]).shape == (3, 2)
+        out = a.reshape(3, 2)
+        assert out.shape == (3, 2)
+        (out * Tensor(np.arange(6.0).reshape(3, 2))).sum().backward()
+        np.testing.assert_array_equal(a.grad, np.arange(6.0))
+
 
 class TestBackward:
     def test_backward_requires_scalar(self):
@@ -80,6 +124,11 @@ class TestBackward:
         b = a * 2.0
         b.backward(np.array([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(a.grad, [2.0, 4.0, 6.0])
+
+    def test_backward_broadcasts_a_scalar_seed(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        (a * 2.0).backward(0.5)
+        np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
 
     def test_grad_accumulates_across_backwards(self):
         a = Tensor([1.0], requires_grad=True)
