@@ -26,8 +26,8 @@ class StreamingCorrelation:
     noise and widens the sampled-vs-full ΔSP gap.  Pooling the moments over
     the whole epoch removes the per-batch squaring: for a fixed prediction
     vector the pooled estimate equals the full-data correlation exactly,
-    and a single covering batch reproduces the per-batch value bit-for-bit
-    (same centred sums, same ``1e-12`` guard).
+    and a single covering batch reproduces the per-batch value to rounding
+    (the same centred sums and ``1e-12`` guard, summed in another order).
     """
 
     def __init__(self, num_columns: int) -> None:
@@ -82,7 +82,7 @@ class StreamingCorrelation:
 
         Mirrors FairRF's differentiable per-batch formula — the ``1e-12``
         variance guard on the prediction side included — so a single
-        covering batch yields the identical value.
+        covering batch yields the same value to rounding.
         """
         out = np.zeros(self.num_columns)
         if self.count == 0:

@@ -7,7 +7,10 @@ related feature.  Per-feature weights live on a simplex and are re-solved in
 closed form each epoch, emphasising the currently most-correlated features
 (the same machinery as Fairwos's λ update, with the "prefer high" sign).
 
-The related features come from ``graph.related_feature_indices``.
+The related features come from ``graph.related_feature_indices``.  Each
+step computes the weighted penalty over all of them as one autograd node
+(:func:`_correlation_penalty`), which also yields the per-feature ``corr²``
+the full-batch weight update reads.
 
 Training runs on the shared :class:`~repro.training.MinibatchEngine`:
 full-batch by default, or with ``minibatch=True`` on neighbour-sampled
@@ -41,17 +44,48 @@ from repro.training import MinibatchEngine, TrainStep
 __all__ = ["FairRF"]
 
 
-def _differentiable_correlation(prediction, feature_column: np.ndarray):
-    """Squared Pearson correlation between a prediction tensor and a column."""
-    column = feature_column - feature_column.mean()
-    denom_col = float(np.sqrt((column**2).sum()))
-    if denom_col == 0:
-        return None
-    centered = ops.sub(prediction, ops.mean(prediction))
-    cov = ops.sum(ops.mul(centered, Tensor(column)))
-    var = ops.add(ops.sum(ops.power(centered, 2.0)), 1e-12)
-    corr = ops.div(cov, ops.mul(ops.sqrt(var), denom_col))
-    return ops.power(corr, 2.0)
+def _correlation_penalty(
+    probs: Tensor, columns: np.ndarray, weights: np.ndarray
+) -> tuple[Tensor, np.ndarray]:
+    """FairRF's penalty ``Σ_j w_j · corr(p, x_j)²`` over all R columns as one node.
+
+    ``probs`` is the batch's ``(B,)`` prediction tensor, ``columns`` its
+    ``(B, R)`` related-feature rows and ``weights`` the ``(R,)`` feature
+    weights.  Returns the penalty, a scalar in ``probs``' dtype, and the
+    per-column ``corr²`` as float64, 0 for a column that is constant over
+    the batch.  Such a column is skipped; if every column is, the penalty
+    is a constant zero.
+
+    With ``c`` the centred predictions, ``x_j`` the centred columns and
+    ``v = c·c + 1e-12`` (the per-column chain's variance guard),
+    ``corr_j = c·x_j / (√v ‖x_j‖)``: one product gives every covariance.
+    The adjoint is ``X·a − (2P / v)·c`` with ``a_j = 2 w_j corr_j / (√v ‖x_j‖)``;
+    it already sums to zero, so the centring of ``p`` adds nothing to it.
+    The one difference from composing the chain column by column is
+    summation order, so value and gradient match it to rounding
+    (``tests/oracles.py::correlation_penalty_reference``), not bit for bit.
+    """
+    dtype = probs.data.dtype
+    squares = np.zeros(columns.shape[1])
+    centred_columns = columns - columns.mean(axis=0)
+    column_norms = np.sqrt((centred_columns**2).sum(axis=0))
+    varying = column_norms != 0
+    if not varying.any():
+        return Tensor._wrap(np.zeros((), dtype=dtype)), squares
+    x = centred_columns[:, varying].astype(dtype, copy=False)
+    w = np.asarray(weights, dtype=dtype)[varying]
+    centred = probs.data - probs.data.mean()
+    var = centred @ centred + dtype.type(1e-12)
+    scale = np.sqrt(var) * column_norms[varying].astype(dtype, copy=False)
+    corr = (centred @ x) / scale
+    corr_sq = corr * corr
+    value = corr_sq @ w
+    squares[varying] = corr_sq
+
+    def backward(grad):
+        return (grad * (x @ (2.0 * w * corr / scale) - (2.0 * value / var) * centred),)
+
+    return Tensor.from_op(value, (probs,), backward), squares
 
 
 class FairRF(BaselineMethod):
@@ -94,9 +128,9 @@ class FairRF(BaselineMethod):
             self.backbone, graph.num_features, self.hidden_dim, rng,
             num_layers=self.num_layers,
         )
-        columns = [graph.features[:, j].copy() for j in related]
+        column_matrix = np.stack([graph.features[:, j] for j in related], axis=1)
         updater = WeightUpdater(
-            len(columns), alpha=self.beta, prefer_high_disparity=True
+            related.size, alpha=self.beta, prefer_high_disparity=True
         )
         fanouts, batch_size = self._sampling_config()
         engine = MinibatchEngine(
@@ -109,16 +143,15 @@ class FairRF(BaselineMethod):
         )
         train_mask = np.asarray(graph.train_mask, dtype=bool)
         val_indices = np.where(graph.val_mask)[0]
-        column_matrix = np.stack(columns, axis=1)
-        moments = StreamingCorrelation(len(columns))
-        correlations = np.zeros(len(columns))
+        moments = StreamingCorrelation(related.size)
+        correlations = np.zeros(related.size)
 
         def on_epoch_start(epoch: int) -> None:
-            nonlocal moments, correlations
-            moments = StreamingCorrelation(len(columns))
-            correlations = np.zeros(len(columns))
+            nonlocal moments
+            moments = StreamingCorrelation(related.size)
 
         def loss_fn(step: TrainStep) -> Tensor:
+            nonlocal correlations
             batch, logits = step.batch, step.output
             batch_train = train_mask[batch]
             if batch_train.any():
@@ -129,18 +162,14 @@ class FairRF(BaselineMethod):
             else:
                 loss = Tensor(np.zeros(()))
             probs = ops.sigmoid(logits)
-            reg = None
-            for j, column in enumerate(columns):
-                corr_sq = _differentiable_correlation(probs, column[batch])
-                if corr_sq is None:
-                    continue
-                correlations[j] = float(corr_sq.data)
-                term = ops.mul(corr_sq, float(updater.weights[j]))
-                reg = term if reg is None else ops.add(reg, term)
-            if reg is not None:
-                loss = ops.add(loss, ops.mul(reg, self.beta))
+            # The full-batch step's batch is every node in order.
+            columns = column_matrix if batch_size is None else column_matrix[batch]
+            penalty, correlations = _correlation_penalty(
+                probs, columns, updater.weights
+            )
+            loss = ops.add(loss, ops.mul(penalty, self.beta))
             if batch_size is not None:
-                moments.update(probs.data, column_matrix[batch])
+                moments.update(probs.data, columns)
             return loss
 
         def on_epoch_end(epoch: int) -> None:

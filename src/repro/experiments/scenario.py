@@ -43,8 +43,6 @@ __all__ = [
 
 TASKS = ("node_classification", "link_prediction")
 
-_TASK_SHORT = {"node_classification": "nc", "link_prediction": "lp"}
-
 
 @dataclass
 class Scenario:
@@ -66,15 +64,12 @@ class Scenario:
     dataset_params:
         Generator keyword arguments forwarded to ``load_dataset`` (family
         references only — e.g. ``{"num_nodes": 400, "mixing": 0.3}``).
-    name:
-        Optional display label; defaults to ``"<dataset>/<task-short>"``.
     """
 
     dataset: str
     task: str = "node_classification"
     sensitive_attrs: tuple[str, ...] = ("sensitive",)
     dataset_params: dict = field(default_factory=dict)
-    name: str | None = None
 
     def validate(self) -> None:
         if self.task not in TASKS:
@@ -86,11 +81,6 @@ class Scenario:
                 "intersectional auditing (multiple sensitive_attrs) is only "
                 "wired for node classification"
             )
-
-    @property
-    def label(self) -> str:
-        """Stable display key for this cell."""
-        return self.name or f"{self.dataset}/{_TASK_SHORT[self.task]}"
 
     def load(self, seed: int = 0) -> Graph:
         """Materialise the scenario's graph for one seed."""

@@ -78,10 +78,6 @@ class IntersectionalAudit:
     def num_cells(self) -> int:
         return len(self.cells)
 
-    @property
-    def num_empty_cells(self) -> int:
-        return sum(1 for cell in self.cells if cell.size == 0)
-
     def render(self) -> str:
         """Human-readable per-cell table with the joint-gap headline."""
         header = " × ".join(self.attribute_names)

@@ -138,19 +138,6 @@ class Graph:
             return 0.0
         return float(self.adjacency.nnz / self.num_nodes)
 
-    @property
-    def num_classes(self) -> int:
-        """Number of distinct label values."""
-        return int(self.labels.max()) + 1 if self.labels.size else 0
-
-    def split_sizes(self) -> dict[str, int]:
-        """Node counts of the three splits."""
-        return {
-            "train": int(self.train_mask.sum()),
-            "val": int(self.val_mask.sum()),
-            "test": int(self.test_mask.sum()),
-        }
-
     # ------------------------------------------------------------------ #
     # transformations
     # ------------------------------------------------------------------ #
@@ -187,23 +174,6 @@ class Graph:
         std = self.features.std(axis=0, keepdims=True)
         std[std == 0] = 1.0
         return replace(self, features=(self.features - mean) / std)
-
-    def subgraph(self, node_indices: np.ndarray) -> "Graph":
-        """Induced subgraph on the given nodes (indices are re-numbered)."""
-        node_indices = np.asarray(node_indices, dtype=np.int64)
-        sub_adj = self.adjacency[node_indices][:, node_indices].tocsr()
-        return Graph(
-            adjacency=sub_adj,
-            features=self.features[node_indices],
-            labels=self.labels[node_indices],
-            sensitive=self.sensitive[node_indices],
-            train_mask=self.train_mask[node_indices],
-            val_mask=self.val_mask[node_indices],
-            test_mask=self.test_mask[node_indices],
-            related_feature_indices=self.related_feature_indices,
-            name=f"{self.name}-sub",
-            meta=dict(self.meta),
-        )
 
     def summary(self) -> str:
         """One-line human-readable description (used by Table I bench)."""

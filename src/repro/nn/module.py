@@ -109,10 +109,6 @@ class Module:
                 )
             target.data = array.copy()
 
-    def num_parameters(self) -> int:
-        """Total number of scalar learnable parameters."""
-        return sum(param.size for param in self.parameters())
-
     # ------------------------------------------------------------------ #
     # call protocol
     # ------------------------------------------------------------------ #

@@ -279,7 +279,14 @@ class Tensor:
             # (there is no retain_grad); pinned by the test-suite.
 
     def _topological_order(self) -> list["Tensor"]:
-        """Return nodes reachable from self in reverse topological order."""
+        """Return nodes reachable from self in reverse topological order.
+
+        The walk follows only parents that require gradients: a constant
+        parent (input features, a dropout mask, wrapped labels) never
+        receives a gradient, and :meth:`from_op` gives it no parents of its
+        own, so dropping it leaves the relative order of every other node,
+        and with it each gradient's accumulation order, unchanged.
+        """
         visited: set[int] = set()
         order: list[Tensor] = []
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -293,7 +300,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited:
+                if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
         order.reverse()
         return order

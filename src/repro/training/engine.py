@@ -136,6 +136,12 @@ def _resolve_num_layers(model: Module, num_layers: int | None) -> int:
     return int(layers)
 
 
+def _set_training(modules: list[Module], mode: bool) -> None:
+    """Set the mode of every module in a list walked once from a model."""
+    for module in modules:
+        module.training = mode
+
+
 def _distinct_nodes(nodes, num_nodes: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Check requested node ids and collapse repeats.
 
@@ -182,7 +188,8 @@ def _infer(
         nodes, take = _distinct_nodes(nodes, adjacency.shape[0])
     feature_array = _as_feature_array(features)
     was_training = model.training
-    model.eval()
+    modules = list(model.modules())
+    _set_training(modules, False)
     try:
         with no_grad():
             if batch_size is None:
@@ -222,7 +229,7 @@ def _infer(
                     out[filled : filled + batch.size] = part
                     filled += batch.size
     finally:
-        model.train(was_training)
+        _set_training(modules, was_training)
     return out if take is None else out[take]
 
 
@@ -472,6 +479,10 @@ class MinibatchEngine:
     ) -> FitHistory:
         """Run the training loop; return its :class:`FitHistory`.
 
+        Steps run in training mode and validation in eval mode; the
+        model's mode at the call is given back on return, as
+        :meth:`predict` and :meth:`embed` do.
+
         Parameters
         ----------
         nodes:
@@ -544,6 +555,10 @@ class MinibatchEngine:
             rng = np.random.default_rng(rng)
 
         model = self.model
+        # The module tree is walked once per run; every mode toggle below
+        # reuses the list, and the caller's mode is given back at the end.
+        modules = list(model.modules())
+        caller_mode = model.training
         history = FitHistory()
         full_batch = self.batch_size is None
         if full_batch:
@@ -559,7 +574,7 @@ class MinibatchEngine:
 
         def validate() -> float:
             was_training = model.training
-            model.eval()
+            _set_training(modules, False)
             with no_grad():
                 if full_batch:
                     logits = model(inputs, self.adjacency).data[val_nodes]
@@ -568,7 +583,7 @@ class MinibatchEngine:
                         model(self._block_inputs(blocks), blocks).data
                         for blocks in eval_steps
                     ])
-            model.train(was_training)
+            _set_training(modules, was_training)
             return accuracy((logits > 0).astype(np.int64), val_labels)
 
         since_best = 0
@@ -583,7 +598,7 @@ class MinibatchEngine:
                 steps = [full_step]
             else:
                 steps = self._sampled_steps(nodes, rng, seed_fn, sort_batches)
-            model.train()
+            _set_training(modules, True)
             epoch_loss = 0.0
             started = time.perf_counter()
             for batch, seeds, payload, blocks in steps:
@@ -644,6 +659,7 @@ class MinibatchEngine:
                     break
         if checkpoint == "best":
             model.load_state_dict(best_state)
+        _set_training(modules, caller_mode)
         return history
 
     # ------------------------------------------------------------------ #

@@ -5,11 +5,17 @@ path in ``src/``, kept verbatim so parity tests can pin the fast path to it:
 
 * :func:`gradcheck` / :func:`numerical_gradient` — central-difference
   gradients certifying every op's analytic adjoint;
+* :func:`topological_order_every_node` — the backward walk over every
+  node, constants included, the oracle the constant-skipping
+  ``Tensor._topological_order`` is pinned to (leaf gradients bit for bit);
 * :func:`binary_cross_entropy_with_logits_reference` — the composed-graph
   BCE the fused :func:`repro.nn.binary_cross_entropy_with_logits` is
   bit-identical to (value and gradient);
 * :func:`_composed_pair_disparities` — the composed-op form of the fused
   pair-disparity kernel ``repro.core.fairloss._fused_pair_disparities``;
+* :func:`correlation_penalty_reference` — FairRF's per-column correlation
+  chain, the oracle ``repro.baselines.fairrf._correlation_penalty`` is
+  pinned to (value, per-column ``corr²`` and gradient to 1e-12);
 * :func:`fair_representation_loss_reference` /
   :func:`fair_representation_loss_minibatch_reference` — the original
   ``I × K`` python loops of the fair loss (Eq. 13–14), the oracle the
@@ -103,6 +109,31 @@ def gradcheck(
 
 
 # --------------------------------------------------------------------- #
+# the backward walk over every node
+# --------------------------------------------------------------------- #
+def topological_order_every_node(root: Tensor) -> list[Tensor]:
+    """Reverse topological order of every node reachable from ``root``,
+    constants included; a drop-in for ``Tensor._topological_order``."""
+    visited: set[int] = set()
+    order: list[Tensor] = []
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    order.reverse()
+    return order
+
+
+# --------------------------------------------------------------------- #
 # composed-graph forms of the fused kernels
 # --------------------------------------------------------------------- #
 def binary_cross_entropy_with_logits_reference(
@@ -159,6 +190,43 @@ def _composed_pair_disparities(
     )
     masked = ops.mul(sq_sums, Tensor(scale.reshape(-1)))
     return ops.sum(ops.reshape(masked, (num_pairs, batch)), axis=1)
+
+
+def _differentiable_correlation(prediction, feature_column: np.ndarray):
+    """Squared Pearson correlation between a prediction tensor and a column."""
+    column = feature_column - feature_column.mean()
+    denom_col = float(np.sqrt((column**2).sum()))
+    if denom_col == 0:
+        return None
+    centered = ops.sub(prediction, ops.mean(prediction))
+    cov = ops.sum(ops.mul(centered, Tensor(column)))
+    var = ops.add(ops.sum(ops.power(centered, 2.0)), 1e-12)
+    corr = ops.div(cov, ops.mul(ops.sqrt(var), denom_col))
+    return ops.power(corr, 2.0)
+
+
+def correlation_penalty_reference(
+    probs: Tensor, columns: np.ndarray, weights: np.ndarray
+) -> tuple[Tensor, np.ndarray]:
+    """FairRF's penalty ``Σ_j w_j · corr(p, x_j)²`` composed one column at a
+    time — the oracle of the fused ``_correlation_penalty``.
+
+    Returns the penalty and the per-column ``corr²`` (0 for a column that
+    is constant over the batch, which the sum skips); a batch in which
+    every column is constant gives a constant zero penalty.
+    """
+    squares = np.zeros(columns.shape[1])
+    penalty = None
+    for j in range(columns.shape[1]):
+        corr_sq = _differentiable_correlation(probs, columns[:, j].copy())
+        if corr_sq is None:
+            continue
+        squares[j] = float(corr_sq.data)
+        term = ops.mul(corr_sq, float(weights[j]))
+        penalty = term if penalty is None else ops.add(penalty, term)
+    if penalty is None:
+        penalty = Tensor(np.zeros(()))
+    return penalty, squares
 
 
 # --------------------------------------------------------------------- #

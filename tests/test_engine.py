@@ -8,7 +8,8 @@
   are built once per fit, without moving a validation metric.
 
 Plus contract tests for the engine itself: checkpoint policies, validation
-of bad arguments, and the ``forward="embed"`` path.
+of bad arguments, the ``forward="embed"`` path, and mode toggles that reach
+every submodule and give back the caller's mode.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.fairness import evaluate_predictions
 from repro.graph import sampling
 from repro.gnnzoo import make_backbone
 from repro.nn import binary_cross_entropy_with_logits
+from repro.nn.module import Module, ModuleList
 from repro.tensor import Tensor
 from repro.training import (
     MinibatchEngine,
@@ -266,6 +268,31 @@ class TestFalsyFallbackRegressions:
             engine.predict(np.arange(10), batch_size=0)
 
 
+class _ModeLog(Module):
+    """A submodule that records every mode it is set to."""
+
+    def __init__(self) -> None:
+        self.modes: list[bool] = []
+        super().__init__()
+
+    @property
+    def training(self) -> bool:
+        return self.modes[-1]
+
+    @training.setter
+    def training(self, mode: bool) -> None:
+        self.modes.append(mode)
+
+
+def _step_bce(graph, step):
+    """BCE on the step's batch: the full-batch step's output covers every
+    node, a sampled step's rows are its batch."""
+    logits = step.output if step.blocks is not None else step.output[step.batch]
+    return binary_cross_entropy_with_logits(
+        logits, graph.labels[step.batch].astype(np.float64)
+    )
+
+
 class TestEngineContracts:
     def _engine(self, graph, **extra):
         model = make_backbone(
@@ -485,3 +512,56 @@ class TestEngineContracts:
             ("start", 0), ("step", 0), ("end", 0),
             ("start", 1), ("step", 1), ("end", 1),
         ]
+
+    def _run_with_validation(self, graph, engine, loss_fn, epochs=3):
+        val = np.where(graph.val_mask)[0]
+        engine.run(
+            np.where(graph.train_mask)[0],
+            epochs,
+            loss_fn,
+            0,
+            val_nodes=val,
+            val_labels=graph.labels[val],
+        )
+
+    @pytest.mark.parametrize("batch_size", [None, 64], ids=["full", "sampled"])
+    def test_toggles_reach_submodules_attached_after_construction(
+        self, causal_graph, batch_size
+    ):
+        graph = causal_graph
+        model, engine = self._engine(graph, batch_size=batch_size)
+        direct, nested = _ModeLog(), _ModeLog()
+        model.probe = direct
+        model.probes = ModuleList([nested])
+        seen = []
+
+        def loss_fn(step):
+            seen.append((direct.training, nested.training))
+            return _step_bce(graph, step)
+
+        self._run_with_validation(graph, engine, loss_fn, epochs=3)
+        assert seen and all(modes == (True, True) for modes in seen)
+        for probe in (direct, nested):
+            # One eval toggle per validation pass, then the caller's mode.
+            assert probe.modes.count(False) == 3
+            assert probe.training is True
+        engine.predict()
+        engine.embed()
+        for probe in (direct, nested):
+            assert probe.modes.count(False) == 5
+            assert probe.training is True
+
+    @pytest.mark.parametrize("batch_size", [None, 64], ids=["full", "sampled"])
+    @pytest.mark.parametrize("mode", [True, False], ids=["train", "eval"])
+    def test_run_predict_and_embed_give_back_the_callers_mode(
+        self, causal_graph, batch_size, mode
+    ):
+        graph = causal_graph
+        model, engine = self._engine(graph, batch_size=batch_size)
+        model.train(mode)
+        self._run_with_validation(graph, engine, lambda step: _step_bce(graph, step))
+        assert all(module.training is mode for module in model.modules())
+        engine.predict()
+        assert all(module.training is mode for module in model.modules())
+        engine.embed()
+        assert all(module.training is mode for module in model.modules())

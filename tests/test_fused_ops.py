@@ -1,16 +1,21 @@
 """Fused hot-path kernels pinned against their composed-graph oracles.
 
-Three chains were collapsed into single autograd nodes with analytic
-adjoints (fused BCE-with-logits, the fair-loss pair-disparity kernel, and
-the in-place Adam update).  These tests pin each one *bit-identical* to the
-composed form it replaced — same float ops, same accumulation association —
-and additionally gradcheck the analytic adjoints against finite differences.
-The autograd-core bugfix regressions from the same sweep live here too.
+Four chains were collapsed into single autograd nodes with analytic
+adjoints (fused BCE-with-logits, the fair-loss pair-disparity kernel, the
+in-place Adam update and FairRF's related-feature correlation penalty).
+The first three are pinned *bit-identical* to the composed form they
+replaced — same float ops, same accumulation association.  The penalty
+sums its R columns in one product rather than one chain per column, so it
+is pinned to its chain to 1e-12 relative in float64 and to float32
+precision in float32.  Every adjoint is also gradchecked against finite
+differences.  The autograd-core bugfix regressions from the same sweep live
+here too.
 """
 
 import numpy as np
 import pytest
 
+from repro.baselines.fairrf import _correlation_penalty
 from repro.core.fairloss import _fused_pair_disparities
 from repro.nn.losses import binary_cross_entropy_with_logits
 from repro.nn.module import Parameter
@@ -19,6 +24,7 @@ from repro.tensor import Tensor, dtype_scope, ops
 from oracles import (
     _composed_pair_disparities,
     binary_cross_entropy_with_logits_reference,
+    correlation_penalty_reference,
     gradcheck,
 )
 
@@ -123,6 +129,92 @@ class TestFusedFairLoss:
         assert gradcheck(
             lambda t: ops.sum(_fused_pair_disparities(t, idx, anchors, scale)),
             [Tensor(h, requires_grad=True)],
+        )
+
+
+def _penalty_case(rng, case):
+    """Logits, a batch's related columns and simplex weights for one case."""
+    if case == "sampled_batch":
+        # A sorted sampled batch of a larger graph; column 3 varies over
+        # the graph but is constant over the batch.
+        graph_columns = rng.standard_normal((500, 5))
+        batch = np.sort(rng.choice(500, size=64, replace=False))
+        graph_columns[batch, 3] = 0.25
+        columns = graph_columns[batch]
+    elif case == "single_feature":
+        columns = rng.standard_normal((120, 1))
+    else:  # zero_variance_column
+        columns = rng.standard_normal((150, 6)) * rng.uniform(0.5, 3.0, 6)
+        columns[:, 2] = -1.5
+    logits = rng.standard_normal(columns.shape[0]) * 2.0
+    weights = rng.random(columns.shape[1])
+    return logits, columns, weights / weights.sum()
+
+
+def _penalty_pair(logits, columns, weights, upstream=1.7):
+    """Fused and chained penalties on twin logits, backpropagated."""
+    a = Tensor(logits, requires_grad=True)
+    b = Tensor(logits, requires_grad=True)
+    fused, fused_sq = _correlation_penalty(ops.sigmoid(a), columns, weights)
+    chain, chain_sq = correlation_penalty_reference(
+        ops.sigmoid(b), columns, weights
+    )
+    ops.mul(fused, upstream).backward()
+    ops.mul(chain, upstream).backward()
+    return (fused, fused_sq, a.grad), (chain, chain_sq, b.grad)
+
+
+def _relative(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+PENALTY_CASES = ["zero_variance_column", "single_feature", "sampled_batch"]
+
+
+class TestFusedCorrelationPenalty:
+    @pytest.mark.parametrize("case", PENALTY_CASES)
+    def test_float64_matches_chain(self, case):
+        rng = np.random.default_rng(5)
+        logits, columns, weights = _penalty_case(rng, case)
+        fused, chain = _penalty_pair(logits, columns, weights)
+        assert fused[0].data.dtype == chain[0].data.dtype == np.float64
+        assert _relative(fused[0].data, chain[0].data) <= 1e-12
+        assert _relative(fused[1], chain[1]) <= 1e-12
+        # A column constant over the batch is skipped by both.
+        assert np.array_equal(fused[1] == 0.0, chain[1] == 0.0)
+        assert fused[2].dtype == chain[2].dtype
+        assert _relative(fused[2], chain[2]) <= 1e-12
+
+    @pytest.mark.parametrize("case", PENALTY_CASES)
+    def test_float32_matches_chain_dtypes_and_precision(self, case):
+        rng = np.random.default_rng(6)
+        logits, columns, weights = _penalty_case(rng, case)
+        with dtype_scope("float32"):
+            fused, chain = _penalty_pair(logits, columns, weights)
+        assert fused[0].data.dtype == chain[0].data.dtype == np.float32
+        assert fused[2].dtype == chain[2].dtype == np.float32
+        assert fused[1].dtype == chain[1].dtype == np.float64
+        assert _relative(fused[0].data, chain[0].data) <= 1e-5
+        assert _relative(fused[1], chain[1]) <= 1e-5
+        assert _relative(fused[2], chain[2]) <= 1e-5
+
+    def test_all_constant_columns_give_a_constant_zero(self):
+        columns = np.ones((10, 3))
+        weights = np.full(3, 1.0 / 3.0)
+        probs = ops.sigmoid(Tensor(np.linspace(-1.0, 1.0, 10), requires_grad=True))
+        fused, fused_sq = _correlation_penalty(probs, columns, weights)
+        chain, chain_sq = correlation_penalty_reference(probs, columns, weights)
+        assert not fused.requires_grad and not chain.requires_grad
+        assert fused.data == chain.data == 0.0
+        assert np.array_equal(fused_sq, chain_sq)
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(7)
+        logits, columns, weights = _penalty_case(rng, "zero_variance_column")
+        logits, columns = logits[:12], columns[:12]
+        assert gradcheck(
+            lambda t: _correlation_penalty(ops.sigmoid(t), columns, weights)[0],
+            [Tensor(logits, requires_grad=True)],
         )
 
 

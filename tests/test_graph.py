@@ -28,10 +28,6 @@ class TestGraphContainer:
         assert tiny_graph.num_features == 4
         assert tiny_graph.num_edges == 7
         assert tiny_graph.average_degree == pytest.approx(14 / 6)
-        assert tiny_graph.num_classes == 2
-
-    def test_split_sizes(self, tiny_graph):
-        assert tiny_graph.split_sizes() == {"train": 3, "val": 2, "test": 1}
 
     def test_rejects_overlapping_masks(self, tiny_graph):
         with pytest.raises(ValueError, match="overlap"):
@@ -95,7 +91,6 @@ class TestGraphContainer:
         )
         assert graph.num_nodes == 0 and graph.num_edges == 0
         assert graph.average_degree == 0.0
-        assert graph.num_classes == 0
 
     def test_rejects_out_of_range_related(self, tiny_graph):
         with pytest.raises(ValueError, match="related"):
@@ -136,12 +131,6 @@ class TestGraphContainer:
         features[:, 0] = 7.0
         graph = tiny_graph.with_features(features)
         np.testing.assert_allclose(graph.standardized().features[:, 0], 0.0)
-
-    def test_subgraph(self, tiny_graph):
-        sub = tiny_graph.subgraph(np.array([0, 1, 2]))
-        assert sub.num_nodes == 3
-        assert sub.num_edges == 3  # the first triangle
-        np.testing.assert_array_equal(sub.labels, [0, 0, 1])
 
     def test_summary_mentions_name(self, tiny_graph):
         assert "tiny" in tiny_graph.summary()

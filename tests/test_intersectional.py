@@ -49,7 +49,6 @@ class TestSingleAttributeReduction:
         audit = audit_intersectional(logits, labels, {"s": s})
         assert audit.attribute_names == ("s",)
         assert audit.num_cells == 2
-        assert audit.num_empty_cells == 0
         assert sum(cell.size for cell in audit.cells) == logits.size
 
 
@@ -59,8 +58,8 @@ class TestEmptyCells:
         logits, labels, s, _ = _toy()
         audit = audit_intersectional(logits, labels, {"s": s, "g": s})
         assert audit.num_cells == 4
-        assert audit.num_empty_cells == 2
         empty = [cell for cell in audit.cells if cell.size == 0]
+        assert len(empty) == 2
         assert all(np.isnan(cell.positive_rate) for cell in empty)
         # Two populated cells remain, so the gaps are still finite.
         assert np.isfinite(audit.delta_sp)

@@ -54,10 +54,6 @@ class TestModule:
         # linear(w+b) + 2 blocks (w+b each) + scale
         assert len(names) == 7
 
-    def test_num_parameters(self, rng):
-        model = Linear(3, 2, rng)
-        assert model.num_parameters() == 3 * 2 + 2
-
     def test_base_forward_is_abstract(self):
         with pytest.raises(NotImplementedError):
             Module()(Tensor(np.zeros(2)))

@@ -345,11 +345,6 @@ class TestLinkSplit:
 
 
 class TestScenarioProtocol:
-    def test_label_defaults(self):
-        assert Scenario("sbm").label == "sbm/nc"
-        assert Scenario("sbm", task="link_prediction").label == "sbm/lp"
-        assert Scenario("sbm", name="custom").label == "custom"
-
     def test_validate_rejects_bad_task(self):
         with pytest.raises(ValueError, match="unknown task"):
             Scenario("sbm", task="regression").validate()

@@ -34,22 +34,16 @@ GOLDEN_PATH = Path(__file__).parent / "golden_scenarios.json"
 SCALE = Scale(seeds=1, epochs=30, finetune_epochs=4, patience=10)
 
 CELLS = {
-    "er_nc": Scenario(
-        "erdos_renyi", dataset_params={"num_nodes": 250}, name="er_nc"
-    ),
-    "sbm_nc": Scenario("sbm", dataset_params={"num_nodes": 250}, name="sbm_nc"),
+    "er_nc": Scenario("erdos_renyi", dataset_params={"num_nodes": 250}),
+    "sbm_nc": Scenario("sbm", dataset_params={"num_nodes": 250}),
     "sbm_lp": Scenario(
-        "sbm",
-        task="link_prediction",
-        dataset_params={"num_nodes": 250},
-        name="sbm_lp",
+        "sbm", task="link_prediction", dataset_params={"num_nodes": 250}
     ),
 }
 INTERSECTIONAL = Scenario(
     "scalefree",
     sensitive_attrs=("sensitive", "attr1"),
     dataset_params={"num_nodes": 250, "extra_sensitive_attrs": 1},
-    name="sf_intersectional",
 )
 
 

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gnnzoo import make_backbone
+from repro.nn import binary_cross_entropy_with_logits
 from repro.tensor import Tensor, is_grad_enabled, no_grad
 from repro.tensor import ops
 from repro.tensor.tensor import unbroadcast
+from oracles import topological_order_every_node
 
 
 class TestTensorBasics:
@@ -167,6 +170,60 @@ class TestBackward:
         c = Tensor([5.0])
         (a * c).sum().backward()
         assert c.grad is None
+
+
+def _constant_operand_loss(graph):
+    """A training-mode GIN step whose graph holds constant operands: the
+    input features under GIN's ``(1 + ε)·h`` and the first dropout, the
+    second layer's dropout mask, and float labels wrapped by ``as_tensor``.
+    The logits feed four consumers, so their gradient is a sum of four
+    terms whose order the walk decides."""
+    model = make_backbone(
+        "gin", graph.num_features, 8, np.random.default_rng(0),
+        num_layers=2, dropout=0.5,
+    )
+    logits = model(Tensor(graph.features), graph.adjacency)
+    labels = graph.labels.astype(np.float64)
+    squared = ops.mean(ops.power(ops.sub(logits, labels), 2.0))
+    gated = ops.mean(ops.mul(logits, ops.sigmoid(logits)))
+    loss = ops.add(
+        ops.add(squared, gated), binary_cross_entropy_with_logits(logits, labels)
+    )
+    return loss, model.parameters()
+
+
+class TestBackwardWalk:
+    def test_order_holds_only_tensors_that_need_gradients(self, small_graph):
+        loss, _ = _constant_operand_loss(small_graph)
+        order = loss._topological_order()
+        assert order[0] is loss
+        assert all(node.requires_grad for node in order)
+        # The graph does hold constants; the walk just never reaches them.
+        every = topological_order_every_node(loss)
+        assert any(not node.requires_grad for node in every)
+        walked = {id(node) for node in order}
+        assert walked == {id(node) for node in every if node.requires_grad}
+
+    def test_constant_root_is_the_whole_order(self):
+        root = ops.mul(Tensor(np.ones(3)), 2.0).sum()
+        assert root._topological_order() == [root]
+
+    def test_leaf_gradients_bitwise_equal_to_every_node_walk(
+        self, small_graph, monkeypatch
+    ):
+        loss, params = _constant_operand_loss(small_graph)
+        ref_loss, ref_params = _constant_operand_loss(small_graph)
+        assert np.array_equal(loss.data, ref_loss.data)
+        loss.backward()
+        monkeypatch.setattr(
+            Tensor, "_topological_order", topological_order_every_node
+        )
+        ref_loss.backward()
+        assert len(params) == len(ref_params) > 0
+        for param, ref in zip(params, ref_params):
+            assert param.grad is not None
+            assert param.grad.dtype == ref.grad.dtype
+            assert np.array_equal(param.grad, ref.grad)
 
 
 class TestNoGrad:
