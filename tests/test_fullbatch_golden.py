@@ -7,11 +7,16 @@ methods at their default settings.  ``golden_fullbatch.json`` adds:
   adversarial / augmented objectives;
 * Fairwos variants whose full-batch branches the six-method cells skip: no
   encoder, the MLP encoder, no λ update, a refresh every third fine-tune
-  epoch, and a validation floor that stops the fine-tune early.
+  epoch, and a validation floor that stops the fine-tune early;
+* Vanilla on the GIN, GraphSAGE and GAT backbones (the six-method cells
+  train GCN only), each full-batch and neighbour-sampled;
+* FairGKD sampled, whose MLP feature teacher reads the seed rows of its
+  input block instead of message passing.
 
 Each entry pins test accuracy / ΔSP / ΔEO (and λ plus the fine-tune epoch
-count for Fairwos) at 1e-9, so a change to the shared training loop cannot
-move a full-batch result without showing up here.
+count for Fairwos, the sum and norm of every logit for the backbone and
+sampled entries) at 1e-9, so a change to the shared training loop or to a
+backbone's layers cannot move a result without showing up here.
 
 Regenerate after a deliberate behaviour change with::
 
@@ -26,6 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.baselines import FairGKD, Vanilla
 from repro.baselines.oracle import NIFTY, FairGNN
 from repro.core import FairwosConfig, FairwosTrainer
 from repro.datasets import BiasSpec, generate_biased_graph
@@ -46,6 +52,17 @@ FAIRWOS_VARIANTS = {
     # one state above the floor was kept (asserted below, so the pin keeps
     # its purpose).
     "floor_stop": dict(finetune_val_tolerance=0.0),
+}
+# Sampled runs: one-hop fanout 5 over seed batches of 64.
+SAMPLED = dict(minibatch=True, fanouts=(5,), batch_size=64)
+# (method class, constructor overrides) per pinned backbone/sampling entry.
+MODEL_ENTRIES = {
+    **{
+        f"vanilla_{backbone}{suffix}": (Vanilla, dict(backbone=backbone, **knobs))
+        for backbone in ("gin", "sage", "gat")
+        for suffix, knobs in (("", {}), ("_sampled", SAMPLED))
+    },
+    "fairgkd_sampled": (FairGKD, SAMPLED),
 }
 
 
@@ -80,6 +97,14 @@ def _compute() -> dict:
     out: dict = {}
     for key, cls in ORACLES.items():
         out[key] = _metrics(cls(**BUDGET).fit(graph, seed=0).test)
+    for key, (cls, overrides) in MODEL_ENTRIES.items():
+        result = cls(**BUDGET, **overrides).fit(graph, seed=0, keep_logits=True)
+        logits = result.extra["logits"]
+        out[key] = {
+            **_metrics(result.test),
+            "logit_sum": float(logits.sum()),
+            "logit_norm": float(np.linalg.norm(logits)),
+        }
     for key, overrides in FAIRWOS_VARIANTS.items():
         config = FairwosConfig(**FAIRWOS_BASE, **overrides)
         result = FairwosTrainer(config).fit(graph, seed=0)
@@ -105,7 +130,11 @@ def current() -> dict:
     return _compute()
 
 
-KEYS = sorted(ORACLES) + [f"fairwos_{key}" for key in sorted(FAIRWOS_VARIANTS)]
+KEYS = (
+    sorted(ORACLES)
+    + [f"fairwos_{key}" for key in sorted(FAIRWOS_VARIANTS)]
+    + sorted(MODEL_ENTRIES)
+)
 
 
 class TestGoldenFullBatch:
