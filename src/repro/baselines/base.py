@@ -39,9 +39,18 @@ class BaselineMethod:
     hidden_dim, num_layers, epochs, lr, patience:
         Shared training recipe (paper defaults: 16 hidden units, 1 layer,
         Adam lr 0.001, early stopping on validation accuracy).
+    minibatch, fanouts, batch_size:
+        Neighbour-sampled training: with ``minibatch=True`` every step
+        samples ``fanouts`` per layer (default ``DEFAULT_FANOUT``) around a
+        seed batch of ``batch_size``, and evaluation folds exact
+        neighbourhoods in batches of ``batch_size``, so reported metrics
+        are sampling-free.  Otherwise training and evaluation are
+        full-batch.  A method that trains full-batch only sets
+        ``supports_minibatch = False`` and rejects ``minibatch=True``.
     """
 
     name = "baseline"
+    supports_minibatch = True
 
     def __init__(
         self,
@@ -51,17 +60,28 @@ class BaselineMethod:
         epochs: int = 200,
         lr: float = 1e-3,
         patience: int | None = 40,
+        minibatch: bool = False,
+        fanouts: tuple[int, ...] | None = None,
+        batch_size: int = 512,
     ) -> None:
+        if minibatch and not self.supports_minibatch:
+            raise ValueError(
+                f"{type(self).__name__} trains full-batch only; minibatch=True "
+                f"is not supported"
+            )
         self.backbone = backbone
         self.hidden_dim = hidden_dim
         self.num_layers = num_layers
         self.epochs = epochs
         self.lr = lr
         self.patience = patience
-        # Trained model retained by _fit_and_predict_arrays (None until
-        # fit).  repro.io.artifact persists it; methods with bespoke
-        # training paths that bypass the shared dispatch simply leave it
-        # unset and are reported as non-persistable.
+        self.minibatch = minibatch
+        self.fanouts = fanouts
+        self.batch_size = batch_size
+        # Trained model retained by _fit_and_predict (None until fit).
+        # repro.io.artifact persists it; methods with bespoke training
+        # paths that bypass the shared dispatch simply leave it unset and
+        # are reported as non-persistable.
         self.model_ = None
         # Column subset the model was trained on (None = all columns);
         # RemoveR sets this so scoring new features drops the same columns.
@@ -103,54 +123,13 @@ class BaselineMethod:
 
     # ------------------------------------------------------------------ #
     def _sampling_config(self) -> tuple[tuple[int, ...] | None, int | None]:
-        """The engine's ``(fanouts, batch_size)``: the declared sampling
-        knobs with ``minibatch=True``, else ``(None, None)`` (full-batch).
-
-        Raises ``ValueError`` when ``minibatch=True`` was requested on a
-        subclass that never declared the sampling knobs — the dispatch must
-        not silently fall back to (or crash inside) a configuration the
-        method does not actually support.
-        """
-        if not getattr(self, "minibatch", False):
+        """The engine's ``(fanouts, batch_size)``: the sampling knobs with
+        ``minibatch=True``, else ``(None, None)`` (full-batch)."""
+        if not self.minibatch:
             return None, None
-        missing = [
-            name for name in ("fanouts", "batch_size") if not hasattr(self, name)
-        ]
-        if missing:
-            raise ValueError(
-                f"{type(self).__name__} requested minibatch training but does "
-                f"not declare {', '.join(missing)}; subclasses supporting "
-                f"neighbour sampling must set fanouts and batch_size in their "
-                f"constructor (see Vanilla)"
-            )
         return self.fanouts, self.batch_size
 
     def _fit_and_predict(
-        self, model, features, graph: Graph, rng: np.random.Generator,
-        extra_loss=None,
-    ):
-        """Train a plain supervised baseline and score every node.
-
-        Subclasses that support neighbour-sampled training (Vanilla,
-        RemoveR, KSMOTE, ...) set ``minibatch`` / ``fanouts`` /
-        ``batch_size`` in their constructors; training then runs through
-        :func:`~repro.training.fit_minibatch` with sampled batches and
-        evaluation through exact batched inference, so reported metrics are
-        sampling-free.  Otherwise both are full-batch.  Returns
-        ``(history, logits)``.
-        """
-        return self._fit_and_predict_arrays(
-            model,
-            features,
-            graph.adjacency,
-            graph.labels,
-            graph.train_mask,
-            graph.val_mask,
-            rng,
-            extra_loss=extra_loss,
-        )
-
-    def _fit_and_predict_arrays(
         self,
         model,
         features,
@@ -161,11 +140,14 @@ class BaselineMethod:
         rng: np.random.Generator,
         extra_loss=None,
     ):
-        """:meth:`_fit_and_predict` on explicit arrays — for baselines that
-        train on a modified graph (KSMOTE's oversampled one).
+        """Train a plain supervised baseline and score every node.
 
-        ``extra_loss`` is ``(logits, nodes) -> Tensor``, as in
-        :func:`~repro.training.fit_minibatch`.
+        Trains through :func:`~repro.training.fit_minibatch`, sampled or
+        full-batch per :meth:`_sampling_config`, and scores with exact
+        inference in the same mode.  The arrays may describe a modified
+        graph (KSMOTE's oversampled one).  ``extra_loss`` is
+        ``(logits, nodes) -> Tensor``, as in ``fit_minibatch``.  Returns
+        ``(history, logits)``.
         """
         fanouts, batch_size = self._sampling_config()
         history = fit_minibatch(

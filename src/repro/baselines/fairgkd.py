@@ -44,14 +44,14 @@ class _FeatureTeacher(Module):
     """MLP teacher that ignores the graph structure.
 
     Block-capable so :func:`~repro.training.fit_minibatch` and the batched
-    inference helpers can drive it: with blocks, the "message passing" is a
-    no-op and the teacher just reads the seed rows (the first ``num_dst``
-    rows of the input block, per the block convention).
+    inference helpers can drive it: on a block chain the "message passing"
+    is a no-op and the teacher just reads the seed rows (the first
+    ``num_dst`` rows of the input block, per the block convention).
     """
 
     # Tells the sampled training path that no neighbour is ever read, so it
     # can skip neighbour sampling entirely instead of gathering rows that
-    # embed_blocks would discard.
+    # embed would discard.
     graph_free = True
 
     def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator) -> None:
@@ -60,19 +60,13 @@ class _FeatureTeacher(Module):
         self.head = Linear(hidden_dim, 1, rng)
         self.num_layers = 1
 
-    def embed(self, features, adjacency):
+    def embed(self, features, support):
+        if is_block_sequence(support):
+            features = ops.gather(features, np.arange(support[-1].num_dst))
         return self.body(features)
 
-    def embed_blocks(self, features, blocks):
-        seed_rows = np.arange(blocks[-1].num_dst)
-        return self.body(ops.gather(features, seed_rows))
-
     def forward(self, features, support):
-        if is_block_sequence(support):
-            h = self.embed_blocks(features, list(support))
-        else:
-            h = self.embed(features, support)
-        return self.head(h).reshape(-1)
+        return self.head(self.embed(features, support)).reshape(-1)
 
 
 class FairGKD(BaselineMethod):
@@ -85,9 +79,6 @@ class FairGKD(BaselineMethod):
     teacher_epochs:
         Training epochs per teacher (the expensive part — Fig. 8 shows
         FairGKD as the slowest baseline because of its two extra models).
-    minibatch, fanouts, batch_size:
-        Neighbour-sampled training of teachers and student (see the module
-        docstring).
     """
 
     name = "FairGKD\\S"
@@ -96,9 +87,6 @@ class FairGKD(BaselineMethod):
         self,
         distill_weight: float = 0.5,
         teacher_epochs: int | None = None,
-        minibatch: bool = False,
-        fanouts: tuple[int, ...] | None = None,
-        batch_size: int = 512,
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
@@ -111,9 +99,6 @@ class FairGKD(BaselineMethod):
             )
         self.distill_weight = distill_weight
         self.teacher_epochs = teacher_epochs
-        self.minibatch = minibatch
-        self.fanouts = fanouts
-        self.batch_size = batch_size
 
     # ------------------------------------------------------------------ #
     def _train_logits(self, graph: Graph, rng: np.random.Generator):

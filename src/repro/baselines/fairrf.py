@@ -95,27 +95,15 @@ class FairRF(BaselineMethod):
     ----------
     beta:
         Regularisation strength on the weighted correlation term.
-    minibatch, fanouts, batch_size:
-        Neighbour-sampled training (see the module docstring).
     """
 
     name = "FairRF"
 
-    def __init__(
-        self,
-        beta: float = 1.0,
-        minibatch: bool = False,
-        fanouts: tuple[int, ...] | None = None,
-        batch_size: int = 512,
-        **kwargs,
-    ) -> None:
+    def __init__(self, beta: float = 1.0, **kwargs) -> None:
         super().__init__(**kwargs)
         if beta < 0:
             raise ValueError(f"beta must be non-negative, got {beta}")
         self.beta = beta
-        self.minibatch = minibatch
-        self.fanouts = fanouts
-        self.batch_size = batch_size
 
     def _train_logits(self, graph: Graph, rng: np.random.Generator):
         related = graph.related_feature_indices

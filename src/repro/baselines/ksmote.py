@@ -57,9 +57,6 @@ class KSMOTE(BaselineMethod):
     max_synthetic_fraction:
         Cap on synthetic nodes as a fraction of N (guards degenerate
         clusterings from exploding the graph).
-    minibatch, fanouts, batch_size:
-        Neighbour-sampled training on the oversampled graph plus a
-        minibatch-k-means cluster step (see the module docstring).
     kmeans_batch_size:
         Batch size of the sampled cluster step (``None`` follows
         ``batch_size``).  Cluster fidelity and training memory are separate
@@ -76,9 +73,6 @@ class KSMOTE(BaselineMethod):
         parity_weight: float = 1.0,
         oversample: bool = True,
         max_synthetic_fraction: float = 0.5,
-        minibatch: bool = False,
-        fanouts: tuple[int, ...] | None = None,
-        batch_size: int = 512,
         kmeans_batch_size: int | None = None,
         **kwargs,
     ) -> None:
@@ -94,15 +88,11 @@ class KSMOTE(BaselineMethod):
         self.parity_weight = parity_weight
         self.oversample = oversample
         self.max_synthetic_fraction = max_synthetic_fraction
-        self.minibatch = minibatch
-        self.fanouts = fanouts
-        self.batch_size = batch_size
         self.kmeans_batch_size = kmeans_batch_size
 
     # ------------------------------------------------------------------ #
     def _train_logits(self, graph: Graph, rng: np.random.Generator):
         if self.minibatch:
-            self._sampling_config()  # validate before any work
             clusters, _, _ = minibatch_kmeans(
                 graph.features,
                 self.num_clusters,
@@ -134,7 +124,7 @@ class KSMOTE(BaselineMethod):
         extra_loss = None
         if self.parity_weight > 0:
             extra_loss = self._parity_regulariser(clusters, graph.num_nodes)
-        _, logits = self._fit_and_predict_arrays(
+        _, logits = self._fit_and_predict(
             model,
             features_tensor,
             adjacency,

@@ -44,6 +44,7 @@ class FairGNN(BaselineMethod):
     """
 
     name = "FairGNN (oracle)"
+    supports_minibatch = False
 
     def __init__(
         self,

@@ -57,6 +57,7 @@ class NIFTY(BaselineMethod):
     """
 
     name = "NIFTY (oracle)"
+    supports_minibatch = False
 
     def __init__(
         self,

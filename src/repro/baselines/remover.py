@@ -30,18 +30,6 @@ class RemoveR(BaselineMethod):
 
     name = "RemoveR"
 
-    def __init__(
-        self,
-        minibatch: bool = False,
-        fanouts: tuple[int, ...] | None = None,
-        batch_size: int = 512,
-        **kwargs,
-    ) -> None:
-        super().__init__(**kwargs)
-        self.minibatch = minibatch
-        self.fanouts = fanouts
-        self.batch_size = batch_size
-
     def _train_logits(self, graph: Graph, rng: np.random.Generator):
         if graph.related_feature_indices.size == 0:
             raise ValueError(
@@ -56,7 +44,8 @@ class RemoveR(BaselineMethod):
             num_layers=self.num_layers,
         )
         _, logits = self._fit_and_predict(
-            model, Tensor(reduced.features), reduced, rng
+            model, Tensor(reduced.features), reduced.adjacency, reduced.labels,
+            reduced.train_mask, reduced.val_mask, rng,
         )
         self.feature_columns_ = np.setdiff1d(
             np.arange(graph.num_features), graph.related_feature_indices

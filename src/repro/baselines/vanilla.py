@@ -23,24 +23,13 @@ class Vanilla(BaselineMethod):
 
     name = "Vanilla\\S"
 
-    def __init__(
-        self,
-        minibatch: bool = False,
-        fanouts: tuple[int, ...] | None = None,
-        batch_size: int = 512,
-        **kwargs,
-    ) -> None:
-        super().__init__(**kwargs)
-        self.minibatch = minibatch
-        self.fanouts = fanouts
-        self.batch_size = batch_size
-
     def _train_logits(self, graph: Graph, rng: np.random.Generator):
         model = make_backbone(
             self.backbone, graph.num_features, self.hidden_dim, rng,
             num_layers=self.num_layers,
         )
         history, logits = self._fit_and_predict(
-            model, Tensor(graph.features), graph, rng
+            model, Tensor(graph.features), graph.adjacency, graph.labels,
+            graph.train_mask, graph.val_mask, rng,
         )
         return logits, {"best_epoch": history.best_epoch}

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graph.sampling import Block, is_block_sequence
-from repro.nn import Linear, Module
+from repro.nn import Dropout, Linear, Module
 from repro.tensor import Tensor
 from repro.tensor import ops
 
@@ -38,52 +38,80 @@ def identity_cached(cache: dict, key, build: Callable):
 class GNNBackbone(Module):
     """Base class: conv stack → representation ``h`` → linear head → logit.
 
-    Subclasses implement :meth:`embed` (full-batch, square adjacency) and
-    :meth:`embed_blocks` (minibatch, one sampled bipartite
-    :class:`~repro.graph.sampling.Block` per layer); the classification head
+    :meth:`embed` owns the one layer loop for every backbone, over either
+    support a caller passes: a square full-graph adjacency, or a chain of
+    sampled bipartite :class:`~repro.graph.sampling.Block`\\ s, input layer
+    first (full-batch is the covering case of sampling).  Each layer applies
+    dropout, then the subclass's :meth:`_layer` on that layer's operator:
+    :meth:`_propagation_matrix` of the adjacency, or
+    :meth:`_block_operator` of the layer's block.  The classification head
     (Eq. 9, ``ŷ_v = σ(h_v · w)``) lives here so every backbone exposes
-    identical logits semantics.  Normalised adjacencies are cached per input
+    identical logits semantics.  Full-graph operators are cached per input
     matrix (graphs are static within an experiment) by object identity (see
-    :func:`identity_cached`); blocks are ephemeral and never cached.  The
-    full-graph aggregation of a constant input is memoised too (see
-    :meth:`_propagate`).  Both caches assume that no input array is
-    mutated in place while a model uses it.
+    :func:`identity_cached`); blocks are ephemeral and never cached here.
+    The full-graph aggregation of a constant input is memoised too (see
+    :meth:`_propagate`).  Both caches assume that no input array is mutated
+    in place while a model uses it.
     """
 
-    def __init__(self, hidden_dim: int, rng: np.random.Generator) -> None:
+    def __init__(
+        self,
+        hidden_dim: int,
+        rng: np.random.Generator,
+        num_layers: int = 1,
+        dropout: float = 0.0,
+    ) -> None:
         super().__init__()
+        if num_layers < 1:
+            raise ValueError(f"num_layers must be >= 1, got {num_layers}")
         self.hidden_dim = hidden_dim
-        self.num_layers = 1  # overwritten by subclasses
+        self.num_layers = num_layers
         self.head = Linear(hidden_dim, 1, rng)
+        self.dropout = Dropout(dropout, rng) if dropout > 0 else None
         self._prop_cache: dict[int, tuple] = {}
         self._propagated: tuple | None = None
 
     # -- subclass API ---------------------------------------------------- #
-    def embed(self, features: Tensor, adjacency: sp.spmatrix) -> Tensor:
-        """Return node representations ``h`` of shape ``(N, hidden_dim)``."""
-        raise NotImplementedError
-
-    def embed_blocks(self, features: Tensor, blocks: list[Block]) -> Tensor:
-        """Minibatch :meth:`embed` over sampled blocks, input layer first.
-
-        ``features`` holds the gathered input rows of ``blocks[0].src_nodes``;
-        the result has one row per ``blocks[-1].dst_nodes`` seed.
-        """
-        raise NotImplementedError
-
-    def _propagation_matrix(self, adjacency: sp.spmatrix) -> sp.csr_matrix:
+    def _propagation_matrix(self, adjacency: sp.spmatrix):
         """Backbone-specific message-passing operator for a raw adjacency."""
         raise NotImplementedError
 
+    def _block_operator(self, block: Block):
+        """The same operator for one sampled block."""
+        raise NotImplementedError
+
+    def _layer(self, index: int, h: Tensor, operator, num_dst: int | None) -> Tensor:
+        """Layer ``index`` on input rows ``h`` through ``operator``.
+
+        ``num_dst`` is the block's destination count, whose rows lead ``h``
+        (the block convention), or ``None`` on the full graph, where every
+        row of ``h`` is a destination.
+        """
+        raise NotImplementedError
+
     # -- shared ----------------------------------------------------------- #
-    def forward(self, features: Tensor, adjacency) -> Tensor:
-        """Binary classification logits, ``(N,)`` full-batch or ``(B,)``
-        when ``adjacency`` is a list of sampled blocks."""
-        if is_block_sequence(adjacency):
-            h = self.embed_blocks(features, list(adjacency))
+    def embed(self, features: Tensor, support) -> Tensor:
+        """Node representations ``h``: ``(N, hidden_dim)`` on a full-graph
+        adjacency, one row per ``blocks[-1].dst_nodes`` seed on a block
+        chain (``features`` then holds the rows of ``blocks[0].src_nodes``).
+        """
+        if is_block_sequence(support):
+            blocks = list(support)
+            self._check_blocks(features, blocks)
+            operators = [(self._block_operator(block), block.num_dst) for block in blocks]
         else:
-            h = self.embed(features, adjacency)
-        return self.head(h).reshape(-1)
+            operators = [(self._cached_propagation(support), None)] * self.num_layers
+        h = features
+        for index, (operator, num_dst) in enumerate(operators):
+            if self.dropout is not None:
+                h = self.dropout(h)
+            h = self._layer(index, h, operator, num_dst)
+        return h
+
+    def forward(self, features: Tensor, support) -> Tensor:
+        """Binary classification logits, ``(N,)`` full-batch or ``(B,)``
+        when ``support`` is a list of sampled blocks."""
+        return self.head(self.embed(features, support)).reshape(-1)
 
     def _check_blocks(self, features: Tensor, blocks: list[Block]) -> None:
         """Validate the block chain against this model's layer stack."""
@@ -101,8 +129,21 @@ class GNNBackbone(Module):
             if not np.array_equal(earlier.dst_nodes, later.src_nodes):
                 raise ValueError("block chain broken: dst/src node mismatch")
 
-    def _cached_propagation(self, adjacency: sp.spmatrix) -> sp.csr_matrix:
+    def _cached_propagation(self, adjacency: sp.spmatrix):
         return identity_cached(self._prop_cache, adjacency, self._propagation_matrix)
+
+    def _aggregate(self, operator: sp.spmatrix, h: Tensor, num_dst: int | None) -> Tensor:
+        """``operator · h``: through :meth:`_propagate` on the full graph,
+        one plain product on a block."""
+        if num_dst is None:
+            return self._propagate(operator, h)
+        return ops.spmm(operator, h)
+
+    @staticmethod
+    def _destinations(h: Tensor, num_dst: int | None) -> Tensor:
+        """The destination rows of ``h``: all of it on the full graph, the
+        leading ``num_dst`` rows on a block."""
+        return h if num_dst is None else ops.index(h, slice(0, num_dst))
 
     def _propagate(self, matrix: sp.spmatrix, h: Tensor) -> Tensor:
         """``ops.spmm(matrix, h)``, memoised in one slot for a constant ``h``.

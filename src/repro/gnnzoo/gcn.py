@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from repro.graph.normalize import gcn_normalize
 from repro.graph.sampling import Block, block_gcn_matrix
 from repro.gnnzoo.base import GNNBackbone
-from repro.nn import Dropout, Linear, ModuleList
+from repro.nn import Linear, ModuleList
 from repro.tensor import Tensor
 from repro.tensor import ops
 
@@ -30,33 +30,17 @@ class GCN(GNNBackbone):
         num_layers: int = 1,
         dropout: float = 0.0,
     ) -> None:
-        super().__init__(hidden_dim, rng)
-        if num_layers < 1:
-            raise ValueError(f"num_layers must be >= 1, got {num_layers}")
+        super().__init__(hidden_dim, rng, num_layers, dropout)
         dims = [in_dim] + [hidden_dim] * num_layers
-        self.num_layers = num_layers
         self.layers = ModuleList(
             [Linear(dims[i], dims[i + 1], rng) for i in range(num_layers)]
         )
-        self.dropout = Dropout(dropout, rng) if dropout > 0 else None
 
     def _propagation_matrix(self, adjacency: sp.spmatrix) -> sp.csr_matrix:
         return gcn_normalize(adjacency)
 
-    def embed(self, features: Tensor, adjacency: sp.spmatrix) -> Tensor:
-        a_hat = self._cached_propagation(adjacency)
-        h = features
-        for layer in self.layers:
-            if self.dropout is not None:
-                h = self.dropout(h)
-            h = ops.relu(layer(self._propagate(a_hat, h)))
-        return h
+    def _block_operator(self, block: Block) -> sp.csr_matrix:
+        return block_gcn_matrix(block)
 
-    def embed_blocks(self, features: Tensor, blocks: list[Block]) -> Tensor:
-        self._check_blocks(features, blocks)
-        h = features
-        for layer, block in zip(self.layers, blocks):
-            if self.dropout is not None:
-                h = self.dropout(h)
-            h = ops.relu(layer(ops.spmm(block_gcn_matrix(block), h)))
-        return h
+    def _layer(self, index: int, h: Tensor, operator, num_dst: int | None) -> Tensor:
+        return ops.relu(self.layers[index](self._aggregate(operator, h, num_dst)))

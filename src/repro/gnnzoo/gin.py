@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from repro.gnnzoo.base import GNNBackbone
 from repro.graph.normalize import to_symmetric
 from repro.graph.sampling import Block, block_sum_matrix
-from repro.nn import MLP, Dropout, ModuleList, Parameter
+from repro.nn import MLP, ModuleList, Parameter
 from repro.tensor import Tensor
 from repro.tensor import ops
 
@@ -30,11 +30,8 @@ class GIN(GNNBackbone):
         num_layers: int = 1,
         dropout: float = 0.0,
     ) -> None:
-        super().__init__(hidden_dim, rng)
-        if num_layers < 1:
-            raise ValueError(f"num_layers must be >= 1, got {num_layers}")
+        super().__init__(hidden_dim, rng, num_layers, dropout)
         dims = [in_dim] + [hidden_dim] * num_layers
-        self.num_layers = num_layers
         self.mlps = ModuleList(
             [
                 MLP([dims[i], hidden_dim, dims[i + 1]], rng)
@@ -42,30 +39,16 @@ class GIN(GNNBackbone):
             ]
         )
         self.epsilons = [Parameter(np.zeros(1), name=f"eps{i}") for i in range(num_layers)]
-        self.dropout = Dropout(dropout, rng) if dropout > 0 else None
 
     def _propagation_matrix(self, adjacency: sp.spmatrix) -> sp.csr_matrix:
         return to_symmetric(adjacency)
 
-    def embed(self, features: Tensor, adjacency: sp.spmatrix) -> Tensor:
-        matrix = self._cached_propagation(adjacency)
-        h = features
-        for mlp, eps in zip(self.mlps, self.epsilons):
-            if self.dropout is not None:
-                h = self.dropout(h)
-            self_term = ops.mul(h, ops.add(1.0, eps))
-            neighbor_term = self._propagate(matrix, h)
-            h = ops.relu(mlp(ops.add(self_term, neighbor_term)))
-        return h
+    def _block_operator(self, block: Block) -> sp.csr_matrix:
+        return block_sum_matrix(block)
 
-    def embed_blocks(self, features: Tensor, blocks: list[Block]) -> Tensor:
-        self._check_blocks(features, blocks)
-        h = features
-        for mlp, eps, block in zip(self.mlps, self.epsilons, blocks):
-            if self.dropout is not None:
-                h = self.dropout(h)
-            h_dst = ops.index(h, slice(0, block.num_dst))
-            self_term = ops.mul(h_dst, ops.add(1.0, eps))
-            neighbor_term = ops.spmm(block_sum_matrix(block), h)
-            h = ops.relu(mlp(ops.add(self_term, neighbor_term)))
-        return h
+    def _layer(self, index: int, h: Tensor, operator, num_dst: int | None) -> Tensor:
+        self_term = ops.mul(
+            self._destinations(h, num_dst), ops.add(1.0, self.epsilons[index])
+        )
+        neighbor_term = self._aggregate(operator, h, num_dst)
+        return ops.relu(self.mlps[index](ops.add(self_term, neighbor_term)))

@@ -268,7 +268,7 @@ def _save_index(trainer: FairwosTrainer, graph: Graph, path: Path) -> dict:
 
 
 def _save_baseline(method: BaselineMethod, graph: Graph, path: Path) -> dict:
-    model = getattr(method, "model_", None)
+    model = method.model_
     if model is None:
         raise ArtifactError(
             f"{type(method).__name__} did not retain a trained model "
@@ -281,7 +281,7 @@ def _save_baseline(method: BaselineMethod, graph: Graph, path: Path) -> dict:
             f"unknown baseline class {class_name}; artifacts only cover the "
             f"built-in methods {sorted(_BASELINE_CLASSES)}"
         )
-    columns = getattr(method, "feature_columns_", None)
+    columns = method.feature_columns_
     config = {
         "class": class_name,
         "backbone": method.backbone,
@@ -290,9 +290,9 @@ def _save_baseline(method: BaselineMethod, graph: Graph, path: Path) -> dict:
         "epochs": int(method.epochs),
         "lr": float(method.lr),
         "patience": None if method.patience is None else int(method.patience),
-        "minibatch": bool(getattr(method, "minibatch", False)),
-        "fanouts": getattr(method, "fanouts", None),
-        "batch_size": int(getattr(method, "batch_size", 512)),
+        "minibatch": bool(method.minibatch),
+        "fanouts": method.fanouts,
+        "batch_size": int(method.batch_size),
         "in_dim": int(
             graph.num_features if columns is None else np.asarray(columns).size
         ),

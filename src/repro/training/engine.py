@@ -192,8 +192,8 @@ def _infer(
     _set_training(modules, False)
     try:
         with no_grad():
+            forward = model.embed if embed else model
             if batch_size is None:
-                forward = model.embed if embed else model
                 out = forward(Tensor(feature_array), adjacency).data
                 if nodes is not None:
                     out = out[nodes]
@@ -214,7 +214,6 @@ def _infer(
                     # on every call.  The exact full-neighbourhood default
                     # never consumes the generator.
                     rng = np.random.default_rng()
-                forward = model.embed_blocks if embed else model
                 out = np.empty(0, dtype=get_default_dtype())
                 filled = 0
                 for batch in iter_minibatches(nodes, batch_size):
@@ -292,9 +291,9 @@ def embed_batched(
 
     The representation-space analogue of :func:`predict_logits_batched`
     (same parameters): folds each batch's exact L-hop neighbourhood through
-    ``model.embed_blocks`` so the output matches full-batch ``model.embed``
-    while only one batch's computation graph is live; ``batch_size=None``
-    is one eval-mode ``model.embed`` over the whole graph.  The fine-tune
+    ``model.embed`` so the output matches the full-graph embedding while
+    only one batch's computation graph is live; ``batch_size=None`` is one
+    eval-mode ``model.embed`` over the whole graph.  The fine-tune
     refreshes the counterfactual index from this embedding.
 
     Returns an ``(len(nodes), hidden)`` array in the active default dtype.
@@ -343,8 +342,9 @@ class MinibatchEngine:
     ----------
     model:
         Any :class:`~repro.gnnzoo.base.GNNBackbone`, or a module with the
-        same ``model(features, support)`` / ``embed`` signatures (the
-        sampled mode also needs ``embed_blocks`` and a layer count).
+        same ``model(features, support)`` / ``embed(features, support)``
+        signatures, where ``support`` is the full adjacency or a block
+        chain (the sampled mode also needs a layer count).
     features:
         ``(N, F)`` numpy array or Tensor of node features.
     adjacency:
@@ -513,9 +513,9 @@ class MinibatchEngine:
             Allowed validation-accuracy drop in ``"floor"`` mode (>= 0).
         forward:
             ``"logits"`` feeds ``model(features, support)`` to the closure,
-            ``"embed"`` feeds the model's representations (``embed_blocks``
-            when sampled, ``embed`` in full-batch mode) for methods that
-            apply their own head / representation losses.
+            ``"embed"`` feeds the model's representations
+            (``model.embed`` on the same support) for methods that apply
+            their own head / representation losses.
         seed_fn:
             Optional ``(batch, rng) -> (seeds, payload)`` extending the
             sampled seed set beyond the batch; ``seeds`` must be sorted,
@@ -555,6 +555,7 @@ class MinibatchEngine:
             rng = np.random.default_rng(rng)
 
         model = self.model
+        step_forward = model if forward == "logits" else model.embed
         # The module tree is walked once per run; every mode toggle below
         # reuses the list, and the caller's mode is given back at the end.
         modules = list(model.modules())
@@ -604,14 +605,9 @@ class MinibatchEngine:
             for batch, seeds, payload, blocks in steps:
                 self.optimizer.zero_grad()
                 if full_batch:
-                    step_inputs, support = inputs, self.adjacency
-                    embed = model.embed
+                    output = step_forward(inputs, self.adjacency)
                 else:
-                    step_inputs, support = self._block_inputs(blocks), blocks
-                    embed = model.embed_blocks
-                output = (model if forward == "logits" else embed)(
-                    step_inputs, support
-                )
+                    output = step_forward(self._block_inputs(blocks), blocks)
                 loss = loss_fn(
                     TrainStep(
                         epoch=epoch,

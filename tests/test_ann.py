@@ -324,6 +324,31 @@ class TestIncrementalUpdate:
             assert not report.rebuilt
         assert _recall(index, X, X[: min(n, 64)], 5) >= 0.9
 
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 10_000), rounds=st.integers(1, 4))
+    def test_rerouted_leaves_hold_exactly_their_points(self, seed, rounds):
+        """After re-routing, each leaf's CSR segment is exactly the set of
+        ids whose ``point_leaf`` is that leaf, and ``max_leaf`` is the
+        largest segment."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(30, 300))
+        X = rng.normal(size=(n, 4))
+        index = RPForestIndex(
+            **FOREST, seed=seed, rebuild_frac=1.0, overflow_factor=1e9
+        ).build(X)
+        for _ in range(rounds):
+            X = _drift(X, rng, fraction=0.3, scale=1.0)
+            assert not index.update(X).rebuilt
+        for tree in index._trees:
+            sizes = np.diff(tree.leaf_indptr)
+            assert tree.leaf_items.shape == (n,)
+            assert tree.max_leaf == sizes.max()
+            for leaf in range(tree.num_leaves):
+                segment = tree.leaf_items[tree.leaf_indptr[leaf] : tree.leaf_indptr[leaf + 1]]
+                np.testing.assert_array_equal(
+                    np.sort(segment), np.flatnonzero(tree.point_leaf == leaf)
+                )
+
     def test_unmoved_points_are_not_rerouted_but_refreshed(self):
         """An infinite drift threshold skips all re-routing, yet the
         coordinates still refresh (exhaustive ranking sees the new

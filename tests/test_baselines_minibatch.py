@@ -10,9 +10,10 @@ Same evidence structure as ``tests/test_finetune_minibatch.py``:
 * **genuinely sampled** — fanout 10, batches of 256: seed-averaged accuracy
   and ΔSP stay within 2 points of full-batch on a ~500-node biased causal
   graph;
-* **dispatch validation** — ``BaselineMethod`` must refuse
-  ``minibatch=True`` on a subclass that never declared ``fanouts`` /
-  ``batch_size`` instead of silently ignoring or crashing into it.
+* **dispatch validation** — ``BaselineMethod`` owns ``minibatch`` /
+  ``fanouts`` / ``batch_size`` for every method, and a method that trains
+  full-batch only (the FairGNN and NIFTY oracles) refuses
+  ``minibatch=True`` instead of silently ignoring it.
 """
 
 from __future__ import annotations
@@ -21,12 +22,10 @@ import numpy as np
 import pytest
 
 from repro.analysis import StreamingCorrelation
-from repro.baselines import FairGKD, FairRF, KSMOTE
-from repro.baselines.base import BaselineMethod
+from repro.baselines import FairGKD, FairRF, KSMOTE, RemoveR, Vanilla
+from repro.baselines.oracle import NIFTY, FairGNN
 from repro.datasets import BiasSpec, generate_biased_graph
 from repro.fairness import evaluate_predictions
-from repro.gnnzoo import make_backbone
-from repro.tensor import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -262,53 +261,23 @@ class TestStreamingCorrelationEstimator:
 class TestDispatchValidation:
     """Regression: the minibatch dispatch must validate, not silently skip."""
 
-    def test_undeclared_sampling_knobs_raise(self, causal_graph):
-        class Undeclared(BaselineMethod):
-            name = "undeclared"
-
-            def __init__(self, **kwargs):
-                super().__init__(**kwargs)
-                self.minibatch = True  # but no fanouts / batch_size
-
-            def _train_logits(self, graph, rng):
-                model = make_backbone(
-                    self.backbone, graph.num_features, self.hidden_dim, rng
-                )
-                _, logits = self._fit_and_predict(
-                    model, Tensor(graph.features), graph, rng
-                )
-                return logits, {}
-
-        with pytest.raises(ValueError, match="fanouts"):
-            Undeclared(epochs=2).fit(causal_graph, seed=0)
-
-    def test_partially_declared_names_missing_attr(self, causal_graph):
-        class Partial(BaselineMethod):
-            name = "partial"
-
-            def __init__(self, **kwargs):
-                super().__init__(**kwargs)
-                self.minibatch = True
-                self.fanouts = (5,)  # batch_size still missing
-
-            def _train_logits(self, graph, rng):
-                model = make_backbone(
-                    self.backbone, graph.num_features, self.hidden_dim, rng
-                )
-                _, logits = self._fit_and_predict(
-                    model, Tensor(graph.features), graph, rng
-                )
-                return logits, {}
-
-        with pytest.raises(ValueError, match="batch_size"):
-            Partial(epochs=2).fit(causal_graph, seed=0)
+    @pytest.mark.parametrize("cls", [FairGNN, NIFTY], ids=["fairgnn", "nifty"])
+    def test_full_batch_only_oracles_reject_minibatch(self, cls):
+        with pytest.raises(ValueError, match="full-batch only"):
+            cls(minibatch=True)
+        # The shared knobs are still accepted, and unused, full-batch.
+        method = cls(fanouts=(5,), batch_size=64)
+        assert method._sampling_config() == (None, None)
 
     @pytest.mark.parametrize(
-        "cls", [KSMOTE, FairRF, FairGKD], ids=["ksmote", "fairrf", "fairgkd"]
+        "cls",
+        [Vanilla, RemoveR, KSMOTE, FairRF, FairGKD],
+        ids=["vanilla", "remover", "ksmote", "fairrf", "fairgkd"],
     )
     def test_wired_baselines_pass_validation(self, cls):
-        fanouts, batch_size = cls(minibatch=True)._sampling_config()
-        assert batch_size >= 1
+        assert cls(minibatch=True)._sampling_config() == (None, 512)
+        method = cls(minibatch=True, fanouts=(5,), batch_size=64)
+        assert method._sampling_config() == ((5,), 64)
 
     def test_fairgkd_rejects_fanout_depth_mismatch_before_training(
         self, causal_graph

@@ -10,6 +10,7 @@ import pytest
 from repro.core import EncoderModule, FairwosConfig, FairwosTrainer
 from repro.gnnzoo import GAT, GCN, GIN, GraphSAGE, make_backbone
 from repro.gnnzoo.base import GNNBackbone
+from repro.graph import NeighborSampler
 from repro.tensor import Tensor, dtype_scope
 from repro.tensor import ops
 from repro.training import embed_batched, fit_minibatch, predict_logits_batched
@@ -39,8 +40,12 @@ class TestFactory:
         model = GNNBackbone(8, np.random.default_rng(0))
         with pytest.raises(NotImplementedError):
             model(features, tiny_graph.adjacency)
+        blocks = NeighborSampler.full_neighborhood(tiny_graph.adjacency, 1).sample_blocks(
+            np.array([0, 3]), np.random.default_rng(0)
+        )
+        block_features = Tensor(tiny_graph.features[blocks[0].src_nodes])
         with pytest.raises(NotImplementedError):
-            model.embed_blocks(features, [])
+            model.embed(block_features, blocks)
         with pytest.raises(NotImplementedError):
             model._propagation_matrix(tiny_graph.adjacency)
 
@@ -117,11 +122,18 @@ class TestMessagePassingSemantics:
     def test_gat_attention_rows_normalised(self, tiny_graph):
         model = GAT(4, 8, np.random.default_rng(0))
         feats = Tensor(np.random.default_rng(1).normal(size=(6, 4)))
-        src, dst = model._edges(tiny_graph.adjacency)
+        out = model.embed(feats, tiny_graph.adjacency)
+        # The full-graph operator is the cached edge list.
+        src, dst = model._cached_propagation(tiny_graph.adjacency)
         # With self-loops every node has at least one incoming edge.
         assert set(dst) == set(range(6))
-        out = model.embed(feats, tiny_graph.adjacency)
         assert np.isfinite(out.data).all()
+        # Identical rows send identical messages, so a node's output is
+        # that message times its attention row's sum: 1 for every degree.
+        row = np.random.default_rng(2).normal(size=(1, 4))
+        same = model.embed(Tensor(np.repeat(row, 6, axis=0)), tiny_graph.adjacency)
+        message = np.maximum(row @ model.linears[0].weight.data, 0.0)
+        np.testing.assert_allclose(same.data, np.repeat(message, 6, axis=0), atol=1e-12)
 
     def test_sage_separate_self_and_neighbor_weights(self, tiny_graph):
         model = GraphSAGE(4, 8, np.random.default_rng(0))
