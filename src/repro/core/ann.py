@@ -587,14 +587,52 @@ class RPForestIndex:
         changed = new_leaf != tree.point_leaf[moved]
         if not changed.any():
             return False
+        old_point_leaf = tree.point_leaf.copy()
         tree.point_leaf[moved[changed]] = new_leaf[changed]
-        # Rebuild the leaf CSR from the new assignment.  The order of ids
-        # inside a leaf reaches no answer: _candidates sorts each row by id.
-        counts = np.bincount(tree.point_leaf, minlength=tree.num_leaves)
-        tree.leaf_items = np.argsort(tree.point_leaf, kind="stable").astype(np.int64)
-        tree.leaf_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        tree.max_leaf = int(counts.max())
+        self._repack_leaves_delta(tree, old_point_leaf)
         return tree.max_leaf > self.leaf_size * self.overflow_factor
+
+    @staticmethod
+    def _repack_leaves_delta(tree: _Tree, old_point_leaf: np.ndarray) -> None:
+        """Delta-edit the CSR leaf view after re-routing (no full sort).
+
+        ``tree.point_leaf`` holds the new assignment; ``old_point_leaf`` is
+        the one the standing ``leaf_indptr``/``leaf_items`` packing
+        reflects.  Surviving points keep their relative order — their
+        segments shift as a whole — while the ``M`` re-routed points are
+        deleted from their old segment and appended to their new one in
+        ascending-id order.  O(N + M log M) total, replacing the previous
+        full ``argsort(point_leaf)`` repack whose O(N log N) dominated every
+        incremental refresh at the 1M tier.
+        """
+        num_leaves = tree.num_leaves
+        changed = np.flatnonzero(tree.point_leaf != old_point_leaf)
+        old_counts = np.diff(tree.leaf_indptr)
+        removed = np.bincount(old_point_leaf[changed], minlength=num_leaves)
+        added_leaves = tree.point_leaf[changed]
+        added = np.bincount(added_leaves, minlength=num_leaves)
+        kept = old_counts - removed
+        new_counts = kept + added
+        new_indptr = np.concatenate(([0], np.cumsum(new_counts))).astype(np.int64)
+        new_items = np.empty(tree.leaf_items.shape[0], dtype=np.int64)
+        stale = np.zeros(tree.point_leaf.shape[0], dtype=bool)
+        stale[changed] = True
+        kept_items = tree.leaf_items[~stale[tree.leaf_items]]
+        kept_starts = np.concatenate(([0], np.cumsum(kept)))[:-1]
+        within = np.arange(kept_items.size) - np.repeat(kept_starts, kept)
+        new_items[np.repeat(new_indptr[:-1], kept) + within] = kept_items
+        order = np.argsort(added_leaves, kind="stable")
+        grouped = changed[order]
+        add_base = np.concatenate(([0], np.cumsum(added)))
+        leaf_of = added_leaves[order]
+        new_items[
+            new_indptr[leaf_of]
+            + kept[leaf_of]
+            + (np.arange(grouped.size) - add_base[leaf_of])
+        ] = grouped
+        tree.leaf_items = new_items
+        tree.leaf_indptr = new_indptr
+        tree.max_leaf = int(new_counts.max())
 
     # ------------------------------------------------------------------ #
     def _stack_planes(self, directions: np.ndarray | None = None) -> None:

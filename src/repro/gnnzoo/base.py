@@ -48,7 +48,8 @@ class GNNBackbone(Module):
     (Eq. 9, ``ŷ_v = σ(h_v · w)``) lives here so every backbone exposes
     identical logits semantics.  Full-graph operators are cached per input
     matrix (graphs are static within an experiment) by object identity (see
-    :func:`identity_cached`); blocks are ephemeral and never cached here.
+    :func:`identity_cached`); a block's operator is kept on the block, per
+    backbone class (:meth:`~repro.graph.sampling.Block.cached_operator`).
     The full-graph aggregation of a constant input is memoised too (see
     :meth:`_propagate`).  Both caches assume that no input array is mutated
     in place while a model uses it.
@@ -98,7 +99,10 @@ class GNNBackbone(Module):
         if is_block_sequence(support):
             blocks = list(support)
             self._check_blocks(features, blocks)
-            operators = [(self._block_operator(block), block.num_dst) for block in blocks]
+            operators = [
+                (block.cached_operator(type(self), self._block_operator), block.num_dst)
+                for block in blocks
+            ]
         else:
             operators = [(self._cached_propagation(support), None)] * self.num_layers
         h = features

@@ -20,8 +20,9 @@ global to local ids (DGL's ``to_block`` relabelling), so local columns are
 one gather, the new source nodes are one sort of the unmatched neighbours,
 and the CSR is assembled directly from the row counts — no sort of the
 edge list and no COO round trip.  Every sampled training epoch draws fresh
-blocks; a block memoises its normalised operators, so a block chain folded
-repeatedly (the engine's per-fit validation blocks) normalises once.
+blocks; a block keeps the operators a backbone builds from it
+(:meth:`Block.cached_operator`), so a block chain folded repeatedly (the
+engine's per-fit validation blocks) is normalised once.
 """
 
 from __future__ import annotations
@@ -94,11 +95,8 @@ class Block:
             )
         if not np.array_equal(self.src_nodes[: self.num_dst], self.dst_nodes):
             raise ValueError("src_nodes must start with dst_nodes")
-        # Lazily filled by the block operators below.  A block used once (a
-        # sampled training step) pays one dict lookup; the engine's exact
-        # validation blocks, built once per fit and folded every epoch,
-        # build each normalised operator once instead of once per epoch.
-        self._operator_cache: dict[str, sp.csr_matrix] = {}
+        # Lazily filled by :meth:`cached_operator`.
+        self._operator_cache: dict = {}
 
     @property
     def num_src(self) -> int:
@@ -113,6 +111,18 @@ class Block:
     def sampled_in_degrees(self) -> np.ndarray:
         """Per-destination count (with multiplicity) of sampled neighbours."""
         return np.asarray(self.adjacency.sum(axis=1)).reshape(-1)
+
+    def cached_operator(self, key, build):
+        """``build(self)``, built once per ``key`` and kept on this block.
+
+        A block used once (a sampled training step) pays one dict lookup;
+        the engine's exact validation blocks, built once per fit and folded
+        every epoch, build each operator once instead of once per epoch.
+        """
+        cached = self._operator_cache.get(key)
+        if cached is None:
+            cached = self._operator_cache[key] = build(self)
+        return cached
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -375,38 +385,21 @@ def _self_loops(block: Block) -> sp.csr_matrix:
     )
 
 
-def _memoized_operator(block: Block, key: str, build) -> sp.csr_matrix:
-    """Build a block's normalised operator once; a reused block keeps it."""
-    cached = block._operator_cache.get(key)
-    if cached is None:
-        cached = build(block)
-        block._operator_cache[key] = cached
-    return cached
-
-
 def block_gcn_matrix(block: Block) -> sp.csr_matrix:
     """Bipartite GCN operator ``D̃^{-1/2} (A + I) D̃^{-1/2}`` for one block.
 
     Degrees are the *full-graph* degrees carried by the block, so under
     exhaustive fanout this is exactly the corresponding row/column slice of
-    :func:`repro.graph.normalize.gcn_normalize`'s output.  Memoised on the
-    block: the engine's validation blocks, folded every epoch of a fit, pay
-    the normalisation once.
+    :func:`repro.graph.normalize.gcn_normalize`'s output.
     """
-
-    def build(block: Block) -> sp.csr_matrix:
-        matrix = block.adjacency + _self_loops(block)
-        rows = np.repeat(np.arange(block.num_dst), np.diff(matrix.indptr))
-        row_scale = 1.0 / np.sqrt(block.dst_degrees + 1.0)
-        col_scale = 1.0 / np.sqrt(block.src_degrees + 1.0)
-        # The values and entry order of diags(row) @ (A + I) @ diags(col):
-        # each scipy product reverses every row, so the two cancel.
-        data = (row_scale[rows] * matrix.data) * col_scale[matrix.indices]
-        return sp.csr_matrix(
-            (data, matrix.indices, matrix.indptr), shape=matrix.shape
-        )
-
-    return _memoized_operator(block, "gcn", build)
+    matrix = block.adjacency + _self_loops(block)
+    rows = np.repeat(np.arange(block.num_dst), np.diff(matrix.indptr))
+    row_scale = 1.0 / np.sqrt(block.dst_degrees + 1.0)
+    col_scale = 1.0 / np.sqrt(block.src_degrees + 1.0)
+    # The values and entry order of diags(row) @ (A + I) @ diags(col):
+    # each scipy product reverses every row, so the two cancel.
+    data = (row_scale[rows] * matrix.data) * col_scale[matrix.indices]
+    return sp.csr_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape)
 
 
 def block_mean_matrix(block: Block) -> sp.csr_matrix:
@@ -414,17 +407,13 @@ def block_mean_matrix(block: Block) -> sp.csr_matrix:
 
     Rows are normalised by the sampled (multiplicity-weighted) neighbour
     count, which equals the true degree under exhaustive fanout and is the
-    standard unbiased mean estimator under sampling.  Memoised on the block.
+    standard unbiased mean estimator under sampling.
     """
-
-    def build(block: Block) -> sp.csr_matrix:
-        sampled = block.sampled_in_degrees()
-        inv = np.zeros_like(sampled)
-        nonzero = sampled > 0
-        inv[nonzero] = 1.0 / sampled[nonzero]
-        return (sp.diags(inv) @ block.adjacency).tocsr()
-
-    return _memoized_operator(block, "mean", build)
+    sampled = block.sampled_in_degrees()
+    inv = np.zeros_like(sampled)
+    nonzero = sampled > 0
+    inv[nonzero] = 1.0 / sampled[nonzero]
+    return (sp.diags(inv) @ block.adjacency).tocsr()
 
 
 def block_sum_matrix(block: Block) -> sp.csr_matrix:
@@ -432,14 +421,10 @@ def block_sum_matrix(block: Block) -> sp.csr_matrix:
 
     Each row is scaled by ``true_degree / sampled_count`` so the sampled sum
     is an unbiased estimate of the full neighbourhood sum, and reduces to
-    the plain sum (scale 1) under exhaustive fanout.  Memoised on the block.
+    the plain sum (scale 1) under exhaustive fanout.
     """
-
-    def build(block: Block) -> sp.csr_matrix:
-        sampled = block.sampled_in_degrees()
-        scale = np.zeros_like(sampled)
-        nonzero = sampled > 0
-        scale[nonzero] = block.dst_degrees[nonzero] / sampled[nonzero]
-        return (sp.diags(scale) @ block.adjacency).tocsr()
-
-    return _memoized_operator(block, "sum", build)
+    sampled = block.sampled_in_degrees()
+    scale = np.zeros_like(sampled)
+    nonzero = sampled > 0
+    scale[nonzero] = block.dst_degrees[nonzero] / sampled[nonzero]
+    return (sp.diags(scale) @ block.adjacency).tocsr()

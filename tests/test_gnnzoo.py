@@ -165,6 +165,31 @@ class TestMessagePassingSemantics:
         expected = GCN(4, 8, np.random.default_rng(0))._propagation_matrix(fresh)
         assert (got != expected).nnz == 0
 
+    def test_block_operator_built_once_per_block(self, tiny_graph, monkeypatch):
+        """A block chain folded again (the engine's validation blocks, every
+        epoch) reuses each layer's operator, GAT's edge list included; a
+        second backbone class on the same blocks builds its own."""
+        built = []
+        for cls in (GCN, GIN, GAT, GraphSAGE):
+            original = cls._block_operator
+            monkeypatch.setattr(
+                cls,
+                "_block_operator",
+                lambda self, block, original=original: built.append(type(self))
+                or original(self, block),
+            )
+        blocks = NeighborSampler.full_neighborhood(tiny_graph.adjacency, 2).sample_blocks(
+            np.array([0, 3]), np.random.default_rng(0)
+        )
+        feats = Tensor(tiny_graph.features[blocks[0].src_nodes])
+        for name in ("gcn", "gin", "gat", "sage"):
+            first = make_backbone(name, 4, 8, np.random.default_rng(0), num_layers=2)
+            second = make_backbone(name, 4, 8, np.random.default_rng(0), num_layers=2)
+            expected = first.embed(feats, blocks).data
+            np.testing.assert_array_equal(first.embed(feats, blocks).data, expected)
+            np.testing.assert_array_equal(second.embed(feats, blocks).data, expected)
+        assert built == [GCN, GCN, GIN, GIN, GAT, GAT, GraphSAGE, GraphSAGE]
+
     def test_head_maps_hidden_to_logit(self, tiny_graph):
         model = GCN(4, 8, np.random.default_rng(0))
         feats = Tensor(np.random.default_rng(2).normal(size=(6, 4)))
