@@ -28,14 +28,16 @@ Design notes
 ------------
 Each tree splits its points on a random unit direction at the projection
 median (split by rank, so trees are exactly balanced and build is
-O(N log N) per tree).  The split planes of all trees are stacked into one
-set of arrays, and a chunk of queries descends every tree at once: each
-(tree, query) pair is one row of a single recorded descent, so a chunk
-takes about two numpy passes per level of the deepest tree, however many
-trees there are.  ``probes > 1`` additionally flips the lowest-margin
-split decisions along each root path (multi-probe, as in Annoy/LSH
-multi-probe) and descends the alternative subtrees greedily over the same
-stacked arrays, trading work for recall.  Candidates from all (tree,
+O(N log N) per tree).  A split by rank gives every tree of a build the
+same shape, so the whole forest is one fixed-shape set of arrays whose
+leading axis is the tree (``_Forest``): the split planes of all trees in
+one stack, the routing tables as ``(trees, N)`` arrays.  A chunk of
+queries descends every tree at once: each (tree, query) pair is one row of
+a single recorded descent, so a chunk takes about two numpy passes per
+level, however many trees there are.  ``probes > 1`` additionally flips
+the lowest-margin split decisions along each root path (multi-probe, as
+in Annoy/LSH multi-probe) and descends the alternative subtrees greedily
+over the same arrays, trading work for recall.  Candidates from all (tree,
 probe) leaves are gathered into one row per query, deduplicated, and
 ranked by true L2 distance, with ties broken by ascending point id for
 determinism.
@@ -93,7 +95,7 @@ changed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -170,57 +172,38 @@ class UpdateReport:
 
 
 @dataclass
-class _Tree:
-    """One random-projection tree in array form.
+class _Forest:
+    """Every tree of a forest in one set of arrays whose leading axis is
+    the tree.
 
-    ``children`` entries ``>= 0`` are internal-node indices; negative entries
-    encode leaves as ``-(leaf_id + 1)``.  ``root`` follows the same encoding
-    (a tree small enough to be a single leaf has no internal nodes).
+    Splits are by rank, so every tree of a build has the same number ``S``
+    of splits, ``S + 1`` leaves, the same depth and the same leaf sizes;
+    an update re-routes points but never adds a leaf or moves a plane.
 
-    ``point_leaf`` maps each indexed point to its current leaf id — the
-    routing table incremental updates edit in place; ``leaf_indptr`` /
-    ``leaf_items`` are its CSR view, repacked after every update.  ``depth``
-    is the longest root-to-leaf path; the forest's deepest tree sets the
-    width of the stacked recorded descent and how many probe flips a query
-    can make.
+    Tree ``t``'s split planes are rows ``t·S`` to ``(t + 1)·S − 1`` of
+    ``directions``, ``thresholds`` and ``children``.  ``children`` entries
+    ``>= 0`` are such forest-wide rows; negative entries encode a leaf of
+    the row's own tree as ``-(leaf_id + 1)``, since a descent row knows its
+    tree.  ``roots`` holds each tree's root in the same encoding (a tree
+    small enough to be a single leaf has no rows).  ``depth`` is the
+    longest root-to-leaf path; it sets the width of the recorded descent
+    and how many probe flips a query can make.
 
-    Once a build or restore has finished, ``directions`` and ``thresholds``
-    are views into the forest's stacked :class:`_Planes`; updates never
-    change them.
+    ``point_leaf[t]`` maps each indexed point to its current leaf in tree
+    ``t`` — the routing table incremental updates edit in place;
+    ``leaf_indptr[t]`` / ``leaf_items[t]`` are its CSR view, repacked after
+    every update, and ``max_leaf[t]`` is its largest leaf.
     """
 
-    directions: np.ndarray  # (num_internal, d)
-    thresholds: np.ndarray  # (num_internal,)
-    children: np.ndarray  # (num_internal, 2)
-    leaf_indptr: np.ndarray  # (num_leaves + 1,)
-    leaf_items: np.ndarray  # (N,)
-    point_leaf: np.ndarray  # (N,)
-    root: int
+    directions: np.ndarray  # (T·S, d)
+    thresholds: np.ndarray  # (T·S,)
+    children: np.ndarray  # (T·S, 2)
+    roots: np.ndarray  # (T,)
     depth: int
-    max_leaf: int
-
-    @property
-    def num_leaves(self) -> int:
-        return self.leaf_indptr.shape[0] - 1
-
-
-@dataclass
-class _Planes:
-    """Every tree's split planes stacked for the forest-wide descent.
-
-    The trees' internal nodes follow one another in tree order, and
-    ``children`` shifts each tree's internal refs by the internal-node
-    count of the trees before it.  Leaf refs keep their per-tree encoding
-    ``-(leaf_id + 1)``, since a descent row knows its tree.  ``roots``
-    holds each tree's root in the same encoding, and ``depth`` is the
-    deepest tree's.
-    """
-
-    directions: np.ndarray  # (total_internal, d)
-    thresholds: np.ndarray  # (total_internal,)
-    children: np.ndarray  # (total_internal, 2)
-    roots: np.ndarray  # (num_trees,)
-    depth: int
+    leaf_indptr: np.ndarray  # (T, S + 2)
+    leaf_items: np.ndarray  # (T, N)
+    point_leaf: np.ndarray  # (T, N)
+    max_leaf: np.ndarray  # (T,)
 
 
 class RPForestIndex:
@@ -294,8 +277,7 @@ class RPForestIndex:
         self.overflow_factor = overflow_factor
         self._points: np.ndarray | None = None
         self._norms: np.ndarray | None = None
-        self._trees: list[_Tree] = []
-        self._planes: _Planes | None = None
+        self._forest: _Forest | None = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -314,28 +296,30 @@ class RPForestIndex:
         """(Re)build the forest over ``X``; returns ``self``.
 
         Each tree draws from its own generator, seeded by
-        ``(seed, tree_id)``.
+        ``(seed, tree_id)``.  Every tree of a build has the same number of
+        splits, so each writes its planes and routing tables straight into
+        its rows of the forest's arrays.
         """
         X = np.array(X, dtype=np.float64, copy=True)
         if X.ndim != 2 or X.shape[0] == 0:
             raise ValueError(f"expected a non-empty (N, d) matrix, got {X.shape}")
         self._points = X
         self._norms = (X**2).sum(axis=1)
-        # Every tree of a build has the same number of splits, so each writes
-        # its directions straight into its rows of the stacked planes.
-        # Per-tree arrays copied into the stack and freed stayed resident:
-        # about 4 MiB more max RSS on a 100k-point, 8-tree, 16-d search.
-        splits = _num_splits(X.shape[0], self.leaf_size)
-        directions = np.empty((self.num_trees * splits, X.shape[1]))
-        self._trees = [
-            self._build_tree(
-                X,
-                np.random.default_rng([self.seed, t]),
-                out=directions[t * splits : (t + 1) * splits],
-            )
-            for t in range(self.num_trees)
-        ]
-        self._stack_planes(directions)
+        (n, dim), trees = X.shape, self.num_trees
+        splits = _num_splits(n, self.leaf_size)
+        self._forest = _Forest(
+            directions=np.empty((trees * splits, dim)),
+            thresholds=np.empty(trees * splits),
+            children=np.empty((trees * splits, 2), dtype=np.int64),
+            roots=np.empty(trees, dtype=np.int64),
+            depth=0,
+            leaf_indptr=np.zeros((trees, splits + 2), dtype=np.int64),
+            leaf_items=np.empty((trees, n), dtype=np.int64),
+            point_leaf=np.empty((trees, n), dtype=np.int64),
+            max_leaf=np.empty(trees, dtype=np.int64),
+        )
+        for t in range(trees):
+            self._build_tree(X, t)
         return self
 
     # ------------------------------------------------------------------ #
@@ -344,14 +328,15 @@ class RPForestIndex:
 
         The mapping is ``np.savez``-compatible and captures *all* state
         needed to answer queries and continue incremental maintenance:
-        constructor parameters, the point matrix, and the per-tree split
-        planes and routing tables.  :meth:`from_arrays` inverts it
-        bit-identically — a restored forest answers every ``query``
-        (including ``probes="exhaustive"``) exactly like the live one.
+        constructor parameters, the point matrix, and the forest's split
+        planes and routing tables — the same 12 names at any tree count.
+        :meth:`from_arrays` inverts it bit-identically — a restored forest
+        answers every ``query`` (including ``probes="exhaustive"``) exactly
+        like the live one.
         """
         if self._points is None:
             raise RuntimeError("call build() before to_arrays()")
-        out: dict[str, np.ndarray] = {
+        return {
             "params": np.array(
                 [
                     self.num_trees,
@@ -367,19 +352,11 @@ class RPForestIndex:
                 dtype=np.float64,
             ),
             "points": self._points,
+            **{
+                field.name: np.asarray(getattr(self._forest, field.name))
+                for field in fields(_Forest)
+            },
         }
-        for t, tree in enumerate(self._trees):
-            prefix = f"tree{t}_"
-            out[prefix + "directions"] = tree.directions
-            out[prefix + "thresholds"] = tree.thresholds
-            out[prefix + "children"] = tree.children
-            out[prefix + "leaf_indptr"] = tree.leaf_indptr
-            out[prefix + "leaf_items"] = tree.leaf_items
-            out[prefix + "point_leaf"] = tree.point_leaf
-            out[prefix + "meta"] = np.array(
-                [tree.root, tree.depth, tree.max_leaf], dtype=np.int64
-            )
-        return out
 
     @classmethod
     def from_arrays(cls, arrays) -> "RPForestIndex":
@@ -389,16 +366,20 @@ class RPForestIndex:
         ``np.load`` handle).  The restored index is bit-identical to the
         saved one: same points, same split planes and same routing tables,
         so both queries and subsequent :meth:`update` calls reproduce the
-        live index exactly.
+        live index exactly.  A missing array, or routing tables that are
+        not ``(num_trees, N)``, raise ``ValueError``.
         """
+        names = ("params", "float_params", "points") + tuple(
+            field.name for field in fields(_Forest)
+        )
         try:
-            params = np.asarray(arrays["params"], dtype=np.int64)
-            floats = np.asarray(arrays["float_params"], dtype=np.float64)
-            points_raw = arrays["points"]
+            raw = {name: arrays[name] for name in names}
         except KeyError as exc:
             raise ValueError(
                 f"serialized forest is missing required array {exc}"
             ) from exc
+        params = np.asarray(raw["params"], dtype=np.int64)
+        floats = np.asarray(raw["float_params"], dtype=np.float64)
         index = cls(
             num_trees=int(params[0]),
             leaf_size=int(params[1]),
@@ -409,7 +390,7 @@ class RPForestIndex:
             rebuild_frac=float(floats[1]),
             overflow_factor=float(floats[2]),
         )
-        points = np.array(points_raw, dtype=np.float64, copy=True)
+        points = np.array(raw["points"], dtype=np.float64, copy=True)
         if points.ndim != 2 or points.shape[0] == 0:
             raise ValueError(
                 f"serialized points must be a non-empty (N, d) matrix, "
@@ -417,70 +398,51 @@ class RPForestIndex:
             )
         index._points = points
         index._norms = (points**2).sum(axis=1)
-        trees: list[_Tree] = []
-        for t in range(index.num_trees):
-            prefix = f"tree{t}_"
-            try:
-                meta = np.asarray(arrays[prefix + "meta"], dtype=np.int64)
-                trees.append(
-                    _Tree(
-                        # Copied into the stacked planes by _stack_planes.
-                        directions=np.asarray(
-                            arrays[prefix + "directions"], dtype=np.float64
-                        ),
-                        thresholds=np.asarray(
-                            arrays[prefix + "thresholds"], dtype=np.float64
-                        ),
-                        children=np.array(
-                            arrays[prefix + "children"], dtype=np.int64
-                        ),
-                        leaf_indptr=np.array(
-                            arrays[prefix + "leaf_indptr"], dtype=np.int64
-                        ),
-                        leaf_items=np.array(
-                            arrays[prefix + "leaf_items"], dtype=np.int64
-                        ),
-                        point_leaf=np.array(
-                            arrays[prefix + "point_leaf"], dtype=np.int64
-                        ),
-                        root=int(meta[0]),
-                        depth=int(meta[1]),
-                        max_leaf=int(meta[2]),
-                    )
-                )
-            except KeyError as exc:
+        # Updates edit the routing tables in place, so those are copied.
+        forest = _Forest(
+            directions=np.asarray(raw["directions"], dtype=np.float64),
+            thresholds=np.asarray(raw["thresholds"], dtype=np.float64),
+            children=np.asarray(raw["children"], dtype=np.int64),
+            roots=np.asarray(raw["roots"], dtype=np.int64),
+            depth=int(raw["depth"]),
+            leaf_indptr=np.array(raw["leaf_indptr"], dtype=np.int64),
+            leaf_items=np.array(raw["leaf_items"], dtype=np.int64),
+            point_leaf=np.array(raw["point_leaf"], dtype=np.int64),
+            max_leaf=np.array(raw["max_leaf"], dtype=np.int64),
+        )
+        expected = (index.num_trees, points.shape[0])
+        for name in ("leaf_items", "point_leaf"):
+            shape = getattr(forest, name).shape
+            if shape != expected:
                 raise ValueError(
-                    f"serialized forest is missing arrays for tree {t} "
-                    f"(expected {index.num_trees} trees)"
-                ) from exc
-        index._trees = trees
-        index._stack_planes()
+                    f"serialized {name} must be {expected} (trees, points), "
+                    f"got {shape}"
+                )
+        index._forest = forest
         return index
 
     # ------------------------------------------------------------------ #
-    def _build_tree(
-        self, X: np.ndarray, rng: np.random.Generator, out: np.ndarray
-    ) -> _Tree:
-        """Build one tree over every row of ``X``.
+    def _build_tree(self, X: np.ndarray, t: int) -> None:
+        """Build tree ``t`` over every row of ``X`` into its rows of the
+        forest.
 
-        ``out`` receives the split directions: ``(_num_splits(N,
-        leaf_size), d)`` rows of the forest's stacked planes.
+        The tree draws from its own generator, seeded by ``(seed, t)``; its
+        ``S`` split planes fill rows ``t·S`` onwards in the order the
+        splits are made.
         """
+        forest = self._forest
         n, dim = X.shape
-        directions: list[np.ndarray] = []
-        thresholds: list[float] = []
-        children: list[list[int]] = []
+        rng = np.random.default_rng([self.seed, t])
+        node = t * (forest.leaf_indptr.shape[1] - 2)  # the tree's first row
         leaves: list[np.ndarray] = []
-        depth = 0
-        # Stack entries: (members, parent node, side, level).  LIFO order is
+        # Stack entries: (members, parent row, side, level).  LIFO order is
         # deterministic, so rng consumption (one direction per split) is too.
         stack: list[tuple[np.ndarray, int, int, int]] = [
             (np.arange(n, dtype=np.int64), -1, 0, 0)
         ]
-        root = 0
         while stack:
             members, parent, side, level = stack.pop()
-            depth = max(depth, level)
+            forest.depth = max(forest.depth, level)
             if members.size <= self.leaf_size:
                 leaves.append(members)
                 ref = -len(leaves)  # leaf_id = len(leaves) - 1 → -(leaf_id + 1)
@@ -494,40 +456,24 @@ class RPForestIndex:
                 proj = X[members] @ direction
                 order = np.argsort(proj, kind="stable")
                 half = members.size // 2
-                threshold = 0.5 * (proj[order[half - 1]] + proj[order[half]])
-                ref = len(directions)
-                directions.append(direction)
-                thresholds.append(float(threshold))
-                children.append([0, 0])
+                ref, node = node, node + 1
+                forest.directions[ref] = direction
+                forest.thresholds[ref] = 0.5 * (
+                    proj[order[half - 1]] + proj[order[half]]
+                )
                 stack.append((members[order[half:]], ref, 1, level + 1))
                 stack.append((members[order[:half]], ref, 0, level + 1))
             if parent >= 0:
-                children[parent][side] = ref
+                forest.children[parent, side] = ref
             else:
-                root = ref
+                forest.roots[t] = ref
         leaf_sizes = np.array([leaf.size for leaf in leaves], dtype=np.int64)
-        leaf_items = np.concatenate(leaves)
-        point_leaf = np.empty(n, dtype=np.int64)
-        point_leaf[leaf_items] = np.repeat(
+        np.cumsum(leaf_sizes, out=forest.leaf_indptr[t, 1:])
+        np.concatenate(leaves, out=forest.leaf_items[t])
+        forest.point_leaf[t][forest.leaf_items[t]] = np.repeat(
             np.arange(leaf_sizes.size, dtype=np.int64), leaf_sizes
         )
-        if directions:
-            np.stack(directions, out=out)
-        return _Tree(
-            directions=out,
-            thresholds=np.array(thresholds, dtype=np.float64),
-            children=(
-                np.array(children, dtype=np.int64)
-                if children
-                else np.empty((0, 2), dtype=np.int64)
-            ),
-            leaf_indptr=np.concatenate(([0], np.cumsum(leaf_sizes))),
-            leaf_items=leaf_items,
-            point_leaf=point_leaf,
-            root=root,
-            depth=depth,
-            max_leaf=int(leaf_sizes.max()),
-        )
+        forest.max_leaf[t] = leaf_sizes.max()
 
     # ------------------------------------------------------------------ #
     def update(self, X: np.ndarray) -> UpdateReport:
@@ -564,7 +510,7 @@ class RPForestIndex:
             self._norms = (self._points**2).sum(axis=1)
             queries = self._points[moved]
             rebuilt = any(
-                self._reroute(tree, moved, queries) for tree in self._trees
+                self._reroute(t, moved, queries) for t in range(self.num_trees)
             )
         if rebuilt:
             self.build(X)
@@ -575,29 +521,32 @@ class RPForestIndex:
             rebuilt=rebuilt,
         )
 
-    def _reroute(
-        self, tree: _Tree, moved: np.ndarray, queries: np.ndarray
-    ) -> bool:
-        """Re-descend ``moved`` points in one tree and repack its leaves;
+    def _reroute(self, t: int, moved: np.ndarray, queries: np.ndarray) -> bool:
+        """Re-descend ``moved`` points in tree ``t`` and repack its leaves;
         returns whether a leaf now overflows."""
-        start = np.full(moved.size, tree.root, dtype=np.int64)
+        forest = self._forest
+        start = np.full(moved.size, forest.roots[t], dtype=np.int64)
         new_leaf = _greedy_descent(
-            tree.directions, tree.thresholds, tree.children, queries, start
+            forest.directions, forest.thresholds, forest.children, queries, start
         )
-        changed = new_leaf != tree.point_leaf[moved]
+        point_leaf = forest.point_leaf[t]
+        changed = new_leaf != point_leaf[moved]
         if not changed.any():
             return False
-        old_point_leaf = tree.point_leaf.copy()
-        tree.point_leaf[moved[changed]] = new_leaf[changed]
-        self._repack_leaves_delta(tree, old_point_leaf)
-        return tree.max_leaf > self.leaf_size * self.overflow_factor
+        old_point_leaf = point_leaf.copy()
+        point_leaf[moved[changed]] = new_leaf[changed]
+        self._repack_leaves_delta(forest, t, old_point_leaf)
+        return forest.max_leaf[t] > self.leaf_size * self.overflow_factor
 
     @staticmethod
-    def _repack_leaves_delta(tree: _Tree, old_point_leaf: np.ndarray) -> None:
-        """Delta-edit the CSR leaf view after re-routing (no full sort).
+    def _repack_leaves_delta(
+        forest: _Forest, t: int, old_point_leaf: np.ndarray
+    ) -> None:
+        """Delta-edit tree ``t``'s CSR leaf view after re-routing (no full
+        sort), rewriting its rows in place.
 
-        ``tree.point_leaf`` holds the new assignment; ``old_point_leaf`` is
-        the one the standing ``leaf_indptr``/``leaf_items`` packing
+        ``forest.point_leaf[t]`` holds the new assignment; ``old_point_leaf``
+        is the one the standing ``leaf_indptr[t]``/``leaf_items[t]`` packing
         reflects.  Surviving points keep their relative order — their
         segments shift as a whole — while the ``M`` re-routed points are
         deleted from their old segment and appended to their new one in
@@ -605,80 +554,39 @@ class RPForestIndex:
         full ``argsort(point_leaf)`` repack whose O(N log N) dominated every
         incremental refresh at the 1M tier.
         """
-        num_leaves = tree.num_leaves
-        changed = np.flatnonzero(tree.point_leaf != old_point_leaf)
-        old_counts = np.diff(tree.leaf_indptr)
+        point_leaf = forest.point_leaf[t]
+        items, indptr = forest.leaf_items[t], forest.leaf_indptr[t]
+        num_leaves = indptr.shape[0] - 1
+        changed = np.flatnonzero(point_leaf != old_point_leaf)
+        old_counts = np.diff(indptr)
         removed = np.bincount(old_point_leaf[changed], minlength=num_leaves)
-        added_leaves = tree.point_leaf[changed]
+        added_leaves = point_leaf[changed]
         added = np.bincount(added_leaves, minlength=num_leaves)
         kept = old_counts - removed
         new_counts = kept + added
-        new_indptr = np.concatenate(([0], np.cumsum(new_counts))).astype(np.int64)
-        new_items = np.empty(tree.leaf_items.shape[0], dtype=np.int64)
-        stale = np.zeros(tree.point_leaf.shape[0], dtype=bool)
+        stale = np.zeros(point_leaf.shape[0], dtype=bool)
         stale[changed] = True
-        kept_items = tree.leaf_items[~stale[tree.leaf_items]]
+        kept_items = items[~stale[items]]
+        np.cumsum(new_counts, out=indptr[1:])
         kept_starts = np.concatenate(([0], np.cumsum(kept)))[:-1]
         within = np.arange(kept_items.size) - np.repeat(kept_starts, kept)
-        new_items[np.repeat(new_indptr[:-1], kept) + within] = kept_items
+        items[np.repeat(indptr[:-1], kept) + within] = kept_items
         order = np.argsort(added_leaves, kind="stable")
         grouped = changed[order]
         add_base = np.concatenate(([0], np.cumsum(added)))
         leaf_of = added_leaves[order]
-        new_items[
-            new_indptr[leaf_of]
+        items[
+            indptr[leaf_of]
             + kept[leaf_of]
             + (np.arange(grouped.size) - add_base[leaf_of])
         ] = grouped
-        tree.leaf_items = new_items
-        tree.leaf_indptr = new_indptr
-        tree.max_leaf = int(new_counts.max())
+        forest.max_leaf[t] = new_counts.max()
 
     # ------------------------------------------------------------------ #
-    def _stack_planes(self, directions: np.ndarray | None = None) -> None:
-        """Stack every tree's split planes into :class:`_Planes`.
-
-        Runs whenever the trees are made (at the end of :meth:`build` and
-        :meth:`from_arrays`); an update re-routes points but never changes
-        a plane.  Each tree's ``directions`` and ``thresholds`` become
-        views into the stacked arrays, so the planes are stored once; the
-        routing tables stay per tree.  ``directions`` is the stack a build
-        wrote the trees' directions into; otherwise they are copied into a
-        new one.
-        """
-        trees = self._trees
-        offsets = np.cumsum([0] + [tree.thresholds.shape[0] for tree in trees])
-        if directions is None:
-            directions = np.concatenate([tree.directions for tree in trees])
-        thresholds = np.concatenate([tree.thresholds for tree in trees])
-        children = np.concatenate(
-            [
-                np.where(tree.children >= 0, tree.children + offset, tree.children)
-                for tree, offset in zip(trees, offsets)
-            ]
-        )
-        roots = np.array(
-            [
-                tree.root + offset if tree.root >= 0 else tree.root
-                for tree, offset in zip(trees, offsets)
-            ],
-            dtype=np.int64,
-        )
-        for tree, lo, hi in zip(trees, offsets[:-1], offsets[1:]):
-            tree.directions = directions[lo:hi]
-            tree.thresholds = thresholds[lo:hi]
-        self._planes = _Planes(
-            directions=directions,
-            thresholds=thresholds,
-            children=children,
-            roots=roots,
-            depth=max(tree.depth for tree in trees),
-        )
-
     def _forest_leaves(self, Q: np.ndarray, probes: int) -> np.ndarray:
         """Leaf id per (tree, query, probe); -1 where a probe is unavailable.
 
-        One recorded descent over the stacked planes, in which row
+        One recorded descent over the forest's planes, in which row
         ``t * len(Q) + q`` walks tree ``t`` for query ``q`` and records the
         node, margin and side of every decision.  Probe ``p`` flips the
         ``p``-th smallest-margin decision of a row's root path and descends
@@ -687,31 +595,31 @@ class RPForestIndex:
         decisions as its own descent would, and its flips past its leaf
         find no node.
         """
-        planes = self._planes
-        num_trees, m = len(self._trees), Q.shape[0]
+        forest = self._forest
+        num_trees, m = forest.roots.size, Q.shape[0]
         num_rows = num_trees * m
         out = np.full((num_rows, probes), -1, dtype=np.int64)
         Q = np.tile(Q, (num_trees, 1))
-        cur = np.repeat(planes.roots, m)
-        path_nodes = np.full((num_rows, planes.depth), -1, dtype=np.int64)
-        margins = np.full((num_rows, planes.depth), np.inf)
-        sides = np.zeros((num_rows, planes.depth), dtype=np.int8)
+        cur = np.repeat(forest.roots, m)
+        path_nodes = np.full((num_rows, forest.depth), -1, dtype=np.int64)
+        margins = np.full((num_rows, forest.depth), np.inf)
+        sides = np.zeros((num_rows, forest.depth), dtype=np.int8)
         rows = np.flatnonzero(cur >= 0)
         level = 0
         while rows.size:
             nodes = cur[rows]
-            proj = np.einsum("qd,qd->q", Q[rows], planes.directions[nodes])
-            thr = planes.thresholds[nodes]
+            proj = np.einsum("qd,qd->q", Q[rows], forest.directions[nodes])
+            thr = forest.thresholds[nodes]
             side = (proj >= thr).view(np.int8)
             path_nodes[rows, level] = nodes
             margins[rows, level] = np.abs(proj - thr)
             sides[rows, level] = side
-            nxt = planes.children[nodes, side]
+            nxt = forest.children[nodes, side]
             cur[rows] = nxt
             rows = rows[nxt >= 0]
             level += 1
         out[:, 0] = -(cur + 1)
-        flips = min(probes - 1, planes.depth)
+        flips = min(probes - 1, forest.depth)
         if flips:
             margin_order = np.argsort(margins, axis=1, kind="stable")
             every = np.arange(num_rows)
@@ -720,11 +628,11 @@ class RPForestIndex:
                 nodes = path_nodes[every, pos]
                 usable = nodes >= 0
                 start = np.full(num_rows, _INACTIVE, dtype=np.int64)
-                start[usable] = planes.children[
+                start[usable] = forest.children[
                     nodes[usable], 1 - sides[every[usable], pos[usable]]
                 ]
                 out[:, probe] = _greedy_descent(
-                    planes.directions, planes.thresholds, planes.children, Q, start
+                    forest.directions, forest.thresholds, forest.children, Q, start
                 )
         return out.reshape(num_trees, m, probes)
 
@@ -891,19 +799,21 @@ class RPForestIndex:
         point enters the ranking once and the column order of the surviving
         ids is ascending — the tie-break :func:`_pick` relies on.
         """
+        forest = self._forest
         m = Q.shape[0]
-        width = sum(tree.max_leaf for tree in self._trees) * probes
+        width = int(forest.max_leaf.sum()) * probes
         cands = np.full((m, width), -1, dtype=np.int64)
         flat = cands.reshape(-1)
         row_base = np.arange(m, dtype=np.int64) * width
         col = 0
-        for tree, leaves in zip(self._trees, self._forest_leaves(Q, probes)):
+        for t, leaves in enumerate(self._forest_leaves(Q, probes)):
             # A row's probe leaves fill its block of the tree's
             # ``probes * max_leaf`` columns back to back.
+            indptr = forest.leaf_indptr[t]
             ok = leaves >= 0
             leaf = np.where(ok, leaves, 0)
-            starts = tree.leaf_indptr[leaf]
-            lengths = np.where(ok, tree.leaf_indptr[leaf + 1] - starts, 0)
+            starts = indptr[leaf]
+            lengths = np.where(ok, indptr[leaf + 1] - starts, 0)
             counts = lengths.reshape(-1)
             total = int(counts.sum())
             if total:
@@ -913,8 +823,8 @@ class RPForestIndex:
                 dst = pos + np.repeat(
                     row_base + col - first[::probes], lengths.sum(axis=1)
                 )
-                flat[dst] = tree.leaf_items[src]
-            col += tree.max_leaf * probes
+                flat[dst] = forest.leaf_items[t][src]
+            col += int(forest.max_leaf[t]) * probes
         # Dedupe across trees/probes: sort ids per row (pads sort first) and
         # blank repeats so a point can enter the ranking only once.
         cands.sort(axis=1)
@@ -972,12 +882,13 @@ def _greedy_descent(
     Q: np.ndarray,
     start: np.ndarray,
 ) -> np.ndarray:
-    """Follow split planes greedily from ``start`` nodes, one per row of
-    ``Q``; returns the leaf ids reached (-1 where ``start`` is
+    """Follow the forest's split planes greedily from ``start`` nodes, one
+    per row of ``Q``; returns the leaf ids reached (-1 where ``start`` is
     ``_INACTIVE``).
 
-    The planes are one tree's (re-routing an update) or the stacked
-    forest's (probe descents), whose leaf refs stay per tree.
+    Internal refs are forest-wide rows and leaf refs stay per tree, so each
+    row's leaf id is in the tree its start node belongs to — a root when
+    an update re-routes points, a flipped child when a probe descends.
     """
     cur = start.copy()
     rows = np.flatnonzero(cur >= 0)
@@ -1148,7 +1059,8 @@ class AnnBackend:
     :meth:`topk_counterfactuals` answers a whole counterfactual search with
     one :meth:`RPForestIndex.query_counterfactuals` pass.
 
-    ``update`` selects the refresh policy of :meth:`prepare`:
+    ``forest_options`` are :class:`RPForestIndex`'s parameters.  ``update``
+    selects the refresh policy of :meth:`prepare`:
     ``"rebuild"`` (default) reconstructs the forest from scratch every
     call; ``"incremental"`` applies :meth:`RPForestIndex.update` instead —
     re-routing only drifted points per ``drift_threshold``, escaping to a
@@ -1160,32 +1072,12 @@ class AnnBackend:
 
     name = "ann"
 
-    def __init__(
-        self,
-        num_trees: int = 8,
-        leaf_size: int = 32,
-        probes: int = 2,
-        seed: int = 0,
-        chunk_size: int = 512,
-        update: str = "rebuild",
-        drift_threshold: float = 0.0,
-        rebuild_frac: float = 0.5,
-        overflow_factor: float = 4.0,
-    ) -> None:
+    def __init__(self, update: str = "rebuild", **forest_options) -> None:
         if update not in ("rebuild", "incremental"):
             raise ValueError(
                 f"update must be 'rebuild' or 'incremental', got {update!r}"
             )
-        self._index = RPForestIndex(
-            num_trees=num_trees,
-            leaf_size=leaf_size,
-            probes=probes,
-            seed=seed,
-            chunk_size=chunk_size,
-            drift_threshold=drift_threshold,
-            rebuild_frac=rebuild_frac,
-            overflow_factor=overflow_factor,
-        )
+        self._index = RPForestIndex(**forest_options)
         self.update_mode = update
         self.last_report: UpdateReport | None = None
 

@@ -60,8 +60,8 @@ class GAT(GNNBackbone):
 
         Block edges flow column (source) → row (destination); each
         destination's self-loop source is its own index in the shared
-        dst/src prefix.  Multiplicities from with-replacement sampling are
-        intentionally ignored — attention re-weights edges anyway.
+        dst/src prefix.  Edge multiplicities in a hand-built block are
+        ignored — attention re-weights edges anyway.
         """
         coo = block.adjacency.tocoo()
         eye = np.arange(block.num_dst)

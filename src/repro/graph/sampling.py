@@ -54,8 +54,9 @@ class Block:
     adjacency:
         ``(num_dst, num_src)`` CSR matrix of sampled edges.  Entry ``(i, j)``
         means local source ``j`` is a sampled neighbour of local destination
-        ``i`` (its value is the multiplicity, > 1 only when sampling with
-        replacement).  Self-loops are *not* included; consumers add them.
+        ``i`` (its value is the edge's multiplicity: 1 in a sampled block,
+        more only where a hand-built block repeats an edge).  Self-loops are
+        *not* included; consumers add them.
     src_nodes:
         Global ids of the input nodes, ``(num_src,)``.  The first ``num_dst``
         entries are exactly ``dst_nodes`` (in order).
@@ -153,10 +154,7 @@ class NeighborSampler:
         order models fold blocks in).  Each entry is either a positive int
         (sample up to that many neighbours per node) or ``None`` (keep the
         full neighbourhood — used for exact minibatched inference).
-    replace:
-        Sample with replacement (GraphSAGE's original behaviour).  Repeated
-        draws accumulate multiplicity in the block adjacency, which the mean
-        aggregator weights correctly.
+        Neighbours are drawn without replacement.
 
     A sampler owns an ``(N,)`` int64 position map (8 bytes per node) that
     relabels each block's global ids; every call leaves it all ``-1``.  Do
@@ -173,7 +171,6 @@ class NeighborSampler:
         self,
         adjacency: sp.spmatrix,
         fanouts: Sequence[int | None],
-        replace: bool = False,
     ) -> None:
         matrix = sp.csr_matrix(adjacency)
         if matrix.shape[0] != matrix.shape[1]:
@@ -202,7 +199,6 @@ class NeighborSampler:
         # unset.  Every call resets the entries it wrote before returning.
         self._position = np.full(self.num_nodes, -1, dtype=np.int64)
         self.fanouts = fanouts
-        self.replace = replace
 
     @classmethod
     def full_neighborhood(
@@ -261,21 +257,12 @@ class NeighborSampler:
         Returns ``(rows, neighbors)`` where ``rows`` are local indices into
         ``dst``, in ascending order (the block's CSR row pointer counts
         them), and ``neighbors`` are global neighbour ids.  Each call makes
-        at most one generator draw: ``fanout`` uniform picks per
-        non-isolated row with replacement, otherwise one random key per
-        candidate edge (skipped when the layer keeps full neighbourhoods or
-        touches no edge).
+        at most one generator draw: one random key per candidate edge
+        (skipped when the layer keeps full neighbourhoods or touches no
+        edge).
         """
         starts = self._indptr[dst]
         counts = self._degrees[dst]
-
-        if self.replace and fanout is not None:
-            # Each non-isolated row draws exactly ``fanout`` times uniformly.
-            nonzero = np.flatnonzero(counts > 0)
-            rows = np.repeat(nonzero, fanout)
-            starts_rep = np.repeat(starts[nonzero], fanout)
-            picks = rng.integers(0, np.repeat(counts[nonzero], fanout))
-            return rows, self._indices[starts_rep + picks]
 
         # Expand all incident edges of the batch: rows[k] is the local dst of
         # the k-th candidate edge, offsets give its position within its row.
@@ -353,7 +340,7 @@ class NeighborSampler:
         finally:
             position[src_nodes] = -1
         # Rows arrive ascending, so the CSR row pointer is a running count;
-        # sum_duplicates sorts each row and merges replace=True repeats.
+        # sum_duplicates sorts each row's columns.
         indptr = np.zeros(dst.size + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=dst.size), out=indptr[1:])
         adjacency = sp.csr_matrix(
@@ -405,9 +392,9 @@ def block_gcn_matrix(block: Block) -> sp.csr_matrix:
 def block_mean_matrix(block: Block) -> sp.csr_matrix:
     """Mean aggregator over the *sampled* neighbours (SAGE's ``D^{-1} A``).
 
-    Rows are normalised by the sampled (multiplicity-weighted) neighbour
-    count, which equals the true degree under exhaustive fanout and is the
-    standard unbiased mean estimator under sampling.
+    Rows are normalised by the sampled neighbour count (edge weights
+    summed), which equals the true degree under exhaustive fanout and is
+    the standard unbiased mean estimator under sampling.
     """
     sampled = block.sampled_in_degrees()
     inv = np.zeros_like(sampled)

@@ -11,9 +11,10 @@ model) is persisted as a *directory bundle*::
         arrays.npz      the fitted preprocessing state: X(0) pseudo
                         matrix, binarized attributes, pseudo-labels,
                         standardization moments, column selections
-        index.npz       the standing counterfactual index — RP-forest
-                        tree arrays + routing tables (kind "ann") or the
-                        exact point matrix (kind "exact")
+        index.npz       the standing counterfactual index — the RP
+                        forest's 12 arrays (parameters, points, split
+                        planes and (trees, N) routing tables; kind "ann")
+                        or the exact point matrix (kind "exact")
         graph.npz       optional bundled training graph (save_graph),
                         so `repro score --artifact PATH` is
                         self-contained
@@ -59,7 +60,7 @@ __all__ = ["ArtifactError", "ModelArtifact", "save_artifact", "load_artifact"]
 
 #: Manifest schema version.  Bumped on any incompatible layout change;
 #: :func:`load_artifact` refuses other versions with a clear error.
-ARTIFACT_VERSION = 4
+ARTIFACT_VERSION = 5
 
 _MANIFEST = "manifest.json"
 _MODEL = "model.npz"
@@ -238,8 +239,8 @@ def _save_fairwos(trainer: FairwosTrainer, graph: Graph, path: Path) -> dict:
 def _save_index(trainer: FairwosTrainer, graph: Graph, path: Path) -> dict:
     """Persist the standing counterfactual index (or a fresh exact one).
 
-    The live backend is saved verbatim — an ANN forest keeps its tree
-    arrays, routing tables and seed, so restored retrieval is
+    The live backend is saved verbatim — an ANN forest keeps its split
+    planes, routing tables and seed, so restored retrieval is
     bit-identical without a rebuild.  A trainer that never built an
     index (``use_fairness=False``) gets an exact index over freshly
     embedded representations so counterfactual retrieval still works.

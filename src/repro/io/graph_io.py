@@ -43,23 +43,7 @@ def save_graph(graph: Graph, path: str | Path) -> Path:
     which are re-created as strings.
     """
     path = Path(path)
-    adjacency = graph.adjacency.tocsr()
-    np.savez_compressed(
-        path,
-        format_version=np.array(_FORMAT_VERSION),
-        name=np.array(graph.name),
-        adj_data=adjacency.data,
-        adj_indices=adjacency.indices,
-        adj_indptr=adjacency.indptr,
-        adj_shape=np.array(adjacency.shape),
-        features=graph.features,
-        labels=graph.labels,
-        sensitive=graph.sensitive,
-        train_mask=graph.train_mask,
-        val_mask=graph.val_mask,
-        test_mask=graph.test_mask,
-        related=graph.related_feature_indices,
-    )
+    np.savez_compressed(path, **_graph_payload(graph))
     # np.savez appends .npz when missing; normalise the returned path.
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
@@ -102,34 +86,35 @@ def save_graph_mmap(graph: Graph, path: str | Path) -> Path:
     return path
 
 
-def _check_version(version: int) -> None:
+def _build_graph(read) -> Graph:
+    """The graph whose :func:`_graph_payload` arrays ``read(key)`` returns,
+    after checking the format version."""
+    version = int(read("format_version"))
     if version != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported graph file version {version} "
             f"(expected {_FORMAT_VERSION})"
         )
-
-
-def _build_graph(data) -> Graph:
     adjacency = sp.csr_matrix(
-        (data["adj_data"], data["adj_indices"], data["adj_indptr"]),
-        shape=tuple(data["adj_shape"]),
+        (read("adj_data"), read("adj_indices"), read("adj_indptr")),
+        shape=tuple(read("adj_shape")),
     )
     return Graph(
         adjacency=adjacency,
-        features=data["features"],
-        labels=data["labels"],
-        sensitive=data["sensitive"],
-        train_mask=data["train_mask"],
-        val_mask=data["val_mask"],
-        test_mask=data["test_mask"],
-        related_feature_indices=data["related"],
-        name=str(data["name"]),
+        features=read("features"),
+        labels=read("labels"),
+        sensitive=read("sensitive"),
+        train_mask=read("train_mask"),
+        val_mask=read("val_mask"),
+        test_mask=read("test_mask"),
+        related_feature_indices=read("related"),
+        name=str(read("name")),
     )
 
 
-def _load_graph_dir(path: Path, mmap: bool) -> Graph:
-    """Load a :func:`save_graph_mmap` directory, optionally memory-mapped."""
+def _npy_reader(path: Path, mmap: bool):
+    """``read(key)`` over a :func:`save_graph_mmap` directory, optionally
+    memory-mapping the large arrays."""
     def read(key: str) -> np.ndarray:
         file = path / f"{key}.npy"
         if not file.is_file():
@@ -137,13 +122,7 @@ def _load_graph_dir(path: Path, mmap: bool) -> Graph:
         mode = "r" if mmap and key in _MMAP_KEYS else None
         return np.load(file, allow_pickle=False, mmap_mode=mode)
 
-    _check_version(int(read("format_version")))
-    keys = (
-        "adj_data", "adj_indices", "adj_indptr", "adj_shape", "features",
-        "labels", "sensitive", "train_mask", "val_mask", "test_mask",
-        "related", "name",
-    )
-    return _build_graph({key: read(key) for key in keys})
+    return read
 
 
 def load_graph(path: str | Path, mmap: bool = False) -> Graph:
@@ -163,7 +142,7 @@ def load_graph(path: str | Path, mmap: bool = False) -> Graph:
     """
     path = Path(path)
     if path.is_dir():
-        return _load_graph_dir(path, mmap)
+        return _build_graph(_npy_reader(path, mmap))
     if mmap:
         raise ValueError(
             "mmap loading needs the uncompressed directory layout; save the "
@@ -171,5 +150,4 @@ def load_graph(path: str | Path, mmap: bool = False) -> Graph:
             "be memory-mapped)"
         )
     with np.load(path, allow_pickle=False) as data:
-        _check_version(int(data["format_version"]))
-        return _build_graph(data)
+        return _build_graph(data.__getitem__)

@@ -352,7 +352,7 @@ def sum(a, axis=None, keepdims: bool = False) -> Tensor:
         if axis is not None and not keepdims:
             axes = axis if isinstance(axis, tuple) else (axis,)
             g = np.expand_dims(g, tuple(ax % a.data.ndim for ax in axes))
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, a.shape),)
 
     return Tensor.from_op(out, (a,), backward)
 
@@ -372,7 +372,7 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
         if axis is not None and not keepdims:
             axes = axis if isinstance(axis, tuple) else (axis,)
             g = np.expand_dims(g, tuple(ax % a.data.ndim for ax in axes))
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, a.shape),)
 
     return Tensor.from_op(out, (a,), backward)
 

@@ -339,14 +339,16 @@ class TestIncrementalUpdate:
         for _ in range(rounds):
             X = _drift(X, rng, fraction=0.3, scale=1.0)
             assert not index.update(X).rebuilt
-        for tree in index._trees:
-            sizes = np.diff(tree.leaf_indptr)
-            assert tree.leaf_items.shape == (n,)
-            assert tree.max_leaf == sizes.max()
-            for leaf in range(tree.num_leaves):
-                segment = tree.leaf_items[tree.leaf_indptr[leaf] : tree.leaf_indptr[leaf + 1]]
+        forest = index._forest
+        assert forest.leaf_items.shape == forest.point_leaf.shape == (FOREST["num_trees"], n)
+        for t in range(FOREST["num_trees"]):
+            indptr, items = forest.leaf_indptr[t], forest.leaf_items[t]
+            sizes = np.diff(indptr)
+            assert forest.max_leaf[t] == sizes.max()
+            for leaf in range(sizes.size):
                 np.testing.assert_array_equal(
-                    np.sort(segment), np.flatnonzero(tree.point_leaf == leaf)
+                    np.sort(items[indptr[leaf] : indptr[leaf + 1]]),
+                    np.flatnonzero(forest.point_leaf[t] == leaf),
                 )
 
     def test_unmoved_points_are_not_rerouted_but_refreshed(self):
@@ -644,11 +646,34 @@ class TestSerialization:
     def test_from_arrays_validates(self):
         X, index = self._build()
         arrays = index.to_arrays()
-        del arrays["tree0_directions"]
-        with pytest.raises(ValueError):
+        del arrays["directions"]
+        with pytest.raises(ValueError, match="missing"):
             RPForestIndex.from_arrays(arrays)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="missing"):
             RPForestIndex.from_arrays({"params": np.zeros(5, dtype=np.int64)})
+
+    @pytest.mark.parametrize("name", ["leaf_items", "point_leaf"])
+    def test_from_arrays_rejects_misshapen_routing_tables(self, name):
+        """A routing table must hold one row of N entries per tree."""
+        X, index = self._build()
+        arrays = index.to_arrays()
+        table = arrays[name]
+        for bad in (table[:-1], table[:, :-1], table.reshape(-1)):
+            with pytest.raises(ValueError, match=name):
+                RPForestIndex.from_arrays({**arrays, name: bad})
+
+    def test_to_arrays_names_do_not_depend_on_the_tree_count(self):
+        """One tree or eight: the same 12 arrays, each per-tree one with
+        the trees on its leading axis."""
+        X = np.random.default_rng(0).normal(size=(300, 4))
+        layouts = [
+            RPForestIndex(num_trees=trees, leaf_size=16).build(X).to_arrays()
+            for trees in (1, 8)
+        ]
+        assert layouts[0].keys() == layouts[1].keys()
+        assert len(layouts[0]) == 12
+        for name in ("roots", "max_leaf", "leaf_indptr", "leaf_items", "point_leaf"):
+            assert [arrays[name].shape[0] for arrays in layouts] == [1, 8], name
 
     def test_to_arrays_before_build(self):
         with pytest.raises(RuntimeError, match="build"):

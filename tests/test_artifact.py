@@ -319,15 +319,22 @@ class TestManifestValidation:
         with pytest.raises(ArtifactError, match="not a model artifact"):
             load_artifact(tmp_path)
 
-    def test_version_mismatch(self, fairwos_artifact, tmp_path):
+    @pytest.mark.parametrize(
+        "version", [ARTIFACT_VERSION + 1, 4], ids=["newer", "per-tree-forest"]
+    )
+    def test_version_mismatch(self, fairwos_artifact, tmp_path, version):
+        """A newer manifest, or a version-4 one whose forest was saved as
+        7 arrays per tree, gets the version error — not a corrupt index."""
         import shutil
 
         copy = tmp_path / "bumped"
         shutil.copytree(fairwos_artifact, copy)
         manifest = json.loads((copy / "manifest.json").read_text())
-        manifest["format_version"] = ARTIFACT_VERSION + 1
+        manifest["format_version"] = version
         (copy / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ArtifactError, match="unsupported artifact version"):
+        with pytest.raises(
+            ArtifactError, match=f"unsupported artifact version {version}"
+        ):
             load_artifact(copy)
 
     @pytest.mark.parametrize(
@@ -439,7 +446,7 @@ class TestManifestValidation:
         shutil.copytree(fairwos_artifact, copy)
         with np.load(copy / "index.npz") as data:
             arrays = {key: data[key] for key in data.files}
-        del arrays["tree0_directions"]
+        del arrays["directions"]
         np.savez_compressed(copy / "index.npz", **arrays)
         with pytest.raises(ArtifactError, match="corrupt persisted index"):
             load_artifact(copy)

@@ -12,9 +12,10 @@ K-th distance included — on duplicated points, for 1–3 probes, for
 reloaded artifact.
 
 The references build their candidate rows from a per-tree recorded
-descent, each tree walked on its own; the index descends every tree at
-once over stacked split planes, and its candidate rows must match the
-per-tree ones exactly.
+descent, each tree walked on its own over its rows of the forest's arrays
+(``_trees_of``); the index descends every tree at once over the stacked
+split planes, and its candidate rows must match the per-tree ones
+exactly.
 
 The exact backend answers a search in one pass per label: one distance
 block per label, each row's nearest members ranked once, each attribute
@@ -24,6 +25,8 @@ is the per-bucket search: one ``exact_topk`` per bucket.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,6 +44,32 @@ from repro.io import load_artifact, save_artifact
 # References
 # --------------------------------------------------------------------- #
 _INACTIVE = np.iinfo(np.int64).min
+
+
+def _trees_of(index):
+    """Each tree of ``index``'s forest on its own: its rows of the split
+    planes, with child and root refs local to the tree, and its row of each
+    routing table."""
+    forest = index._forest
+    splits = forest.leaf_indptr.shape[1] - 2
+    trees = []
+    for t, root in enumerate(forest.roots):
+        base = t * splits
+        rows = slice(base, base + splits)
+        children = forest.children[rows]
+        trees.append(
+            SimpleNamespace(
+                directions=forest.directions[rows],
+                thresholds=forest.thresholds[rows],
+                children=np.where(children >= 0, children - base, children),
+                root=int(root - base if root >= 0 else root),
+                depth=forest.depth,
+                leaf_indptr=forest.leaf_indptr[t],
+                leaf_items=forest.leaf_items[t],
+                max_leaf=int(forest.max_leaf[t]),
+            )
+        )
+    return trees
 
 
 def _reference_greedy_descent(tree, Q, start):
@@ -105,10 +134,11 @@ def _reference_tree_leaves(tree, Q, probes):
 def _reference_candidates(index, Q, probes):
     """``RPForestIndex._candidates`` from per-tree descents, one
     (tree, probe) block of ``max_leaf`` columns at a time."""
-    width = sum(tree.max_leaf for tree in index._trees) * probes
+    trees = _trees_of(index)
+    width = sum(tree.max_leaf for tree in trees) * probes
     cands = np.full((Q.shape[0], width), -1, dtype=np.int64)
     col = 0
-    for tree in index._trees:
+    for tree in trees:
         leaves = _reference_tree_leaves(tree, Q, probes)
         for probe in range(probes):
             for row, leaf in enumerate(leaves[:, probe]):
@@ -335,43 +365,46 @@ class TestDescentOracle:
         # 400 points halve to blocks of 25, which split into a 12-point
         # leaf and a 13-point node: root paths of two lengths in each tree.
         index = RPForestIndex(num_trees=3, leaf_size=12, seed=0).build(reps)
-        leaf_levels = {len(path) for path in _leaf_paths(index._trees[0])}
+        leaf_levels = {len(path) for path in _leaf_paths(_trees_of(index)[0])}
         assert leaf_levels == {5, 6}
         single = RPForestIndex(num_trees=2, leaf_size=400, seed=0).build(reps)
-        assert all(tree.root < 0 for tree in single._trees)
+        assert all(tree.root < 0 for tree in _trees_of(single))
         restored = RPForestIndex.from_arrays(index.to_arrays())
         for forest in (index, single, restored):
-            probes = max(tree.depth for tree in forest._trees) + 2
+            probes = forest._forest.depth + 2
             np.testing.assert_array_equal(
                 forest._candidates(reps, probes),
                 _reference_candidates(forest, reps, probes),
             )
 
-    def test_tree_planes_are_views_of_the_stack(self):
-        """Each tree reads its own planes out of the one stacked copy, after
-        a build, after an update (which leaves the planes alone) and after
-        a restore."""
+    def test_updates_and_restores_leave_the_planes_alone(self):
+        """Tree ``t``'s rows depend on ``(seed, t)`` alone, and neither an
+        update (which only re-routes points) nor a restore changes a
+        plane."""
         rng = np.random.default_rng(2)
         reps = rng.normal(size=(300, 4))
         index = RPForestIndex(num_trees=3, leaf_size=8, seed=4).build(reps)
-        for t, tree in enumerate(index._trees):
-            own = index._build_tree(
-                reps, np.random.default_rng([4, t]),
-                out=np.empty_like(tree.directions),
+        forest = index._forest
+        fewer = RPForestIndex(num_trees=2, leaf_size=8, seed=4).build(reps)._forest
+        splits = forest.leaf_indptr.shape[1] - 2
+        for name in ("directions", "thresholds", "children"):
+            np.testing.assert_array_equal(
+                getattr(forest, name)[: 2 * splits], getattr(fewer, name), name
             )
-            np.testing.assert_array_equal(tree.directions, own.directions)
-            np.testing.assert_array_equal(tree.thresholds, own.thresholds)
-        planes = index._planes
+        for name in ("roots", "leaf_indptr", "leaf_items", "point_leaf", "max_leaf"):
+            np.testing.assert_array_equal(
+                getattr(forest, name)[:2], getattr(fewer, name), name
+            )
+        planes = ("directions", "thresholds", "children", "roots")
+        before = {name: getattr(forest, name).copy() for name in planes}
+        routing = forest.point_leaf.copy()
         assert not index.update(_nudge(reps, rng)).rebuilt
-        assert index._planes is planes
-        for forest in (index, RPForestIndex.from_arrays(index.to_arrays())):
-            planes = forest._planes
-            assert planes.directions.shape[0] == sum(
-                tree.directions.shape[0] for tree in forest._trees
-            )
-            for tree in forest._trees:
-                assert np.shares_memory(tree.directions, planes.directions)
-                assert np.shares_memory(tree.thresholds, planes.thresholds)
+        assert (forest.point_leaf != routing).any()
+        restored = RPForestIndex.from_arrays(index.to_arrays())._forest
+        for after in (forest, restored):
+            assert after.depth == fewer.depth
+            for name in planes:
+                np.testing.assert_array_equal(getattr(after, name), before[name], name)
 
 
 # --------------------------------------------------------------------- #

@@ -104,7 +104,7 @@ def _samplers(draw):
     fanouts = draw(
         st.lists(st.one_of(st.none(), st.integers(1, 6)), min_size=1, max_size=3)
     )
-    sampler = NeighborSampler(adjacency, fanouts, replace=draw(st.booleans()))
+    sampler = NeighborSampler(adjacency, fanouts)
     n = adjacency.shape[0]
     seeds = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
     return sampler, np.array(seeds, dtype=np.int64)

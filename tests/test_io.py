@@ -61,6 +61,16 @@ class TestGraphMmapIO:
         )
         assert loaded.name == original.name
 
+    def test_both_layouts_hold_the_same_arrays(self, small_graph, tmp_path):
+        """One payload backs both layouts: the archive's members are the
+        directory's files."""
+        archive = save_graph(small_graph, tmp_path / "graph.npz")
+        directory = save_graph_mmap(small_graph, tmp_path / "graphdir")
+        with np.load(archive) as data:
+            members = set(data.files)
+        assert members == {file.stem for file in directory.glob("*.npy")}
+        assert len(members) == 13
+
     def test_directory_round_trip(self, small_graph, tmp_path):
         path = save_graph_mmap(small_graph, tmp_path / "graphdir")
         assert path.is_dir()

