@@ -4,16 +4,20 @@ The paper evaluates on six public graphs (Bail, Credit, Pokec-z, Pokec-n,
 NBA, Occupation).  Those are distributed as data files we cannot download in
 this offline environment, so this package provides **synthetic equivalents**
 generated from an explicit causal bias model (:mod:`repro.datasets.causal`)
-whose statistics are matched to the paper's Table I.  See DESIGN.md for the
-substitution argument: the generator plants exactly the mechanism the paper's
-introduction describes — the sensitive attribute shapes proxy features,
-label base rates and edge formation, so a vanilla GNN trained *without* the
-sensitive attribute is still measurably unfair.
+whose statistics are matched to the paper's Table I.  The generator plants
+exactly the mechanism the paper's introduction describes — the sensitive
+attribute shapes proxy features, label base rates and edge formation, so a
+vanilla GNN trained *without* the sensitive attribute is still measurably
+unfair.
 
 Beyond the named benchmarks, the package hosts the parametric **graph
 families** of the scenario matrix — scale-free (Chung–Lu), Erdős–Rényi and
-SBM/community generators sharing one planted-bias mechanism — plus a
-temporal edge-stream wrapper replaying any graph as arrival batches.
+SBM/community generators — plus a temporal edge-stream wrapper replaying
+any graph as arrival batches.  All four generators share one planted
+pipeline (:mod:`repro.datasets._planted`): the bias parameters
+(:class:`BiasSpec`), the node draw, the homophilous edge rejection of the
+families and the graph assembly with the paper's 50/25/25 split
+(:func:`random_split_masks`).  A generator adds only its edge structure.
 
 Use :func:`load_dataset` with one of :func:`available_datasets`, a family
 key from :func:`available_families`, or a saved-graph path.

@@ -1,15 +1,16 @@
 """Causal synthetic graph generator with a planted sensitive-attribute bias.
 
-The generative story follows Fig. 3 of the paper (``s`` influences the
-non-sensitive attributes and the graph structure, which influence the
-prediction) and the loan-approval running example of Fig. 1:
+The generator behind the six named datasets.  The generative story follows
+Fig. 3 of the paper (``s`` influences the non-sensitive attributes and the
+graph structure, which influence the prediction) and the loan-approval
+running example of Fig. 1:
 
 1. each node draws a sensitive group ``s ~ Bernoulli(group_balance)``
    (race / age / region / nationality / gender in the real datasets);
 2. a latent "merit" vector ``z ~ N(0, I)`` captures legitimate signal
    (income-like quantities);
 3. the label mixes merit with **historical bias**:
-   ``y ~ Bernoulli(σ(w·z + label_bias·(2s−1) + intercept))``;
+   ``y ~ Bernoulli(σ(w·z + label_bias·(2s−1)))``;
 4. features are linear read-outs of ``z`` plus a label read-out, and a
    designated subset of **proxy columns** additionally shifts with ``s``
    (postal-code-like proxies) — the sensitive attribute itself is *not* a
@@ -17,6 +18,10 @@ prediction) and the loan-approval running example of Fig. 1:
 5. edges form with probability proportional to merit similarity, boosted
    when endpoints share ``s`` (group homophily) and when they share ``y``
    (label homophily), calibrated to hit a target average degree.
+
+Steps 1–4 and the graph assembly are the shared planted pipeline of
+:mod:`repro.datasets._planted`; this module owns step 5, a dense ``(N, N)``
+kernel that suits the few-thousand-node named datasets.
 
 Because ``s`` is recoverable from the proxies and the neighbourhood
 structure but absent from the features, a vanilla GNN ends up statistically
@@ -26,86 +31,21 @@ demographics" setting requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-import scipy.sparse as sp
 
-from repro.datasets.splits import random_split_masks
+from repro.datasets._planted import (
+    BiasSpec, PlantedNodes, check_shape, plant_node_bias, planted_graph,
+)
 from repro.graph import Graph
 
 __all__ = ["BiasSpec", "generate_biased_graph"]
 
 
-@dataclass
-class BiasSpec:
-    """Parameters of the planted bias mechanism.
-
-    Attributes
-    ----------
-    group_balance:
-        P(s = 1).
-    label_bias:
-        Coefficient of ``(2s − 1)`` in the label logit — historical
-        discrimination strength.
-    proxy_fraction:
-        Fraction of feature columns that act as proxies of ``s``.
-    proxy_strength:
-        Mean shift of proxy columns between the two groups.
-    label_signal_strength:
-        Mean shift of (non-proxy) signal columns between the two classes —
-        controls task learnability.
-    group_homophily:
-        Multiplicative edge boost for same-``s`` pairs (0 = none).
-    label_homophily:
-        Multiplicative edge boost for same-``y`` pairs.
-    latent_dim:
-        Dimensionality of the merit vector ``z``.
-    feature_noise:
-        Std of additive feature noise.
-    label_intercept:
-        Intercept of the label logit (controls the positive rate).
-    """
-
-    group_balance: float = 0.5
-    label_bias: float = 1.0
-    proxy_fraction: float = 0.25
-    proxy_strength: float = 1.0
-    label_signal_strength: float = 0.8
-    group_homophily: float = 2.0
-    label_homophily: float = 1.0
-    latent_dim: int = 8
-    feature_noise: float = 0.5
-    label_intercept: float = 0.0
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` for out-of-range parameters."""
-        if not 0.0 < self.group_balance < 1.0:
-            raise ValueError(f"group_balance must be in (0, 1), got {self.group_balance}")
-        if not 0.0 <= self.proxy_fraction <= 1.0:
-            raise ValueError(f"proxy_fraction must be in [0, 1], got {self.proxy_fraction}")
-        if self.latent_dim < 1:
-            raise ValueError(f"latent_dim must be >= 1, got {self.latent_dim}")
-        for name in ("proxy_strength", "label_signal_strength", "feature_noise"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.group_homophily < 0 or self.label_homophily < 0:
-            raise ValueError("homophily boosts must be non-negative")
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -30, 30)))
-
-
 def _sample_edges(
-    merit: np.ndarray,
-    sensitive: np.ndarray,
-    labels: np.ndarray,
-    target_average_degree: float,
-    spec: BiasSpec,
-    rng: np.random.Generator,
-) -> sp.csr_matrix:
-    """Sample a symmetric adjacency with calibrated expected degree."""
+    nodes: PlantedNodes, target_average_degree: float, spec: BiasSpec, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample undirected edges ``(rows, cols)``, ``rows < cols``, at a calibrated degree."""
+    merit, sensitive, labels = nodes.merit, nodes.sensitive, nodes.labels
     n = merit.shape[0]
     # Merit-similarity kernel on a random low-dim projection keeps this O(N²)
     # with small constants; N is at most a few thousand here.
@@ -137,14 +77,7 @@ def _sample_edges(
         if room_total > 0:
             probs = np.minimum(1.0, probs + headroom * (deficit / room_total))
     draws = rng.random(probs.shape) < probs
-    rows = upper[0][draws]
-    cols = upper[1][draws]
-    data = np.ones(rows.size * 2, dtype=np.float64)
-    adjacency = sp.csr_matrix(
-        (data, (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-        shape=(n, n),
-    )
-    return adjacency
+    return upper[0][draws], upper[1][draws]
 
 
 def generate_biased_graph(
@@ -154,8 +87,6 @@ def generate_biased_graph(
     spec: BiasSpec | None = None,
     seed: int = 0,
     name: str = "synthetic",
-    train_fraction: float = 0.5,
-    val_fraction: float = 0.25,
 ) -> Graph:
     """Generate a :class:`~repro.graph.Graph` with planted sensitive bias.
 
@@ -167,68 +98,15 @@ def generate_biased_graph(
     spec:
         Bias mechanism parameters (defaults to :class:`BiasSpec`'s defaults).
     seed:
-        Seed for all sampling (node attributes, edges, splits).
+        Seed for all sampling (node attributes, edges, the 50/25/25 split).
     name:
         Dataset identifier stored on the graph.
-    train_fraction, val_fraction:
-        Split sizes; the paper uses 50% / 25% / 25%.
     """
-    if num_nodes < 10:
-        raise ValueError(f"need at least 10 nodes, got {num_nodes}")
-    if num_features < 2:
-        raise ValueError(f"need at least 2 features, got {num_features}")
+    check_shape(num_nodes, num_features)
     spec = spec or BiasSpec()
     spec.validate()
     rng = np.random.default_rng(seed)
-
-    sensitive = (rng.random(num_nodes) < spec.group_balance).astype(np.int64)
-    merit = rng.normal(size=(num_nodes, spec.latent_dim))
-
-    label_weights = rng.normal(size=spec.latent_dim) / np.sqrt(spec.latent_dim)
-    logits = (
-        merit @ label_weights
-        + spec.label_bias * (2.0 * sensitive - 1.0)
-        + spec.label_intercept
-    )
-    labels = (rng.random(num_nodes) < _sigmoid(logits)).astype(np.int64)
-
-    # Feature construction: every column reads the merit vector; a random
-    # subset of proxy columns additionally shifts with s, and a disjoint
-    # subset of signal columns shifts with y.
-    readout = rng.normal(size=(spec.latent_dim, num_features)) / np.sqrt(spec.latent_dim)
-    features = merit @ readout
-    columns = rng.permutation(num_features)
-    n_proxy = max(1, int(round(spec.proxy_fraction * num_features)))
-    n_proxy = min(n_proxy, num_features - 1)
-    proxy_columns = np.sort(columns[:n_proxy])
-    n_signal = max(1, (num_features - n_proxy) // 2)
-    signal_columns = np.sort(columns[n_proxy : n_proxy + n_signal])
-    features[:, proxy_columns] += (
-        spec.proxy_strength * (2.0 * sensitive - 1.0)[:, None]
-    )
-    features[:, signal_columns] += (
-        spec.label_signal_strength * (2.0 * labels - 1.0)[:, None]
-    )
-    features += rng.normal(scale=spec.feature_noise, size=features.shape)
-
-    adjacency = _sample_edges(merit, sensitive, labels, average_degree, spec, rng)
-    train_mask, val_mask, test_mask = random_split_masks(
-        num_nodes, rng, train_fraction=train_fraction, val_fraction=val_fraction
-    )
-    return Graph(
-        adjacency=adjacency,
-        features=features,
-        labels=labels,
-        sensitive=sensitive,
-        train_mask=train_mask,
-        val_mask=val_mask,
-        test_mask=test_mask,
-        related_feature_indices=proxy_columns,
-        name=name,
-        meta={
-            "seed": seed,
-            "spec": spec,
-            "signal_columns": signal_columns,
-            "target_average_degree": average_degree,
-        },
-    )
+    nodes = plant_node_bias(rng, num_nodes, num_features, spec)
+    rows, cols = _sample_edges(nodes, average_degree, spec, rng)
+    meta = {"seed": seed, "spec": spec, "target_average_degree": average_degree}
+    return planted_graph(rng, nodes, rows, cols, name=name, meta=meta)

@@ -1,7 +1,7 @@
 """Erdős–Rényi graphs with the shared planted bias story.
 
-The structural counterpoint to :mod:`repro.datasets.scalefree`: identical
-node-level bias mechanism (:mod:`repro.datasets._planted`), but edges drawn
+The structural counterpoint to :mod:`repro.datasets.scalefree`: the same
+planted pipeline (:mod:`repro.datasets._planted`), but candidate edges drawn
 uniformly at random instead of from a heavy-tailed degree distribution — the
 sf-vs-er structural-prior split used to probe how much of a method's
 (un)fairness rides on degree concentration rather than homophily.  Every
@@ -11,10 +11,8 @@ step is O(nodes + edges) vectorized numpy.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.datasets._planted import plant_node_bias, sample_rejection_edges
-from repro.datasets.splits import random_split_masks
+from repro.datasets._planted import family_spec, homophilous_edges, plant_node_bias, planted_graph
 from repro.graph import Graph
 
 __all__ = ["generate_erdos_renyi_graph"]
@@ -24,106 +22,40 @@ def generate_erdos_renyi_graph(
     num_nodes: int,
     num_features: int = 16,
     average_degree: float = 10.0,
-    group_balance: float = 0.5,
-    label_bias: float = 0.8,
-    proxy_fraction: float = 0.25,
-    proxy_strength: float = 1.0,
-    label_signal_strength: float = 0.8,
-    group_homophily: float = 2.0,
-    latent_dim: int = 8,
-    feature_noise: float = 0.5,
+    *,
     seed: int = 0,
     name: str = "erdos_renyi",
-    train_fraction: float = 0.5,
-    val_fraction: float = 0.25,
     extra_sensitive_attrs: int = 0,
+    **bias: float,
 ) -> Graph:
     """Generate a G(n, m)-style :class:`~repro.graph.Graph` with planted bias.
+
+    ``group_homophily=0`` gives the textbook homophily-free ER graph.
 
     Parameters
     ----------
     num_nodes, num_features, average_degree:
         Graph dimensions; memory and time are O(nodes + edges).
-    group_balance, label_bias, proxy_fraction, proxy_strength,
-    label_signal_strength, latent_dim, feature_noise:
-        Bias mechanism, as in :class:`repro.datasets.causal.BiasSpec`.
-    group_homophily:
-        Same-group candidate edges are ``1 + group_homophily`` times more
-        likely to be accepted than cross-group ones (0 = the textbook
-        homophily-free ER graph).
-    seed, name, train_fraction, val_fraction:
-        Reproducibility / bookkeeping, as in the other generators.
-    extra_sensitive_attrs:
-        Additional planted binary attributes for intersectional audits (see
-        :func:`~repro.datasets.scalefree.generate_scale_free_graph`).
+    seed, name, extra_sensitive_attrs, bias:
+        As in :func:`~repro.datasets.scalefree.generate_scale_free_graph`.
     """
-    if num_nodes < 10:
-        raise ValueError(f"need at least 10 nodes, got {num_nodes}")
-    if num_features < 2:
-        raise ValueError(f"need at least 2 features, got {num_features}")
-    if average_degree <= 0:
-        raise ValueError(f"average_degree must be positive, got {average_degree}")
-    if group_homophily < 0:
-        raise ValueError("group_homophily must be non-negative")
-    if extra_sensitive_attrs < 0:
-        raise ValueError("extra_sensitive_attrs must be non-negative")
+    spec = family_spec(num_nodes, num_features, average_degree, extra_sensitive_attrs, **bias)
     rng = np.random.default_rng(seed)
+    nodes = plant_node_bias(rng, num_nodes, num_features, spec)
 
-    nodes = plant_node_bias(
-        rng,
-        num_nodes,
-        num_features,
-        group_balance=group_balance,
-        label_bias=label_bias,
-        proxy_fraction=proxy_fraction,
-        proxy_strength=proxy_strength,
-        label_signal_strength=label_signal_strength,
-        latent_dim=latent_dim,
-        feature_noise=feature_noise,
-    )
-    sensitive, labels, features = nodes.sensitive, nodes.labels, nodes.features
+    def candidates(size: int) -> tuple[np.ndarray, np.ndarray]:
+        src = rng.integers(num_nodes, size=size)
+        return src, rng.integers(num_nodes, size=size)
 
-    # -- uniform candidate edges with homophilous rejection --------------- #
-    target_edges = int(round(average_degree * num_nodes / 2.0))
-    acceptance_floor = 1.0 / (1.0 + group_homophily)
-    num_candidates = int(target_edges / max(acceptance_floor, 0.25) * 1.5) + 16
-    src = rng.integers(num_nodes, size=num_candidates)
-    dst = rng.integers(num_nodes, size=num_candidates)
-    lo, hi = sample_rejection_edges(
-        src, dst, sensitive, group_homophily, num_nodes, target_edges, rng
+    lo, hi = homophilous_edges(
+        rng, nodes.sensitive, spec.group_homophily, average_degree, candidates
     )
-    rows = np.concatenate([lo, hi])
-    cols = np.concatenate([hi, lo])
-    adjacency = sp.csr_matrix(
-        (np.ones(rows.size), (rows, cols)), shape=(num_nodes, num_nodes)
-    )
-
-    train_mask, val_mask, test_mask = random_split_masks(
-        num_nodes, rng, train_fraction=train_fraction, val_fraction=val_fraction
-    )
-    extra_sensitive: dict[str, np.ndarray] = {}
-    for i in range(extra_sensitive_attrs):
-        direction = rng.normal(size=latent_dim) / np.sqrt(latent_dim)
-        noise = rng.normal(scale=0.5, size=num_nodes)
-        extra_sensitive[f"attr{i + 1}"] = (
-            nodes.merit @ direction + noise > 0.0
-        ).astype(np.int64)
-    return Graph(
-        adjacency=adjacency,
-        features=features,
-        labels=labels,
-        sensitive=sensitive,
-        train_mask=train_mask,
-        val_mask=val_mask,
-        test_mask=test_mask,
-        related_feature_indices=nodes.proxy_columns,
-        name=name,
+    return planted_graph(
+        rng, nodes, lo, hi, name=name, extra_sensitive_attrs=extra_sensitive_attrs,
         meta={
             "seed": seed,
             "generator": "erdos_renyi",
             "target_average_degree": average_degree,
-            "group_homophily": group_homophily,
-            "signal_columns": nodes.signal_columns,
-            **({"extra_sensitive": extra_sensitive} if extra_sensitive else {}),
+            "group_homophily": spec.group_homophily,
         },
     )

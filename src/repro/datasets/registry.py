@@ -223,10 +223,10 @@ DATASET_SPECS: dict[str, DatasetSpec] = {
 
 
 # Parametric generators addressable by family name.  All three share the
-# planted-bias mechanism of ``datasets._planted`` and O(nodes + edges)
-# sampling; they differ only in edge structure (degree-heavy-tailed vs
-# uniform vs community-blocked), which is exactly the axis the scenario
-# matrix varies.
+# planted pipeline of ``datasets._planted`` (bias keywords, node draw,
+# homophilous rejection, assembly) and O(nodes + edges) sampling; they
+# differ only in their candidate edges (degree-heavy-tailed vs uniform vs
+# community-blocked), which is exactly the axis the scenario matrix varies.
 GRAPH_FAMILIES: dict[str, Callable[..., Graph]] = {
     "scalefree": generate_scale_free_graph,
     "erdos_renyi": generate_erdos_renyi_graph,

@@ -6,7 +6,7 @@ The community-structured member of the graph-family matrix: nodes belong to
 attribute is *derived from* community membership with a controlled flip rate
 (``sensitive_mixing``), so the graph interpolates between perfectly
 segregated (mixing 0) and community-independent (mixing 0.5) sensitive
-structure.  On top of the block structure the shared planted-bias mechanism
+structure.  On top of the block structure the shared planted pipeline
 (:mod:`repro.datasets._planted`) applies, and the community id itself is
 exposed under ``meta["extra_sensitive"]["community"]`` — the natural second
 axis for intersectional audits.  Every step is O(nodes + edges).
@@ -15,10 +15,8 @@ axis for intersectional audits.  Every step is O(nodes + edges).
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.datasets._planted import plant_node_bias, sample_rejection_edges
-from repro.datasets.splits import random_split_masks
+from repro.datasets._planted import family_spec, homophilous_edges, plant_node_bias, planted_graph
 from repro.graph import Graph
 
 __all__ = ["generate_sbm_graph"]
@@ -32,18 +30,12 @@ def generate_sbm_graph(
     community_mixing: float = 0.2,
     sensitive_mixing: float = 0.2,
     community_signal: float = 0.5,
-    label_bias: float = 0.8,
-    proxy_fraction: float = 0.25,
-    proxy_strength: float = 1.0,
-    label_signal_strength: float = 0.8,
+    *,
     group_homophily: float = 0.5,
-    latent_dim: int = 8,
-    feature_noise: float = 0.5,
     seed: int = 0,
     name: str = "sbm",
-    train_fraction: float = 0.5,
-    val_fraction: float = 0.25,
     extra_sensitive_attrs: int = 0,
+    **bias: float,
 ) -> Graph:
     """Generate a community :class:`~repro.graph.Graph` with planted bias.
 
@@ -64,104 +56,63 @@ def generate_sbm_graph(
     community_signal:
         Scale of the per-community latent-merit offset — how strongly
         community membership shows up in features and labels.
-    label_bias, proxy_fraction, proxy_strength, label_signal_strength,
-    latent_dim, feature_noise:
-        Bias mechanism, as in :class:`repro.datasets.causal.BiasSpec`.
     group_homophily:
-        Extra same-*group* acceptance boost applied on top of the block
-        structure (the block structure already induces group homophily when
-        ``sensitive_mixing`` is small).
-    seed, name, train_fraction, val_fraction:
-        Reproducibility / bookkeeping, as in the other generators.
+        Extra same-*group* acceptance boost on top of the block structure,
+        which already induces group homophily when ``sensitive_mixing`` is
+        small; hence a lower default than the other families'.
+    seed, name:
+        Seed for every draw, and the dataset identifier.
     extra_sensitive_attrs:
         Additional planted binary attributes beyond the always-present
         ``community`` entry of ``meta["extra_sensitive"]``.
+    bias:
+        As in :func:`~repro.datasets.scalefree.generate_scale_free_graph`,
+        except ``group_balance``: the communities set the groups.
     """
-    if num_nodes < 10:
-        raise ValueError(f"need at least 10 nodes, got {num_nodes}")
-    if num_features < 2:
-        raise ValueError(f"need at least 2 features, got {num_features}")
+    if "group_balance" in bias:
+        raise TypeError("generate_sbm_graph() got an unexpected keyword argument 'group_balance'")
     if num_communities < 2:
         raise ValueError(f"need at least 2 communities, got {num_communities}")
     if not 0.0 <= community_mixing <= 1.0:
         raise ValueError(f"community_mixing must be in [0, 1], got {community_mixing}")
     if not 0.0 <= sensitive_mixing <= 1.0:
         raise ValueError(f"sensitive_mixing must be in [0, 1], got {sensitive_mixing}")
-    if average_degree <= 0:
-        raise ValueError(f"average_degree must be positive, got {average_degree}")
-    if group_homophily < 0:
-        raise ValueError("group_homophily must be non-negative")
-    if extra_sensitive_attrs < 0:
-        raise ValueError("extra_sensitive_attrs must be non-negative")
+    spec = family_spec(
+        num_nodes, num_features, average_degree, extra_sensitive_attrs,
+        group_homophily=group_homophily, **bias,
+    )
     rng = np.random.default_rng(seed)
 
     # -- balanced communities; sensitive derived with controlled mixing --- #
     community = rng.permutation(num_nodes) % num_communities
     flips = rng.random(num_nodes) < sensitive_mixing
     sensitive = ((community % 2) ^ flips.astype(np.int64)).astype(np.int64)
-    centers = rng.normal(size=(num_communities, latent_dim)) * community_signal
-
+    centers = rng.normal(size=(num_communities, spec.latent_dim)) * community_signal
     nodes = plant_node_bias(
-        rng,
-        num_nodes,
-        num_features,
-        group_balance=0.5,  # unused: sensitive is pre-assigned
-        label_bias=label_bias,
-        proxy_fraction=proxy_fraction,
-        proxy_strength=proxy_strength,
-        label_signal_strength=label_signal_strength,
-        latent_dim=latent_dim,
-        feature_noise=feature_noise,
-        sensitive=sensitive,
-        merit_offset=centers[community],
+        rng, num_nodes, num_features, spec, sensitive=sensitive, merit_offset=centers[community]
     )
-    labels, features = nodes.labels, nodes.features
 
-    # -- block-structured candidate edges with homophilous rejection ------ #
     order = np.argsort(community, kind="stable")
     sizes = np.bincount(community, minlength=num_communities)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
 
-    target_edges = int(round(average_degree * num_nodes / 2.0))
-    acceptance_floor = 1.0 / (1.0 + group_homophily)
-    num_candidates = int(target_edges / max(acceptance_floor, 0.25) * 1.5) + 16
-    src = rng.integers(num_nodes, size=num_candidates)
-    intra = rng.random(num_candidates) >= community_mixing
-    dst = rng.integers(num_nodes, size=num_candidates)
-    # Intra candidates re-draw their destination uniformly inside the
-    # source node's community via the sorted-by-community index.
-    c = community[src[intra]]
-    offsets = (rng.random(int(intra.sum())) * sizes[c]).astype(np.int64)
-    dst[intra] = order[starts[c] + offsets]
-    lo, hi = sample_rejection_edges(
-        src, dst, sensitive, group_homophily, num_nodes, target_edges, rng
-    )
-    rows = np.concatenate([lo, hi])
-    cols = np.concatenate([hi, lo])
-    adjacency = sp.csr_matrix(
-        (np.ones(rows.size), (rows, cols)), shape=(num_nodes, num_nodes)
-    )
+    def candidates(size: int) -> tuple[np.ndarray, np.ndarray]:
+        src = rng.integers(num_nodes, size=size)
+        intra = rng.random(size) >= community_mixing
+        dst = rng.integers(num_nodes, size=size)
+        # Intra candidates re-draw their destination uniformly inside the
+        # source node's community via the sorted-by-community index.
+        c = community[src[intra]]
+        offsets = (rng.random(int(intra.sum())) * sizes[c]).astype(np.int64)
+        dst[intra] = order[starts[c] + offsets]
+        return src, dst
 
-    train_mask, val_mask, test_mask = random_split_masks(
-        num_nodes, rng, train_fraction=train_fraction, val_fraction=val_fraction
+    lo, hi = homophilous_edges(
+        rng, nodes.sensitive, spec.group_homophily, average_degree, candidates
     )
-    extra_sensitive: dict[str, np.ndarray] = {"community": community.astype(np.int64)}
-    for i in range(extra_sensitive_attrs):
-        direction = rng.normal(size=latent_dim) / np.sqrt(latent_dim)
-        noise = rng.normal(scale=0.5, size=num_nodes)
-        extra_sensitive[f"attr{i + 1}"] = (
-            nodes.merit @ direction + noise > 0.0
-        ).astype(np.int64)
-    return Graph(
-        adjacency=adjacency,
-        features=features,
-        labels=labels,
-        sensitive=sensitive,
-        train_mask=train_mask,
-        val_mask=val_mask,
-        test_mask=test_mask,
-        related_feature_indices=nodes.proxy_columns,
-        name=name,
+    return planted_graph(
+        rng, nodes, lo, hi, name=name, extra_sensitive_attrs=extra_sensitive_attrs,
+        extra_sensitive={"community": community.astype(np.int64)},
         meta={
             "seed": seed,
             "generator": "sbm",
@@ -169,8 +120,6 @@ def generate_sbm_graph(
             "num_communities": num_communities,
             "community_mixing": community_mixing,
             "sensitive_mixing": sensitive_mixing,
-            "group_homophily": group_homophily,
-            "signal_columns": nodes.signal_columns,
-            "extra_sensitive": extra_sensitive,
+            "group_homophily": spec.group_homophily,
         },
     )

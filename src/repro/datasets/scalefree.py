@@ -6,33 +6,21 @@ caps it at a few thousand nodes.  This module generates graphs with
 sampler: every step is O(nodes + edges) vectorized numpy, so a 100k-node
 graph takes well under a second and never touches an ``(N, N)`` array.
 
-The bias mechanism mirrors the causal generator so the fairness scenario
-carries over: a sensitive group ``s`` shifts proxy feature columns, biases
-the label logit, and boosts same-group edge formation (homophily via
-rejection sampling on candidate edges).  The result is a
+Everything but the candidate edges is the shared planted pipeline of
+:mod:`repro.datasets._planted`: a sensitive group ``s`` shifts proxy feature
+columns, biases the label logit, and boosts same-group edge formation
+(homophily via rejection sampling on the candidates).  The result is a
 :class:`~repro.graph.Graph` ready for the minibatch training engine.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.datasets._planted import plant_node_bias
-from repro.datasets.splits import random_split_masks
+from repro.datasets._planted import family_spec, homophilous_edges, plant_node_bias, planted_graph
 from repro.graph import Graph
 
 __all__ = ["generate_scale_free_graph"]
-
-
-def _power_law_weights(
-    num_nodes: int, exponent: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Expected-degree weights ``w_i ~ Pareto(exponent - 1)`` (heavy tail)."""
-    # Inverse-CDF sampling of a Pareto with shape (exponent - 1): degree
-    # distribution of the resulting Chung–Lu graph follows ~ k^{-exponent}.
-    u = rng.random(num_nodes)
-    return (1.0 - u) ** (-1.0 / (exponent - 1.0))
 
 
 def generate_scale_free_graph(
@@ -40,19 +28,11 @@ def generate_scale_free_graph(
     num_features: int = 16,
     average_degree: float = 10.0,
     power_law_exponent: float = 2.5,
-    group_balance: float = 0.5,
-    label_bias: float = 0.8,
-    proxy_fraction: float = 0.25,
-    proxy_strength: float = 1.0,
-    label_signal_strength: float = 0.8,
-    group_homophily: float = 2.0,
-    latent_dim: int = 8,
-    feature_noise: float = 0.5,
+    *,
     seed: int = 0,
     name: str = "scalefree",
-    train_fraction: float = 0.5,
-    val_fraction: float = 0.25,
     extra_sensitive_attrs: int = 0,
+    **bias: float,
 ) -> Graph:
     """Generate a scale-free :class:`~repro.graph.Graph` with planted bias.
 
@@ -63,109 +43,42 @@ def generate_scale_free_graph(
     power_law_exponent:
         Target degree-distribution exponent (> 2; 2.5 is the classic
         social-network value).
-    group_balance, label_bias, proxy_fraction, proxy_strength,
-    label_signal_strength, latent_dim, feature_noise:
-        Bias mechanism, as in :class:`repro.datasets.causal.BiasSpec`.
-    group_homophily:
-        Same-group candidate edges are ``1 + group_homophily`` times more
-        likely to be accepted than cross-group ones.
-    seed, name, train_fraction, val_fraction:
-        Reproducibility / bookkeeping, as in the causal generator.
+    seed, name:
+        Seed for every draw, and the dataset identifier.
     extra_sensitive_attrs:
         Additional planted binary attributes for intersectional audits,
-        stored under ``meta["extra_sensitive"]`` as ``{"attr1": ..., ...}``.
-        Each is thresholded from a fresh random direction of the latent
-        merit (so it correlates with features and predictions without being
-        a copy of ``s``).  Drawn *after* every other random draw, so the
-        default ``0`` generates bit-identical graphs to older versions.
+        stored under ``meta["extra_sensitive"]`` as ``{"attr1": ..., ...}``
+        (see :func:`~repro.datasets._planted.planted_graph`).
+    bias:
+        Bias keywords: any field of :class:`~repro.datasets.causal.BiasSpec`
+        but ``label_homophily``, validated as the named datasets' are.  They
+        default to :data:`~repro.datasets._planted.FAMILY_BIAS`:
+        ``BiasSpec``'s defaults with ``label_bias=0.8``.
     """
-    if num_nodes < 10:
-        raise ValueError(f"need at least 10 nodes, got {num_nodes}")
-    if num_features < 2:
-        raise ValueError(f"need at least 2 features, got {num_features}")
     if power_law_exponent <= 2.0:
-        raise ValueError(
-            f"power_law_exponent must be > 2, got {power_law_exponent}"
-        )
-    if average_degree <= 0:
-        raise ValueError(f"average_degree must be positive, got {average_degree}")
-    if group_homophily < 0:
-        raise ValueError("group_homophily must be non-negative")
-    if extra_sensitive_attrs < 0:
-        raise ValueError("extra_sensitive_attrs must be non-negative")
+        raise ValueError(f"power_law_exponent must be > 2, got {power_law_exponent}")
+    spec = family_spec(num_nodes, num_features, average_degree, extra_sensitive_attrs, **bias)
     rng = np.random.default_rng(seed)
-
-    # -- node-level quantities (identical story to the causal generator) -- #
-    nodes = plant_node_bias(
-        rng,
-        num_nodes,
-        num_features,
-        group_balance=group_balance,
-        label_bias=label_bias,
-        proxy_fraction=proxy_fraction,
-        proxy_strength=proxy_strength,
-        label_signal_strength=label_signal_strength,
-        latent_dim=latent_dim,
-        feature_noise=feature_noise,
-    )
-    sensitive, labels, features = nodes.sensitive, nodes.labels, nodes.features
-    proxy_columns, signal_columns = nodes.proxy_columns, nodes.signal_columns
-
-    # -- Chung–Lu edge sampling with homophilous rejection --------------- #
-    weights = _power_law_weights(num_nodes, power_law_exponent, rng)
+    nodes = plant_node_bias(rng, num_nodes, num_features, spec)
+    # Chung–Lu: both endpoints drawn in proportion to expected-degree weights
+    # w ~ Pareto(exponent − 1) (inverse-CDF), so degrees follow k^-exponent.
+    weights = (1.0 - rng.random(num_nodes)) ** (-1.0 / (power_law_exponent - 1.0))
     probabilities = weights / weights.sum()
-    target_edges = int(round(average_degree * num_nodes / 2.0))
-    # Oversample candidates: rejection (homophily) plus dedup/self-loop
-    # removal discard a predictable fraction.
-    acceptance_floor = 1.0 / (1.0 + group_homophily)
-    num_candidates = int(target_edges / max(acceptance_floor, 0.25) * 1.5) + 16
-    src = rng.choice(num_nodes, size=num_candidates, p=probabilities)
-    dst = rng.choice(num_nodes, size=num_candidates, p=probabilities)
-    keep = src != dst
-    same_group = sensitive[src] == sensitive[dst]
-    accept_prob = np.where(same_group, 1.0, acceptance_floor)
-    keep &= rng.random(num_candidates) < accept_prob
-    src, dst = src[keep], dst[keep]
-    # Canonicalise + dedup, then truncate to the edge budget.
-    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-    pairs = np.unique(lo.astype(np.int64) * num_nodes + hi)
-    pairs = pairs[rng.permutation(pairs.size)][:target_edges]
-    lo, hi = pairs // num_nodes, pairs % num_nodes
-    rows = np.concatenate([lo, hi])
-    cols = np.concatenate([hi, lo])
-    adjacency = sp.csr_matrix(
-        (np.ones(rows.size), (rows, cols)), shape=(num_nodes, num_nodes)
-    )
 
-    train_mask, val_mask, test_mask = random_split_masks(
-        num_nodes, rng, train_fraction=train_fraction, val_fraction=val_fraction
+    def candidates(size: int) -> tuple[np.ndarray, np.ndarray]:
+        src = rng.choice(num_nodes, size=size, p=probabilities)
+        return src, rng.choice(num_nodes, size=size, p=probabilities)
+
+    lo, hi = homophilous_edges(
+        rng, nodes.sensitive, spec.group_homophily, average_degree, candidates
     )
-    # Extra planted attributes draw last so extra_sensitive_attrs=0 keeps
-    # every array above bit-identical to historical output.
-    extra_sensitive: dict[str, np.ndarray] = {}
-    for i in range(extra_sensitive_attrs):
-        direction = rng.normal(size=latent_dim) / np.sqrt(latent_dim)
-        noise = rng.normal(scale=0.5, size=num_nodes)
-        extra_sensitive[f"attr{i + 1}"] = (
-            nodes.merit @ direction + noise > 0.0
-        ).astype(np.int64)
-    return Graph(
-        adjacency=adjacency,
-        features=features,
-        labels=labels,
-        sensitive=sensitive,
-        train_mask=train_mask,
-        val_mask=val_mask,
-        test_mask=test_mask,
-        related_feature_indices=proxy_columns,
-        name=name,
+    return planted_graph(
+        rng, nodes, lo, hi, name=name, extra_sensitive_attrs=extra_sensitive_attrs,
         meta={
             "seed": seed,
             "generator": "scale_free",
             "power_law_exponent": power_law_exponent,
             "target_average_degree": average_degree,
-            "group_homophily": group_homophily,
-            "signal_columns": signal_columns,
-            **({"extra_sensitive": extra_sensitive} if extra_sensitive else {}),
+            "group_homophily": spec.group_homophily,
         },
     )

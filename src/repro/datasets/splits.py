@@ -1,4 +1,4 @@
-"""Train/validation/test split utilities (paper: random 50% / 25% / 25%)."""
+"""The paper's random 50% / 25% / 25% train / validation / test split."""
 
 from __future__ import annotations
 
@@ -6,28 +6,28 @@ import numpy as np
 
 __all__ = ["random_split_masks"]
 
+TRAIN_FRACTION = 0.5
+VAL_FRACTION = 0.25
+
 
 def random_split_masks(
-    num_nodes: int,
-    rng: np.random.Generator,
-    train_fraction: float = 0.5,
-    val_fraction: float = 0.25,
+    num_nodes: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Random node partition into boolean (train, val, test) masks.
 
-    The test fraction is the remainder ``1 - train - val``.  Fractions must
-    be positive and sum to at most 1.
+    ``round(0.5·N)`` nodes train, ``round(0.25·N)`` validate and the rest
+    test.  Raises ``ValueError`` when a split would be empty (fewer than 4
+    nodes), which no model could be selected or evaluated on.
     """
-    if train_fraction <= 0 or val_fraction <= 0:
-        raise ValueError("split fractions must be positive")
-    if train_fraction + val_fraction >= 1.0:
+    n_train = int(round(TRAIN_FRACTION * num_nodes))
+    n_val = int(round(VAL_FRACTION * num_nodes))
+    sizes = (n_train, n_val, num_nodes - n_train - n_val)
+    if min(sizes) < 1:
         raise ValueError(
-            "train_fraction + val_fraction must leave room for a test split, "
-            f"got {train_fraction} + {val_fraction}"
+            f"a 50/25/25 split of {num_nodes} nodes leaves an empty split "
+            f"(train/val/test {sizes[0]}/{sizes[1]}/{sizes[2]})"
         )
     order = rng.permutation(num_nodes)
-    n_train = int(round(train_fraction * num_nodes))
-    n_val = int(round(val_fraction * num_nodes))
     train_mask = np.zeros(num_nodes, dtype=bool)
     val_mask = np.zeros(num_nodes, dtype=bool)
     test_mask = np.zeros(num_nodes, dtype=bool)

@@ -76,8 +76,6 @@ def graph_from_table(
     related_feature_indices: np.ndarray | None = None,
     seed: int = 0,
     name: str = "tabular",
-    train_fraction: float = 0.5,
-    val_fraction: float = 0.25,
 ) -> Graph:
     """Turn a fairness-annotated table into a :class:`~repro.graph.Graph`.
 
@@ -94,8 +92,9 @@ def graph_from_table(
     related_feature_indices:
         Optional candidate-proxy columns (indices *after* sensitive-column
         removal) for the RemoveR / FairRF baselines.
-    seed, train_fraction, val_fraction:
-        Random 50/25/25-style split (paper protocol).
+    seed:
+        Seed of the paper's random 50/25/25 split; a table of fewer than 4
+        rows leaves a split empty and raises ``ValueError``.
     """
     features = np.asarray(features, dtype=np.float64)
     if sensitive_column is not None:
@@ -103,9 +102,7 @@ def graph_from_table(
         features = features[:, keep]
     adjacency = knn_adjacency(features, num_neighbors, metric)
     rng = np.random.default_rng(seed)
-    train_mask, val_mask, test_mask = random_split_masks(
-        features.shape[0], rng, train_fraction, val_fraction
-    )
+    train_mask, val_mask, test_mask = random_split_masks(features.shape[0], rng)
     return Graph(
         adjacency=adjacency,
         features=features,

@@ -13,6 +13,7 @@ from repro.datasets import (
     available_datasets,
     dataset_statistics_rows,
     generate_biased_graph,
+    graph_from_table,
     load_dataset,
     random_split_masks,
 )
@@ -28,17 +29,26 @@ class TestSplits:
 
     def test_fractions(self):
         rng = np.random.default_rng(0)
-        train, val, test = random_split_masks(1000, rng, 0.5, 0.25)
+        train, val, test = random_split_masks(1000, rng)
         assert train.sum() == 500
         assert val.sum() == 250
         assert test.sum() == 250
 
-    def test_rejects_bad_fractions(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            random_split_masks(10, rng, 0.8, 0.3)
-        with pytest.raises(ValueError):
-            random_split_masks(10, rng, 0.0, 0.3)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rejects_an_empty_split(self, n):
+        with pytest.raises(ValueError, match="empty split"):
+            random_split_masks(n, np.random.default_rng(0))
+
+    def test_four_nodes_fill_every_split(self):
+        train, val, test = random_split_masks(4, np.random.default_rng(0))
+        assert (train.sum(), val.sum(), test.sum()) == (2, 1, 1)
+
+    def test_tiny_table_fails_at_the_split(self):
+        # Three rows split 2/1/0: the error names the split, not the empty
+        # evaluation set a model would later meet.
+        features = np.random.default_rng(0).normal(size=(3, 2))
+        with pytest.raises(ValueError, match="empty split"):
+            graph_from_table(features, [0, 1, 0], [1, 0, 1], num_neighbors=1)
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(10, 500), seed=st.integers(0, 100))

@@ -182,6 +182,46 @@ class TestScaleFree:
         assert (plain.adjacency != extra.adjacency).nnz == 0
 
 
+# BiasSpec.validate's rules, which the named datasets always had.
+_BAD_BIAS = [
+    ({"group_balance": 1.0}, "group_balance"),
+    ({"group_balance": 1.5}, "group_balance"),
+    ({"group_balance": 0.0}, "group_balance"),
+    ({"proxy_fraction": 3.0}, "proxy_fraction"),
+    ({"proxy_strength": -1.0}, "proxy_strength"),
+    ({"label_signal_strength": -0.5}, "label_signal_strength"),
+    ({"feature_noise": -0.1}, "feature_noise"),
+    ({"latent_dim": 0}, "latent_dim"),
+]
+
+
+class TestFamilyBiasValidation:
+    @pytest.mark.parametrize(
+        "family, kwargs, match",
+        [
+            (family, kwargs, match)
+            for family in sorted(GRAPH_FAMILIES)
+            for kwargs, match in _BAD_BIAS
+            # The SBM draws its groups from communities: no group_balance.
+            if not (family == "sbm" and "group_balance" in kwargs)
+        ],
+    )
+    def test_rejects_out_of_range_bias(self, family, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            load_family(family, num_nodes=100, **kwargs)
+
+    def test_sbm_takes_no_group_balance(self):
+        with pytest.raises(TypeError, match="group_balance"):
+            generate_sbm_graph(100, group_balance=0.3)
+
+    @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+    def test_rejects_keywords_outside_the_family_bias(self, family):
+        # label_homophily shapes only the dense kernel of the named datasets.
+        for keyword in ("label_homophily", "not_a_parameter"):
+            with pytest.raises(TypeError, match=keyword):
+                load_family(family, num_nodes=100, **{keyword: 1.0})
+
+
 class TestTemporalStream:
     def test_batches_partition_the_edges(self):
         graph = generate_sbm_graph(300, seed=1)
