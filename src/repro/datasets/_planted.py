@@ -32,8 +32,14 @@ from repro.datasets.splits import random_split_masks
 from repro.graph import Graph
 
 __all__ = [
-    "BiasSpec", "FAMILY_BIAS", "PlantedNodes", "check_shape", "family_spec",
-    "plant_node_bias", "homophilous_edges", "planted_graph",
+    "BiasSpec",
+    "FAMILY_BIAS",
+    "PlantedNodes",
+    "check_dimensions",
+    "family_spec",
+    "plant_node_bias",
+    "homophilous_edges",
+    "planted_graph",
 ]
 
 
@@ -84,8 +90,13 @@ class BiasSpec:
             raise ValueError(f"proxy_fraction must be in [0, 1], got {self.proxy_fraction}")
         if self.latent_dim < 1:
             raise ValueError(f"latent_dim must be >= 1, got {self.latent_dim}")
-        for name in ("proxy_strength", "label_signal_strength", "feature_noise",
-                     "group_homophily", "label_homophily"):
+        for name in (
+            "proxy_strength",
+            "label_signal_strength",
+            "feature_noise",
+            "group_homophily",
+            "label_homophily",
+        ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
@@ -96,12 +107,14 @@ FAMILY_BIAS = BiasSpec(label_bias=0.8)
 _FAMILY_KEYWORDS = frozenset(f.name for f in fields(BiasSpec)) - {"label_homophily"}
 
 
-def check_shape(num_nodes: int, num_features: int) -> None:
-    """Raise ``ValueError`` for a graph too small to split or to plant."""
+def check_dimensions(num_nodes: int, num_features: int, average_degree: float) -> None:
+    """Raise ``ValueError`` for dimensions too small to plant and split, or no edges."""
     if num_nodes < 10:
         raise ValueError(f"need at least 10 nodes, got {num_nodes}")
     if num_features < 2:
         raise ValueError(f"need at least 2 features, got {num_features}")
+    if average_degree <= 0:
+        raise ValueError(f"average_degree must be positive, got {average_degree}")
 
 
 def family_spec(
@@ -115,9 +128,7 @@ def family_spec(
     for key in bias:
         if key not in _FAMILY_KEYWORDS:
             raise TypeError(f"unexpected keyword argument {key!r}: not a family bias parameter")
-    check_shape(num_nodes, num_features)
-    if average_degree <= 0:
-        raise ValueError(f"average_degree must be positive, got {average_degree}")
+    check_dimensions(num_nodes, num_features, average_degree)
     if extra_sensitive_attrs < 0:
         raise ValueError("extra_sensitive_attrs must be non-negative")
     spec = replace(FAMILY_BIAS, **bias)
@@ -138,8 +149,12 @@ class PlantedNodes:
 
 
 def plant_node_bias(
-    rng: np.random.Generator, num_nodes: int, num_features: int, spec: BiasSpec,
-    sensitive: np.ndarray | None = None, merit_offset: np.ndarray | None = None,
+    rng: np.random.Generator,
+    num_nodes: int,
+    num_features: int,
+    spec: BiasSpec,
+    sensitive: np.ndarray | None = None,
+    merit_offset: np.ndarray | None = None,
 ) -> PlantedNodes:
     """Draw sensitive groups, labels and biased features for one graph.
 
@@ -183,8 +198,11 @@ def plant_node_bias(
 
 
 def homophilous_edges(
-    rng: np.random.Generator, sensitive: np.ndarray, group_homophily: float,
-    average_degree: float, candidates: Callable[[int], tuple[np.ndarray, np.ndarray]],
+    rng: np.random.Generator,
+    sensitive: np.ndarray,
+    group_homophily: float,
+    average_degree: float,
+    candidates: Callable[[int], tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """A family's undirected edges, as ``(lo, hi)`` endpoint arrays.
 
@@ -210,8 +228,14 @@ def homophilous_edges(
 
 
 def planted_graph(
-    rng: np.random.Generator, nodes: PlantedNodes, lo: np.ndarray, hi: np.ndarray, *,
-    name: str, meta: dict, extra_sensitive_attrs: int = 0,
+    rng: np.random.Generator,
+    nodes: PlantedNodes,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    *,
+    name: str,
+    meta: dict,
+    extra_sensitive_attrs: int = 0,
     extra_sensitive: dict[str, np.ndarray] | None = None,
 ) -> Graph:
     """Assemble the :class:`Graph` of planted nodes and undirected ``(lo, hi)`` edges.

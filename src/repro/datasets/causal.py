@@ -34,7 +34,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets._planted import (
-    BiasSpec, PlantedNodes, check_shape, plant_node_bias, planted_graph,
+    BiasSpec,
+    PlantedNodes,
+    check_dimensions,
+    plant_node_bias,
+    planted_graph,
 )
 from repro.graph import Graph
 
@@ -102,7 +106,7 @@ def generate_biased_graph(
     name:
         Dataset identifier stored on the graph.
     """
-    check_shape(num_nodes, num_features)
+    check_dimensions(num_nodes, num_features, average_degree)
     spec = spec or BiasSpec()
     spec.validate()
     rng = np.random.default_rng(seed)

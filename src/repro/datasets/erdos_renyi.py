@@ -51,7 +51,12 @@ def generate_erdos_renyi_graph(
         rng, nodes.sensitive, spec.group_homophily, average_degree, candidates
     )
     return planted_graph(
-        rng, nodes, lo, hi, name=name, extra_sensitive_attrs=extra_sensitive_attrs,
+        rng,
+        nodes,
+        lo,
+        hi,
+        name=name,
+        extra_sensitive_attrs=extra_sensitive_attrs,
         meta={
             "seed": seed,
             "generator": "erdos_renyi",

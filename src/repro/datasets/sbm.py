@@ -78,8 +78,12 @@ def generate_sbm_graph(
     if not 0.0 <= sensitive_mixing <= 1.0:
         raise ValueError(f"sensitive_mixing must be in [0, 1], got {sensitive_mixing}")
     spec = family_spec(
-        num_nodes, num_features, average_degree, extra_sensitive_attrs,
-        group_homophily=group_homophily, **bias,
+        num_nodes,
+        num_features,
+        average_degree,
+        extra_sensitive_attrs,
+        group_homophily=group_homophily,
+        **bias,
     )
     rng = np.random.default_rng(seed)
 
@@ -111,7 +115,12 @@ def generate_sbm_graph(
         rng, nodes.sensitive, spec.group_homophily, average_degree, candidates
     )
     return planted_graph(
-        rng, nodes, lo, hi, name=name, extra_sensitive_attrs=extra_sensitive_attrs,
+        rng,
+        nodes,
+        lo,
+        hi,
+        name=name,
+        extra_sensitive_attrs=extra_sensitive_attrs,
         extra_sensitive={"community": community.astype(np.int64)},
         meta={
             "seed": seed,

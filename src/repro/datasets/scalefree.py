@@ -73,7 +73,12 @@ def generate_scale_free_graph(
         rng, nodes.sensitive, spec.group_homophily, average_degree, candidates
     )
     return planted_graph(
-        rng, nodes, lo, hi, name=name, extra_sensitive_attrs=extra_sensitive_attrs,
+        rng,
+        nodes,
+        lo,
+        hi,
+        name=name,
+        extra_sensitive_attrs=extra_sensitive_attrs,
         meta={
             "seed": seed,
             "generator": "scale_free",

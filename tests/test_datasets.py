@@ -158,6 +158,12 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generate_biased_graph(100, 1, 3.0)
 
+    @pytest.mark.parametrize("degree", [0.0, -3.0])
+    def test_rejects_non_positive_degree(self, degree):
+        # The family generators always did; an edgeless graph was returned.
+        with pytest.raises(ValueError, match="average_degree"):
+            generate_biased_graph(100, 5, degree)
+
     @settings(max_examples=10, deadline=None)
     @given(
         n=st.integers(50, 200),
