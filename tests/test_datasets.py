@@ -160,7 +160,7 @@ class TestGenerator:
 
     @pytest.mark.parametrize("degree", [0.0, -3.0])
     def test_rejects_non_positive_degree(self, degree):
-        # The family generators always did; an edgeless graph was returned.
+        # The same dimension rule as the family generators: no edgeless graphs.
         with pytest.raises(ValueError, match="average_degree"):
             generate_biased_graph(100, 5, degree)
 

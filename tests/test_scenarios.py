@@ -182,7 +182,7 @@ class TestScaleFree:
         assert (plain.adjacency != extra.adjacency).nnz == 0
 
 
-# BiasSpec.validate's rules, which the named datasets always had.
+# BiasSpec.validate's rules, which every generator applies to its bias.
 _BAD_BIAS = [
     ({"group_balance": 1.0}, "group_balance"),
     ({"group_balance": 1.5}, "group_balance"),
