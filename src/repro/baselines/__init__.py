@@ -12,6 +12,10 @@ All methods train the same backbone GNNs as Fairwos and never read
   related feature, with learned per-feature weights (Zhao et al., WSDM 2022);
 * :class:`FairGKD` — partial-knowledge distillation from a feature-only and
   a structure-only teacher ("FairGKD\\S", Zhu et al., WSDM 2024).
+
+:data:`BASELINES` maps each method key (``repro run --method``) to its
+class, in Table II order; ``run_method``, the display names and the
+artifact loader all read it.
 """
 
 from repro.baselines.base import BaselineMethod, MethodResult
@@ -21,7 +25,16 @@ from repro.baselines.ksmote import KSMOTE
 from repro.baselines.fairrf import FairRF
 from repro.baselines.fairgkd import FairGKD
 
+BASELINES: dict[str, type[BaselineMethod]] = {
+    "vanilla": Vanilla,
+    "remover": RemoveR,
+    "ksmote": KSMOTE,
+    "fairrf": FairRF,
+    "fairgkd": FairGKD,
+}
+
 __all__ = [
+    "BASELINES",
     "BaselineMethod",
     "MethodResult",
     "Vanilla",

@@ -78,10 +78,9 @@ class BaselineMethod:
         self.minibatch = minibatch
         self.fanouts = fanouts
         self.batch_size = batch_size
-        # Trained model retained by _fit_and_predict (None until fit).
-        # repro.io.artifact persists it; methods with bespoke training
-        # paths that bypass the shared dispatch simply leave it unset and
-        # are reported as non-persistable.
+        # Trained model (None until fit), which repro.io.artifact persists:
+        # _fit_and_predict sets it, and FairRF and FairGKD, which drive
+        # their own engine, set it themselves.
         self.model_ = None
         # Column subset the model was trained on (None = all columns);
         # RemoveR sets this so scoring new features drops the same columns.

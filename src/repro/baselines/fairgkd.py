@@ -194,6 +194,9 @@ class FairGKD(BaselineMethod):
             # deterministic; epoch randomness lives in the composition.
             sort_batches=True,
         )
+        # The projection only aligns representations in training; scoring
+        # needs the student alone.
+        self.model_ = student
         return engine.predict(), {"teacher_epochs": teacher_epochs}
 
     # ------------------------------------------------------------------ #

@@ -185,6 +185,7 @@ class FairRF(BaselineMethod):
             on_epoch_start=on_epoch_start,
             on_epoch_end=on_epoch_end,
         )
+        self.model_ = model
         return engine.predict(), {
             "related_features": int(related.size),
             "final_weights": updater.weights.copy(),

@@ -546,14 +546,11 @@ def _serve_request(artifact, graph, request: str, batch_size) -> str | None:
 
 
 def _cmd_audit(args) -> str:
-    from repro.baselines import Vanilla
     from repro.fairness.audit import audit_graph, audit_predictions
 
     graph = load_dataset(args.dataset, seed=args.seed)
     report = audit_graph(graph).render()
-    result = Vanilla(epochs=150, patience=30).fit(
-        graph, seed=args.seed, keep_logits=True
-    )
+    result = run_method("vanilla", graph, seed=args.seed, keep_logits=True)
     model_report = audit_predictions(result.extra["logits"], graph).render()
     return f"{graph.summary()}\n\n{report}\n\n{model_report}"
 

@@ -25,7 +25,7 @@ from repro.core.fairloss import (
     fair_representation_loss,
     fair_representation_loss_minibatch,
 )
-from repro.core.weights import WeightUpdater, project_to_simplex, solve_kkt_eq24
+from repro.core.weights import WeightUpdater, project_to_simplex
 from repro.core.trainer import FairwosTrainer, FairwosResult
 from repro.core.cf_evaluation import (
     CounterfactualFairnessReport,
@@ -47,7 +47,6 @@ __all__ = [
     "fair_representation_loss_minibatch",
     "WeightUpdater",
     "project_to_simplex",
-    "solve_kkt_eq24",
     "FairwosTrainer",
     "FairwosResult",
     "CounterfactualFairnessReport",

@@ -10,9 +10,10 @@ Fixing the GNN parameters, the λ subproblem is
 whose KKT conditions give the closed form
 ``λ_i = max(0, (−b − α·D_i) / 2)`` with ``b`` chosen so the weights sum to 1
 (Eq. 22–24).  That is exactly the Euclidean projection of the vector
-``−α·D/2`` onto the probability simplex, so we implement both the paper's
-sorting procedure (:func:`solve_kkt_eq24`) and the standard simplex
-projection (:func:`project_to_simplex`); a property test asserts they agree.
+``−α·D/2`` onto the probability simplex, so the library implements the
+standard simplex projection (:func:`project_to_simplex`); the paper's
+sorting procedure lives in ``tests/oracles.py::solve_kkt_eq24``, and a
+property test asserts they agree.
 
 **Documented paper inconsistency.** The text around Eq. (14) argues large
 disparities ``D_i`` should receive *large* weights, but the optimisation
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["project_to_simplex", "solve_kkt_eq24", "WeightUpdater"]
+__all__ = ["project_to_simplex", "WeightUpdater"]
 
 
 def project_to_simplex(values: np.ndarray) -> np.ndarray:
@@ -45,40 +46,6 @@ def project_to_simplex(values: np.ndarray) -> np.ndarray:
     rho = int(np.nonzero(rho_candidates > 0)[0][-1]) + 1
     threshold = cumulative[rho - 1] / rho
     return np.maximum(values - threshold, 0.0)
-
-
-def solve_kkt_eq24(disparities: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    """The paper's Eq. (22)–(24) procedure, transcribed.
-
-    Rank the (scaled) disparities in descending order, locate the bracket
-    containing the multiplier ``b`` via ``Σ max(0, −b − D'_i) = 2`` and
-    evaluate Eq. (24).  ``alpha`` restores the α factor that Eq. (21) drops.
-    """
-    scaled = alpha * np.asarray(disparities, dtype=np.float64).reshape(-1)
-    size = scaled.size
-    if size == 0:
-        raise ValueError("need at least one disparity value")
-    if size == 1:
-        return np.ones(1)
-    order = np.argsort(scaled)[::-1]
-    descending = scaled[order]  # {D'_1 >= D'_2 >= ... >= D'_I}
-    lambdas = np.zeros(size)
-    # Try each hypothesis "b ∈ (−D'_{j−1}, −D'_j]": the active set is then
-    # the suffix {j, ..., I} of the descending ranking.
-    for j in range(size):
-        suffix_sum = descending[j:].sum()
-        active = size - j
-        b = -(2.0 + suffix_sum) / active
-        upper = -descending[j]
-        lower = -descending[j - 1] if j > 0 else -np.inf
-        if lower < b <= upper or j == size - 1:
-            raw = (-b - descending) / 2.0
-            lambdas[order] = np.maximum(raw, 0.0)
-            break
-    total = lambdas.sum()
-    if total <= 0:
-        raise RuntimeError("KKT solve failed to find a feasible bracket")
-    return lambdas / total
 
 
 class WeightUpdater:
@@ -114,8 +81,9 @@ class WeightUpdater:
     def update(self, disparities: np.ndarray) -> np.ndarray:
         """Recompute λ from the current per-attribute disparities ``D_i``.
 
-        Equivalent to :func:`solve_kkt_eq24` (verified by tests) but uses the
-        simplex projection directly: the minimiser of
+        Equivalent to the paper's Eq. 24 procedure
+        (``tests/oracles.py::solve_kkt_eq24``, verified by tests) but uses
+        the simplex projection directly: the minimiser of
         ``α·λ·D + ||λ||²`` on the simplex is ``proj_simplex(−α·D/2)``.
         """
         disparities = np.asarray(disparities, dtype=np.float64).reshape(-1)

@@ -10,6 +10,7 @@ from repro.experiments.scale import Scale
 from repro.experiments.methods import (
     FAIRWOS_OVERRIDES,
     available_methods,
+    fairwos_recipe,
     run_method,
 )
 from repro.experiments.table1_datasets import format_table1, run_table1
@@ -37,6 +38,7 @@ __all__ = [
     "Scale",
     "FAIRWOS_OVERRIDES",
     "available_methods",
+    "fairwos_recipe",
     "run_method",
     "run_table1",
     "format_table1",

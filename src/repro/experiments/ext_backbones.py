@@ -10,13 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.baselines import Vanilla
-from repro.core import FairwosConfig, FairwosTrainer
-from repro.datasets import load_dataset
 from repro.experiments.aggregate import MetricSummary, summarize
-from repro.experiments.methods import FAIRWOS_OVERRIDES
+from repro.experiments.fig4_ablation import run_variant
 from repro.experiments.scale import Scale
-from repro.baselines.base import MethodResult
 
 __all__ = ["BackbonesResult", "run_ext_backbones", "format_ext_backbones"]
 
@@ -40,37 +36,14 @@ def run_ext_backbones(
     """Vanilla vs Fairwos for every backbone."""
     backbones = backbones or list(ALL_BACKBONES)
     scale = scale or Scale.quick()
-    overrides = FAIRWOS_OVERRIDES.get(dataset, FAIRWOS_OVERRIDES["default"])
     result = BackbonesResult(dataset=dataset, backbones=backbones)
     for backbone in backbones:
-        vanilla_runs, fairwos_runs = [], []
-        for seed in range(scale.seeds):
-            graph = load_dataset(dataset, seed=seed)
-            vanilla_runs.append(
-                Vanilla(
-                    backbone=backbone, epochs=scale.epochs, patience=scale.patience
-                ).fit(graph, seed=seed)
-            )
-            config = FairwosConfig(
-                backbone=backbone,
-                encoder_backbone="gcn",
-                encoder_epochs=scale.epochs,
-                classifier_epochs=scale.epochs,
-                finetune_epochs=scale.finetune_epochs,
-                patience=scale.patience,
-                **overrides,
-            )
-            fit = FairwosTrainer(config).fit(graph, seed=seed)
-            fairwos_runs.append(
-                MethodResult(
-                    method="Fairwos",
-                    test=fit.test,
-                    validation=fit.validation,
-                    seconds=fit.total_seconds,
-                )
-            )
-        result.cells[(backbone, "gnn")] = summarize(vanilla_runs)
-        result.cells[(backbone, "fairwos")] = summarize(fairwos_runs)
+        for series in ("gnn", "fairwos"):
+            runs = [
+                run_variant(series, dataset, backbone, seed, scale)
+                for seed in range(scale.seeds)
+            ]
+            result.cells[(backbone, series)] = summarize(runs)
     return result
 
 

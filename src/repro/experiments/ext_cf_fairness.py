@@ -19,13 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import (
-    FairwosConfig,
-    FairwosTrainer,
-    evaluate_counterfactual_fairness,
-)
+from repro.core import FairwosTrainer, evaluate_counterfactual_fairness
 from repro.datasets import load_dataset
-from repro.experiments.methods import FAIRWOS_OVERRIDES
+from repro.experiments.methods import fairwos_recipe
 from repro.experiments.scale import Scale
 from repro.fairness import consistency_score
 from repro.tensor import Tensor, no_grad
@@ -48,16 +44,16 @@ class CfFairnessResult:
 
 def _run_one(dataset: str, use_fairness: bool, seed: int, scale: Scale):
     graph = load_dataset(dataset, seed=seed)
-    overrides = FAIRWOS_OVERRIDES.get(dataset, FAIRWOS_OVERRIDES["default"])
-    config = FairwosConfig(
-        encoder_epochs=scale.epochs,
-        classifier_epochs=scale.epochs,
-        finetune_epochs=scale.finetune_epochs,
-        patience=scale.patience,
-        use_fairness=use_fairness,
-        **overrides,
+    trainer = FairwosTrainer(
+        fairwos_recipe(
+            graph.name,
+            "gcn",
+            scale.epochs,
+            scale.finetune_epochs,
+            scale.patience,
+            use_fairness=use_fairness,
+        )
     )
-    trainer = FairwosTrainer(config)
     fit = trainer.fit(graph, seed=seed)
     logits = trainer.predict(graph)
     with no_grad():

@@ -11,13 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.baselines import Vanilla
-from repro.baselines.base import MethodResult
 from repro.baselines.oracle import FairGNN, NIFTY
-from repro.core import FairwosConfig, FairwosTrainer
 from repro.datasets import load_dataset
 from repro.experiments.aggregate import MetricSummary, summarize
-from repro.experiments.methods import FAIRWOS_OVERRIDES
+from repro.experiments.methods import run_method
 from repro.experiments.scale import Scale
 
 __all__ = ["OracleResult", "run_ext_oracle", "format_ext_oracle"]
@@ -29,6 +26,7 @@ _DISPLAY = {
     "fairgnn": "FairGNN (oracle)",
     "fairwos": "Fairwos (no s)",
 }
+_ORACLES = {"nifty": NIFTY, "fairgnn": FairGNN}
 
 
 @dataclass
@@ -49,53 +47,30 @@ def run_ext_oracle(
     """Run the oracle-vs-Fairwos comparison."""
     scale = scale or Scale.quick()
     entries = entries or list(ENTRIES)
-    overrides = FAIRWOS_OVERRIDES.get(dataset, FAIRWOS_OVERRIDES["default"])
     result = OracleResult(dataset=dataset, backbone=backbone)
     for entry in entries:
-        runs: list[MethodResult] = []
+        if entry not in _DISPLAY:
+            raise ValueError(f"unknown entry {entry!r}")
+        runs = []
         for seed in range(scale.seeds):
             graph = load_dataset(dataset, seed=seed)
-            if entry == "vanilla":
+            if entry in _ORACLES:
+                oracle = _ORACLES[entry](
+                    backbone=backbone, epochs=scale.epochs, patience=scale.patience
+                )
+                runs.append(oracle.fit(graph, seed=seed))
+            else:
                 runs.append(
-                    Vanilla(
-                        backbone=backbone, epochs=scale.epochs,
+                    run_method(
+                        entry,
+                        graph,
+                        backbone=backbone,
+                        seed=seed,
+                        epochs=scale.epochs,
+                        finetune_epochs=scale.finetune_epochs,
                         patience=scale.patience,
-                    ).fit(graph, seed=seed)
-                )
-            elif entry == "nifty":
-                runs.append(
-                    NIFTY(
-                        backbone=backbone, epochs=scale.epochs,
-                        patience=scale.patience,
-                    ).fit(graph, seed=seed)
-                )
-            elif entry == "fairgnn":
-                runs.append(
-                    FairGNN(
-                        backbone=backbone, epochs=scale.epochs,
-                        patience=scale.patience,
-                    ).fit(graph, seed=seed)
-                )
-            elif entry == "fairwos":
-                config = FairwosConfig(
-                    backbone=backbone,
-                    encoder_epochs=scale.epochs,
-                    classifier_epochs=scale.epochs,
-                    finetune_epochs=scale.finetune_epochs,
-                    patience=scale.patience,
-                    **overrides,
-                )
-                fit = FairwosTrainer(config).fit(graph, seed=seed)
-                runs.append(
-                    MethodResult(
-                        method="Fairwos",
-                        test=fit.test,
-                        validation=fit.validation,
-                        seconds=fit.total_seconds,
                     )
                 )
-            else:
-                raise ValueError(f"unknown entry {entry!r}")
         result.cells[entry] = summarize(runs)
     return result
 

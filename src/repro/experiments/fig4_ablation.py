@@ -7,27 +7,35 @@ Compares the backbone GNN, full Fairwos, and the three module ablations:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
-from repro.baselines import Vanilla
 from repro.baselines.base import MethodResult
-from repro.core import FairwosConfig, FairwosTrainer
 from repro.datasets import load_dataset
 from repro.experiments.aggregate import MetricSummary, summarize
-from repro.experiments.methods import FAIRWOS_OVERRIDES
+from repro.experiments.methods import fairwos_recipe, run_method
 from repro.experiments.scale import Scale
 
 __all__ = ["Fig4Result", "run_fig4", "format_fig4", "VARIANTS"]
 
 VARIANTS = ["gnn", "fwos_wo_e", "fwos_wo_f", "fwos_wo_w", "fairwos"]
 
-_DISPLAY = {
+VARIANT_NAMES = {
     "gnn": "GNN",
     "fwos_wo_e": "Fwos w/o E",
     "fwos_wo_f": "Fwos w/o F",
     "fwos_wo_w": "Fwos w/o W",
     "fairwos": "Fairwos",
+}
+
+# The Fairwos config fields each variant changes; "gnn" is the Vanilla
+# baseline.
+VARIANT_CHANGES: dict[str, dict] = {
+    # Raw attributes can be many; cap the pseudo-attribute count so the
+    # counterfactual search stays tractable (documented deviation).
+    "fwos_wo_e": {"use_encoder": False, "max_pseudo_attributes": 64},
+    "fwos_wo_f": {"use_fairness": False},
+    "fwos_wo_w": {"use_weight_update": False},
+    "fairwos": {},
 }
 
 
@@ -41,56 +49,41 @@ class Fig4Result:
     runtimes: dict[tuple[str, str, str], float] = field(default_factory=dict)
 
 
-def _variant_config(
-    variant: str, dataset: str, backbone: str, scale: Scale
-) -> FairwosConfig:
-    overrides = FAIRWOS_OVERRIDES.get(dataset, FAIRWOS_OVERRIDES["default"])
-    config = FairwosConfig(
-        backbone=backbone,
-        encoder_epochs=scale.epochs,
-        classifier_epochs=scale.epochs,
-        finetune_epochs=scale.finetune_epochs,
-        patience=scale.patience,
-        **overrides,
-    )
-    if variant == "fwos_wo_e":
-        config.use_encoder = False
-        # Raw attributes can be many; cap the pseudo-attribute count so the
-        # counterfactual search stays tractable (documented deviation).
-        config.max_pseudo_attributes = 64
-    elif variant == "fwos_wo_f":
-        config.use_fairness = False
-    elif variant == "fwos_wo_w":
-        config.use_weight_update = False
-    elif variant != "fairwos":
-        raise ValueError(f"unknown variant {variant!r}")
-    return config
-
-
 def run_variant(
     variant: str,
     dataset: str,
     backbone: str,
     seed: int,
     scale: Scale,
+    **changes,
 ) -> MethodResult:
-    """Train one ablation variant; ``gnn`` maps to the Vanilla baseline."""
+    """Train one ablation variant; ``gnn`` maps to the Vanilla baseline.
+
+    ``changes`` set further Fairwos config fields on top of the variant's
+    own, as the sweeps of Figs. 5 and 6 do.
+    """
     graph = load_dataset(dataset, seed=seed)
     if variant == "gnn":
-        return Vanilla(
-            backbone=backbone, epochs=scale.epochs, patience=scale.patience
-        ).fit(graph, seed=seed)
-    config = _variant_config(variant, dataset, backbone, scale)
-    start = time.perf_counter()
-    result = FairwosTrainer(config).fit(graph, seed=seed)
-    seconds = time.perf_counter() - start
-    return MethodResult(
-        method=_DISPLAY[variant],
-        test=result.test,
-        validation=result.validation,
-        seconds=seconds,
-        extra={"timings": result.timings},
+        return run_method(
+            "vanilla",
+            graph,
+            backbone=backbone,
+            seed=seed,
+            epochs=scale.epochs,
+            patience=scale.patience,
+        )
+    if variant not in VARIANT_CHANGES:
+        raise ValueError(f"unknown variant {variant!r}")
+    config = fairwos_recipe(
+        graph.name,
+        backbone,
+        scale.epochs,
+        scale.finetune_epochs,
+        scale.patience,
+        **VARIANT_CHANGES[variant],
+        **changes,
     )
+    return run_method("fairwos", graph, seed=seed, fairwos_config=config)
 
 
 def run_fig4(
@@ -128,5 +121,5 @@ def format_fig4(result: Fig4Result) -> str:
                 key = (dataset, backbone, variant)
                 if key not in result.cells:
                     continue
-                lines.append(f"  {_DISPLAY[variant]:12s} {result.cells[key].row()}")
+                lines.append(f"  {VARIANT_NAMES[variant]:12s} {result.cells[key].row()}")
     return "\n".join(lines)

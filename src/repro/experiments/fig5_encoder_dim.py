@@ -11,18 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.baselines import Vanilla
-from repro.core import FairwosConfig, FairwosTrainer
-from repro.datasets import load_dataset
 from repro.experiments.aggregate import MetricSummary, summarize
-from repro.experiments.methods import FAIRWOS_OVERRIDES
+from repro.experiments.fig4_ablation import VARIANT_NAMES, run_variant
 from repro.experiments.scale import Scale
-from repro.baselines.base import MethodResult
 
 __all__ = ["Fig5Result", "run_fig5", "format_fig5"]
 
 SERIES = ["gnn", "fairwos", "fwos_wo_f"]
-_DISPLAY = {"gnn": "GNN", "fairwos": "Fairwos", "fwos_wo_f": "Fwos w/o F"}
 
 
 @dataclass
@@ -45,42 +40,19 @@ def run_fig5(
     dims = dims or [2, 8, 16, 32]
     backbones = backbones or ["gcn", "gin"]
     scale = scale or Scale.quick()
-    overrides = FAIRWOS_OVERRIDES.get(dataset, FAIRWOS_OVERRIDES["default"])
     result = Fig5Result(dataset=dataset, dims=dims, backbones=backbones)
     for backbone in backbones:
-        gnn_runs = []
-        for seed in range(scale.seeds):
-            graph = load_dataset(dataset, seed=seed)
-            gnn_runs.append(
-                Vanilla(
-                    backbone=backbone, epochs=scale.epochs, patience=scale.patience
-                ).fit(graph, seed=seed)
-            )
-        result.cells[(backbone, "gnn", 0)] = summarize(gnn_runs)
+        runs = [
+            run_variant("gnn", dataset, backbone, seed, scale)
+            for seed in range(scale.seeds)
+        ]
+        result.cells[(backbone, "gnn", 0)] = summarize(runs)
         for dim in dims:
             for series in ("fairwos", "fwos_wo_f"):
-                runs: list[MethodResult] = []
-                for seed in range(scale.seeds):
-                    graph = load_dataset(dataset, seed=seed)
-                    config = FairwosConfig(
-                        backbone=backbone,
-                        encoder_dim=dim,
-                        encoder_epochs=scale.epochs,
-                        classifier_epochs=scale.epochs,
-                        finetune_epochs=scale.finetune_epochs,
-                        patience=scale.patience,
-                        use_fairness=(series == "fairwos"),
-                        **overrides,
-                    )
-                    fit = FairwosTrainer(config).fit(graph, seed=seed)
-                    runs.append(
-                        MethodResult(
-                            method=_DISPLAY[series],
-                            test=fit.test,
-                            validation=fit.validation,
-                            seconds=fit.total_seconds,
-                        )
-                    )
+                runs = [
+                    run_variant(series, dataset, backbone, seed, scale, encoder_dim=dim)
+                    for seed in range(scale.seeds)
+                ]
                 result.cells[(backbone, series, dim)] = summarize(runs)
     return result
 
@@ -98,6 +70,6 @@ def format_fig5(result: Fig5Result) -> str:
         for series in ("fairwos", "fwos_wo_f"):
             for dim in result.dims:
                 summary = result.cells[(backbone, series, dim)]
-                label = f"{_DISPLAY[series]} d={dim}"
+                label = f"{VARIANT_NAMES[series]} d={dim}"
                 lines.append(f"  {label:16s} {summary.row()}")
     return "\n".join(lines)

@@ -5,20 +5,20 @@ around its selected operating point and reports ACC / ΔEO / ΔSP surfaces.
 Expected shape: both fairness metrics improve as α and K grow; too-large
 values start to cost utility.
 
-Because our substrate's effective α scale differs (see DESIGN.md), the
-default grid is expressed as multipliers of the dataset's selected α.
+Because our substrate's effective α scale differs (see the comment on
+``repro.experiments.methods.FAIRWOS_OVERRIDES`` and the docstring of
+``repro.core.FairwosConfig``), the default grid is expressed as multipliers
+of the dataset's selected α.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core import FairwosConfig, FairwosTrainer
-from repro.datasets import load_dataset
 from repro.experiments.aggregate import MetricSummary, summarize
+from repro.experiments.fig4_ablation import run_variant
 from repro.experiments.methods import FAIRWOS_OVERRIDES
 from repro.experiments.scale import Scale
-from repro.baselines.base import MethodResult
 
 __all__ = ["Fig6Result", "run_fig6", "format_fig6"]
 
@@ -47,28 +47,19 @@ def run_fig6(
     result = Fig6Result(dataset=dataset, alphas=alphas, ks=ks)
     for alpha in alphas:
         for k in ks:
-            runs: list[MethodResult] = []
-            for seed in range(scale.seeds):
-                graph = load_dataset(dataset, seed=seed)
-                config = FairwosConfig(
+            runs = [
+                run_variant(
+                    "fairwos",
+                    dataset,
+                    "gcn",
+                    seed,
+                    scale,
                     alpha=alpha,
                     top_k=k,
-                    finetune_learning_rate=base["finetune_learning_rate"],
-                    encoder_epochs=scale.epochs,
-                    classifier_epochs=scale.epochs,
-                    finetune_epochs=scale.finetune_epochs,
-                    patience=scale.patience,
                     use_fairness=alpha > 0,
                 )
-                fit = FairwosTrainer(config).fit(graph, seed=seed)
-                runs.append(
-                    MethodResult(
-                        method=f"alpha={alpha},K={k}",
-                        test=fit.test,
-                        validation=fit.validation,
-                        seconds=fit.total_seconds,
-                    )
-                )
+                for seed in range(scale.seeds)
+            ]
             result.cells[(alpha, k)] = summarize(runs)
     return result
 

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis import tsne
-from repro.core import FairwosConfig, FairwosTrainer
+from repro.core import FairwosTrainer
 from repro.datasets import load_dataset
-from repro.experiments.methods import FAIRWOS_OVERRIDES
+from repro.experiments.methods import fairwos_recipe
 from repro.experiments.scale import Scale
 
 __all__ = ["Fig7Result", "run_fig7", "format_fig7", "knn_leakage", "silhouette"]
@@ -87,13 +87,8 @@ def run_fig7(
     """Train Fairwos and embed the test nodes' pseudo-sensitive attributes."""
     scale = scale or Scale.quick()
     graph = load_dataset(dataset, seed=seed)
-    overrides = FAIRWOS_OVERRIDES.get(dataset, FAIRWOS_OVERRIDES["default"])
-    config = FairwosConfig(
-        encoder_epochs=scale.epochs,
-        classifier_epochs=scale.epochs,
-        finetune_epochs=scale.finetune_epochs,
-        patience=scale.patience,
-        **overrides,
+    config = fairwos_recipe(
+        graph.name, "gcn", scale.epochs, scale.finetune_epochs, scale.patience
     )
     fit = FairwosTrainer(config).fit(graph, seed=seed)
     test_attrs = fit.pseudo_attributes[graph.test_mask]

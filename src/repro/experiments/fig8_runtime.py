@@ -15,7 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.datasets import load_dataset
-from repro.experiments.fig4_ablation import run_variant
+from repro.experiments.fig4_ablation import (
+    VARIANT_CHANGES,
+    VARIANT_NAMES,
+    run_variant,
+)
 from repro.experiments.methods import display_name, run_method
 from repro.experiments.scale import Scale
 
@@ -32,13 +36,6 @@ RUNTIME_ENTRIES = [
     "fwos_wo_f",
     "fairwos",
 ]
-
-_VARIANTS = {"fwos_wo_w", "fwos_wo_e", "fwos_wo_f"}
-_VARIANT_DISPLAY = {
-    "fwos_wo_w": "Fwos w/o W",
-    "fwos_wo_e": "Fwos w/o E",
-    "fwos_wo_f": "Fwos w/o F",
-}
 
 
 @dataclass
@@ -69,10 +66,8 @@ def run_fig8(
     times: dict[str, list[float]] = {entry: [] for entry in entries}
     for seed in range(scale.seeds):
         for entry in entries:
-            if entry in _VARIANTS:
+            if entry in VARIANT_CHANGES:
                 run = run_variant(entry, dataset, backbone, seed, scale)
-            elif entry == "fairwos":
-                run = run_variant("fairwos", dataset, backbone, seed, scale)
             else:
                 graph = load_dataset(dataset, seed=seed)
                 run = run_method(
@@ -99,9 +94,7 @@ def format_fig8(result: Fig8Result) -> str:
     ]
     for entry, mean in result.seconds_mean.items():
         label = (
-            _VARIANT_DISPLAY[entry]
-            if entry in _VARIANT_DISPLAY
-            else ("Fairwos" if entry == "fairwos" else display_name(entry))
+            VARIANT_NAMES[entry] if entry in VARIANT_CHANGES else display_name(entry)
         )
         std = result.seconds_std[entry]
         lines.append(f"  {label:12s} {mean:7.2f} ± {std:5.2f}")

@@ -7,38 +7,31 @@ code never special-cases Fairwos vs the baselines.
 ``FAIRWOS_OVERRIDES`` records the per-dataset (α, fine-tune lr) pairs picked
 from the paper's hyper-parameter grid (α ∈ {0.01, 0.05, 1, 2, 5}, selected
 on validation, Section V-A-4); datasets with severe vanilla bias get the
-strong end of the grid.
+strong end of the grid.  :func:`fairwos_recipe` is the one place that
+turns them, the training budgets and an execution value into a
+:class:`~repro.core.config.FairwosConfig`; the ablations and sweeps pass
+the fields they change.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.baselines import FairGKD, KSMOTE, FairRF, RemoveR, Vanilla
+from repro.baselines import BASELINES
 from repro.baselines.base import MethodResult
 from repro.core import ExecutionConfig, FairwosConfig, FairwosTrainer
 from repro.graph import Graph
 from repro.tensor import dtype_scope
 
-__all__ = ["available_methods", "run_method", "FAIRWOS_OVERRIDES", "METHOD_ORDER"]
-
-METHOD_ORDER = [
-    "vanilla",
-    "remover",
-    "ksmote",
-    "fairrf",
-    "fairgkd",
-    "fairwos",
+__all__ = [
+    "available_methods",
+    "fairwos_recipe",
+    "run_method",
+    "FAIRWOS_OVERRIDES",
+    "METHOD_ORDER",
 ]
 
-_DISPLAY = {
-    "vanilla": "Vanilla\\S",
-    "remover": "RemoveR",
-    "ksmote": "KSMOTE",
-    "fairrf": "FairRF",
-    "fairgkd": "FairGKD\\S",
-    "fairwos": "Fairwos",
-}
+METHOD_ORDER = [*BASELINES, "fairwos"]
 
 # Per-dataset Fairwos settings from the paper's α grid; "default" covers any
 # dataset not listed (including user-generated graphs).
@@ -60,7 +53,47 @@ def available_methods() -> list[str]:
 
 def display_name(method: str) -> str:
     """Paper-style display name of a method key."""
-    return _DISPLAY[method]
+    return "Fairwos" if method == "fairwos" else BASELINES[method].name
+
+
+def _depth(execution: ExecutionConfig) -> int:
+    """Backbone layer count: one per fanout entry, else one."""
+    return len(execution.fanouts) if execution.fanouts else 1
+
+
+def fairwos_recipe(
+    dataset: str,
+    backbone: str,
+    epochs: int,
+    finetune_epochs: int,
+    patience: int | None,
+    execution: ExecutionConfig | None = None,
+    **changes,
+) -> FairwosConfig:
+    """The Fairwos config the experiments train, with ``changes`` applied.
+
+    Starts from ``dataset``'s :data:`FAIRWOS_OVERRIDES` entry, ``epochs``
+    for both pre-training phases, the fine-tune budget, ``patience`` and
+    the fields of ``execution`` (default: full-batch, exact, float64; the
+    backbone depth follows its ``fanouts``), then sets every field named
+    in ``changes`` — e.g. ``use_fairness=False`` for "Fwos w/o F".
+    """
+    if execution is None:
+        execution = ExecutionConfig()
+    settings = {
+        name: getattr(execution, name) for name in ExecutionConfig.field_names()
+    }
+    settings.update(
+        backbone=backbone,
+        num_layers=_depth(execution),
+        encoder_epochs=epochs,
+        classifier_epochs=epochs,
+        finetune_epochs=finetune_epochs,
+        patience=patience,
+        **FAIRWOS_OVERRIDES.get(dataset, FAIRWOS_OVERRIDES["default"]),
+    )
+    settings.update(changes)
+    return FairwosConfig(**settings)
 
 
 def run_method(
@@ -98,10 +131,11 @@ def run_method(
     epochs, finetune_epochs, patience:
         Budgets (see :class:`~repro.experiments.scale.Scale`).
     fairwos_config:
-        Full config override for the Fairwos run; when None the per-dataset
-        entry of :data:`FAIRWOS_OVERRIDES` is applied.  Execution settings
-        that disagree with an explicit config are rejected — set them on
-        the config itself.
+        Full config for the Fairwos run; when None,
+        :func:`fairwos_recipe` builds it from the dataset's
+        :data:`FAIRWOS_OVERRIDES` entry, the budgets and ``execution``.
+        Execution settings that disagree with an explicit config are
+        rejected — set them on the config itself.
     execution:
         How the method executes, as one
         :class:`~repro.core.config.ExecutionConfig` value: sampled vs
@@ -133,24 +167,16 @@ def run_method(
     execution.validate()
 
     key = method.lower()
-    baseline_classes = {
-        "vanilla": Vanilla,
-        "remover": RemoveR,
-        "ksmote": KSMOTE,
-        "fairrf": FairRF,
-        "fairgkd": FairGKD,
-    }
-    if key in baseline_classes:
-        kwargs = dict(
+    if key in BASELINES:
+        runner = BASELINES[key](
             backbone=backbone,
             epochs=epochs,
             patience=patience,
             minibatch=execution.minibatch,
             fanouts=execution.fanouts,
             batch_size=execution.batch_size,
-            num_layers=len(execution.fanouts) if execution.fanouts else 1,
+            num_layers=_depth(execution),
         )
-        runner = baseline_classes[key](**kwargs)
         with dtype_scope(execution.dtype):
             result = runner.fit(graph, seed=seed, keep_logits=keep_logits)
         if keep_model:
@@ -159,12 +185,14 @@ def run_method(
     if key != "fairwos":
         raise ValueError(f"unknown method {method!r}; choose from {METHOD_ORDER}")
 
-    if fairwos_config is not None:
+    if fairwos_config is None:
+        fairwos_config = fairwos_recipe(
+            graph.name, backbone, epochs, finetune_epochs, patience, execution
+        )
+    else:
         # Every execution field set away from its default must agree with
         # the explicit config — a silent winner would make runs depend on
-        # which spelling the caller happened to use.  (This covers every
-        # field, including fanouts/batch_size, which the historical check
-        # missed.)
+        # which spelling the caller happened to use.
         conflicts = [
             name
             for name, value in sorted(execution.non_default_items().items())
@@ -178,25 +206,6 @@ def run_method(
                 "cf_backend/cf_refresh_epochs/finetune_minibatch/cf_update/"
                 "dtype) directly"
             )
-    if fairwos_config is None:
-        overrides = FAIRWOS_OVERRIDES.get(graph.name, FAIRWOS_OVERRIDES["default"])
-        fairwos_config = FairwosConfig(
-            backbone=backbone,
-            encoder_epochs=epochs,
-            classifier_epochs=epochs,
-            finetune_epochs=finetune_epochs,
-            patience=patience,
-            minibatch=execution.minibatch,
-            fanouts=execution.fanouts,
-            batch_size=execution.batch_size,
-            num_layers=len(execution.fanouts) if execution.fanouts else 1,
-            cf_backend=execution.cf_backend,
-            cf_refresh_epochs=execution.cf_refresh_epochs,
-            finetune_minibatch=execution.finetune_minibatch,
-            cf_update=execution.cf_update,
-            dtype=execution.dtype,
-            **overrides,
-        )
     start = time.perf_counter()
     trainer = FairwosTrainer(fairwos_config)
     result = trainer.fit(graph, seed=seed)

@@ -1,7 +1,7 @@
 """Versioned model artifacts: train once, score without refitting.
 
-A trained method (the Fairwos trainer or any baseline that retains its
-model) is persisted as a *directory bundle*::
+A trained method (the Fairwos trainer or any of the five baselines) is
+persisted as a *directory bundle*::
 
     artifact/
         manifest.json   schema version, method kind, resolved config,
@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.baselines import FairGKD, KSMOTE, FairRF, RemoveR, Vanilla
+from repro.baselines import BASELINES
 from repro.baselines.base import BaselineMethod
 from repro.core import FairwosConfig, FairwosTrainer
 from repro.core.ann import EXHAUSTIVE, AnnBackend, RPForestIndex
@@ -68,13 +68,8 @@ _ARRAYS = "arrays.npz"
 _INDEX = "index.npz"
 _GRAPH = "graph.npz"
 
-_BASELINE_CLASSES: dict[str, type[BaselineMethod]] = {
-    "Vanilla": Vanilla,
-    "RemoveR": RemoveR,
-    "KSMOTE": KSMOTE,
-    "FairRF": FairRF,
-    "FairGKD": FairGKD,
-}
+# A baseline manifest names its class, e.g. "FairRF".
+_BASELINE_CLASSES = {cls.__name__: cls for cls in BASELINES.values()}
 
 
 class ArtifactError(ValueError):
@@ -142,10 +137,10 @@ def save_artifact(
     Parameters
     ----------
     model:
-        A fitted :class:`~repro.core.trainer.FairwosTrainer`, or a fitted
-        :class:`~repro.baselines.base.BaselineMethod` whose training path
-        retained its model (``model_``).  Methods with bespoke training
-        loops that never set ``model_`` raise :class:`ArtifactError`.
+        A fitted :class:`~repro.core.trainer.FairwosTrainer`, or any of
+        the five baselines of :data:`repro.baselines.BASELINES` after
+        ``fit`` (which retains its model as ``model_``).  An unfitted
+        baseline raises :class:`ArtifactError`.
     graph:
         The training graph — fingerprinted into the manifest (and bundled
         verbatim unless ``include_graph=False``) so the serving side can
@@ -273,8 +268,7 @@ def _save_baseline(method: BaselineMethod, graph: Graph, path: Path) -> dict:
     if model is None:
         raise ArtifactError(
             f"{type(method).__name__} did not retain a trained model "
-            f"(model_ is unset) — fit it first, or note that methods with "
-            f"bespoke training paths are not persistable"
+            f"(model_ is unset) — fit it first"
         )
     class_name = type(method).__name__
     if class_name not in _BASELINE_CLASSES:

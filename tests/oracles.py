@@ -20,7 +20,10 @@ path in ``src/``, kept verbatim so parity tests can pin the fast path to it:
   :func:`fair_representation_loss_minibatch_reference` — the original
   ``I × K`` python loops of the fair loss (Eq. 13–14), the oracle the
   hypothesis parity harness checks the fused loss against (value and
-  gradient to 1e-9).
+  gradient to 1e-9);
+* :func:`solve_kkt_eq24` — the paper's Eq. (22)–(24) sorting procedure for
+  the λ weights, which ``repro.core.weights.project_to_simplex`` (the path
+  ``WeightUpdater.update`` takes) is checked against.
 
 ``pyproject.toml`` puts ``tests/`` on pytest's ``pythonpath``, so tests and
 benchmarks import this module as ``oracles``.
@@ -330,3 +333,40 @@ def fair_representation_loss_minibatch_reference(
     if loss is None:
         loss = Tensor(np.zeros(()))
     return loss, disparities, valid_counts
+
+
+# --------------------------------------------------------------------- #
+# the paper's λ solve
+# --------------------------------------------------------------------- #
+def solve_kkt_eq24(disparities: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+    """The paper's Eq. (22)–(24) procedure, transcribed.
+
+    Rank the (scaled) disparities in descending order, locate the bracket
+    containing the multiplier ``b`` via ``Σ max(0, −b − D'_i) = 2`` and
+    evaluate Eq. (24).  ``alpha`` restores the α factor that Eq. (21) drops.
+    """
+    scaled = alpha * np.asarray(disparities, dtype=np.float64).reshape(-1)
+    size = scaled.size
+    if size == 0:
+        raise ValueError("need at least one disparity value")
+    if size == 1:
+        return np.ones(1)
+    order = np.argsort(scaled)[::-1]
+    descending = scaled[order]  # {D'_1 >= D'_2 >= ... >= D'_I}
+    lambdas = np.zeros(size)
+    # Try each hypothesis "b ∈ (−D'_{j−1}, −D'_j]": the active set is then
+    # the suffix {j, ..., I} of the descending ranking.
+    for j in range(size):
+        suffix_sum = descending[j:].sum()
+        active = size - j
+        b = -(2.0 + suffix_sum) / active
+        upper = -descending[j]
+        lower = -descending[j - 1] if j > 0 else -np.inf
+        if lower < b <= upper or j == size - 1:
+            raw = (-b - descending) / 2.0
+            lambdas[order] = np.maximum(raw, 0.0)
+            break
+    total = lambdas.sum()
+    if total <= 0:
+        raise RuntimeError("KKT solve failed to find a feasible bracket")
+    return lambdas / total

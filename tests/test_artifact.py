@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.baselines import BASELINES
 from repro.core import ExecutionConfig, FairwosConfig, FairwosTrainer
 from repro.core.counterfactual import CounterfactualSearch
 from repro.experiments.methods import run_method
@@ -268,37 +269,36 @@ class TestPersistedIndex:
 
 
 class TestBaselineRoundTrip:
-    def test_vanilla_fullbatch_bit_identical(self, small_graph, tmp_path):
-        result = run_method("vanilla", small_graph, epochs=5, keep_model=True)
-        runner = result.extra["model"]
-        live = predict_logits(
-            runner.model_, Tensor(small_graph.features), small_graph.adjacency
+    @pytest.mark.parametrize("sampled", [False, True], ids=["fullbatch", "sampled"])
+    @pytest.mark.parametrize("key", list(BASELINES))
+    def test_round_trip_bit_identical(self, key, sampled, small_graph, tmp_path):
+        """Every baseline saves after ``fit`` and rescores bit for bit."""
+        execution = (
+            ExecutionConfig(minibatch=True, fanouts=(5,), batch_size=64)
+            if sampled
+            else ExecutionConfig()
         )
-        save_artifact(runner, small_graph, tmp_path / "vanilla")
-        art = load_artifact(tmp_path / "vanilla")
-        np.testing.assert_array_equal(art.score(), live)
-        assert np.abs(art.score() - live).max() <= 1e-12
-
-    def test_remover_minibatch_bit_identical(self, small_graph, tmp_path):
         result = run_method(
-            "remover",
-            small_graph,
-            epochs=4,
-            execution=ExecutionConfig(minibatch=True, fanouts=(5,), batch_size=64),
-            keep_model=True,
+            key, small_graph, epochs=4, execution=execution, keep_model=True
         )
         runner = result.extra["model"]
-        raw = small_graph.features[:, runner.feature_columns_]
+        raw = small_graph.features
+        if runner.feature_columns_ is not None:
+            raw = raw[:, runner.feature_columns_]
         live = predict_logits_batched(
-            runner.model_, raw, small_graph.adjacency, batch_size=64
+            runner.model_,
+            raw,
+            small_graph.adjacency,
+            batch_size=64 if sampled else None,
         )
-        save_artifact(runner, small_graph, tmp_path / "remover")
-        art = load_artifact(tmp_path / "remover")
+        save_artifact(runner, small_graph, tmp_path / key)
+        art = load_artifact(tmp_path / key)
         np.testing.assert_array_equal(art.score(), live)
-        # the column selection itself round-trips
-        np.testing.assert_array_equal(
-            art.baseline.feature_columns_, runner.feature_columns_
-        )
+        if runner.feature_columns_ is not None:
+            # the column selection itself round-trips
+            np.testing.assert_array_equal(
+                art.baseline.feature_columns_, runner.feature_columns_
+            )
 
     def test_baseline_has_no_counterfactuals(self, small_graph, tmp_path):
         result = run_method("vanilla", small_graph, epochs=2, keep_model=True)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import WeightUpdater, project_to_simplex, solve_kkt_eq24
+from repro.core import WeightUpdater, project_to_simplex
+from oracles import solve_kkt_eq24
 
 
 def _disparity_arrays(min_size=1, max_size=12):

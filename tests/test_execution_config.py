@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.core import ExecutionConfig, FairwosConfig
@@ -35,6 +38,25 @@ class TestValidation:
     def test_frozen(self):
         with pytest.raises(Exception):
             ExecutionConfig().minibatch = True
+
+    def test_fairwos_config_is_a_frozen_execution_config(self):
+        """The eight execution fields, their defaults and their checks are
+        declared once, on ExecutionConfig."""
+        config = FairwosConfig()
+        assert isinstance(config, ExecutionConfig)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.alpha = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.minibatch = True
+        own = inspect.get_annotations(FairwosConfig)
+        assert set(own).isdisjoint(ExecutionConfig.field_names())
+        assert set(ExecutionConfig.field_names()) < {
+            f.name for f in dataclasses.fields(FairwosConfig)
+        }
+        for name in ExecutionConfig.field_names():
+            assert getattr(config, name) == getattr(ExecutionConfig(), name)
+        with pytest.raises(ValueError, match="batch_size"):
+            FairwosConfig(batch_size=0).validate()
 
     def test_fairwos_config_validates_new_knobs(self):
         FairwosConfig(num_workers=0).validate()

@@ -27,6 +27,7 @@ from repro.experiments import (
     run_table2,
 )
 from repro.experiments.fig7_tsne import knn_leakage, silhouette
+from repro.experiments.methods import display_name, fairwos_recipe
 from repro.datasets import load_dataset
 
 SMOKE = Scale.smoke()
@@ -80,6 +81,47 @@ class TestMethodRegistry:
         )
         assert 0.0 <= result.test.accuracy <= 1.0
         assert result.extra["counterfactual_coverage"] > 0.0
+
+    def test_recipe_applies_overrides_budgets_and_changes(self):
+        config = fairwos_recipe(
+            "nba", "gin", 7, 3, 2, ExecutionConfig(fanouts=(5, 5)),
+            alpha=1.0, use_fairness=False,
+        )
+        config.validate()
+        assert config.alpha == 1.0
+        assert (
+            config.finetune_learning_rate
+            == FAIRWOS_OVERRIDES["nba"]["finetune_learning_rate"]
+        )
+        assert config.backbone == "gin" and not config.use_fairness
+        assert (config.encoder_epochs, config.classifier_epochs) == (7, 7)
+        assert (config.finetune_epochs, config.patience) == (3, 2)
+        assert config.fanouts == (5, 5) and config.num_layers == 2
+
+    def test_recipe_unknown_dataset_uses_default(self):
+        config = fairwos_recipe("mystery", "gcn", 5, 2, None)
+        assert config.alpha == FAIRWOS_OVERRIDES["default"]["alpha"]
+
+    def test_recipe_rejects_unknown_field(self):
+        with pytest.raises(TypeError, match="bogus"):
+            fairwos_recipe("nba", "gcn", 5, 2, None, bogus=1)
+
+    def test_run_method_trains_the_recipe(self, small_graph):
+        execution = ExecutionConfig(minibatch=True, batch_size=64)
+        result = run_method(
+            "fairwos", small_graph, epochs=3, finetune_epochs=2, patience=5,
+            execution=execution, keep_model=True,
+        )
+        assert result.extra["model"].config == fairwos_recipe(
+            small_graph.name, "gcn", 3, 2, 5, execution
+        )
+
+    def test_display_names_follow_the_baseline_table(self):
+        from repro.baselines import BASELINES
+
+        for key, cls in BASELINES.items():
+            assert display_name(key) == cls.name
+        assert display_name("fairwos") == "Fairwos"
 
     def test_explicit_config_rejects_cf_overrides(self, small_graph):
         from repro.core import FairwosConfig
