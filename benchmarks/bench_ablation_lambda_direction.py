@@ -1,5 +1,5 @@
-"""Extra ablation: the λ-update direction (DESIGN.md's documented paper
-inconsistency).
+"""Extra ablation: the λ-update direction (the paper inconsistency
+documented in ``repro.core.weights``).
 
 Eq. (24)'s math puts *small* weight on high-disparity attributes; the
 surrounding text argues for *large* weight.  This bench runs Fairwos both
